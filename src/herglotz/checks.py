@@ -1,10 +1,28 @@
-"""Sample plans, tolerances and check reports shared by all verifiers.
+"""Sample plans, tolerances, check reports and the residual-check engine.
 
 Checks are sampled residual verifications, not symbolic proofs: residuals
 at or below ``pass_tol`` pass, residuals at or above ``fail_tol`` fail, and
 the band in between yields an "inconclusive" verdict so that near-degenerate
 instances are not reported with false certainty.  Identical plans (mode,
 bounds, count, seed) always produce the identical point sequence.
+
+Every sampled check runs through :func:`run_check`, which alone decides:
+
+- the defaults: ``Tolerances()`` for ``tol``, and ``SamplePlan()`` with the
+  unit box ``[-1, 1]^(2n+1)`` for ``plan`` and for a plan without bounds;
+- sampling, with an optional predicate (the action-function frame check);
+  a ``SamplingError`` becomes an error report;
+- the per-point loop, in plan order.  ``point_values(p)`` returns the record
+  values of a point, or ``None`` to leave the point out of the report;
+- aborting: ``CheckAbort`` raised at point k (or by the ``precheck`` run on
+  the whole sample first) ends the check with an error report that keeps
+  the records of points 0..k-1;
+- the reduction: the maximum of ``|value|`` over the residual keys (every
+  key when none are named).  A non-finite value under a residual key gives
+  an error report with ``max_residual`` NaN, never a pass.
+
+All error reports are built by :func:`error_report`.  The module is also the
+single home of the numerical thresholds shared by the other modules.
 """
 
 from __future__ import annotations
@@ -20,12 +38,24 @@ from .expr import StatePoint
 
 __all__ = [
     "Tolerances", "SamplePlan", "CheckReport", "PointRecord", "SamplingError",
-    "sample_states", "verdict_for",
+    "CheckAbort", "sample_states", "verdict_for", "report_from_records",
+    "error_report", "run_check",
 ]
 
 # Points where |dzeta/dz| falls at or below this threshold are rejected when
 # a check involves an action-function frame.
 FRAME_TOL = 1e-8
+# |det| of a velocity Hessian (W or W^zeta) at or below this is singular;
+# the default of Tolerances.det_tol.
+DET_TOL = 1e-10
+# Values at or below this magnitude count as zero when zero sets are compared.
+ZERO_TOL = 1e-8
+# Indices with |E_i| at or below this are left out of the D_i/E_i ratio tests.
+RATIO_EXCLUDE = 1e-6
+# Relative residual admitted when verifying the stacked contact solves.
+SOLVE_TOL = 1e-10
+# Points with |H| at or below this are left out of conformal factor estimation.
+ESTIMATE_TOL = 1e-8
 
 PASS, FAIL, ERROR, INCONCLUSIVE = "pass", "fail", "error", "inconclusive"
 
@@ -38,7 +68,7 @@ class SamplingError(RuntimeError):
 class Tolerances:
     pass_tol: float = 1e-8
     fail_tol: float = 1e-4
-    det_tol: float = 1e-10
+    det_tol: float = DET_TOL
 
     def __post_init__(self):
         if not (self.pass_tol > 0 and self.fail_tol > 0 and self.det_tol > 0):
@@ -169,20 +199,69 @@ class CheckReport:
 
 
 def report_from_records(records: Sequence[PointRecord], tol: Tolerances,
-                        plan: SamplePlan | None = None,
-                        diagnostics: Iterable[str] = (),
+                        plan: SamplePlan | None = None, *,
                         residual_keys: Sequence[str] | None = None) -> CheckReport:
     """Reduce per-point residual records to a verdict report.
 
     The reduction (maximum over the named residual values, records kept in
-    point order) is deterministic.
+    point order) is deterministic.  The first non-finite residual makes the
+    report an error naming the point index and the key.
     """
     max_res = 0.0
-    for rec in records:
+    for k, rec in enumerate(records):
         for key, value in rec.values.items():
             if residual_keys is not None and key not in residual_keys:
                 continue
-            max_res = max(max_res, abs(float(value)))
+            value = float(value)
+            if not math.isfinite(value):
+                return error_report(
+                    f"non-finite residual at point {k}: {key} = {value!r}",
+                    tol, plan, records)
+            max_res = max(max_res, abs(value))
     return CheckReport(verdict=verdict_for(max_res, tol), max_residual=max_res,
-                       records=list(records), diagnostics=list(diagnostics),
+                       records=list(records), tolerances=tol, plan=plan)
+
+
+def error_report(message: str, tol: Tolerances, plan: SamplePlan | None = None,
+                 records: Iterable[PointRecord] = ()) -> CheckReport:
+    """An undecided check: verdict error, NaN residual, one diagnostic."""
+    return CheckReport(verdict=ERROR, max_residual=float("nan"),
+                       records=list(records), diagnostics=[message],
                        tolerances=tol, plan=plan)
+
+
+class CheckAbort(Exception):
+    """Raised by a per-point function or a precheck to end a check with an
+    error report; the message becomes its diagnostic."""
+
+
+def run_check(n: int, point_values: Callable[[StatePoint], dict | None],
+              plan: SamplePlan | None = None, tol: Tolerances | None = None, *,
+              points: Sequence[StatePoint] | None = None,
+              predicate: Callable[[StatePoint], bool] | None = None,
+              precheck: Callable[[list[StatePoint]], None] | None = None,
+              residual_keys: Sequence[str] | None = None) -> CheckReport:
+    """Evaluate ``point_values`` over a sample and reduce to a report.
+
+    The points are drawn from ``plan`` (with ``predicate``) unless given
+    explicitly as ``points``, in which case the report carries ``plan``
+    unchanged.  See the module docstring for the full contract.
+    """
+    tol = tol or Tolerances()
+    if points is None:
+        plan = (plan or SamplePlan()).with_default_bounds(n)
+        try:
+            points = sample_states(plan, n, predicate=predicate)
+        except SamplingError as exc:
+            return error_report(str(exc), tol, plan)
+    records: list[PointRecord] = []
+    try:
+        if precheck is not None:
+            precheck(points)
+        for p in points:
+            values = point_values(p)
+            if values is not None:
+                records.append(PointRecord(p, values))
+    except CheckAbort as exc:
+        return error_report(str(exc), tol, plan, records)
+    return report_from_records(records, tol, plan, residual_keys=residual_keys)

@@ -18,14 +18,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .checks import CheckReport, PointRecord, SamplePlan, Tolerances
+from .checks import (
+    CheckReport, PointRecord, SamplePlan, Tolerances, error_report, run_check,
+)
 from .contact import ContactHamiltonianSystem, CoordOneForm, darboux_form
 from .dynamics import (
     SampledCurve, integrate, stationarity_test, trajectory_to_csv,
@@ -37,8 +40,8 @@ from .equivalence import (
     strong_equivalence_check, zero_set_diagnostic,
 )
 from .expr import (
-    Expr, Param, ParseError, StatePoint, evaluate, merge_params, parse,
-    substitute, unparse, z,
+    Expr, Param, ParseError, StatePoint, coords, evaluate, max_coord_index,
+    merge_params, parse, substitute, unparse, z,
 )
 from .extended import (
     ActionFunction, ExtendedLagrangianSystem, legendre_pullback_residual,
@@ -48,11 +51,12 @@ from .fixtures import builtin_plans, builtin_systems, default_tasks
 from .inverse import (
     SODESystem, di_ei_diagnostics, extended_inverse_check, naive_inverse_check,
 )
-from .lagrangian import ContactLagrangianSystem, herglotz_field
+from .lagrangian import ContactLagrangianSystem, as_hamiltonian, herglotz_field
 
 EXIT_PASS, EXIT_FAIL, EXIT_SOFT, EXIT_CONFIG = 0, 1, 2, 3
 
-_SEVERITY = {"pass": 0, "fail": 1, "error": 2, "inconclusive": 2}
+_EXIT_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "error": EXIT_SOFT,
+              "inconclusive": EXIT_SOFT}
 
 
 class ConfigError(ValueError):
@@ -178,10 +182,8 @@ def load_config(path: str | None) -> RunConfig:
         cfg.plans[name] = _load_plan(entry, f"plans.{name}")
     tol_raw = raw.get("tolerances") or {}
     try:
-        cfg.tolerances = Tolerances(
-            pass_tol=float(tol_raw.get("pass_tol", 1e-8)),
-            fail_tol=float(tol_raw.get("fail_tol", 1e-4)),
-            det_tol=float(tol_raw.get("det_tol", 1e-10)))
+        cfg.tolerances = Tolerances(**{
+            f.name: float(tol_raw.get(f.name, f.default)) for f in fields(Tolerances)})
     except ValueError as exc:
         raise ConfigError(str(exc), "tolerances") from None
     if "output_dir" in raw:
@@ -217,26 +219,26 @@ def _resolve(cfg: RunConfig, name: str, kinds: tuple[type, ...], what: str):
 
 
 def _resolve_bar(cfg: RunConfig, name: str) -> tuple[Expr, dict]:
-    if name in cfg.systems:
-        obj = cfg.systems[name]
-    else:
-        reg = builtin_systems()
-        obj = reg[name]() if name in reg else None
-    if obj is None:
-        raise ConfigError(f"unknown bar-Lagrangian {name!r}", f"systems.{name}")
+    obj = _resolve(cfg, name, (Expr, _BarLagrangian, ContactLagrangianSystem),
+                   "bar-Lagrangian")
     if isinstance(obj, Expr):
         return obj, {}
     if isinstance(obj, _BarLagrangian):
         return obj.expr, obj.params
-    if isinstance(obj, ContactLagrangianSystem):
-        return obj.L, dict(obj.params)
-    raise ConfigError(f"{name!r} cannot serve as a bar-Lagrangian",
-                      f"systems.{name}")
+    return obj.L, dict(obj.params)
+
+
+def _initial_state(args: dict, n: int, default=None) -> StatePoint:
+    initial = args.get("initial", default)
+    if initial is None:
+        raise ConfigError("an initial state is required", "args.initial")
+    if isinstance(initial, str):
+        initial = [float(x) for x in initial.split(",")]
+    return StatePoint.from_coords(np.asarray(initial, dtype=float), n)
 
 
 def _require_consistent_n(n: int, **named_exprs) -> None:
     """Chart dimension must be consistent within a task (config invariant)."""
-    from .expr import max_coord_index
     for name, expr in named_exprs.items():
         top = max_coord_index(expr)
         if top > n:
@@ -277,10 +279,6 @@ def write_report(report: CheckReport, path: Path) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def _exit_code(report: CheckReport) -> int:
-    return {0: EXIT_PASS, 1: EXIT_FAIL, 2: EXIT_SOFT}[_SEVERITY[report.verdict]]
-
-
 def _subsample(records: list[PointRecord], cap: int = 200) -> list[PointRecord]:
     if len(records) <= cap:
         return records
@@ -292,7 +290,7 @@ def _subsample(records: list[PointRecord], cap: int = 200) -> list[PointRecord]:
 # Task execution
 
 
-def _task_check_eq(cfg, args, strong: bool) -> CheckReport:
+def _task_check_eq(cfg, args, out_stem, check) -> tuple[CheckReport, list[Path]]:
     sys_l = _resolve(cfg, args["lagrangian"], (ContactLagrangianSystem,),
                      "Lagrangian system")
     bar_expr, bar_params = _resolve_bar(cfg, args["lagrangian_bar"])
@@ -302,11 +300,10 @@ def _task_check_eq(cfg, args, strong: bool) -> CheckReport:
         sys_l = ContactLagrangianSystem(
             sys_l.n_dim, sys_l.L, merge_params(sys_l.params, bar_params))
     plan = _resolve_plan(cfg, args.get("plan"))
-    check = strong_equivalence_check if strong else general_equivalence_check
-    return check(sys_l, bar_expr, zeta, plan, cfg.tolerances)
+    return check(sys_l, bar_expr, zeta, plan, cfg.tolerances), []
 
 
-def _task_check_horizontal(cfg, args) -> CheckReport:
+def _task_check_horizontal(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     xi = _resolve(cfg, args["xi"], (SODESystem,), "second order system")
     xi_bar = _resolve(cfg, args["xi_bar"], (SODESystem,), "second order system")
     zeta = _resolve(cfg, args["zeta"], (ActionFunction,), "action function")
@@ -316,22 +313,21 @@ def _task_check_horizontal(cfg, args) -> CheckReport:
     plan = _resolve_plan(cfg, args.get("plan"))
     params = merge_params(xi.params, xi_bar.params)
     return horizontal_similarity_check(xi.as_field(), xi_bar.as_field(), zeta,
-                                       plan, params, cfg.tolerances)
+                                       plan, params, cfg.tolerances), []
 
 
-def _task_check_inverse(cfg, args) -> CheckReport:
+def _task_check_inverse(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sode = _resolve(cfg, args["sode"], (SODESystem,), "second order system")
     plan = _resolve_plan(cfg, args.get("plan"))
-    result = naive_inverse_check(sode, plan, cfg.tolerances)
-    report = result.report
+    report = naive_inverse_check(sode, plan, cfg.tolerances).report
     companion = di_ei_diagnostics(sode, plan, cfg.tolerances)
     report.diagnostics.append(
         f"obstruction diagnostics: verdict {companion.verdict}, "
         f"max residual {companion.max_residual!r}")
-    return report
+    return report, []
 
 
-def _task_check_inverse_ext(cfg, args) -> CheckReport:
+def _task_check_inverse_ext(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sode = _resolve(cfg, args["sode"], (SODESystem,), "second order system")
     zeta = _resolve(cfg, args["zeta"], (ActionFunction,), "action function")
     _require_consistent_n(sode.n_dim, zeta=zeta.zeta)
@@ -340,151 +336,124 @@ def _task_check_inverse_ext(cfg, args) -> CheckReport:
     if result.conformal_rate is not None:
         result.report.diagnostics.append(
             f"conformal rate: {unparse(result.conformal_rate)}")
-    return result.report
+    return result.report, []
 
 
 def _as_hamiltonian_system(obj) -> ContactHamiltonianSystem:
     if isinstance(obj, ContactHamiltonianSystem):
         return obj
     if isinstance(obj, ContactLagrangianSystem):
-        from .lagrangian import as_hamiltonian
         return as_hamiltonian(obj)
     raise ConfigError("expected a Hamiltonian or Lagrangian system", "systems")
 
 
-def _task_check_conformal(cfg, args) -> CheckReport:
-    sys_a = _as_hamiltonian_system(_resolve(
-        cfg, args["system"], (ContactHamiltonianSystem, ContactLagrangianSystem),
-        "contact system"))
-    sys_b = _as_hamiltonian_system(_resolve(
-        cfg, args["system_b"], (ContactHamiltonianSystem, ContactLagrangianSystem),
-        "contact system"))
+def _resolve_contact_pair(cfg, args) -> tuple[ContactHamiltonianSystem,
+                                              ContactHamiltonianSystem]:
+    kinds = (ContactHamiltonianSystem, ContactLagrangianSystem)
+    return tuple(_as_hamiltonian_system(_resolve(cfg, args[key], kinds,
+                                                 "contact system"))
+                 for key in ("system", "system_b"))
+
+
+def _task_check_conformal(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
+    sys_a, sys_b = _resolve_contact_pair(cfg, args)
     factor = None
     if args.get("factor"):
         factor = _parse_expr(args["factor"], sys_a.n_dim, "args.factor")
     plan = _resolve_plan(cfg, args.get("plan"))
-    return conformal_similarity_check(sys_a, sys_b, factor, plan, cfg.tolerances)
+    return conformal_similarity_check(sys_a, sys_b, factor, plan,
+                                      cfg.tolerances), []
 
 
-def _task_check_dynamical(cfg, args) -> CheckReport:
-    sys_a = _as_hamiltonian_system(_resolve(
-        cfg, args["system"], (ContactHamiltonianSystem, ContactLagrangianSystem),
-        "contact system"))
-    sys_b = _as_hamiltonian_system(_resolve(
-        cfg, args["system_b"], (ContactHamiltonianSystem, ContactLagrangianSystem),
-        "contact system"))
+def _task_check_dynamical(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
+    sys_a, sys_b = _resolve_contact_pair(cfg, args)
     if sys_a.n_dim != sys_b.n_dim:
         raise ConfigError("the two systems live on different charts", "args")
     plan = _resolve_plan(cfg, args.get("plan"))
     report = dynamical_equivalence_check(sys_a, sys_b, plan, cfg.tolerances)
     zero = zero_set_diagnostic(sys_a, sys_b, plan, cfg.tolerances)
     report.diagnostics.extend(zero.diagnostics)
-    return report
+    return report, []
 
 
-def _task_herglotz(cfg, args) -> CheckReport:
-    name = args["lagrangian"]
-    obj = _resolve(cfg, name, (ContactLagrangianSystem, ExtendedLagrangianSystem),
-                   "Lagrangian system")
+def _task_herglotz(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
+    sys_l = _resolve(cfg, args["lagrangian"], (ContactLagrangianSystem,),
+                     "Lagrangian system")
     if args.get("zeta"):
         zeta = _resolve(cfg, args["zeta"], (ActionFunction,), "action function")
-        obj = ExtendedLagrangianSystem(obj.n_dim, obj.L, zeta, obj.params)
-        field_obj = zeta_herglotz_field(obj)
-    elif isinstance(obj, ExtendedLagrangianSystem):
-        field_obj = zeta_herglotz_field(obj)
+        field_obj = zeta_herglotz_field(
+            ExtendedLagrangianSystem(sys_l.n_dim, sys_l.L, zeta, sys_l.params))
     else:
-        field_obj = herglotz_field(obj)
-    n = field_obj.n_dim
-    names = [f"d{c}/dt" for c in
-             [f"q{i}" for i in range(1, n + 1)]
-             + [f"v{i}" for i in range(1, n + 1)] + ["z"]]
-    diagnostics = [f"{label} = {unparse(comp)}"
-                   for label, comp in zip(names, field_obj.components)]
+        field_obj = herglotz_field(sys_l)
+    diagnostics = [f"d{unparse(c)}/dt = {unparse(comp)}"
+                   for c, comp in zip(coords(sys_l.n_dim), field_obj.components)]
     return CheckReport(verdict="pass", max_residual=0.0, diagnostics=diagnostics,
-                       tolerances=cfg.tolerances)
+                       tolerances=cfg.tolerances), []
 
 
-def _task_legendre(cfg, args) -> CheckReport:
-    from .checks import report_from_records, sample_states
+def _task_legendre(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sys_l = _resolve(cfg, args["lagrangian"], (ContactLagrangianSystem,),
                      "Lagrangian system")
     zeta = _resolve(cfg, args.get("zeta", "zeta_identity"), (ActionFunction,),
                     "action function")
     ext = ExtendedLagrangianSystem(sys_l.n_dim, sys_l.L, zeta, sys_l.params)
-    plan = _resolve_plan(cfg, args.get("plan"))
-    points = sample_states(plan.with_default_bounds(sys_l.n_dim), sys_l.n_dim,
-                           predicate=lambda p: zeta.frame_ok(p, sys_l.params))
-    records = []
-    for p in points:
-        records.append(PointRecord(p, {
-            "pullback_defect": legendre_pullback_residual(ext, p)}))
-    report = report_from_records(records, cfg.tolerances, plan)
-    qv, momenta, zeta_val = zeta_legendre(ext, points[0])
-    report.diagnostics.append(
-        f"sample transform at {points[0]}: q={qv.tolist()}, "
-        f"p={momenta.tolist()}, action={zeta_val!r}")
-    return report
+    report = run_check(
+        sys_l.n_dim,
+        lambda p: {"pullback_defect": legendre_pullback_residual(ext, p)},
+        _resolve_plan(cfg, args.get("plan")), cfg.tolerances,
+        predicate=lambda p: zeta.frame_ok(p, sys_l.params))
+    if report.records:
+        first = report.records[0].point
+        qv, momenta, zeta_val = zeta_legendre(ext, first)
+        report.diagnostics.append(
+            f"sample transform at {first}: q={qv.tolist()}, "
+            f"p={momenta.tolist()}, action={zeta_val!r}")
+    return report, []
 
 
-def _task_simulate(cfg, args, out_dir: Path, tag: str) -> tuple[CheckReport, Path]:
+def _task_simulate(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     obj = _resolve(cfg, args["system"], (ContactLagrangianSystem, SODESystem),
                    "simulable system")
     if isinstance(obj, SODESystem):
         field_obj, params, n = obj.as_field(), obj.params, obj.n_dim
     else:
         field_obj, params, n = herglotz_field(obj), obj.params, obj.n_dim
-    initial = args.get("initial")
-    if initial is None:
-        raise ConfigError("simulate requires an initial state", "args.initial")
-    if isinstance(initial, str):
-        initial = [float(x) for x in initial.split(",")]
-    p0 = StatePoint.from_coords(np.asarray(initial, dtype=float), n)
+    p0 = _initial_state(args, n)
     t_end = float(args.get("t", 1.0))
     dt = float(args.get("dt", 1e-3))
     traj = integrate(field_obj, p0, t_end, dt, params)
-    csv_path = out_dir / f"{tag}.csv"
+    csv_path = Path(f"{out_stem}.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     trajectory_to_csv(traj, csv_path)
-    diagnostics = [f"trajectory written to {csv_path.name}",
-                   f"steps = {len(traj.times) - 1}, dt = {dt!r}, t_end = {t_end!r}"]
-    records = []
-    max_res = 0.0
-    resid_texts = args.get("accel_residual")
-    if resid_texts:
-        if isinstance(resid_texts, str):
-            resid_texts = [resid_texts]
-        exprs = [_parse_expr(t, n, "args.accel_residual") for t in resid_texts]
-        if len(exprs) != n:
-            raise ConfigError(f"need {n} acceleration expressions",
-                              "args.accel_residual")
-        accel_comps = field_obj.components[n:2 * n]
-        all_records = []
-        for k, state in enumerate(traj.states()):
-            values = {}
-            for i in range(n):
-                defect = abs(evaluate(accel_comps[i], state, params)
-                             - evaluate(exprs[i], state, params))
-                values[f"acceleration_defect_{i + 1}"] = defect
-                max_res = max(max_res, defect)
-            all_records.append(PointRecord(state, values))
-        records = _subsample(all_records)
-        diagnostics.append(
-            f"acceleration defect vs expected: max {max_res!r} over "
-            f"{len(all_records)} samples (records subsampled)")
-    from .checks import verdict_for
-    verdict = verdict_for(max_res, cfg.tolerances)
-    report = CheckReport(verdict=verdict, max_residual=max_res, records=records,
-                         diagnostics=diagnostics, tolerances=cfg.tolerances)
-    return report, csv_path
+    notes = [f"trajectory written to {csv_path.name}",
+             f"steps = {len(traj.times) - 1}, dt = {dt!r}, t_end = {t_end!r}"]
+    resid_texts = args.get("accel_residual") or []
+    if isinstance(resid_texts, str):
+        resid_texts = [resid_texts]
+    exprs = [_parse_expr(t, n, "args.accel_residual") for t in resid_texts]
+    if exprs and len(exprs) != n:
+        raise ConfigError(f"need {n} acceleration expressions", "args.accel_residual")
+    accel_comps = field_obj.components[n:2 * n]
+
+    def defects(state):
+        return {f"acceleration_defect_{i + 1}":
+                abs(evaluate(accel_comps[i], state, params)
+                    - evaluate(exprs[i], state, params)) for i in range(n)}
+
+    states = list(traj.states()) if exprs else []
+    report = run_check(n, defects, tol=cfg.tolerances, points=states)
+    if states:
+        notes.append(f"acceleration defect vs expected: max {report.max_residual!r} "
+                     f"over {len(states)} samples (records subsampled)")
+        report.records = _subsample(report.records)
+    report.diagnostics[:0] = notes
+    return report, [csv_path]
 
 
-def _task_stationarity(cfg, args) -> CheckReport:
+def _task_stationarity(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sys_l = _resolve(cfg, args["lagrangian"], (ContactLagrangianSystem,),
                      "Lagrangian system")
-    initial = args.get("initial", [0.0, 2.0, 0.0])
-    if isinstance(initial, str):
-        initial = [float(x) for x in initial.split(",")]
-    p0 = StatePoint.from_coords(np.asarray(initial, dtype=float), sys_l.n_dim)
+    p0 = _initial_state(args, sys_l.n_dim, [0.0, 2.0, 0.0])
     grid = int(args.get("grid", 200))
     perturbations = int(args.get("perturbations", 8))
     amplitude = float(args.get("amplitude", 1e-4))
@@ -503,7 +472,44 @@ def _task_stationarity(cfg, args) -> CheckReport:
             va += np.outer(k * np.pi * np.cos(k * np.pi * t), coeff)
         curve = SampledCurve(t, qa, va)
     return stationarity_test(sys_l.L, curve, p0.z, perturbations, amplitude,
-                             stat_tol, sys_l.params)
+                             stat_tol, sys_l.params), []
+
+
+# command -> (runner, argparse flags).  A runner takes (cfg, args, out_stem),
+# where out_stem is the output path without extension, and returns the
+# report together with the extra files it wrote.
+_REQUIRED = {"required": True}
+_TASKS = {
+    "simulate": (_task_simulate, {
+        "system": _REQUIRED, "initial": {},
+        "t": {"type": float, "default": 1.0}, "dt": {"type": float, "default": 1e-3},
+        "accel_residual": {"action": "append"}}),
+    "herglotz": (_task_herglotz, {"lagrangian": _REQUIRED, "zeta": {}}),
+    "check-strong-eq": (partial(_task_check_eq, check=strong_equivalence_check), {
+        "lagrangian": _REQUIRED, "lagrangian_bar": _REQUIRED, "zeta": _REQUIRED,
+        "plan": {}}),
+    "check-eq": (partial(_task_check_eq, check=general_equivalence_check), {
+        "lagrangian": _REQUIRED, "lagrangian_bar": _REQUIRED, "zeta": _REQUIRED,
+        "plan": {}}),
+    "check-horizontal": (_task_check_horizontal, {
+        "xi": _REQUIRED, "xi_bar": _REQUIRED, "zeta": _REQUIRED, "plan": {}}),
+    "check-inverse": (_task_check_inverse, {"sode": _REQUIRED, "plan": {}}),
+    "check-inverse-ext": (_task_check_inverse_ext, {
+        "sode": _REQUIRED, "zeta": _REQUIRED, "plan": {}}),
+    "check-conformal": (_task_check_conformal, {
+        "system": _REQUIRED, "system_b": _REQUIRED, "factor": {}, "plan": {}}),
+    "check-dynamical": (_task_check_dynamical, {
+        "system": _REQUIRED, "system_b": _REQUIRED, "plan": {}}),
+    "legendre": (_task_legendre, {"lagrangian": _REQUIRED, "zeta": {}, "plan": {}}),
+    "stationarity": (_task_stationarity, {
+        "lagrangian": _REQUIRED, "initial": {},
+        "grid": {"type": int, "default": 200},
+        "perturbations": {"type": int, "default": 8},
+        "amplitude": {"type": float, "default": 1e-4},
+        "stat_tol": {"type": float, "default": 1e-3},
+        "random_curve": {"action": "store_true"},
+        "curve_seed": {"type": int, "default": 0}}),
+}
 
 
 def run_task(cfg: RunConfig, command: str, args: dict, out_dir: Path,
@@ -513,48 +519,18 @@ def run_task(cfg: RunConfig, command: str, args: dict, out_dir: Path,
     Library-level runtime failures (singular systems, evaluation domain
     errors, sampling exhaustion) become error reports, not tracebacks.
     """
+    if command not in _TASKS:
+        raise ConfigError(f"unknown command {command!r}", "tasks")
+    runner, _ = _TASKS[command]
     try:
-        return _run_task_inner(cfg, command, args, out_dir, tag)
+        report, files = runner(cfg, args, out_dir / tag)
     except ConfigError:
         raise
     except Exception as exc:
-        report = CheckReport(verdict="error", max_residual=float("nan"),
-                             diagnostics=[f"{type(exc).__name__}: {exc}"],
-                             tolerances=cfg.tolerances)
-        report.task = tag
-        return report, []
-
-
-def _run_task_inner(cfg: RunConfig, command: str, args: dict, out_dir: Path,
-                    tag: str) -> tuple[CheckReport, list[Path]]:
-    extra: list[Path] = []
-    if command == "check-eq":
-        report = _task_check_eq(cfg, args, strong=False)
-    elif command == "check-strong-eq":
-        report = _task_check_eq(cfg, args, strong=True)
-    elif command == "check-horizontal":
-        report = _task_check_horizontal(cfg, args)
-    elif command == "check-inverse":
-        report = _task_check_inverse(cfg, args)
-    elif command == "check-inverse-ext":
-        report = _task_check_inverse_ext(cfg, args)
-    elif command == "check-conformal":
-        report = _task_check_conformal(cfg, args)
-    elif command == "check-dynamical":
-        report = _task_check_dynamical(cfg, args)
-    elif command == "herglotz":
-        report = _task_herglotz(cfg, args)
-    elif command == "legendre":
-        report = _task_legendre(cfg, args)
-    elif command == "simulate":
-        report, csv_path = _task_simulate(cfg, args, out_dir, tag)
-        extra.append(csv_path)
-    elif command == "stationarity":
-        report = _task_stationarity(cfg, args)
-    else:
-        raise ConfigError(f"unknown command {command!r}", "tasks")
+        report, files = error_report(f"{type(exc).__name__}: {exc}",
+                                     cfg.tolerances), []
     report.task = tag
-    return report, extra
+    return report, files
 
 
 # ---------------------------------------------------------------------------
@@ -581,38 +557,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _global_options(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, **flags):
+    for name, (_, flags) in _TASKS.items():
         p = sub.add_parser(name, parents=[common])
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, **kwargs)
-        return p
-
-    cmd("simulate", system={"required": True}, initial={},
-        t={"type": float, "default": 1.0}, dt={"type": float, "default": 1e-3},
-        accel_residual={"action": "append"})
-    cmd("herglotz", lagrangian={"required": True}, zeta={})
-    cmd("check-strong-eq", lagrangian={"required": True},
-        lagrangian_bar={"required": True}, zeta={"required": True}, plan={})
-    cmd("check-eq", lagrangian={"required": True},
-        lagrangian_bar={"required": True}, zeta={"required": True}, plan={})
-    cmd("check-horizontal", xi={"required": True}, xi_bar={"required": True},
-        zeta={"required": True}, plan={})
-    cmd("check-inverse", sode={"required": True}, plan={})
-    cmd("check-inverse-ext", sode={"required": True}, zeta={"required": True},
-        plan={})
-    cmd("check-conformal", system={"required": True}, system_b={"required": True},
-        factor={}, plan={})
-    cmd("check-dynamical", system={"required": True}, system_b={"required": True},
-        plan={})
-    cmd("legendre", lagrangian={"required": True}, zeta={}, plan={})
-    cmd("stationarity", lagrangian={"required": True}, initial={},
-        grid={"type": int, "default": 200},
-        perturbations={"type": int, "default": 8},
-        amplitude={"type": float, "default": 1e-4},
-        stat_tol={"type": float, "default": 1e-3},
-        random_curve={"action": "store_true"},
-        curve_seed={"type": int, "default": 0})
     sub.add_parser("batch", parents=[common])
     return parser
 
@@ -642,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
             write_report(report, out_dir / f"{stem}.json")
             print(f"{stem}: {report.verdict} (max residual "
                   f"{report.max_residual!r})")
-            worst = max(worst, _exit_code(report))
+            worst = max(worst, _EXIT_CODE[report.verdict])
         return worst
 
     args = {key: value for key, value in vars(ns).items()
@@ -658,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
     write_report(report, report_path)
     print(f"{ns.command}: {report.verdict} (max residual {report.max_residual!r}; "
           f"report {report_path})")
-    return _exit_code(report)
+    return _EXIT_CODE[report.verdict]
 
 
 if __name__ == "__main__":

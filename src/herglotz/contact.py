@@ -21,9 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .checks import SOLVE_TOL
 from .expr import (
     Const, Expr, ParamSet, StatePoint, add, coords, differentiate, evaluate,
-    gradient, mul, unparse,
+    gradient, mul, neg, unparse, v,
 )
 
 __all__ = [
@@ -31,11 +32,7 @@ __all__ = [
     "GeometryError", "ContactConditionError", "ZeroCovectorError",
     "exterior_derivative", "reeb_field", "hamiltonian_field",
     "conformal_factor", "contact_condition", "lie_derivative_form",
-    "apply_field",
 ]
-
-# Relative residual admitted when verifying the stacked linear solves.
-SOLVE_TOL = 1e-10
 
 
 class GeometryError(ValueError):
@@ -102,13 +99,8 @@ class CoordVectorField:
         return total
 
 
-def apply_field(field: CoordVectorField, f: Expr) -> Expr:
-    return field.apply(f)
-
-
 def darboux_form(n: int) -> CoordOneForm:
     """The Darboux contact form dz - v_i dq^i (v plays the momentum)."""
-    from .expr import neg, v
     comps = tuple(neg(v(i)) for i in range(1, n + 1)) + \
         tuple(Const(0.0) for _ in range(n)) + (Const(1.0),)
     return CoordOneForm(n, comps)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .checks import CheckReport, FAIL, PASS, INCONCLUSIVE, Tolerances
+from .checks import CheckReport, Tolerances, verdict_for
 from .contact import CoordVectorField
 from .expr import Expr, ParamSet, StatePoint, compile_components
 
@@ -227,17 +227,11 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
                 / (2.0 * amplitude)
             derivatives[f"D[j={j},q{c + 1}]"] = d
             max_d = max(max_d, abs(d))
-    if max_d <= bound:
-        verdict = PASS
-    elif max_d >= 10.0 * bound:
-        verdict = FAIL
-    else:
-        verdict = INCONCLUSIVE
+    tol = Tolerances(pass_tol=bound, fail_tol=10.0 * bound)
     diagnostics = [f"action = {a0!r}", f"stationarity bound = {bound!r}"]
     diagnostics += [f"{name} = {value!r}" for name, value in derivatives.items()]
-    return CheckReport(verdict=verdict, max_residual=max_d,
-                       diagnostics=diagnostics,
-                       tolerances=Tolerances(pass_tol=bound, fail_tol=10.0 * bound))
+    return CheckReport(verdict=verdict_for(max_d, tol), max_residual=max_d,
+                       diagnostics=diagnostics, tolerances=tol)
 
 
 def trajectory_to_curve(traj: Trajectory) -> SampledCurve:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .checks import (
-    ERROR, FAIL, CheckReport, PointRecord, SamplePlan, SamplingError,
-    Tolerances, report_from_records, sample_states,
+    ESTIMATE_TOL, ZERO_TOL, CheckAbort, CheckReport, SamplePlan, Tolerances,
+    error_report, run_check,
 )
 from .contact import (
     ContactConditionError, ContactHamiltonianSystem, CoordVectorField,
@@ -25,8 +25,7 @@ from .expr import (
 )
 from .extended import (
     ActionFunction, ExtendedLagrangianSystem, compose_with_zeta,
-    extended_lagrangian_form, extended_sode_check_points, zeta_herglotz_field,
-    zeta_hessian, zeta_partial,
+    extended_lagrangian_form, zeta_herglotz_field, zeta_hessian, zeta_partial,
 )
 from .lagrangian import (
     ContactLagrangianSystem, herglotz_field, lagrangian_form, velocity_hessian,
@@ -39,25 +38,27 @@ __all__ = [
     "general_equivalence_check", "extended_sode_check",
 ]
 
-ZERO_TOL = 1e-8
-
-
-def _error_report(message: str, tol: Tolerances, plan: SamplePlan | None,
-                  records: list[PointRecord] | None = None) -> CheckReport:
-    return CheckReport(verdict=ERROR, max_residual=float("nan"),
-                       records=records or [], diagnostics=[message],
-                       tolerances=tol, plan=plan)
-
 
 def extended_sode_check(X: CoordVectorField, points: list[StatePoint],
                         params: dict | None = None,
                         tol: Tolerances | None = None) -> CheckReport:
     """Second order condition: the q-components of X equal the velocities."""
-    tol = tol or Tolerances()
-    residuals = extended_sode_check_points(X, points, params)
-    records = [PointRecord(p, {"sode_defect": r})
-               for p, r in zip(points, residuals)]
-    return report_from_records(records, tol)
+    def values(p):
+        return {"sode_defect": max(abs(evaluate(X.components[i], p, params) - p.v[i])
+                                   for i in range(X.n_dim))}
+    return run_check(X.n_dim, values, tol=tol, points=points)
+
+
+def _second_order_precheck(fields: dict[str, CoordVectorField],
+                           params: dict | None, tol: Tolerances | None):
+    """Precheck aborting unless every named field is a second order field."""
+    def precheck(points):
+        for name, field in fields.items():
+            sode = extended_sode_check(field, points, params, tol)
+            if not sode.passed:
+                raise CheckAbort(f"{name} is not a second order field "
+                                 f"(defect {sode.max_residual:.3e})")
+    return precheck
 
 
 def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
@@ -71,41 +72,39 @@ def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
     |H_a| > 1e-8; if no sampled point admits the estimate the verdict is an
     error.  A vanishing factor at any sampled point forces a fail.
     """
-    tol = tol or Tolerances()
-    plan = (plan or SamplePlan()).with_default_bounds(sys_a.n_dim)
-    points = sample_states(plan, sys_a.n_dim)
-    records: list[PointRecord] = []
-    diagnostics: list[str] = []
     skipped = 0
-    for p in points:
+
+    def values(p):
+        nonlocal skipped
         h_a = evaluate(sys_a.H, p, sys_a.params)
         h_b = evaluate(sys_b.H, p, sys_b.params)
         if factor is not None:
             f_val = evaluate(factor, p, merge_params(sys_a.params, sys_b.params))
-        elif abs(h_a) > 1e-8:
+        elif abs(h_a) > ESTIMATE_TOL:
             f_val = h_b / h_a
         else:
             skipped += 1
-            continue
+            return None
         eta_a = sys_a.eta.values(p, sys_a.params)
         eta_b = sys_b.eta.values(p, sys_b.params)
-        values = {
+        return {
             "form_defect": float(np.max(np.abs(eta_b - f_val * eta_a))),
             "hamiltonian_defect": abs(h_b - f_val * h_a),
             "factor_vanishes": 1.0 if abs(f_val) <= ZERO_TOL else 0.0,
             "factor": f_val,
         }
-        records.append(PointRecord(p, values))
-    if skipped:
-        diagnostics.append(
-            f"{skipped} points skipped for factor estimation (|H| <= 1e-8)")
-    if not records:
-        return _error_report(
-            "conformal factor inestimable: H vanishes at every sampled point",
-            tol, plan)
-    return report_from_records(
-        records, tol, plan, diagnostics,
+
+    report = run_check(
+        sys_a.n_dim, values, plan, tol,
         residual_keys=("form_defect", "hamiltonian_defect", "factor_vanishes"))
+    if not report.records:
+        return error_report(
+            "conformal factor inestimable: H vanishes at every sampled point",
+            report.tolerances, report.plan)
+    if skipped:
+        report.diagnostics.append(
+            f"{skipped} points skipped for factor estimation (|H| <= 1e-8)")
+    return report
 
 
 def dynamical_equivalence_check(sys_a: ContactHamiltonianSystem,
@@ -113,20 +112,15 @@ def dynamical_equivalence_check(sys_a: ContactHamiltonianSystem,
                                 plan: SamplePlan | None = None,
                                 tol: Tolerances | None = None) -> CheckReport:
     """Check X_H = X_Hbar pointwise (equality of Hamiltonian vector fields)."""
-    tol = tol or Tolerances()
-    plan = (plan or SamplePlan()).with_default_bounds(sys_a.n_dim)
-    points = sample_states(plan, sys_a.n_dim)
-    records = []
-    for p in points:
+    def values(p):
         try:
             x_a = hamiltonian_field(sys_a, p)
             x_b = hamiltonian_field(sys_b, p)
         except ContactConditionError as exc:
-            return _error_report(f"solver failure at {p}: {exc}", tol, plan, records)
-        records.append(PointRecord(p, {
-            "field_mismatch": float(np.max(np.abs(x_a - x_b)))}))
-    return report_from_records(records, tol, plan,
-                               residual_keys=("field_mismatch",))
+            raise CheckAbort(f"solver failure at {p}: {exc}") from None
+        return {"field_mismatch": float(np.max(np.abs(x_a - x_b)))}
+    return run_check(sys_a.n_dim, values, plan, tol,
+                     residual_keys=("field_mismatch",))
 
 
 def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,
@@ -140,26 +134,20 @@ def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,
     mismatches when exactly one Hamiltonian is (numerically) zero or when
     both are nonzero with opposite signs.
     """
-    tol = tol or Tolerances()
-    plan = (plan or SamplePlan()).with_default_bounds(sys_a.n_dim)
-    points = sample_states(plan, sys_a.n_dim)
-    records = []
-    mismatches = 0
-    for p in points:
+    def values(p):
         h_a = evaluate(sys_a.H, p, sys_a.params)
         h_b = evaluate(sys_b.H, p, sys_b.params)
         zero_a, zero_b = abs(h_a) <= ZERO_TOL, abs(h_b) <= ZERO_TOL
         mismatch = (zero_a != zero_b) or \
             (not zero_a and not zero_b and (h_a > 0) != (h_b > 0))
-        if mismatch:
-            mismatches += 1
-        records.append(PointRecord(p, {
-            "zero_set_mismatch": 1.0 if mismatch else 0.0,
-            "H": h_a, "H_bar": h_b}))
-    report = report_from_records(records, tol, plan,
-                                 [f"zero-set mismatches at {mismatches} of "
-                                  f"{len(points)} points"],
-                                 residual_keys=("zero_set_mismatch",))
+        return {"zero_set_mismatch": 1.0 if mismatch else 0.0,
+                "H": h_a, "H_bar": h_b}
+
+    report = run_check(sys_a.n_dim, values, plan, tol,
+                       residual_keys=("zero_set_mismatch",))
+    mismatches = sum(1 for rec in report.records if rec.values["zero_set_mismatch"])
+    report.diagnostics.append(f"zero-set mismatches at {mismatches} of "
+                              f"{len(report.records)} points")
     return report
 
 
@@ -174,33 +162,24 @@ def horizontal_similarity_check(xi: CoordVectorField, xi_bar: CoordVectorField,
     xi(zeta) = b_bar composed with the horizontal map, with dzeta/dz
     bounded away from zero on the sample.
     """
-    tol = tol or Tolerances()
     n = xi.n_dim
-    plan = (plan or SamplePlan()).with_default_bounds(n)
     merged = merge_params(params or {}, zeta.params)
-    try:
-        points = sample_states(plan, n, predicate=lambda p: zeta.frame_ok(p, merged))
-    except SamplingError as exc:
-        return _error_report(str(exc), tol, plan)
-    for field, name in ((xi, "xi"), (xi_bar, "xi_bar")):
-        sode = extended_sode_check(field, points, merged, tol)
-        if not sode.passed:
-            return _error_report(
-                f"{name} is not a second order field (defect {sode.max_residual:.3e})",
-                tol, plan)
     xi_zeta = xi.apply(zeta.zeta)
-    records = []
-    for p in points:
-        values: dict[str, float] = {}
+
+    def values(p):
+        out: dict[str, float] = {}
         for i in range(n):
             a_i = evaluate(xi.components[n + i], p, merged)
             a_bar = evaluate(compose_with_zeta(xi_bar.components[n + i], zeta),
                              p, merged)
-            values[f"acceleration_defect_{i + 1}"] = abs(a_i - a_bar)
+            out[f"acceleration_defect_{i + 1}"] = abs(a_i - a_bar)
         b_bar = evaluate(compose_with_zeta(xi_bar.components[2 * n], zeta), p, merged)
-        values["action_rate_defect"] = abs(evaluate(xi_zeta, p, merged) - b_bar)
-        records.append(PointRecord(p, values))
-    return report_from_records(records, tol, plan)
+        out["action_rate_defect"] = abs(evaluate(xi_zeta, p, merged) - b_bar)
+        return out
+
+    return run_check(
+        n, values, plan, tol, predicate=lambda p: zeta.frame_ok(p, merged),
+        precheck=_second_order_precheck({"xi": xi, "xi_bar": xi_bar}, merged, tol))
 
 
 def projectability_check(xi: CoordVectorField,
@@ -209,22 +188,25 @@ def projectability_check(xi: CoordVectorField,
                          tol: Tolerances | None = None) -> CheckReport:
     """Do the accelerations depend on the action coordinate?  Residual is
     max_i |d(a_i)/dz| over the sample."""
-    tol = tol or Tolerances()
     n = xi.n_dim
-    plan = (plan or SamplePlan()).with_default_bounds(n)
-    points = sample_states(plan, n)
-    sode = extended_sode_check(xi, points, params, tol)
-    if not sode.passed:
-        return _error_report(
-            f"input is not a second order field (defect {sode.max_residual:.3e})",
-            tol, plan)
     dz_exprs = [differentiate(xi.components[n + i], z()) for i in range(n)]
-    records = []
-    for p in points:
-        values = {f"dz_dependence_{i + 1}": abs(evaluate(dz_exprs[i], p, params))
-                  for i in range(n)}
-        records.append(PointRecord(p, values))
-    return report_from_records(records, tol, plan)
+
+    def values(p):
+        return {f"dz_dependence_{i + 1}": abs(evaluate(dz_exprs[i], p, params))
+                for i in range(n)}
+
+    return run_check(n, values, plan, tol,
+                     precheck=_second_order_precheck({"input": xi}, params, tol))
+
+
+def _require_regular(sys: ContactLagrangianSystem, ext: ExtendedLagrangianSystem,
+                     p: StatePoint, det_tol: float, what: str) -> None:
+    """Abort the check unless both velocity Hessians are regular at p."""
+    det_l = float(np.linalg.det(velocity_hessian(sys, p)))
+    det_bar = float(np.linalg.det(zeta_hessian(ext, p)))
+    if abs(det_l) <= det_tol or abs(det_bar) <= det_tol:
+        raise CheckAbort(f"{what} at {p}: det W = {det_l:.3e}, "
+                         f"det W^zeta = {det_bar:.3e}")
 
 
 def strong_equivalence_check(sys: ContactLagrangianSystem,
@@ -238,15 +220,9 @@ def strong_equivalence_check(sys: ContactLagrangianSystem,
     the horizontal map; on the passing locus the conformal identity
     eta^zeta_Lbar = (dzeta/dz) eta_L is asserted as well.
     """
-    tol = tol or Tolerances()
     n = sys.n_dim
-    plan = (plan or SamplePlan()).with_default_bounds(n)
+    det_tol = (tol or Tolerances()).det_tol
     merged = merge_params(sys.params, zeta.params)
-    try:
-        points = sample_states(plan, n, predicate=lambda p: zeta.frame_ok(p, merged))
-    except SamplingError as exc:
-        return _error_report(str(exc), tol, plan)
-
     lbar_base = compose_with_zeta(lbar_zeta_chart, zeta)
     ext = ExtendedLagrangianSystem(n, lbar_base, zeta, merged)
     eta_l = lagrangian_form(sys)
@@ -256,27 +232,23 @@ def strong_equivalence_check(sys: ContactLagrangianSystem,
     for i in range(1, n + 1):
         transported = transported + v(i) * differentiate(zeta.zeta, q(i))
 
-    records = []
-    for p in points:
-        det_l = float(np.linalg.det(velocity_hessian(sys, p)))
-        det_bar = float(np.linalg.det(zeta_hessian(ext, p)))
-        if abs(det_l) <= tol.det_tol or abs(det_bar) <= tol.det_tol:
-            return _error_report(
-                f"regularity failure at {p}: det W = {det_l:.3e}, "
-                f"det W^zeta = {det_bar:.3e}", tol, plan, records)
-        values = {}
-        values["velocity_dependence"] = max(
+    def values(p):
+        _require_regular(sys, ext, p, det_tol, "regularity failure")
+        out = {}
+        out["velocity_dependence"] = max(
             abs(evaluate(differentiate(zeta.zeta, v(i)), p, merged))
             for i in range(1, n + 1))
-        values["lagrangian_defect"] = abs(
+        out["lagrangian_defect"] = abs(
             evaluate(transported, p, merged) - evaluate(lbar_base, p, merged))
         factor = evaluate(dzeta_dz, p, merged)
         eta_l_vals = eta_l.values(p, merged)
         eta_bar_vals = eta_bar.values(p, merged)
-        values["form_conformal_defect"] = float(
+        out["form_conformal_defect"] = float(
             np.max(np.abs(eta_bar_vals - factor * eta_l_vals)))
-        records.append(PointRecord(p, values))
-    return report_from_records(records, tol, plan)
+        return out
+
+    return run_check(n, values, plan, tol,
+                     predicate=lambda p: zeta.frame_ok(p, merged))
 
 
 def general_equivalence_check(sys: ContactLagrangianSystem,
@@ -292,15 +264,9 @@ def general_equivalence_check(sys: ContactLagrangianSystem,
     fields.  Regularity failures (either side) yield an error verdict, not
     a fail: a singular instance is undecided, not inequivalent.
     """
-    tol = tol or Tolerances()
     n = sys.n_dim
-    plan = (plan or SamplePlan()).with_default_bounds(n)
+    det_tol = (tol or Tolerances()).det_tol
     merged = merge_params(sys.params, zeta.params)
-    try:
-        points = sample_states(plan, n, predicate=lambda p: zeta.frame_ok(p, merged))
-    except SamplingError as exc:
-        return _error_report(str(exc), tol, plan)
-
     lbar_base = compose_with_zeta(lbar_zeta_chart, zeta)
     ext = ExtendedLagrangianSystem(n, lbar_base, zeta, merged)
     xi_l = herglotz_field(sys)
@@ -314,24 +280,15 @@ def general_equivalence_check(sys: ContactLagrangianSystem,
         for i in range(n)]
     xi_bar = zeta_herglotz_field(ext)
 
-    records = []
-    for p in points:
-        det_l = float(np.linalg.det(velocity_hessian(sys, p)))
-        det_bar = float(np.linalg.det(zeta_hessian(ext, p)))
-        if abs(det_l) <= tol.det_tol or abs(det_bar) <= tol.det_tol:
-            return _error_report(
-                f"zeta-regularity violated at {p}: det W = {det_l:.3e}, "
-                f"det W^zeta = {det_bar:.3e}", tol, plan, records)
-        values = {"L_condition": abs(evaluate(l_condition, p, merged))}
+    def values(p):
+        _require_regular(sys, ext, p, det_tol, "zeta-regularity violated")
+        out = {"L_condition": abs(evaluate(l_condition, p, merged))}
         for i in range(n):
-            values[f"p_condition_{i + 1}"] = abs(evaluate(p_conditions[i], p, merged))
-        mismatch = max(abs(evaluate(a, p, merged) - evaluate(b, p, merged))
-                       for a, b in zip(xi_l.components, xi_bar.components))
-        values["field_mismatch"] = mismatch
-        records.append(PointRecord(p, values))
-    report = report_from_records(records, tol, plan)
-    if report.verdict != FAIL and any(
-            rec.values["field_mismatch"] > tol.fail_tol for rec in records):
-        report.verdict = FAIL
-        report.diagnostics.append("Herglotz field mismatch forces fail")
-    return report
+            out[f"p_condition_{i + 1}"] = abs(evaluate(p_conditions[i], p, merged))
+        out["field_mismatch"] = max(
+            abs(evaluate(a, p, merged) - evaluate(b, p, merged))
+            for a, b in zip(xi_l.components, xi_bar.components))
+        return out
+
+    return run_check(n, values, plan, tol,
+                     predicate=lambda p: zeta.frame_ok(p, merged))

@@ -460,14 +460,9 @@ def _fmt_number(value: float) -> str:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _atomic_for_neg(e: Expr) -> bool:
-    # operands "-x" may follow without parentheses and still reparse to neg(x)
-    return isinstance(e, (Coord, Param)) or \
-        (isinstance(e, Const) and e.value >= 0) or \
-        (isinstance(e, Call) and e.fn != "neg")
-
-
-def _atomic_for_pow(e: Expr) -> bool:
+def _is_atomic(e: Expr) -> bool:
+    # operands that reparse unchanged without parentheses after a unary
+    # minus ("-x") and as the base of a power ("x^k")
     return isinstance(e, (Coord, Param)) or \
         (isinstance(e, Const) and e.value >= 0) or \
         (isinstance(e, Call) and e.fn != "neg")
@@ -484,12 +479,12 @@ def _un(e: Expr, ctx: int) -> str:
     if isinstance(e, Call):
         if e.fn == "neg":
             inner = _un(e.arg, 0)
-            s = f"-{inner}" if _atomic_for_neg(e.arg) else f"-({inner})"
+            s = f"-{inner}" if _is_atomic(e.arg) else f"-({inner})"
             return s if ctx <= 2 else f"({s})"
         return f"{e.fn}({_un(e.arg, 0)})"
     if isinstance(e, IntPow):
         base = _un(e.base, 0)
-        if not _atomic_for_pow(e.base):
+        if not _is_atomic(e.base):
             base = f"({base})"
         return f"{base}^{e.exponent}"
     if isinstance(e, BinOp):
@@ -593,18 +588,6 @@ def depends_on(e: Expr, target: Expr) -> bool:
     if isinstance(e, IntPow):
         return depends_on(e.base, target)
     return False
-
-
-def free_params(e: Expr) -> set[str]:
-    if isinstance(e, Param):
-        return {e.name}
-    if isinstance(e, Call):
-        return free_params(e.arg)
-    if isinstance(e, BinOp):
-        return free_params(e.lhs) | free_params(e.rhs)
-    if isinstance(e, IntPow):
-        return free_params(e.base)
-    return set()
 
 
 def max_coord_index(e: Expr) -> int:

@@ -23,23 +23,21 @@ from typing import Union
 
 import numpy as np
 
+from .checks import DET_TOL, FRAME_TOL
 from .contact import CoordOneForm, CoordVectorField
 from .expr import (
-    Const, Coord, Expr, ParamSet, StatePoint, add, coord, coords,
+    Const, Coord, Expr, ParamSet, StatePoint, add, coord, coords, depends_on,
     differentiate, div, evaluate, merge_params, mul, q, sub, substitute,
     solve_cramer, v, z,
 )
 
 __all__ = [
     "ActionFunction", "ExtendedLagrangianSystem", "FrameError",
-    "SingularZetaError", "zeta_frame", "zeta_partial", "extended_sode_check_points",
+    "SingularZetaError", "zeta_frame", "zeta_partial",
     "extended_lagrangian_form", "zeta_regularity", "zeta_energy",
     "zeta_herglotz_field", "zeta_legendre", "zeta_hessian",
     "compose_with_zeta", "legendre_pullback_residual",
 ]
-
-FRAME_TOL = 1e-8
-DET_TOL = 1e-10
 
 
 class FrameError(ValueError):
@@ -68,7 +66,6 @@ class ActionFunction:
 
     def is_strong(self, n: int) -> bool:
         """True when zeta does not reference any velocity coordinate."""
-        from .expr import depends_on
         return not any(depends_on(self.zeta, v(i)) for i in range(1, n + 1))
 
 
@@ -129,17 +126,6 @@ def zeta_frame(zeta: ActionFunction, p: StatePoint, n: int,
         frame[d - 1, col] = -evaluate(differentiate(zeta.zeta, c), p, params) / dz_val
     frame[d - 1, d - 1] = 1.0 / dz_val
     return frame
-
-
-def extended_sode_check_points(X: CoordVectorField, points: list[StatePoint],
-                               params: ParamSet | None = None) -> list[float]:
-    """Per-point residual max_i |X_qi - v_i| of the second order condition."""
-    out = []
-    for p in points:
-        vals = [abs(evaluate(X.components[i], p, params) - p.v[i])
-                for i in range(X.n_dim)]
-        out.append(max(vals))
-    return out
 
 
 @lru_cache(maxsize=None)

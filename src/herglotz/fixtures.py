@@ -19,7 +19,7 @@ from .inverse import SODESystem
 from .lagrangian import ContactLagrangianSystem
 
 __all__ = [
-    "builtin_systems", "builtin_plans", "get_system", "get_plan",
+    "builtin_systems", "builtin_plans",
     "lagrangian_fixture_names", "default_tasks",
 ]
 
@@ -139,24 +139,6 @@ def builtin_plans() -> dict[str, SamplePlan]:
                                     100, 20260810),
         "box3": SamplePlan("random", box3, 100, 20260810),
     }
-
-
-def get_system(name: str, registry: dict | None = None):
-    reg = builtin_systems()
-    if registry and name in registry:
-        return registry[name]
-    if name in reg:
-        return reg[name]()
-    raise KeyError(f"unknown system {name!r}")
-
-
-def get_plan(name: str, registry: dict | None = None) -> SamplePlan:
-    if registry and name in registry:
-        return registry[name]
-    plans = builtin_plans()
-    if name in plans:
-        return plans[name]
-    raise KeyError(f"unknown sample plan {name!r}")
 
 
 def lagrangian_fixture_names() -> list[str]:

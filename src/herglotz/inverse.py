@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .checks import (
-    CheckReport, ERROR, PointRecord, SamplePlan, SamplingError, Tolerances,
-    report_from_records, sample_states,
+    RATIO_EXCLUDE, ZERO_TOL, CheckAbort, CheckReport, SamplePlan, Tolerances,
+    run_check,
 )
 from .contact import CoordVectorField
 from .expr import (
-    Const, Expr, depends_on, det_expr, differentiate, div, evaluate,
-    merge_params, q, sub, v, z,
+    Const, Expr, det_expr, differentiate, div, evaluate, merge_params, q, sub,
+    v, z,
 )
 from .extended import ActionFunction
 
@@ -34,10 +34,6 @@ __all__ = [
     "SODESystem", "naive_inverse_check", "extended_inverse_check",
     "di_ei_diagnostics", "NaiveInverseResult", "ExtendedInverseResult",
 ]
-
-ZERO_TOL = 1e-8
-RATIO_EXCLUDE = 1e-6
-
 
 @dataclass(frozen=True)
 class SODESystem:
@@ -83,10 +79,8 @@ def naive_inverse_check(sode: SODESystem, plan: SamplePlan | None = None,
     forces a fail wherever |det d2b/dv dv| <= det_tol (an irregular b cannot
     carry a contact structure, so the verdict is fail, not error).
     """
-    tol = tol or Tolerances()
     n = sode.n_dim
-    plan = (plan or SamplePlan()).with_default_bounds(n)
-    points = sample_states(plan, n)
+    det_tol = (tol or Tolerances()).det_tol
     b = sode.z_rate
     db_dz = differentiate(b, z())
     fibers = [differentiate(b, v(i)) for i in range(1, n + 1)]
@@ -94,29 +88,26 @@ def naive_inverse_check(sode: SODESystem, plan: SamplePlan | None = None,
                    db_dz * fibers[i]) for i in range(n)]
     hessian_det = det_expr([[differentiate(fibers[i], v(j + 1)) for j in range(n)]
                             for i in range(n)])
-    records = []
-    irregular = 0
-    for p in points:
-        values = {f"herglotz_defect_{i + 1}": abs(evaluate(defects[i], p, sode.params))
-                  for i in range(n)}
+
+    def values(p):
+        out = {f"herglotz_defect_{i + 1}": abs(evaluate(defects[i], p, sode.params))
+               for i in range(n)}
         det = evaluate(hessian_det, p, sode.params)
-        regular = abs(det) > tol.det_tol
-        if not regular:
-            irregular += 1
-        values["regularity_defect"] = 0.0 if regular else 1.0
-        values["hessian_det"] = det
-        records.append(PointRecord(p, values))
-    diagnostics = []
-    if irregular:
-        diagnostics.append(
-            f"velocity Hessian of the z-rate singular at {irregular} of "
-            f"{len(points)} points")
+        out["regularity_defect"] = 0.0 if abs(det) > det_tol else 1.0
+        out["hessian_det"] = det
+        return out
+
     keys = tuple(f"herglotz_defect_{i + 1}" for i in range(n)) + ("regularity_defect",)
-    report = report_from_records(records, tol, plan, diagnostics, residual_keys=keys)
-    recovered = b if report.passed else None
-    if report.passed:
-        report.diagnostics.append(f"recovered Lagrangian: {b}")
-    return NaiveInverseResult(report, recovered)
+    report = run_check(n, values, plan, tol, residual_keys=keys)
+    irregular = sum(1 for rec in report.records if rec.values["regularity_defect"])
+    if irregular:
+        report.diagnostics.append(
+            f"velocity Hessian of the z-rate singular at {irregular} of "
+            f"{len(report.records)} points")
+    if not report.passed:
+        return NaiveInverseResult(report, None)
+    report.diagnostics.append(f"recovered Lagrangian: {b}")
+    return NaiveInverseResult(report, b)
 
 
 def extended_inverse_check(sode: SODESystem, zeta: ActionFunction,
@@ -130,24 +121,8 @@ def extended_inverse_check(sode: SODESystem, zeta: ActionFunction,
     g = (d xi(zeta)/dz)/(dzeta/dz) and the base-chart Lagrangian candidate
     xi(zeta).
     """
-    tol = tol or Tolerances()
     n = sode.n_dim
-    plan = (plan or SamplePlan()).with_default_bounds(n)
-    if any(depends_on(zeta.zeta, v(i)) for i in range(1, n + 1)):
-        report = CheckReport(verdict=ERROR, max_residual=float("nan"),
-                             diagnostics=["zeta depends on the velocities; the "
-                                          "extended check requires zeta(q, z)"],
-                             tolerances=tol, plan=plan)
-        return ExtendedInverseResult(report, None, None, None)
     merged = merge_params(sode.params, zeta.params)
-    try:
-        points = sample_states(plan, n,
-                               predicate=lambda p: zeta.frame_ok(p, merged))
-    except SamplingError as exc:
-        report = CheckReport(verdict=ERROR, max_residual=float("nan"),
-                             diagnostics=[str(exc)], tolerances=tol, plan=plan)
-        return ExtendedInverseResult(report, None, None, None)
-
     xi_zeta = sode.apply(zeta.zeta)
     dzeta_dz = zeta.dz
     dxz_dz = differentiate(xi_zeta, z())
@@ -157,17 +132,23 @@ def extended_inverse_check(sode: SODESystem, zeta: ActionFunction,
         lhs = sub(differentiate(xi_zeta, q(i + 1)), sode.apply(momenta[i])) * dzeta_dz
         rhs = sub(differentiate(zeta.zeta, q(i + 1)), momenta[i]) * dxz_dz
         defects.append(sub(lhs, rhs))
-    records = []
-    for p in points:
-        values = {f"extended_defect_{i + 1}": abs(evaluate(defects[i], p, merged))
-                  for i in range(n)}
-        records.append(PointRecord(p, values))
-    report = report_from_records(records, tol, plan)
-    if report.passed:
-        g = div(dxz_dz, dzeta_dz)
-        report.diagnostics.append(f"recovered Lagrangian candidate: {xi_zeta}")
-        return ExtendedInverseResult(report, xi_zeta, momenta, g)
-    return ExtendedInverseResult(report, None, None, None)
+
+    def require_strong(points):
+        if not zeta.is_strong(n):
+            raise CheckAbort("zeta depends on the velocities; the extended check "
+                             "requires zeta(q, z)")
+
+    def values(p):
+        return {f"extended_defect_{i + 1}": abs(evaluate(defects[i], p, merged))
+                for i in range(n)}
+
+    report = run_check(n, values, plan, tol,
+                       predicate=lambda p: zeta.frame_ok(p, merged),
+                       precheck=require_strong)
+    if not report.passed:
+        return ExtendedInverseResult(report, None, None, None)
+    report.diagnostics.append(f"recovered Lagrangian candidate: {xi_zeta}")
+    return ExtendedInverseResult(report, xi_zeta, momenta, div(dxz_dz, dzeta_dz))
 
 
 def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
@@ -185,10 +166,7 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
     ratio, the last two only where |E_i| > 1e-6 (exclusion counts are
     reported).  A clean report is necessary, not sufficient.
     """
-    tol = tol or Tolerances()
     n = sode.n_dim
-    plan = (plan or SamplePlan()).with_default_bounds(n)
-    points = sample_states(plan, n)
     r = sode.z_rate
     dr_dz = differentiate(r, z())
     d_exprs: list[Expr] = []
@@ -205,19 +183,19 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
         e_exprs.append(e_i)
     ratio_grads = [[differentiate(div(d_exprs[i], e_exprs[i]), v(k + 1))
                     for k in range(n)] for i in range(n)]
-
-    records = []
     excluded = 0
-    for p in points:
+
+    def values(p):
+        nonlocal excluded
         d_vals = [evaluate(d, p, sode.params) for d in d_exprs]
         e_vals = [evaluate(e, p, sode.params) for e in e_exprs]
-        values: dict[str, float] = {}
+        out: dict[str, float] = {}
         usable = []
         for i in range(n):
             zero_d, zero_e = abs(d_vals[i]) <= ZERO_TOL, abs(e_vals[i]) <= ZERO_TOL
-            values[f"zero_set_mismatch_{i + 1}"] = 1.0 if zero_d != zero_e else 0.0
-            values[f"D_{i + 1}"] = d_vals[i]
-            values[f"E_{i + 1}"] = e_vals[i]
+            out[f"zero_set_mismatch_{i + 1}"] = 1.0 if zero_d != zero_e else 0.0
+            out[f"D_{i + 1}"] = d_vals[i]
+            out[f"E_{i + 1}"] = e_vals[i]
             if abs(e_vals[i]) > RATIO_EXCLUDE:
                 usable.append(i)
             else:
@@ -227,16 +205,18 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
         for a_idx in usable:
             for b_idx in usable:
                 spread = max(spread, abs(ratios[a_idx] - ratios[b_idx]))
-        values["ratio_spread"] = spread
+        out["ratio_spread"] = spread
         grad_max = 0.0
         for i in usable:
             for k in range(n):
                 grad_max = max(grad_max,
                                abs(evaluate(ratio_grads[i][k], p, sode.params)))
-        values["ratio_velocity_gradient"] = grad_max
-        records.append(PointRecord(p, values))
+        out["ratio_velocity_gradient"] = grad_max
+        return out
+
     keys = tuple(f"zero_set_mismatch_{i + 1}" for i in range(n)) + \
         ("ratio_spread", "ratio_velocity_gradient")
-    diagnostics = [f"{excluded} index-point pairs excluded from ratio tests "
-                   f"(|E_i| <= {RATIO_EXCLUDE})"]
-    return report_from_records(records, tol, plan, diagnostics, residual_keys=keys)
+    report = run_check(n, values, plan, tol, residual_keys=keys)
+    report.diagnostics.append(f"{excluded} index-point pairs excluded from ratio "
+                              f"tests (|E_i| <= {RATIO_EXCLUDE})")
+    return report

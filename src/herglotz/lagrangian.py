@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .checks import DET_TOL
 from .contact import ContactHamiltonianSystem, CoordOneForm, CoordVectorField
 from .expr import (
     Const, Expr, StatePoint, add, differentiate, evaluate, mul, neg, q,
@@ -31,8 +32,6 @@ __all__ = [
     "lagrangian_form", "energy", "regularity", "herglotz_field",
     "herglotz_residual", "velocity_hessian", "as_hamiltonian",
 ]
-
-DET_TOL = 1e-10
 
 
 class SingularLagrangianError(ValueError):
