@@ -181,10 +181,12 @@ def load_config(path: str | None) -> RunConfig:
     for name, entry in (raw.get("plans") or {}).items():
         cfg.plans[name] = _load_plan(entry, f"plans.{name}")
     tol_raw = raw.get("tolerances") or {}
+    if not isinstance(tol_raw, dict):
+        raise ConfigError("tolerances must be an object", "tolerances")
     try:
         cfg.tolerances = Tolerances(**{
             f.name: float(tol_raw.get(f.name, f.default)) for f in fields(Tolerances)})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), "tolerances") from None
     if "output_dir" in raw:
         cfg.output_dir = Path(raw["output_dir"])
@@ -232,9 +234,12 @@ def _initial_state(args: dict, n: int, default=None) -> StatePoint:
     initial = args.get("initial", default)
     if initial is None:
         raise ConfigError("an initial state is required", "args.initial")
-    if isinstance(initial, str):
-        initial = [float(x) for x in initial.split(",")]
-    return StatePoint.from_coords(np.asarray(initial, dtype=float), n)
+    try:
+        if isinstance(initial, str):
+            initial = [float(x) for x in initial.split(",")]
+        return StatePoint.from_coords(np.asarray(initial, dtype=float), n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad initial state: {exc}", "args.initial") from None
 
 
 def _require_consistent_n(n: int, **named_exprs) -> None:
@@ -421,6 +426,9 @@ def _task_simulate(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     p0 = _initial_state(args, n)
     t_end = float(args.get("t", 1.0))
     dt = float(args.get("dt", 1e-3))
+    for key, value in (("t", t_end), ("dt", dt)):
+        if not value > 0:
+            raise ConfigError(f"'{key}' must be positive, got {value!r}", f"args.{key}")
     traj = integrate(field_obj, p0, t_end, dt, params)
     csv_path = Path(f"{out_stem}.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -565,9 +573,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VALUE_FLAGS = {"--config", "--out", "--report", "--tag"} | {
+    f"--{flag.replace('_', '-')}" for _, flags in _TASKS.values()
+    for flag, kwargs in flags.items() if kwargs.get("action") != "store_true"}
+
+
+def _bind_dash_values(argv: list[str]) -> list[str]:
+    """Join a value with a leading "-" to its flag ("--initial -1,0,0" ->
+    "--initial=-1,0,0"); argparse would read the value as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_bind_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = load_config(ns.config)
     except ConfigError as exc:

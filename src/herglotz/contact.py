@@ -165,11 +165,7 @@ def contact_condition(sys: ContactHamiltonianSystem, p: StatePoint
     return ratio > 1e-10, ratio
 
 
-def _solve_checked(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] / svals[0] <= 1e-10:
-        raise ContactConditionError(
-            f"{what}: stacked system is singular (contact condition fails)")
+def _lstsq_checked(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
     residual = np.max(np.abs(matrix @ solution - rhs))
     scale = 1.0 + np.max(np.abs(rhs))
@@ -179,12 +175,22 @@ def _solve_checked(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray
     return solution
 
 
+def _reeb(matrix: np.ndarray) -> np.ndarray:
+    """Reeb vector of a stacked system, after the regularity test that every
+    later solve with the same matrix relies on."""
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    if svals[0] == 0.0 or svals[-1] / svals[0] <= 1e-10:
+        raise ContactConditionError(
+            "reeb_field: stacked system is singular (contact condition fails)")
+    rhs = np.zeros(matrix.shape[0])
+    rhs[-1] = 1.0
+    return _lstsq_checked(matrix, rhs, "reeb_field")
+
+
 def reeb_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
     """Reeb vector at p: the unique R with i_R d(eta) = 0 and eta(R) = 1."""
     matrix, _, _ = _stacked_system(sys, p)
-    rhs = np.zeros(matrix.shape[0])
-    rhs[-1] = 1.0
-    return _solve_checked(matrix, rhs, "reeb_field")
+    return _reeb(matrix)
 
 
 def hamiltonian_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
@@ -197,10 +203,9 @@ def hamiltonian_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarra
     n = sys.n_dim
     grad_h = np.array([evaluate(g, p, sys.params) for g in gradient(sys.H, n)])
     h_val = evaluate(sys.H, p, sys.params)
-    reeb = _solve_checked(matrix, np.append(np.zeros(2 * n + 1), 1.0), "reeb_field")
-    rh = float(reeb @ grad_h)
+    rh = float(_reeb(matrix) @ grad_h)
     rhs = np.append(grad_h - rh * eta_p, -h_val)
-    x = _solve_checked(matrix, rhs, "hamiltonian_field")
+    x = _lstsq_checked(matrix, rhs, "hamiltonian_field")
     pairing = float(eta_p @ x)
     if abs(pairing + h_val) > 1e-10 * (1.0 + abs(h_val)):
         raise ContactConditionError(

@@ -4,7 +4,8 @@ Every scalar field in this package (Lagrangians, Hamiltonians, action
 functions, form and vector-field components) is an immutable ``Expr`` tree
 over the coordinates ``q1..qn``, ``v1..vn``, ``z`` and named parameters.
 The module provides parsing, canonical printing, exact symbolic
-differentiation, substitution, pointwise and vectorized evaluation, and
+differentiation, substitution, evaluation (a tree walk, or compiled
+straight-line code for lists of expressions evaluated many times) and
 first/second derivative jets.  Only light simplification is performed on
 construction (constant folding, 0/1 elimination); there is no attempt at
 canonical forms.
@@ -630,6 +631,8 @@ class StatePoint:
         object.__setattr__(self, "q", qa)
         object.__setattr__(self, "v", va)
         object.__setattr__(self, "z", zf)
+        # flat coordinates (q1..qn, v1..vn, z) as Python floats, for evaluation
+        object.__setattr__(self, "_flat", (*qa.tolist(), *va.tolist(), zf))
 
     @property
     def n(self) -> int:
@@ -664,40 +667,69 @@ def merge_params(*param_sets: ParamSet) -> dict[str, float]:
     return merged
 
 
-def _coord_value(c: Coord, point: StatePoint) -> float:
+# ---------------------------------------------------------------------------
+# Evaluation: one semantics, two executors.  ``evaluate`` walks the tree;
+# ``compile_components`` generates one statement per distinct subtree in the
+# same post-order.  Both compute in Python floats, read leaves through
+# ``_slot`` and ``_param_value``, and turn a float exception into a
+# DomainError through ``_FAILURES``, so values and errors agree bit for bit.
+
+
+# (exception type, node kind) -> what went wrong.  The kind of a Call is its
+# function, of a BinOp its operator, of an IntPow "^".
+_FAILURES = {
+    (ValueError, "log"): "log of non-positive value",
+    (ValueError, "sqrt"): "sqrt of negative value",
+    (ValueError, "sin"): "sin of infinite value",
+    (ValueError, "cos"): "cos of infinite value",
+    (ZeroDivisionError, "/"): "division by zero",
+    (ZeroDivisionError, "^"): "zero base with negative exponent",
+    (OverflowError, "exp"): "overflow",
+    (OverflowError, "^"): "overflow",
+}
+_FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+
+
+def _domain_error(exc: Exception, node: Expr) -> DomainError:
+    kind = node.fn if isinstance(node, Call) else \
+        node.op if isinstance(node, BinOp) else "^"
+    return DomainError(f"{_FAILURES[type(exc), kind]} in {unparse(node)}")
+
+
+def _slot(c: Coord, n: int) -> int:
+    """Position of a coordinate in the flat vector (q1..qn, v1..vn, z)."""
     if c.kind == "z":
-        return point.z
-    arr = point.q if c.kind == "q" else point.v
-    if not 1 <= c.index <= len(arr):
-        raise EvalError(f"coordinate {unparse(c)} out of range for n={len(arr)}")
-    return float(arr[c.index - 1])
+        return 2 * n
+    if not 1 <= c.index <= n:
+        raise EvalError(f"coordinate {unparse(c)} out of range for n={n}")
+    return c.index - 1 if c.kind == "q" else n + c.index - 1
+
+
+def _param_value(p: Param, params: ParamSet) -> float:
+    try:
+        return float(params[p.name])
+    except KeyError:
+        raise UnboundParameterError(f"unbound parameter {p.name!r}") from None
 
 
 def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> float:
     """IEEE-double evaluation; domain errors name the offending subtree."""
     params = params or {}
+    flat, n = point._flat, point.n
 
     def ev(node: Expr) -> float:
         if isinstance(node, Const):
             return node.value
         if isinstance(node, Coord):
-            return _coord_value(node, point)
+            return flat[_slot(node, n)]
         if isinstance(node, Param):
-            try:
-                return float(params[node.name])
-            except KeyError:
-                raise UnboundParameterError(
-                    f"unbound parameter {node.name!r}") from None
+            return _param_value(node, params)
         if isinstance(node, Call):
             x = ev(node.arg)
-            if node.fn == "log" and x <= 0.0:
-                raise DomainError(f"log of non-positive value in {unparse(node)}")
-            if node.fn == "sqrt" and x < 0.0:
-                raise DomainError(f"sqrt of negative value in {unparse(node)}")
             try:
                 return _APPLY[node.fn](x)
-            except OverflowError:
-                raise DomainError(f"overflow in {unparse(node)}") from None
+            except _FLOAT_ERRORS as exc:
+                raise _domain_error(exc, node) from None
         if isinstance(node, BinOp):
             a, b = ev(node.lhs), ev(node.rhs)
             if node.op == "+":
@@ -706,77 +738,94 @@ def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> floa
                 return a - b
             if node.op == "*":
                 return a * b
-            if b == 0.0:
-                raise DomainError(f"division by zero in {unparse(node)}")
-            return a / b
+            try:
+                return a / b
+            except ZeroDivisionError as exc:
+                raise _domain_error(exc, node) from None
         if isinstance(node, IntPow):
             x = ev(node.base)
-            if x == 0.0 and node.exponent < 0:
-                raise DomainError(f"zero base with negative exponent in {unparse(node)}")
             try:
                 return x ** node.exponent
-            except OverflowError:
-                raise DomainError(f"overflow in {unparse(node)}") from None
+            except _FLOAT_ERRORS as exc:
+                raise _domain_error(exc, node) from None
         raise TypeError(f"not an Expr node: {node!r}")
 
     return ev(e)
 
 
-def evaluate_many(e: Expr, Q: np.ndarray, V: np.ndarray, Z: np.ndarray,
-                  params: ParamSet | None = None) -> np.ndarray:
-    """Vectorized evaluation over m points; Q and V are (m, n), Z is (m,).
+def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
+                       ) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """Compile expressions to a fast callable on flat coordinates.
 
-    Domain violations surface as a DomainError for the whole batch (no
-    per-point location); use :func:`evaluate` to localize.
+    The returned function maps a flat coordinate vector (q1..qn, v1..vn, z)
+    to a tuple of values.  Parameters are frozen in at compile time.  The
+    generated code has one statement per distinct subtree, in the order
+    :func:`evaluate` walks, so values and DomainErrors equal its own.
     """
     params = params or {}
-    Q = np.asarray(Q, dtype=float)
-    V = np.asarray(V, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    m = Z.shape[0]
+    lines: list[str] = []     # line k + 2 of the source assigns t{k}
+    nodes: list[Expr] = []    # the subtree line k + 2 computes
+    by_text: dict[str, str] = {}
+    by_id: dict[int, str] = {}
 
-    _np_fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
-              "sqrt": np.sqrt, "tanh": np.tanh, "neg": np.negative}
-
-    def ev(node: Expr) -> np.ndarray:
+    def emit(node: Expr) -> str:
+        name = by_id.get(id(node))
+        if name is not None:
+            return name
         if isinstance(node, Const):
-            return np.full(m, node.value)
-        if isinstance(node, Coord):
-            if node.kind == "z":
-                return Z
-            return (Q if node.kind == "q" else V)[:, node.index - 1]
-        if isinstance(node, Param):
-            try:
-                return np.full(m, float(params[node.name]))
-            except KeyError:
-                raise UnboundParameterError(
-                    f"unbound parameter {node.name!r}") from None
-        if isinstance(node, Call):
-            x = ev(node.arg)
-            if node.fn == "log" and np.any(x <= 0.0):
-                raise DomainError(f"log of non-positive value in {unparse(node)}")
-            if node.fn == "sqrt" and np.any(x < 0.0):
-                raise DomainError(f"sqrt of negative value in {unparse(node)}")
-            return _np_fn[node.fn](x)
-        if isinstance(node, BinOp):
-            a, b = ev(node.lhs), ev(node.rhs)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if np.any(b == 0.0):
-                raise DomainError(f"division by zero in {unparse(node)}")
-            return a / b
-        if isinstance(node, IntPow):
-            x = ev(node.base)
-            if node.exponent < 0 and np.any(x == 0.0):
-                raise DomainError(f"zero base with negative exponent in {unparse(node)}")
-            return x ** node.exponent
-        raise TypeError(f"not an Expr node: {node!r}")
+            text = repr(node.value)
+        elif isinstance(node, Coord):
+            text = f"float(y[{_slot(node, n)}])"
+        elif isinstance(node, Param):
+            text = repr(_param_value(node, params))
+        elif isinstance(node, Call):
+            arg = emit(node.arg)
+            text = f"-{arg}" if node.fn == "neg" else f"{node.fn}({arg})"
+        elif isinstance(node, BinOp):
+            lhs = emit(node.lhs)
+            text = f"{lhs} {node.op} {emit(node.rhs)}"
+        elif isinstance(node, IntPow):
+            text = f"{emit(node.base)} ** {node.exponent}"
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        name = by_text.get(text)
+        if name is None:
+            name = by_text[text] = f"t{len(lines)}"
+            lines.append(f"    {name} = {text}\n")
+            nodes.append(node)
+        by_id[id(node)] = name
+        return name
 
-    out = ev(e)
+    results = "".join(f"{emit(e)}, " for e in exprs)
+    source = f"def program(y):\n{''.join(lines)}    return ({results})\n"
+    env = {"inf": math.inf, "nan": math.nan, **{fn: _APPLY[fn] for fn in FUNCTIONS}}
+    exec(compile(source, "<compiled expressions>", "exec"), env)  # noqa: S102
+    program = env["program"]
+
+    def call(y: Sequence[float]) -> tuple[float, ...]:
+        try:
+            return program(y)
+        except _FLOAT_ERRORS as exc:
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            raise _domain_error(exc, nodes[tb.tb_lineno - 2]) from None
+
+    return call
+
+
+def evaluate_many(e: Expr, Q: np.ndarray, V: np.ndarray, Z: np.ndarray,
+                  params: ParamSet | None = None) -> np.ndarray:
+    """Evaluation over m points; Q and V are (m, n), Z is (m,).
+
+    Row k equals :func:`evaluate` at point k, and the first failing row
+    raises its DomainError.  A non-finite value in any row raises a
+    DomainError for the whole batch.
+    """
+    Q = np.asarray(Q, dtype=float)
+    program = compile_components([e], Q.shape[1], params)
+    out = np.array([program(y)[0] for y in np.column_stack([Q, V, Z]).tolist()],
+                   dtype=float)
     if not np.all(np.isfinite(out)):
         raise DomainError(f"non-finite result evaluating {unparse(e)}")
     return out
@@ -809,72 +858,15 @@ def hessian(e: Expr, n: int) -> tuple[tuple[Expr, ...], ...]:
 
 def eval_jet2(e: Expr, point: StatePoint, params: ParamSet | None = None
               ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian at a point, all by symbolic differentiation."""
-    n = point.n
-    value = evaluate(e, point, params)
-    grad = np.array([evaluate(g, point, params) for g in gradient(e, n)])
-    hess_exprs = hessian(e, n)
-    d = 2 * n + 1
-    hess = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            hij = evaluate(hess_exprs[i][j], point, params)
-            hess[i, j] = hij
-            hess[j, i] = hij
-    return value, grad, hess
+    """Value, gradient and Hessian at a point, all by symbolic differentiation.
 
-
-# ---------------------------------------------------------------------------
-# Compiled evaluation (hot loops: integration, action functionals)
-
-
-def _codegen(node: Expr, n: int, params: ParamSet) -> str:
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Coord):
-        if node.kind == "z":
-            return f"y[{2 * n}]"
-        base = 0 if node.kind == "q" else n
-        if not 1 <= node.index <= n:
-            raise EvalError(f"coordinate {unparse(node)} out of range for n={n}")
-        return f"y[{base + node.index - 1}]"
-    if isinstance(node, Param):
-        if node.name not in params:
-            raise UnboundParameterError(f"unbound parameter {node.name!r}")
-        return repr(float(params[node.name]))
-    if isinstance(node, Call):
-        arg = _codegen(node.arg, n, params)
-        if node.fn == "neg":
-            return f"(-{arg})"
-        return f"{node.fn}({arg})"
-    if isinstance(node, BinOp):
-        return f"({_codegen(node.lhs, n, params)} {node.op} {_codegen(node.rhs, n, params)})"
-    if isinstance(node, IntPow):
-        return f"({_codegen(node.base, n, params)})**({node.exponent})"
-    raise TypeError(f"not an Expr node: {node!r}")
-
-
-def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
-                       ) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """Compile expressions to a fast callable on flat coordinates.
-
-    The returned function maps a flat coordinate vector (q1..qn, v1..vn, z)
-    to a tuple of values.  Parameters are frozen in at compile time.
-    Semantics match :func:`evaluate`; math domain failures raise DomainError.
+    One compiled program computes the whole jet, so the mirrored Hessian
+    entries are one statement and the Hessian is exactly symmetric.
     """
-    params = params or {}
-    body = ", ".join(_codegen(e, n, params) for e in exprs) or ""
-    source = f"lambda y: ({body}{',' if len(exprs) == 1 else ''})"
-    env = {fn: _APPLY[fn] for fn in FUNCTIONS}
-    fn = eval(source, env)  # noqa: S307 (source generated from a closed AST)
-
-    def call(y: Sequence[float]) -> tuple[float, ...]:
-        try:
-            return fn(y)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"compiled evaluation failed: {exc}") from None
-
-    return call
+    n, d = point.n, 2 * point.n + 1
+    jet = [e, *gradient(e, n), *(h for row in hessian(e, n) for h in row)]
+    values = compile_components(jet, n, params)(point._flat)
+    return values[0], np.array(values[1:d + 1]), np.array(values[d + 1:]).reshape(d, d)
 
 
 # ---------------------------------------------------------------------------

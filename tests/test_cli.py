@@ -238,12 +238,14 @@ def test_config_zeta_ident_normalization(tmp_path):
     assert main(["--config", str(cfg_path), "batch"]) == 0
 
 
-def test_config_schema_violation_paths(tmp_path):
+def test_config_schema_violation_paths(tmp_path, capsys):
     bad_configs = [
         ({"systems": {"s": {"n": 1}}}, "kind"),
         ({"systems": {"s": {"kind": "lagrangian", "n": 0, "L": "z"}}}, "n"),
         ({"tolerances": {"pass_tol": 1.0, "fail_tol": 0.5}}, "pass_tol"),
         ({"plans": {"p": {"mode": "fancy"}}}, "plan"),
+        ({"tolerances": {"pass_tol": None}}, "config path: tolerances"),
+        ({"tolerances": [1]}, "config path: tolerances"),
     ]
     for raw, needle in bad_configs:
         cfg_path = tmp_path / "bad.json"
@@ -251,3 +253,52 @@ def test_config_schema_violation_paths(tmp_path):
         code = main(["--config", str(cfg_path), "--out", str(tmp_path),
                      "herglotz", "--lagrangian", "linear_drag"])
         assert code == 3, raw
+        assert needle in capsys.readouterr().err, raw
+
+
+# ---------------------------------------------------------------------------
+# Run arguments: values with a leading minus, and malformed runs
+
+
+def test_simulate_initial_with_leading_minus(tmp_path):
+    code, data = run_cli(["simulate", "--system", "parachute",
+                          "--initial", "-1,1,0", "--t", "0.1"], tmp_path)
+    assert code == 0
+    assert data["verdict"] == "pass"
+
+
+def test_accel_residual_with_leading_minus(tmp_path):
+    code, data = run_cli(["simulate", "--system", "linear_drag",
+                          "--initial", "0,2,0", "--t", "0.1",
+                          "--accel-residual", "-gam*v1"], tmp_path)
+    assert code == 0
+    assert data["max_residual"] <= 1e-12
+
+
+def test_stationarity_initial_with_leading_minus(tmp_path):
+    code, data = run_cli(["stationarity", "--lagrangian", "linear_drag",
+                          "--initial", "-0.5,2,0", "--grid", "60",
+                          "--perturbations", "2"], tmp_path)
+    assert code == 0
+    assert data["verdict"] == "pass"
+
+
+def test_nonpositive_dt_is_config_error(tmp_path, capsys):
+    code, _ = run_cli(["simulate", "--system", "parachute",
+                       "--initial", "0,2,0", "--dt", "0"], tmp_path)
+    assert code == 3
+    assert "config path: args.dt" in capsys.readouterr().err
+
+
+def test_nonpositive_t_is_config_error(tmp_path, capsys):
+    code, _ = run_cli(["simulate", "--system", "parachute",
+                       "--initial", "0,2,0", "--t", "-1"], tmp_path)
+    assert code == 3
+    assert "config path: args.t" in capsys.readouterr().err
+
+
+def test_wrong_length_initial_is_config_error(tmp_path, capsys):
+    code, _ = run_cli(["simulate", "--system", "parachute",
+                       "--initial", "0,2"], tmp_path)
+    assert code == 3
+    assert "config path: args.initial" in capsys.readouterr().err

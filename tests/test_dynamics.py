@@ -63,6 +63,14 @@ def test_integrate_reports_last_good_state_on_failure():
     assert partial.times[-1] < 2.0
 
 
+def test_integrate_failure_names_the_subtree():
+    # q1 crosses zero inside the second step, where log(q1) is undefined
+    field = CoordVectorField(1, (Const(-1.0), Const(0.0), log(q(1))))
+    with pytest.raises(IntegrationError,
+                       match=r"log of non-positive value in log\(q1\)"):
+        integrate(field, pt(0.3, 0.0, 0.0), 1.0, 0.25)
+
+
 def test_rk4_convergence_order_on_stiff_damped_fixture():
     stiff = REG["linear_drag_stiff"]()
     field = herglotz_field(stiff)

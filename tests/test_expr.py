@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herglotz.expr import (
-    BinOp, Call, Const, Coord, DomainError, IntPow, Param, ParseError,
+    BinOp, Call, Const, Coord, DomainError, ExprError, IntPow, Param, ParseError,
     StatePoint, UnboundParameterError, compile_components, coords, det_expr,
     differentiate, depends_on, eval_jet2, evaluate, evaluate_many,
     merge_params, parse, solve_cramer, substitute, unparse,
@@ -130,8 +130,7 @@ def test_evaluate_many_matches_scalar():
     Z = rng.uniform(-1, 1, size=64)
     batch = evaluate_many(e, Q, V, Z, {"gam": 1.3})
     for k in range(64):
-        single = evaluate(e, pt(Q[k], V[k], Z[k]), {"gam": 1.3})
-        assert batch[k] == pytest.approx(single, rel=1e-15)
+        assert batch[k] == evaluate(e, pt(Q[k], V[k], Z[k]), {"gam": 1.3})
 
 
 def test_compile_components_matches_evaluate():
@@ -139,10 +138,14 @@ def test_compile_components_matches_evaluate():
     fn = compile_components(exprs, n=1, params={"gam": 0.1})
     p = pt(0.4, 2.0, 1.0)
     out = fn(p.coords())
-    assert out[0] == pytest.approx(evaluate(exprs[0], p, {"gam": 0.1}), rel=1e-15)
-    assert out[1] == pytest.approx(evaluate(exprs[1], p, {"gam": 0.1}), rel=1e-15)
+    assert out[0] == evaluate(exprs[0], p, {"gam": 0.1})
+    assert out[1] == evaluate(exprs[1], p, {"gam": 0.1})
     with pytest.raises(DomainError):
         compile_components([parse("log(q1)", n=1)], n=1)((-1.0, 0.0, 0.0))
+    # a numpy vector, as integrate passes it, follows the same float rules
+    pole = compile_components([parse("1/(q1 - 1)", n=1)], n=1)
+    with pytest.raises(DomainError, match=r"division by zero in 1/\(q1 - 1\)"):
+        pole(np.array([1.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +279,8 @@ def expr_strategy(n=2, max_depth=4):
 
     def extend(children):
         unary = children.flatmap(lambda e: st.sampled_from([
-            ex.neg(e), ex.sin(e), ex.exp(e), ex.tanh(e),
-            ex.intpow(e, 2), ex.intpow(e, 3), ex.intpow(e, -1),
+            ex.neg(e), ex.sin(e), ex.cos(e), ex.exp(e), ex.log(e), ex.sqrt(e),
+            ex.tanh(e), ex.intpow(e, 2), ex.intpow(e, 3), ex.intpow(e, -1),
         ]))
         binary = st.tuples(children, children).flatmap(lambda ab: st.sampled_from([
             ex.add(ab[0], ab[1]), ex.sub(ab[0], ab[1]),
@@ -295,6 +298,35 @@ def test_parse_unparse_round_trip(e):
     again = parse(text, n=2)
     assert again == e
     assert unparse(again) == text
+
+
+def _outcome(run):
+    """A value as its repr (bit-exact, NaN-safe), or the error type and text."""
+    try:
+        return repr(float(run()))
+    except ExprError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=expr_strategy(), chain=st.booleans(),
+       flat=st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5, 800.0, 1e200]),
+                     min_size=5, max_size=5))
+def test_executors_agree_on_values_and_errors(e, chain, flat):
+    if chain:
+        e = differentiate(e, "q1")   # derivatives share subtree objects
+    assert parse(unparse(e), n=2) == e
+    params = {"gam": 0.7, "m_0": -1.5}
+    point = StatePoint.from_coords(flat, 2)
+    scalar = _outcome(lambda: evaluate(e, point, params))
+    compiled = _outcome(lambda: compile_components([e], 2, params)(point.coords())[0])
+    assert compiled == scalar
+    many = _outcome(lambda: evaluate_many(
+        e, point.q[None], point.v[None], [point.z], params)[0])
+    if isinstance(scalar, str) and not math.isfinite(float(scalar)):
+        assert many == (DomainError, f"non-finite result evaluating {unparse(e)}")
+    else:
+        assert many == scalar
 
 
 def test_unparse_examples():
