@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -242,6 +243,25 @@ def _initial_state(args: dict, n: int, default=None) -> StatePoint:
         raise ConfigError(f"bad initial state: {exc}", "args.initial") from None
 
 
+def _run_arg(args: dict, key: str, default, kind=float, above=None):
+    """args[key] (or the default) as a finite number of the given kind; a
+    ConfigError at args.<key> when it is not one or, with ``above`` given,
+    is not above it."""
+    value = args.get(key, default)
+    try:
+        out = kind(value)
+        ok = math.isfinite(out) and out == float(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}", f"args.{key}")
+    if above is not None and not out > above:
+        raise ConfigError(f"'{key}' must be greater than {above}, got {value!r}",
+                          f"args.{key}")
+    return out
+
+
 def _require_consistent_n(n: int, **named_exprs) -> None:
     """Chart dimension must be consistent within a task (config invariant)."""
     for name, expr in named_exprs.items():
@@ -424,11 +444,8 @@ def _task_simulate(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     else:
         field_obj, params, n = herglotz_field(obj), obj.params, obj.n_dim
     p0 = _initial_state(args, n)
-    t_end = float(args.get("t", 1.0))
-    dt = float(args.get("dt", 1e-3))
-    for key, value in (("t", t_end), ("dt", dt)):
-        if not value > 0:
-            raise ConfigError(f"'{key}' must be positive, got {value!r}", f"args.{key}")
+    t_end = _run_arg(args, "t", 1.0, above=0.0)
+    dt = _run_arg(args, "dt", 1e-3, above=0.0)
     traj = integrate(field_obj, p0, t_end, dt, params)
     csv_path = Path(f"{out_stem}.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -462,15 +479,15 @@ def _task_stationarity(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sys_l = _resolve(cfg, args["lagrangian"], (ContactLagrangianSystem,),
                      "Lagrangian system")
     p0 = _initial_state(args, sys_l.n_dim, [0.0, 2.0, 0.0])
-    grid = int(args.get("grid", 200))
-    perturbations = int(args.get("perturbations", 8))
-    amplitude = float(args.get("amplitude", 1e-4))
-    stat_tol = float(args.get("stat_tol", 1e-3))
+    grid = _run_arg(args, "grid", 200, int, above=1)
+    perturbations = _run_arg(args, "perturbations", 8, int, above=0)
+    amplitude = _run_arg(args, "amplitude", 1e-4, above=0.0)
+    stat_tol = _run_arg(args, "stat_tol", 1e-3)
     field_obj = herglotz_field(sys_l)
     traj = integrate(field_obj, p0, 1.0, 1.0 / (grid - 1), sys_l.params)
     curve = trajectory_to_curve(traj)
     if args.get("random_curve"):
-        rng = np.random.default_rng(int(args.get("curve_seed", 0)))
+        rng = np.random.default_rng(_run_arg(args, "curve_seed", 0, int))
         t = curve.times
         qa = np.outer(1 - t, curve.q[0]) + np.outer(t, curve.q[-1])
         va = np.tile(curve.q[-1] - curve.q[0], (len(t), 1)).astype(float)

@@ -34,7 +34,7 @@ class IntegrationError(RuntimeError):
     """Evaluation failed mid-trajectory; carries the last good prefix."""
 
     def __init__(self, message: str, partial: "Trajectory"):
-        super().__init__(f"{message} (last good t = {partial.times[-1]!r})")
+        super().__init__(f"{message} (last good t = {float(partial.times[-1])!r})")
         self.partial = partial
 
 
@@ -204,8 +204,11 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
     sin(j pi t), j = 1..n_perturbations, applied per configuration
     coordinate with analytic velocity perturbations.  The verdict is a pass
     when max |D_j| <= stat_tol (1 + |action|), a fail above ten times that
-    bound, and inconclusive in between.
+    bound, and inconclusive in between.  At least one perturbation is
+    required: a verdict needs a probed direction.
     """
+    if n_perturbations < 1:
+        raise ValueError(f"n_perturbations must be at least 1, got {n_perturbations!r}")
     base_v = curve.velocities()
     base = SampledCurve(curve.times, curve.q, base_v)
     a0 = action(L, base, z0, params)

@@ -25,7 +25,7 @@ from .expr import (
 )
 from .extended import (
     ActionFunction, ExtendedLagrangianSystem, compose_with_zeta,
-    extended_lagrangian_form, zeta_herglotz_field, zeta_hessian, zeta_partial,
+    extended_lagrangian_form, herglotz_defects, zeta_herglotz_field, zeta_hessian,
 )
 from .lagrangian import (
     ContactLagrangianSystem, herglotz_field, lagrangian_form, velocity_hessian,
@@ -271,13 +271,8 @@ def general_equivalence_check(sys: ContactLagrangianSystem,
     ext = ExtendedLagrangianSystem(n, lbar_base, zeta, merged)
     xi_l = herglotz_field(sys)
 
-    momenta = [zeta_partial(lbar_base, zeta, v(i)) for i in range(1, n + 1)]
-    dlbar_dzeta = zeta_partial(lbar_base, zeta, "zeta")
     l_condition = sub(lbar_base, xi_l.apply(zeta.zeta))
-    p_conditions = [
-        sub(sub(xi_l.apply(momenta[i]), zeta_partial(lbar_base, zeta, q(i + 1))),
-            dlbar_dzeta * momenta[i])
-        for i in range(n)]
+    p_conditions = herglotz_defects(xi_l, lbar_base, zeta.zeta, n)
     xi_bar = zeta_herglotz_field(ext)
 
     def values(p):

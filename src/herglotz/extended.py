@@ -11,8 +11,11 @@ and every zeta-chart object here is expressed in the single base chart
 (q, v, z); the map z -> zeta is never inverted.  For an extended Lagrangian
 system (L, zeta) the module builds eta^zeta_L, the zeta-energy, the
 zeta-regularity matrix W^zeta, the zeta-Herglotz field and the
-zeta-Legendre transform.  With zeta = z everything reduces structurally to
-the plain Lagrangian module.
+zeta-Legendre transform.  The plain contact Lagrangian system is the case
+zeta = z: there every frame correction folds to zero, each builder returns
+the plain tree (the fibre derivatives, the velocity Hessian W, eta_L, E_L
+and the Herglotz field), and the one n x n Cramer solve on W^zeta is the
+solve on W.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ __all__ = [
     "SingularZetaError", "zeta_frame", "zeta_partial",
     "extended_lagrangian_form", "zeta_regularity", "zeta_energy",
     "zeta_herglotz_field", "zeta_legendre", "zeta_hessian",
-    "compose_with_zeta", "legendre_pullback_residual",
+    "compose_with_zeta", "legendre_pullback_residual", "herglotz_defects",
 ]
 
 
@@ -99,14 +102,16 @@ def zeta_partial(f: Expr, zeta: Union[ActionFunction, Expr],
     """
     zexpr = zeta.zeta if isinstance(zeta, ActionFunction) else zeta
     dz_zeta = differentiate(zexpr, z())
-    dfdz = differentiate(f, z())
     var = _as_var(var)
     if var == "zeta":
-        return div(dfdz, dz_zeta)
+        return div(differentiate(f, z()), dz_zeta)
     if not isinstance(var, Coord) or var.kind == "z":
         raise ValueError("zeta-chart partials are taken along q_i, v_i or zeta")
     correction = div(differentiate(zexpr, var), dz_zeta)
-    return sub(differentiate(f, var), mul(correction, dfdz))
+    if correction == Const(0.0):
+        # no d/dz part (always so for zeta = z): df/dz is not built
+        return differentiate(f, var)
+    return sub(differentiate(f, var), mul(correction, differentiate(f, z())))
 
 
 def zeta_frame(zeta: ActionFunction, p: StatePoint, n: int,
@@ -178,39 +183,42 @@ def zeta_energy(sys: ExtendedLagrangianSystem) -> Expr:
 
 
 @lru_cache(maxsize=None)
-def _zeta_herglotz_components(L: Expr, zeta: Expr, n: int
+def _zeta_acceleration_system(L: Expr, zeta: Expr, n: int
                               ) -> tuple[tuple[Expr, ...], Expr]:
-    """Symbolic (v, a, b) solving the zeta-Herglotz equations.
+    """rhs^zeta of W^zeta a = rhs^zeta, and c = L - v_j dzeta/dq_j.
 
-    Unknowns (a, b) satisfy the linear system given by
-        xi(p_i) = (dL/dq_i)_zeta + (dL/dzeta) p_i,   p_i = (dL/dv_i)_zeta,
-        xi(zeta) = L,
-    whose matrix row-reduces to det(W^zeta) * dzeta/dz, so the solve is
-    admissible exactly on the zeta-regular locus.
+    The zeta-Herglotz equations xi(p_i) = (dL/dq_i)_zeta + (dL/dzeta) p_i,
+    p_i = (dL/dv_i)_zeta, and xi(zeta) = L are linear in (a, b).  The last
+    gives b = (c - a_j dzeta/dv_j) / (dzeta/dz); eliminating b leaves
+    rhs^zeta_i = known_i - (c / (dzeta/dz)) dp_i/dz, L dp_i/dz for zeta = z.
     """
     fibers = _zeta_fibers(L, zeta, n)
     dL_dzeta = zeta_partial(L, zeta, "zeta")
-    matrix: list[list[Expr]] = []
-    rhs: list[Expr] = []
+    c: Expr = L
+    for j in range(1, n + 1):
+        c = sub(c, mul(v(j), differentiate(zeta, q(j))))
+    rate = div(c, differentiate(zeta, z()))
+    rhs = []
     for i in range(n):
         p_i = fibers[i]
-        row = [differentiate(p_i, v(j)) for j in range(1, n + 1)]
-        row.append(differentiate(p_i, z()))
         known: Expr = add(zeta_partial(L, zeta, q(i + 1)), mul(dL_dzeta, p_i))
         for j in range(1, n + 1):
             known = sub(known, mul(v(j), differentiate(p_i, q(j))))
-        matrix.append(row)
-        rhs.append(known)
-    last_row = [differentiate(zeta, v(j)) for j in range(1, n + 1)]
-    last_row.append(differentiate(zeta, z()))
-    last_known: Expr = L
-    for j in range(1, n + 1):
-        last_known = sub(last_known, mul(v(j), differentiate(zeta, q(j))))
-    matrix.append(last_row)
-    rhs.append(last_known)
-    solution, det = solve_cramer(matrix, rhs)
-    comps = tuple(v(i) for i in range(1, n + 1)) + tuple(solution)
-    return comps, det
+        rhs.append(sub(known, mul(rate, differentiate(p_i, z()))))
+    return tuple(rhs), c
+
+
+@lru_cache(maxsize=None)
+def _zeta_herglotz_components(L: Expr, zeta: Expr, n: int) -> tuple[Expr, ...]:
+    """(v, a, b): a by Cramer's rule on W^zeta, whose det is its only
+    denominator, then b from xi(zeta) = L."""
+    rhs, c = _zeta_acceleration_system(L, zeta, n)
+    accels, _ = solve_cramer(_zeta_hessian_exprs(L, zeta, n), rhs)
+    b = c
+    for j in range(n):
+        b = sub(b, mul(differentiate(zeta, v(j + 1)), accels[j]))
+    b = div(b, differentiate(zeta, z()))
+    return tuple(v(i) for i in range(1, n + 1)) + tuple(accels) + (b,)
 
 
 def zeta_herglotz_field(sys: ExtendedLagrangianSystem) -> CoordVectorField:
@@ -221,8 +229,18 @@ def zeta_herglotz_field(sys: ExtendedLagrangianSystem) -> CoordVectorField:
     L_xi eta = (dL/dzeta) eta, and xi(zeta) = L against the pointwise
     contact solver.
     """
-    comps, _ = _zeta_herglotz_components(sys.L, sys.zeta.zeta, sys.n_dim)
-    return CoordVectorField(sys.n_dim, comps)
+    return CoordVectorField(
+        sys.n_dim, _zeta_herglotz_components(sys.L, sys.zeta.zeta, sys.n_dim))
+
+
+def herglotz_defects(xi: CoordVectorField, L: Expr, zeta: Expr, n: int
+                     ) -> tuple[Expr, ...]:
+    """xi(p_i) - (dL/dq_i)_zeta - (dL/dzeta) p_i, p_i = (dL/dv_i)_zeta: zero
+    where xi satisfies the zeta-Herglotz equations of (L, zeta)."""
+    momenta = _zeta_fibers(L, zeta, n)
+    dL_dzeta = zeta_partial(L, zeta, "zeta")
+    return tuple(sub(sub(xi.apply(momenta[i]), zeta_partial(L, zeta, q(i + 1))),
+                     mul(dL_dzeta, momenta[i])) for i in range(n))
 
 
 def zeta_legendre(sys: ExtendedLagrangianSystem, p: StatePoint

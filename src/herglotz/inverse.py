@@ -28,7 +28,7 @@ from .expr import (
     Const, Expr, det_expr, differentiate, div, evaluate, merge_params, q, sub,
     v, z,
 )
-from .extended import ActionFunction
+from .extended import ActionFunction, _zeta_hessian_exprs, herglotz_defects
 
 __all__ = [
     "SODESystem", "naive_inverse_check", "extended_inverse_check",
@@ -82,12 +82,8 @@ def naive_inverse_check(sode: SODESystem, plan: SamplePlan | None = None,
     n = sode.n_dim
     det_tol = (tol or Tolerances()).det_tol
     b = sode.z_rate
-    db_dz = differentiate(b, z())
-    fibers = [differentiate(b, v(i)) for i in range(1, n + 1)]
-    defects = [sub(sub(sode.apply(fibers[i]), differentiate(b, q(i + 1))),
-                   db_dz * fibers[i]) for i in range(n)]
-    hessian_det = det_expr([[differentiate(fibers[i], v(j + 1)) for j in range(n)]
-                            for i in range(n)])
+    defects = herglotz_defects(sode.as_field(), b, z(), n)
+    hessian_det = det_expr(_zeta_hessian_exprs(b, z(), n))
 
     def values(p):
         out = {f"herglotz_defect_{i + 1}": abs(evaluate(defects[i], p, sode.params))

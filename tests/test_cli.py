@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from herglotz.cli import main
 
 
@@ -288,6 +290,32 @@ def test_nonpositive_dt_is_config_error(tmp_path, capsys):
                        "--initial", "0,2,0", "--dt", "0"], tmp_path)
     assert code == 3
     assert "config path: args.dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, argv, key", [
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--grid", "1"], "grid"),
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--perturbations", "0"],
+     "perturbations"),
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--amplitude", "0"],
+     "amplitude"),
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--amplitude", "inf"],
+     "amplitude"),
+    ({"tasks": [{"command": "simulate", "args": {
+        "system": "parachute", "initial": [0, 2, 0], "t": "abc"}}]}, ["batch"], "t"),
+    ({"tasks": [{"command": "stationarity", "args": {
+        "lagrangian": "linear_drag", "perturbations": 1.7}}]}, ["batch"],
+     "perturbations"),
+], ids=["grid", "perturbations", "amplitude", "amplitude-inf", "config-task-t",
+        "config-task-fractional-perturbations"])
+def test_bad_run_argument_is_config_error(config, argv, key, tmp_path, capsys):
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = ["--config", str(cfg_path), *argv]
+    code, data = run_cli(argv, tmp_path)
+    assert code == 3
+    assert data is None
+    assert f"config path: args.{key}" in capsys.readouterr().err
 
 
 def test_nonpositive_t_is_config_error(tmp_path, capsys):

@@ -67,7 +67,8 @@ def test_integrate_failure_names_the_subtree():
     # q1 crosses zero inside the second step, where log(q1) is undefined
     field = CoordVectorField(1, (Const(-1.0), Const(0.0), log(q(1))))
     with pytest.raises(IntegrationError,
-                       match=r"log of non-positive value in log\(q1\)"):
+                       match=r"log of non-positive value in log\(q1\).*"
+                             r"\(last good t = 0\.25\)$"):
         integrate(field, pt(0.3, 0.0, 0.0), 1.0, 0.25)
 
 
@@ -160,6 +161,13 @@ def test_free_particle_straight_line_is_stationary():
                                stat_tol=1e-6)
     assert report.passed
     assert report.max_residual <= 1e-6
+
+
+def test_stationarity_needs_a_perturbation():
+    t = np.linspace(0, 1, 20)
+    line = SampledCurve(t, t.reshape(-1, 1), np.ones((20, 1)))
+    with pytest.raises(ValueError, match="n_perturbations"):
+        stationarity_test(parse("0.5*v1^2", 1), line, 0.0, n_perturbations=0)
 
 
 def test_parachute_solution_is_stationary_and_random_curve_is_not():

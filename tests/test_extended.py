@@ -2,21 +2,22 @@ import numpy as np
 import pytest
 
 from herglotz.contact import conformal_factor, hamiltonian_field
-from herglotz.expr import Const, evaluate, parse, substitute, v, z
+from herglotz.expr import Const, differentiate, evaluate, parse, substitute, v, z
 from herglotz.extended import (
     ActionFunction, ExtendedLagrangianSystem, FrameError, SingularZetaError,
-    compose_with_zeta, extended_lagrangian_form, legendre_pullback_residual,
-    zeta_energy, zeta_frame, zeta_herglotz_field, zeta_legendre, zeta_partial,
-    zeta_regularity,
+    _zeta_hessian_exprs, compose_with_zeta, extended_lagrangian_form,
+    legendre_pullback_residual, zeta_energy, zeta_frame, zeta_hessian,
+    zeta_herglotz_field, zeta_legendre, zeta_partial, zeta_regularity,
 )
 from herglotz.equivalence import extended_sode_check
 from herglotz.lagrangian import (
     ContactLagrangianSystem, energy, herglotz_field, lagrangian_form,
+    velocity_hessian,
 )
 from herglotz.contact import ContactHamiltonianSystem, CoordVectorField
 from herglotz.fixtures import builtin_systems
 
-from conftest import pt, random_points
+from conftest import pt, random_points, random_regular_lagrangian
 
 
 REG = builtin_systems()
@@ -27,6 +28,11 @@ ZETA_V = ActionFunction(parse("z + v1", 1))
 
 def ext(sys, zeta):
     return ExtendedLagrangianSystem(sys.n_dim, sys.L, zeta, sys.params)
+
+
+def identity_chart_cases(rng):
+    """DAMPED and one random regular Lagrangian for each n = 1..3."""
+    return [DAMPED] + [random_regular_lagrangian(rng, n) for n in (1, 2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +127,9 @@ def test_pushforward_by_horizontal_map_preserves_sode(rng):
 
 
 def test_extended_form_reduces_at_identity_chart(rng):
-    form = extended_lagrangian_form(ext(DAMPED, ZETA_ID))
-    base = lagrangian_form(DAMPED)
-    for p in random_points(rng, 1, 10):
-        np.testing.assert_allclose(form.values(p, DAMPED.params),
-                                   base.values(p, DAMPED.params), atol=1e-14)
+    for sys in identity_chart_cases(rng):
+        form = extended_lagrangian_form(ext(sys, ZETA_ID))
+        assert form.components == lagrangian_form(sys).components
 
 
 def test_extended_form_velocity_chart(rng):
@@ -189,11 +193,8 @@ def test_zeta_regularity_quadratic_gauge_critical_coupling():
 
 
 def test_zeta_energy_reduces_at_identity_chart(rng):
-    e_ext = zeta_energy(ext(DAMPED, ZETA_ID))
-    e_base = energy(DAMPED)
-    for p in random_points(rng, 1, 10):
-        assert evaluate(e_ext, p, DAMPED.params) == pytest.approx(
-            evaluate(e_base, p, DAMPED.params), abs=1e-14)
+    for sys in identity_chart_cases(rng):
+        assert zeta_energy(ext(sys, ZETA_ID)) == energy(sys)
 
 
 def test_zeta_energy_velocity_chart_cross_checked(rng):
@@ -219,11 +220,23 @@ def test_zeta_energy_constant_lagrangian():
 
 
 def test_zeta_herglotz_reduces_at_identity_chart(rng):
-    field = zeta_herglotz_field(ext(DAMPED, ZETA_ID))
-    base = herglotz_field(DAMPED)
-    for p in random_points(rng, 1, 10):
-        np.testing.assert_allclose(field.values(p, DAMPED.params),
-                                   base.values(p, DAMPED.params), atol=1e-14)
+    for sys in identity_chart_cases(rng):
+        field = zeta_herglotz_field(ext(sys, ZETA_ID))
+        assert field.components == herglotz_field(sys).components
+
+
+def test_zeta_hessian_reduces_at_identity_chart(rng):
+    # W^zeta at zeta = z is the plain second velocity derivative of L, and
+    # velocity_hessian evaluates exactly those trees
+    for sys in identity_chart_cases(rng):
+        n = sys.n_dim
+        plain = tuple(tuple(differentiate(differentiate(sys.L, v(i)), v(j))
+                            for j in range(1, n + 1)) for i in range(1, n + 1))
+        assert _zeta_hessian_exprs(sys.L, ZETA_ID.zeta, n) == plain
+        for p in random_points(rng, n, 5):
+            want = np.array([[evaluate(e, p, sys.params) for e in row] for row in plain])
+            np.testing.assert_array_equal(velocity_hessian(sys, p), want)
+            np.testing.assert_array_equal(zeta_hessian(ext(sys, ZETA_ID), p), want)
 
 
 def test_zeta_herglotz_velocity_gauge_recovers_base_field(rng):
@@ -299,13 +312,26 @@ def test_zeta_herglotz_intrinsic_contract(rng):
 
 def test_zeta_herglotz_matches_pointwise_contact_solver(rng):
     # independent route: generic stacked solve on (eta^zeta_L, E^zeta_L)
-    for sys in extended_fixture_set():
-        ham = ContactHamiltonianSystem(1, extended_lagrangian_form(sys),
+    cases = [(sys, 10) for sys in extended_fixture_set()]
+    for n in (2, 3):
+        for _ in range(3):
+            base = random_regular_lagrangian(rng, n)
+            for zeta_text in (f"z + 0.3*v1*q{n}", "z + 0.2*v1^2",
+                              f"z + 0.1*v{n}*z + sin(q1)"):
+                zeta = ActionFunction(parse(zeta_text, n))
+                cases.append((ExtendedLagrangianSystem(n, base.L, zeta, {}), 12))
+    checked = 0
+    for sys, count in cases:
+        ham = ContactHamiltonianSystem(sys.n_dim, extended_lagrangian_form(sys),
                                        zeta_energy(sys), sys.all_params)
         field = zeta_herglotz_field(sys)
-        for p in random_points(rng, 1, 10):
+        for p in random_points(rng, sys.n_dim, count):
+            if not sys.zeta.frame_ok(p) or not zeta_regularity(sys, p)[1]:
+                continue
             np.testing.assert_allclose(field.values(p, sys.all_params),
                                        hamiltonian_field(ham, p), atol=1e-8)
+            checked += 1
+    assert checked >= 260  # of 266 on this seed; all are regular today
 
 
 def test_zeta_hessian_symmetry_random_charts(rng):
