@@ -19,7 +19,8 @@ Every sampled check runs through :func:`run_check`, which alone decides:
   the records of points 0..k-1;
 - the reduction: the maximum of ``|value|`` over the residual keys (every
   key when none are named).  A non-finite value under a residual key gives
-  an error report with ``max_residual`` NaN, never a pass.
+  an error report with ``max_residual`` NaN, never a pass, and so does a
+  check that ends with no records at all.
 
 All error reports are built by :func:`error_report`.  The module is also the
 single home of the numerical thresholds shared by the other modules.
@@ -264,4 +265,7 @@ def run_check(n: int, point_values: Callable[[StatePoint], dict | None],
                 records.append(PointRecord(p, values))
     except CheckAbort as exc:
         return error_report(str(exc), tol, plan, records)
+    if not records:
+        return error_report("no residual records: no sampled point gave values",
+                            tol, plan)
     return report_from_records(records, tol, plan, residual_keys=residual_keys)

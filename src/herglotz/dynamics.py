@@ -119,18 +119,22 @@ def _field_fn(field: FieldLike, n: int, params: ParamSet | None
 
 def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
               params: ParamSet | None = None) -> Trajectory:
-    """Fixed-step RK4 integral curve from p0; the final step is shortened
-    so the trajectory ends exactly at t_end."""
+    """Fixed-step RK4 integral curve from p0.
+
+    The step count is the integer N = ceil(t_end / dt - 1e-9), so round-off
+    in the quotient adds no sliver step.  Step k ends at t_k = k * dt and
+    is dt long, except the last, which ends exactly at t_N = t_end.
+    """
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     n = p0.n
     fn = _field_fn(field, n, params)
+    steps = max(1, math.ceil(t_end / dt - 1e-9))
     times = [0.0]
     states = [p0.coords()]
-    t = 0.0
     y = p0.coords()
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
+    for k in range(1, steps + 1):
+        t, h = (k * dt, dt) if k < steps else (t_end, t_end - (steps - 1) * dt)
         try:
             k1 = fn(y)
             k2 = fn(y + 0.5 * h * k1)
@@ -138,10 +142,9 @@ def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
             k4 = fn(y + h * k3)
         except Exception as exc:
             partial = _make_trajectory(times, states, n)
-            raise IntegrationError(f"field evaluation failed at t = {t + h}: {exc}",
+            raise IntegrationError(f"field evaluation failed at t = {t}: {exc}",
                                    partial) from exc
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
         times.append(t)
         states.append(y)
     return _make_trajectory(times, states, n)

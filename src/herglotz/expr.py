@@ -713,44 +713,63 @@ def _param_value(p: Param, params: ParamSet) -> float:
 
 
 def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> float:
-    """IEEE-double evaluation; domain errors name the offending subtree."""
+    """IEEE-double evaluation; domain errors name the offending subtree.
+
+    A compound node object reached more than once (shared subtrees, as in
+    derivatives and Cramer solves) is computed once per call.
+    """
     params = params or {}
     flat, n = point._flat, point.n
+    memo: dict[int, float] = {}
 
     def ev(node: Expr) -> float:
-        if isinstance(node, Const):
+        kind = type(node)
+        if kind is Const:
             return node.value
-        if isinstance(node, Coord):
+        if kind is Coord:
             return flat[_slot(node, n)]
-        if isinstance(node, Param):
+        if kind is Param:
             return _param_value(node, params)
-        if isinstance(node, Call):
+        value = memo.get(id(node))
+        if value is not None:
+            return value
+        if kind is BinOp:
+            a, b = ev(node.lhs), ev(node.rhs)
+            op = node.op
+            if op == "+":
+                value = a + b
+            elif op == "-":
+                value = a - b
+            elif op == "*":
+                value = a * b
+            else:
+                try:
+                    value = a / b
+                except ZeroDivisionError as exc:
+                    raise _domain_error(exc, node) from None
+        elif kind is Call:
             x = ev(node.arg)
             try:
-                return _APPLY[node.fn](x)
+                value = _APPLY[node.fn](x)
             except _FLOAT_ERRORS as exc:
                 raise _domain_error(exc, node) from None
-        if isinstance(node, BinOp):
-            a, b = ev(node.lhs), ev(node.rhs)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            try:
-                return a / b
-            except ZeroDivisionError as exc:
-                raise _domain_error(exc, node) from None
-        if isinstance(node, IntPow):
+        elif kind is IntPow:
             x = ev(node.base)
             try:
-                return x ** node.exponent
+                value = x ** node.exponent
             except _FLOAT_ERRORS as exc:
                 raise _domain_error(exc, node) from None
-        raise TypeError(f"not an Expr node: {node!r}")
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        memo[id(node)] = value
+        return value
 
-    return ev(e)
+    try:
+        return ev(e)
+    finally:
+        # ev reaches itself through its closure; breaking that cycle frees
+        # the memo on return instead of at the next garbage collection
+        del ev
 
 
 def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
@@ -873,26 +892,44 @@ def eval_jet2(e: Expr, point: StatePoint, params: ParamSet | None = None
 # Small symbolic linear algebra (Cramer solves for acceleration systems)
 
 
+def _minor(rows: Sequence[Sequence[Expr]], cols: tuple[int, ...],
+           built: dict[tuple[int, ...], Expr]) -> Expr:
+    """Determinant of the bottom ``len(cols)`` rows restricted to the
+    ordered columns ``cols``, by cofactor expansion along their top row.
+
+    ``built`` keeps each minor by its column tuple, so determinants that
+    expand into the same minors share one tree object for it.
+    """
+    found = built.get(cols)
+    if found is not None:
+        return found
+    k = len(cols)
+    if k == 0:
+        return Const(1.0)
+    top = rows[len(rows) - k]
+    if k == 1:
+        result = top[cols[0]]
+    elif k == 2:
+        below = rows[-1]
+        result = sub(mul(top[cols[0]], below[cols[1]]),
+                     mul(top[cols[1]], below[cols[0]]))
+    else:
+        result = Const(0.0)
+        for j, col in enumerate(cols):
+            term = mul(top[col], _minor(rows, cols[:j] + cols[j + 1:], built))
+            result = add(result, term) if j % 2 == 0 else sub(result, term)
+    built[cols] = result
+    return result
+
+
 def det_expr(matrix: Sequence[Sequence[Expr]]) -> Expr:
-    """Determinant by cofactor expansion; intended for small matrices."""
+    """Determinant by cofactor expansion along the top row, each minor built
+    once; intended for small matrices."""
     m = len(matrix)
     for row in matrix:
         if len(row) != m:
             raise ExprError("determinant of a non-square matrix")
-    if m == 0:
-        return Const(1.0)
-    if m == 1:
-        return matrix[0][0]
-    if m == 2:
-        a, b = matrix[0]
-        c, d = matrix[1]
-        return sub(mul(a, d), mul(b, c))
-    total: Expr = Const(0.0)
-    for j in range(m):
-        minor = [[row[k] for k in range(m) if k != j] for row in matrix[1:]]
-        term = mul(matrix[0][j], det_expr(minor))
-        total = add(total, term) if j % 2 == 0 else sub(total, term)
-    return total
+    return _minor(matrix, tuple(range(m)), {})
 
 
 def solve_cramer(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr]
@@ -902,14 +939,20 @@ def solve_cramer(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr]
     Returns (x, det M).  Each solution component is a quotient by det M, so
     evaluation at a singular point raises a DomainError; callers that need a
     diagnosable threshold should test the determinant expression first.
+    The right-hand side is column m of one augmented matrix, so det M and
+    the m replaced determinants share every minor that avoids it.
     """
     m = len(matrix)
     if len(rhs) != m:
         raise ExprError("right-hand side length mismatch")
-    d = det_expr(matrix)
+    for row in matrix:
+        if len(row) != m:
+            raise ExprError("determinant of a non-square matrix")
+    augmented = [[*row, b] for row, b in zip(matrix, rhs)]
+    built: dict[tuple[int, ...], Expr] = {}
+    d = _minor(augmented, tuple(range(m)), built)
     solution = []
     for j in range(m):
-        replaced = [[rhs[i] if k == j else matrix[i][k] for k in range(m)]
-                    for i in range(m)]
-        solution.append(div(det_expr(replaced), d))
+        replaced = tuple(m if k == j else k for k in range(m))
+        solution.append(div(_minor(augmented, replaced, built), d))
     return solution, d

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from herglotz.expr import Const, Expr, StatePoint, intpow, mul, q, v, z
+from herglotz.expr import Const, Expr, StatePoint, intpow, mul, parse, q, v, z
 from herglotz.lagrangian import ContactLagrangianSystem
 
 
@@ -39,6 +39,17 @@ def random_regular_lagrangian(rng, n) -> ContactLagrangianSystem:
     for idx in picks:
         L = L + mul(Const(float(rng.uniform(-0.05, 0.05))), monomials[int(idx)])
     return ContactLagrangianSystem(n, L, {})
+
+
+def dense_lagrangian(n) -> ContactLagrangianSystem:
+    """Dense velocity-Hessian family of perfbench/README.md:
+    L_n = 1/2 sum (1 + 0.1 q_i^2) v_i^2 + 0.1 sum_{i<j} cos(q_i - q_j) v_i v_j
+    - 1/2 sum q_i^2 - gam z, with gam = 0.2."""
+    terms = [f"0.5*(1 + 0.1*q{i}^2)*v{i}^2" for i in range(1, n + 1)]
+    terms += [f"0.1*cos(q{i} - q{j})*v{i}*v{j}"
+              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    terms += [f"(-0.5)*q{i}^2" for i in range(1, n + 1)] + ["(-gam)*z"]
+    return ContactLagrangianSystem(n, parse(" + ".join(terms), n), {"gam": 0.2})
 
 
 @pytest.fixture

@@ -53,3 +53,15 @@ def test_non_finite_value_outside_residual_keys_is_ignored():
     report = report_from_records(records, Tolerances(), residual_keys=("a",))
     assert report.passed
     assert report.max_residual == 0.0
+
+
+@pytest.mark.parametrize("points, values", [
+    ([], lambda p: {"defect": 0.0}),
+    (None, lambda p: None),
+], ids=["no-points", "every-point-left-out"])
+def test_check_without_records_is_error(points, values):
+    report = run_check(1, values, PLAN, points=points)
+    assert report.verdict == "error"
+    assert math.isnan(report.max_residual)
+    assert report.records == []
+    assert report.diagnostics == ["no residual records: no sampled point gave values"]

@@ -53,6 +53,17 @@ def test_integrate_shortens_final_step():
     assert traj.z[-1] == pytest.approx(1.0, abs=1e-15)
 
 
+def test_integrate_counts_steps_and_ends_at_t_end():
+    field = CoordVectorField(1, (Const(0.0), Const(0.0), Const(1.0)))
+    traj = integrate(field, pt(0.0, 0.0, 0.0), 1.0, 0.1)
+    assert len(traj.times) == 11
+    assert traj.times[-1] == 1.0
+    # 0.3 + 0.3 + 0.3 rounds below 0.9, which must not add a sliver step
+    traj = integrate(field, pt(0.0, 0.0, 0.0), 0.9, 0.3)
+    assert len(traj.times) == 4
+    assert traj.times[-1] == 0.9
+
+
 def test_integrate_reports_last_good_state_on_failure():
     # q decreases from 1 at unit speed; log(q1) blows up at the origin
     field = CoordVectorField(1, (Const(-1.0), Const(0.0), log(q(1))))

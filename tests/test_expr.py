@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from herglotz.expr import (
     merge_params, parse, solve_cramer, substitute, unparse,
 )
 from herglotz import expr as ex
+from herglotz.lagrangian import herglotz_field
+
+from conftest import dense_lagrangian
 
 
 def pt(q, v, z):
@@ -308,17 +312,56 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def reference_evaluate(e, point, params):
+    """Plain recursive tree walk without sharing: every occurrence of a
+    subtree is computed again, in the post-order evaluate follows."""
+    flat, n = point.coords().tolist(), point.n
+
+    def ev(node):
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Coord):
+            return flat[ex._slot(node, n)]
+        if isinstance(node, Param):
+            return ex._param_value(node, params)
+        if isinstance(node, Call):
+            args, apply = (ev(node.arg),), ex._APPLY[node.fn]
+        elif isinstance(node, IntPow):
+            args, apply = (ev(node.base),), lambda x: x ** node.exponent
+        else:
+            args, apply = (ev(node.lhs), ev(node.rhs)), BINARY[node.op]
+        try:
+            return apply(*args)
+        except ex._FLOAT_ERRORS as exc:
+            raise ex._domain_error(exc, node) from None
+
+    return ev(e)
+
+
+# evaluate's memo is keyed by node identity: these shapes reach one subtree
+# object more than once
+DAG_SHAPES = {
+    "tree": lambda e: e,
+    "derivative": lambda e: differentiate(e, "q1"),
+    "doubled": lambda e: ex.add(e, e),
+    "signed square": lambda e: ex.mul(e, ex.neg(e)),
+}
+
+
 @settings(max_examples=300, deadline=None)
-@given(e=expr_strategy(), chain=st.booleans(),
+@given(e=expr_strategy(), shape=st.sampled_from(sorted(DAG_SHAPES)),
        flat=st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5, 800.0, 1e200]),
                      min_size=5, max_size=5))
-def test_executors_agree_on_values_and_errors(e, chain, flat):
-    if chain:
-        e = differentiate(e, "q1")   # derivatives share subtree objects
+def test_executors_agree_on_values_and_errors(e, shape, flat):
+    e = DAG_SHAPES[shape](e)
     assert parse(unparse(e), n=2) == e
     params = {"gam": 0.7, "m_0": -1.5}
     point = StatePoint.from_coords(flat, 2)
     scalar = _outcome(lambda: evaluate(e, point, params))
+    assert _outcome(lambda: reference_evaluate(e, point, params)) == scalar
     compiled = _outcome(lambda: compile_components([e], 2, params)(point.coords())[0])
     assert compiled == scalar
     many = _outcome(lambda: evaluate_many(
@@ -403,3 +446,77 @@ def test_solve_cramer_against_numpy():
 def test_coords_order():
     cs = coords(2)
     assert [unparse(c) for c in cs] == ["q1", "q2", "v1", "v2", "z"]
+
+
+def cofactor_det(matrix):
+    """Reference determinant: top-row cofactor expansion that rebuilds every
+    minor from scratch."""
+    m = len(matrix)
+    if m == 0:
+        return Const(1.0)
+    if m == 1:
+        return matrix[0][0]
+    if m == 2:
+        (a, b), (c, d) = matrix
+        return ex.sub(ex.mul(a, d), ex.mul(b, c))
+    total = Const(0.0)
+    for j in range(m):
+        minor = [[row[k] for k in range(m) if k != j] for row in matrix[1:]]
+        term = ex.mul(matrix[0][j], cofactor_det(minor))
+        total = ex.add(total, term) if j % 2 == 0 else ex.sub(total, term)
+    return total
+
+
+def cofactor_solve(matrix, rhs):
+    m = len(matrix)
+    d = cofactor_det(matrix)
+    return [ex.div(cofactor_det([[rhs[i] if k == j else matrix[i][k] for k in range(m)]
+                                 for i in range(m)]), d)
+            for j in range(m)], d
+
+
+def random_entry(rng):
+    kind = int(rng.integers(6))
+    leaf = [Coord("q", 1), Coord("v", 2), Coord("z"), Param("gam")][int(rng.integers(4))]
+    return [Const(0.0), Const(1.0), Const(round(float(rng.uniform(-2, 2)), 3)),
+            leaf, ex.mul(Const(0.5), leaf), ex.sin(leaf)][kind]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_shared_minors_build_the_cofactor_trees(m):
+    # sharing minors changes object identity only, so values stay bit-identical
+    rng = np.random.default_rng(100 + m)
+    for _ in range(5):
+        mat = [[random_entry(rng) for _ in range(m)] for _ in range(m)]
+        rhs = [random_entry(rng) for _ in range(m)]
+        assert det_expr(mat) == cofactor_det(mat)
+        assert solve_cramer(mat, rhs) == cofactor_solve(mat, rhs)
+
+
+def node_objects(e):
+    """Distinct node objects reachable from e."""
+    seen, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, f) for f in ("arg", "lhs", "rhs", "base")
+                         if hasattr(node, f))
+    return len(seen)
+
+
+def test_dense_accelerations_share_their_minors():
+    # the 6 x 6 Cramer solve of the dense family expands into 118987 tree
+    # nodes; shared minors leave 1223 distinct node objects
+    a1 = herglotz_field(dense_lagrangian(6)).components[6]
+    assert node_objects(a1) <= 1500
+
+
+def test_evaluate_computes_a_shared_node_once(monkeypatch):
+    calls = []
+    monkeypatch.setitem(ex._APPLY, "sin", lambda x: calls.append(x) or math.sin(x))
+    e = ex.sin(Coord("q", 1))
+    for _ in range(20):
+        e = ex.add(e, e)
+    assert evaluate(e, pt(0.3, 0.0, 0.0)) == 2.0**20 * math.sin(0.3)
+    assert calls == [0.3]

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+import sympy
 
 from herglotz.contact import hamiltonian_field
-from herglotz.expr import Const, evaluate, parse
+from herglotz.expr import Const, evaluate, parse, unparse
 from herglotz.lagrangian import (
     ContactLagrangianSystem, SingularLagrangianError, as_hamiltonian, energy,
     herglotz_accelerations, herglotz_field, herglotz_residual, lagrangian_form,
     regularity,
 )
 
-from conftest import pt, random_points, random_regular_lagrangian
+from conftest import dense_lagrangian, pt, random_points, random_regular_lagrangian
 
 
 DAMPED = ContactLagrangianSystem(1, parse("0.5*v1^2 - gam*z", 1), {"gam": 0.1})
@@ -133,6 +134,37 @@ def test_herglotz_matches_contact_solver_on_random_lagrangians(rng):
                 sym = xi.values(p, sys.params)
                 num = hamiltonian_field(ham, p)
                 np.testing.assert_allclose(sym, num, atol=1e-8)
+
+
+def sympy_acceleration_system(sys):
+    """(W, rhs) at a point from sympy's derivatives of L, by the Herglotz
+    equation d/dt(dL/dv_i) - dL/dq_i = (dL/dz)(dL/dv_i) along a second
+    order curve with zdot = L."""
+    n = sys.n_dim
+    qs, vs = sympy.symbols(f"q1:{n + 1}"), sympy.symbols(f"v1:{n + 1}")
+    zs = sympy.Symbol("z")
+    L = sympy.sympify(unparse(sys.L).replace("^", "**")).subs(
+        {sympy.Symbol(k): val for k, val in sys.params.items()})
+    dv = [sympy.diff(L, vi) for vi in vs]
+    W = [[sympy.diff(dv[i], vj) for vj in vs] for i in range(n)]
+    rhs = [sympy.diff(L, qs[i]) + sympy.diff(L, zs) * dv[i]
+           - sum(sympy.diff(dv[i], qj) * vj for qj, vj in zip(qs, vs))
+           - sympy.diff(dv[i], zs) * L for i in range(n)]
+    return sympy.lambdify([*qs, *vs, zs], (W, rhs), "math")
+
+
+@pytest.mark.parametrize("family, n", [("random", 1), ("random", 2), ("random", 3),
+                                       ("dense", 2), ("dense", 3), ("dense", 4)])
+def test_herglotz_accelerations_match_sympy(family, n):
+    rng = np.random.default_rng(500 + n)
+    sys = random_regular_lagrangian(rng, n) if family == "random" else dense_lagrangian(n)
+    accels = herglotz_field(sys).components[n:2 * n]
+    system_at = sympy_acceleration_system(sys)
+    for p in random_points(rng, n, 5):
+        W, rhs = system_at(*p.coords())
+        expected = np.linalg.solve(np.array(W, dtype=float), np.array(rhs, dtype=float))
+        got = [evaluate(a, p, sys.params) for a in accels]
+        np.testing.assert_allclose(got, expected, rtol=1e-10)
 
 
 def test_herglotz_accelerations_singular_error():
