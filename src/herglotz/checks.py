@@ -53,8 +53,15 @@ DET_TOL = 1e-10
 ZERO_TOL = 1e-8
 # Indices with |E_i| at or below this are left out of the D_i/E_i ratio tests.
 RATIO_EXCLUDE = 1e-6
-# Relative residual admitted when verifying the stacked contact solves.
+# Relative residual admitted in the stacked contact solves and energy pairing.
 SOLVE_TOL = 1e-10
+# The contact condition fails where the smallest/largest singular value ratio
+# of the stacked system [d(eta); eta] is at or below this.
+CONTACT_TOL = 1e-10
+# W^zeta counts as not symmetric above this relative asymmetry.
+SYMMETRY_TOL = 1e-9
+# The zeta-Legendre pullback identity is violated above this residual.
+PULLBACK_TOL = 1e-8
 # Points with |H| at or below this are left out of conformal factor estimation.
 ESTIMATE_TOL = 1e-8
 

@@ -41,7 +41,7 @@ from .equivalence import (
     strong_equivalence_check, zero_set_diagnostic,
 )
 from .expr import (
-    Expr, Param, ParseError, StatePoint, coords, evaluate, max_coord_index,
+    Expr, Param, ParseError, StatePoint, coords, evaluate_all, max_coord_index,
     merge_params, parse, substitute, unparse, z,
 )
 from .extended import (
@@ -458,12 +458,12 @@ def _task_simulate(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     exprs = [_parse_expr(t, n, "args.accel_residual") for t in resid_texts]
     if exprs and len(exprs) != n:
         raise ConfigError(f"need {n} acceleration expressions", "args.accel_residual")
-    accel_comps = field_obj.components[n:2 * n]
+    pairs = [e for pair in zip(field_obj.components[n:2 * n], exprs) for e in pair]
 
     def defects(state):
-        return {f"acceleration_defect_{i + 1}":
-                abs(evaluate(accel_comps[i], state, params)
-                    - evaluate(exprs[i], state, params)) for i in range(n)}
+        vals = evaluate_all(pairs, state, params)
+        return {f"acceleration_defect_{i + 1}": abs(vals[2 * i] - vals[2 * i + 1])
+                for i in range(n)}
 
     if exprs:
         states = list(traj.states())
@@ -506,12 +506,13 @@ def _task_stationarity(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
 
 # command -> (runner, argparse flags).  A runner takes (cfg, args, out_stem),
 # where out_stem is the output path without extension, and returns the
-# report together with the extra files it wrote.
+# report together with the extra files it wrote.  Flags carry no type or
+# default: the runner converts, validates and defaults every run argument
+# (``_run_arg``), so a flag and a config value fail alike, at args.<key>.
 _REQUIRED = {"required": True}
 _TASKS = {
     "simulate": (_task_simulate, {
-        "system": _REQUIRED, "initial": {},
-        "t": {"type": float, "default": 1.0}, "dt": {"type": float, "default": 1e-3},
+        "system": _REQUIRED, "initial": {}, "t": {}, "dt": {},
         "accel_residual": {"action": "append"}}),
     "herglotz": (_task_herglotz, {"lagrangian": _REQUIRED, "zeta": {}}),
     "check-strong-eq": (partial(_task_check_eq, check=strong_equivalence_check), {
@@ -531,13 +532,9 @@ _TASKS = {
         "system": _REQUIRED, "system_b": _REQUIRED, "plan": {}}),
     "legendre": (_task_legendre, {"lagrangian": _REQUIRED, "zeta": {}, "plan": {}}),
     "stationarity": (_task_stationarity, {
-        "lagrangian": _REQUIRED, "initial": {},
-        "grid": {"type": int, "default": 200},
-        "perturbations": {"type": int, "default": 8},
-        "amplitude": {"type": float, "default": 1e-4},
-        "stat_tol": {"type": float, "default": 1e-3},
-        "random_curve": {"action": "store_true"},
-        "curve_seed": {"type": int, "default": 0}}),
+        "lagrangian": _REQUIRED, "initial": {}, "grid": {}, "perturbations": {},
+        "amplitude": {}, "stat_tol": {}, "random_curve": {"action": "store_true"},
+        "curve_seed": {}}),
 }
 
 

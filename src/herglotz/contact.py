@@ -21,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import SOLVE_TOL
+from .checks import CONTACT_TOL, SOLVE_TOL
 from .expr import (
-    Const, Expr, ParamSet, StatePoint, add, coords, differentiate, evaluate,
+    Const, Expr, ParamSet, StatePoint, add, coords, differentiate, evaluate_all,
     gradient, mul, neg, unparse, v,
 )
 
@@ -63,7 +63,7 @@ class CoordOneForm:
                 f"one-form on n={self.n_dim} needs {2 * self.n_dim + 1} components")
 
     def values(self, p: StatePoint, params: ParamSet | None = None) -> np.ndarray:
-        return np.array([evaluate(c, p, params) for c in self.components])
+        return np.array(evaluate_all(self.components, p, params))
 
     def pairing(self, field: "CoordVectorField") -> Expr:
         """alpha(X) as a symbolic expression."""
@@ -89,7 +89,7 @@ class CoordVectorField:
                 f"vector field on n={self.n_dim} needs {2 * self.n_dim + 1} components")
 
     def values(self, p: StatePoint, params: ParamSet | None = None) -> np.ndarray:
-        return np.array([evaluate(c, p, params) for c in self.components])
+        return np.array(evaluate_all(self.components, p, params))
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative X(f) as a symbolic expression."""
@@ -119,10 +119,10 @@ class ContactHamiltonianSystem:
 
 
 @lru_cache(maxsize=None)
-def _component_jacobian(form: CoordOneForm) -> tuple[tuple[Expr, ...], ...]:
-    cs = coords(form.n_dim)
-    return tuple(tuple(differentiate(comp, c) for comp in form.components)
-                 for c in cs)
+def _component_jacobian(form: CoordOneForm) -> tuple[Expr, ...]:
+    """d(alpha_b)/dx^a, row-major in (a, b)."""
+    return tuple(differentiate(comp, c) for c in coords(form.n_dim)
+                 for comp in form.components)
 
 
 def exterior_derivative(alpha: CoordOneForm, p: StatePoint,
@@ -131,12 +131,8 @@ def exterior_derivative(alpha: CoordOneForm, p: StatePoint,
 
     Antisymmetry is enforced structurally (upper triangle mirrored).
     """
-    jac_exprs = _component_jacobian(alpha)
     d = 2 * alpha.n_dim + 1
-    jac = np.empty((d, d))
-    for a in range(d):
-        for b in range(d):
-            jac[a, b] = evaluate(jac_exprs[a][b], p, params)
+    jac = np.array(evaluate_all(_component_jacobian(alpha), p, params)).reshape(d, d)
     m = np.zeros((d, d))
     for a in range(d):
         for b in range(a + 1, d):
@@ -158,11 +154,12 @@ def _stacked_system(sys: ContactHamiltonianSystem, p: StatePoint
 
 def contact_condition(sys: ContactHamiltonianSystem, p: StatePoint
                       ) -> tuple[bool, float]:
-    """Numeric contact check at p: smallest/largest singular value ratio."""
+    """Numeric contact check at p: smallest/largest singular value ratio,
+    which must exceed CONTACT_TOL."""
     matrix, _, _ = _stacked_system(sys, p)
     svals = np.linalg.svd(matrix, compute_uv=False)
     ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0
-    return ratio > 1e-10, ratio
+    return ratio > CONTACT_TOL, ratio
 
 
 def _lstsq_checked(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -179,7 +176,7 @@ def _reeb(matrix: np.ndarray) -> np.ndarray:
     """Reeb vector of a stacked system, after the regularity test that every
     later solve with the same matrix relies on."""
     svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] / svals[0] <= 1e-10:
+    if svals[0] == 0.0 or svals[-1] / svals[0] <= CONTACT_TOL:
         raise ContactConditionError(
             "reeb_field: stacked system is singular (contact condition fails)")
     rhs = np.zeros(matrix.shape[0])
@@ -197,17 +194,16 @@ def hamiltonian_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarra
     """Hamiltonian vector at p from the defining equations.
 
     Solves i_X d(eta) = dH - (RH) eta and eta(X) = -H, then verifies the
-    energy pairing |eta(X) + H| <= 1e-10 (1 + |H|).
+    energy pairing |eta(X) + H| <= SOLVE_TOL (1 + |H|).
     """
     matrix, _, eta_p = _stacked_system(sys, p)
-    n = sys.n_dim
-    grad_h = np.array([evaluate(g, p, sys.params) for g in gradient(sys.H, n)])
-    h_val = evaluate(sys.H, p, sys.params)
+    *grad_h, h_val = evaluate_all((*gradient(sys.H, sys.n_dim), sys.H), p, sys.params)
+    grad_h = np.array(grad_h)
     rh = float(_reeb(matrix) @ grad_h)
     rhs = np.append(grad_h - rh * eta_p, -h_val)
     x = _lstsq_checked(matrix, rhs, "hamiltonian_field")
     pairing = float(eta_p @ x)
-    if abs(pairing + h_val) > 1e-10 * (1.0 + abs(h_val)):
+    if abs(pairing + h_val) > SOLVE_TOL * (1.0 + abs(h_val)):
         raise ContactConditionError(
             f"hamiltonian_field: energy pairing violated by {abs(pairing + h_val):.3e}")
     return x
@@ -217,12 +213,10 @@ def lie_derivative_form(alpha: CoordOneForm, X: CoordVectorField, p: StatePoint,
                         params: ParamSet | None = None) -> np.ndarray:
     """(L_X alpha) at p via the Cartan formula i_X d(alpha) + d(alpha(X))."""
     deta = exterior_derivative(alpha, p, params)
-    x_p = X.values(p, params)
-    contraction = deta.T @ x_p
-    pairing = alpha.pairing(X)
-    d_pairing = np.array([evaluate(g, p, params)
-                          for g in gradient(pairing, alpha.n_dim)])
-    return contraction + d_pairing
+    d = 2 * alpha.n_dim + 1
+    values = evaluate_all((*X.components, *gradient(alpha.pairing(X), alpha.n_dim)),
+                          p, params)
+    return deta.T @ np.array(values[:d]) + np.array(values[d:])
 
 
 def conformal_factor(alpha: CoordOneForm, X: CoordVectorField, p: StatePoint,

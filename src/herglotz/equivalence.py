@@ -21,7 +21,8 @@ from .contact import (
     hamiltonian_field,
 )
 from .expr import (
-    Expr, StatePoint, differentiate, evaluate, merge_params, q, sub, v, z,
+    Expr, StatePoint, differentiate, evaluate, evaluate_all, merge_params, q,
+    sub, v, z,
 )
 from .extended import (
     ActionFunction, ExtendedLagrangianSystem, compose_with_zeta,
@@ -44,8 +45,8 @@ def extended_sode_check(X: CoordVectorField, points: list[StatePoint],
                         tol: Tolerances | None = None) -> CheckReport:
     """Second order condition: the q-components of X equal the velocities."""
     def values(p):
-        return {"sode_defect": max(abs(evaluate(X.components[i], p, params) - p.v[i])
-                                   for i in range(X.n_dim))}
+        q_rates = evaluate_all(X.components[:X.n_dim], p, params)
+        return {"sode_defect": max(abs(r - v_i) for r, v_i in zip(q_rates, p.v))}
     return run_check(X.n_dim, values, tol=tol, points=points)
 
 
@@ -164,17 +165,16 @@ def horizontal_similarity_check(xi: CoordVectorField, xi_bar: CoordVectorField,
     """
     n = xi.n_dim
     merged = merge_params(params or {}, zeta.params)
-    xi_zeta = xi.apply(zeta.zeta)
+    # pairs (a_i, a_bar_i o phi), then (b_bar o phi, xi(zeta))
+    exprs = [e for i in range(n) for e in (
+        xi.components[n + i], compose_with_zeta(xi_bar.components[n + i], zeta))]
+    exprs += [compose_with_zeta(xi_bar.components[2 * n], zeta), xi.apply(zeta.zeta)]
 
     def values(p):
-        out: dict[str, float] = {}
-        for i in range(n):
-            a_i = evaluate(xi.components[n + i], p, merged)
-            a_bar = evaluate(compose_with_zeta(xi_bar.components[n + i], zeta),
-                             p, merged)
-            out[f"acceleration_defect_{i + 1}"] = abs(a_i - a_bar)
-        b_bar = evaluate(compose_with_zeta(xi_bar.components[2 * n], zeta), p, merged)
-        out["action_rate_defect"] = abs(evaluate(xi_zeta, p, merged) - b_bar)
+        vals = evaluate_all(exprs, p, merged)
+        out = {f"acceleration_defect_{i + 1}": abs(vals[2 * i] - vals[2 * i + 1])
+               for i in range(n)}
+        out["action_rate_defect"] = abs(vals[2 * n + 1] - vals[2 * n])
         return out
 
     return run_check(
@@ -192,8 +192,8 @@ def projectability_check(xi: CoordVectorField,
     dz_exprs = [differentiate(xi.components[n + i], z()) for i in range(n)]
 
     def values(p):
-        return {f"dz_dependence_{i + 1}": abs(evaluate(dz_exprs[i], p, params))
-                for i in range(n)}
+        return {f"dz_dependence_{i + 1}": abs(x)
+                for i, x in enumerate(evaluate_all(dz_exprs, p, params))}
 
     return run_check(n, values, plan, tol,
                      precheck=_second_order_precheck({"input": xi}, params, tol))
@@ -231,21 +231,22 @@ def strong_equivalence_check(sys: ContactLagrangianSystem,
     transported: Expr = sys.L * dzeta_dz
     for i in range(1, n + 1):
         transported = transported + v(i) * differentiate(zeta.zeta, q(i))
+    d = 2 * n + 1
+    exprs = (*(differentiate(zeta.zeta, v(i)) for i in range(1, n + 1)),
+             transported, lbar_base, dzeta_dz, *eta_l.components, *eta_bar.components)
 
     def values(p):
         _require_regular(sys, ext, p, det_tol, "regularity failure")
-        out = {}
-        out["velocity_dependence"] = max(
-            abs(evaluate(differentiate(zeta.zeta, v(i)), p, merged))
-            for i in range(1, n + 1))
-        out["lagrangian_defect"] = abs(
-            evaluate(transported, p, merged) - evaluate(lbar_base, p, merged))
-        factor = evaluate(dzeta_dz, p, merged)
-        eta_l_vals = eta_l.values(p, merged)
-        eta_bar_vals = eta_bar.values(p, merged)
-        out["form_conformal_defect"] = float(
-            np.max(np.abs(eta_bar_vals - factor * eta_l_vals)))
-        return out
+        vals = evaluate_all(exprs, p, merged)
+        transported_val, lbar_val, factor = vals[n:n + 3]
+        eta_l_vals = np.array(vals[n + 3:n + 3 + d])
+        eta_bar_vals = np.array(vals[n + 3 + d:])
+        return {
+            "velocity_dependence": max(abs(x) for x in vals[:n]),
+            "lagrangian_defect": abs(transported_val - lbar_val),
+            "form_conformal_defect": float(
+                np.max(np.abs(eta_bar_vals - factor * eta_l_vals))),
+        }
 
     return run_check(n, values, plan, tol,
                      predicate=lambda p: zeta.frame_ok(p, merged))
@@ -274,15 +275,18 @@ def general_equivalence_check(sys: ContactLagrangianSystem,
     l_condition = sub(lbar_base, xi_l.apply(zeta.zeta))
     p_conditions = herglotz_defects(xi_l, lbar_base, zeta.zeta, n)
     xi_bar = zeta_herglotz_field(ext)
+    # l_condition, the n p_conditions, then pairs of field components
+    exprs = [l_condition, *p_conditions, *(e for pair in zip(
+        xi_l.components, xi_bar.components) for e in pair)]
 
     def values(p):
         _require_regular(sys, ext, p, det_tol, "zeta-regularity violated")
-        out = {"L_condition": abs(evaluate(l_condition, p, merged))}
+        vals = evaluate_all(exprs, p, merged)
+        out = {"L_condition": abs(vals[0])}
         for i in range(n):
-            out[f"p_condition_{i + 1}"] = abs(evaluate(p_conditions[i], p, merged))
-        out["field_mismatch"] = max(
-            abs(evaluate(a, p, merged) - evaluate(b, p, merged))
-            for a, b in zip(xi_l.components, xi_bar.components))
+            out[f"p_condition_{i + 1}"] = abs(vals[1 + i])
+        pairs = vals[n + 1:]
+        out["field_mismatch"] = max(abs(a - b) for a, b in zip(pairs[::2], pairs[1::2]))
         return out
 
     return run_check(n, values, plan, tol,

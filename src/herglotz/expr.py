@@ -4,11 +4,11 @@ Every scalar field in this package (Lagrangians, Hamiltonians, action
 functions, form and vector-field components) is an immutable ``Expr`` tree
 over the coordinates ``q1..qn``, ``v1..vn``, ``z`` and named parameters.
 The module provides parsing, canonical printing, exact symbolic
-differentiation, substitution, evaluation (a tree walk, or compiled
-straight-line code for lists of expressions evaluated many times) and
-first/second derivative jets.  Only light simplification is performed on
-construction (constant folding, 0/1 elimination); there is no attempt at
-canonical forms.
+differentiation, substitution, evaluation (:func:`evaluate_all` walks the
+expressions needed at one point in one pass; compiled straight-line code
+serves lists of expressions evaluated many times) and first/second
+derivative jets.  Only light simplification is performed on construction
+(constant folding, 0/1 elimination); there is no attempt at canonical forms.
 
 Grammar accepted by :func:`parse` (whitespace insignificant, numbers are
 decimal with an optional exponent)::
@@ -37,7 +37,7 @@ __all__ = [
     "StatePoint", "ParamSet",
     "ExprError", "ParseError", "EvalError", "UnboundParameterError", "DomainError",
     "parse", "unparse", "differentiate", "substitute", "depends_on",
-    "evaluate", "evaluate_many", "eval_jet2", "gradient", "hessian",
+    "evaluate", "evaluate_all", "evaluate_many", "eval_jet2", "gradient", "hessian",
     "compile_components",
     "coords", "coord", "q", "v", "z", "param", "const",
     "add", "sub", "mul", "div", "neg", "intpow",
@@ -668,9 +668,9 @@ def merge_params(*param_sets: ParamSet) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one semantics, two executors.  ``evaluate`` walks the tree;
-# ``compile_components`` generates one statement per distinct subtree in the
-# same post-order.  Both compute in Python floats, read leaves through
+# Evaluation: one semantics, two executors.  ``evaluate_all`` walks the
+# trees; ``compile_components`` generates one statement per distinct subtree
+# in the same post-order.  Both compute in Python floats, read leaves through
 # ``_slot`` and ``_param_value``, and turn a float exception into a
 # DomainError through ``_FAILURES``, so values and errors agree bit for bit.
 
@@ -712,12 +712,16 @@ def _param_value(p: Param, params: ParamSet) -> float:
         raise UnboundParameterError(f"unbound parameter {p.name!r}") from None
 
 
-def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> float:
-    """IEEE-double evaluation; domain errors name the offending subtree.
+def evaluate_all(exprs: Sequence[Expr], point: StatePoint,
+                 params: ParamSet | None = None) -> tuple[float, ...]:
+    """IEEE-double values of several expressions at one point, in order.
 
-    A compound node object reached more than once (shared subtrees, as in
-    derivatives and Cramer solves) is computed once per call.
+    One walk serves the whole sequence: a compound node object reached more
+    than once (shared subtrees, as in derivatives, Cramer solves and the
+    entries of one residual set) is computed once per call.  The first
+    expression that fails raises a DomainError naming the failing subtree.
     """
+    exprs = tuple(exprs)   # keeps every node alive, so no id is reused
     params = params or {}
     flat, n = point._flat, point.n
     memo: dict[int, float] = {}
@@ -765,11 +769,16 @@ def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> floa
         return value
 
     try:
-        return ev(e)
+        return tuple(map(ev, exprs))
     finally:
         # ev reaches itself through its closure; breaking that cycle frees
         # the memo on return instead of at the next garbage collection
         del ev
+
+
+def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> float:
+    """:func:`evaluate_all` of the one expression ``e``."""
+    return evaluate_all((e,), point, params)[0]
 
 
 def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
@@ -838,16 +847,12 @@ def evaluate_many(e: Expr, Q: np.ndarray, V: np.ndarray, Z: np.ndarray,
     """Evaluation over m points; Q and V are (m, n), Z is (m,).
 
     Row k equals :func:`evaluate` at point k, and the first failing row
-    raises its DomainError.  A non-finite value in any row raises a
-    DomainError for the whole batch.
+    raises its DomainError.
     """
     Q = np.asarray(Q, dtype=float)
     program = compile_components([e], Q.shape[1], params)
-    out = np.array([program(y)[0] for y in np.column_stack([Q, V, Z]).tolist()],
-                   dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise DomainError(f"non-finite result evaluating {unparse(e)}")
-    return out
+    return np.array([program(y)[0] for y in np.column_stack([Q, V, Z]).tolist()],
+                    dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -879,12 +884,12 @@ def eval_jet2(e: Expr, point: StatePoint, params: ParamSet | None = None
               ) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient and Hessian at a point, all by symbolic differentiation.
 
-    One compiled program computes the whole jet, so the mirrored Hessian
-    entries are one statement and the Hessian is exactly symmetric.
+    One walk computes the whole jet; the mirrored Hessian entries are one
+    object, so they get one value and the Hessian is exactly symmetric.
     """
     n, d = point.n, 2 * point.n + 1
     jet = [e, *gradient(e, n), *(h for row in hessian(e, n) for h in row)]
-    values = compile_components(jet, n, params)(point._flat)
+    values = evaluate_all(jet, point, params)
     return values[0], np.array(values[1:d + 1]), np.array(values[d + 1:]).reshape(d, d)
 
 

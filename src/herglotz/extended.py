@@ -26,12 +26,12 @@ from typing import Union
 
 import numpy as np
 
-from .checks import DET_TOL, FRAME_TOL
+from .checks import DET_TOL, FRAME_TOL, PULLBACK_TOL, SYMMETRY_TOL
 from .contact import CoordOneForm, CoordVectorField
 from .expr import (
     Const, Coord, Expr, ParamSet, StatePoint, add, coord, coords, depends_on,
-    differentiate, div, evaluate, merge_params, mul, q, sub, substitute,
-    solve_cramer, v, z,
+    differentiate, div, evaluate, evaluate_all, merge_params, mul, q, sub,
+    substitute, solve_cramer, v, z,
 )
 
 __all__ = [
@@ -124,12 +124,10 @@ def zeta_frame(zeta: ActionFunction, p: StatePoint, n: int,
     dz_val = evaluate(zeta.dz, p, params)
     if abs(dz_val) <= FRAME_TOL:
         raise FrameError(f"dzeta/dz = {dz_val:.3e} at {p}")
-    d = 2 * n + 1
-    frame = np.zeros((d, d))
-    for col, c in enumerate(coords(n)[:-1]):
-        frame[col, col] = 1.0
-        frame[d - 1, col] = -evaluate(differentiate(zeta.zeta, c), p, params) / dz_val
-    frame[d - 1, d - 1] = 1.0 / dz_val
+    partials = evaluate_all([differentiate(zeta.zeta, c) for c in coords(n)[:-1]],
+                            p, params)
+    frame = np.identity(2 * n + 1)
+    frame[-1] = [*(-x / dz_val for x in partials), 1.0 / dz_val]
     return frame
 
 
@@ -157,18 +155,19 @@ def extended_lagrangian_form(sys: ExtendedLagrangianSystem) -> CoordOneForm:
 
 
 def zeta_hessian(sys: ExtendedLagrangianSystem, p: StatePoint) -> np.ndarray:
-    exprs = _zeta_hessian_exprs(sys.L, sys.zeta.zeta, sys.n_dim)
-    params = sys.all_params
-    return np.array([[evaluate(e, p, params) for e in row] for row in exprs])
+    n = sys.n_dim
+    entries = [e for row in _zeta_hessian_exprs(sys.L, sys.zeta.zeta, n) for e in row]
+    return np.array(evaluate_all(entries, p, sys.all_params)).reshape(n, n)
 
 
 def zeta_regularity(sys: ExtendedLagrangianSystem, p: StatePoint
                     ) -> tuple[float, bool]:
-    """det W^zeta at p (W^zeta built by applying the frame derivative twice)."""
+    """det W^zeta at p (W^zeta built by applying the frame derivative twice);
+    a relative asymmetry above SYMMETRY_TOL raises."""
     if not sys.zeta.frame_ok(p, sys.params):
         raise FrameError(f"dzeta/dz vanishes at {p}")
     w = zeta_hessian(sys, p)
-    if w.size and np.max(np.abs(w - w.T)) > 1e-9 * (1.0 + np.max(np.abs(w))):
+    if w.size and np.max(np.abs(w - w.T)) > SYMMETRY_TOL * (1.0 + np.max(np.abs(w))):
         raise SingularZetaError(f"W^zeta not symmetric at {p}: {w}")
     det = float(np.linalg.det(w))
     return det, abs(det) > DET_TOL
@@ -248,20 +247,19 @@ def zeta_legendre(sys: ExtendedLagrangianSystem, p: StatePoint
     """Fiber derivative in the zeta-chart: (q, p^zeta_i, zeta value).
 
     The transform is a strict similarity onto (d(zeta~) - p_i dq^i); the
-    pullback identity is checked at p and a residual above 1e-8 raises.
+    pullback identity is checked at p and a residual above PULLBACK_TOL raises.
     """
     det, ok = zeta_regularity(sys, p)
     if not ok:
         raise SingularZetaError(f"W^zeta singular at {p} (det {det:.3e})")
-    params = sys.all_params
-    momenta = np.array([evaluate(f, p, params)
-                        for f in _zeta_fibers(sys.L, sys.zeta.zeta, sys.n_dim)])
-    zeta_val = evaluate(sys.zeta.zeta, p, params)
+    *momenta, zeta_val = evaluate_all(
+        (*_zeta_fibers(sys.L, sys.zeta.zeta, sys.n_dim), sys.zeta.zeta),
+        p, sys.all_params)
     residual = legendre_pullback_residual(sys, p)
-    if residual > 1e-8:
+    if residual > PULLBACK_TOL:
         raise SingularZetaError(
             f"Legendre pullback identity violated at {p}: residual {residual:.3e}")
-    return p.q.copy(), momenta, zeta_val
+    return p.q.copy(), np.array(momenta), zeta_val
 
 
 def legendre_pullback_residual(sys: ExtendedLagrangianSystem, p: StatePoint) -> float:
@@ -272,7 +270,6 @@ def legendre_pullback_residual(sys: ExtendedLagrangianSystem, p: StatePoint) -> 
     is evaluated against eta^zeta_L componentwise.
     """
     n = sys.n_dim
-    params = sys.all_params
     zexpr = sys.zeta.zeta
     fibers = _zeta_fibers(sys.L, zexpr, n)
     pulled: list[Expr] = []
@@ -282,10 +279,9 @@ def legendre_pullback_residual(sys: ExtendedLagrangianSystem, p: StatePoint) -> 
             # dq^i/dx^a is 1 exactly when x^a = q^i
             term = sub(term, fibers[a])
         pulled.append(term)
-    eta = extended_lagrangian_form(sys)
-    vals = [abs(evaluate(pc, p, params) - evaluate(ec, p, params))
-            for pc, ec in zip(pulled, eta.components)]
-    return max(vals)
+    pairs = zip(pulled, extended_lagrangian_form(sys).components)
+    vals = evaluate_all([e for pair in pairs for e in pair], p, sys.all_params)
+    return max(abs(a - b) for a, b in zip(vals[::2], vals[1::2]))
 
 
 def compose_with_zeta(expr_in_zeta_chart: Expr, zeta: Union[ActionFunction, Expr]

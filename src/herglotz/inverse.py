@@ -25,8 +25,8 @@ from .checks import (
 )
 from .contact import CoordVectorField
 from .expr import (
-    Const, Expr, det_expr, differentiate, div, evaluate, merge_params, q, sub,
-    v, z,
+    Const, Expr, det_expr, differentiate, div, evaluate_all, merge_params, q,
+    sub, v, z,
 )
 from .extended import ActionFunction, _zeta_hessian_exprs, herglotz_defects
 
@@ -86,9 +86,8 @@ def naive_inverse_check(sode: SODESystem, plan: SamplePlan | None = None,
     hessian_det = det_expr(_zeta_hessian_exprs(b, z(), n))
 
     def values(p):
-        out = {f"herglotz_defect_{i + 1}": abs(evaluate(defects[i], p, sode.params))
-               for i in range(n)}
-        det = evaluate(hessian_det, p, sode.params)
+        *defect_vals, det = evaluate_all((*defects, hessian_det), p, sode.params)
+        out = {f"herglotz_defect_{i + 1}": abs(x) for i, x in enumerate(defect_vals)}
         out["regularity_defect"] = 0.0 if abs(det) > det_tol else 1.0
         out["hessian_det"] = det
         return out
@@ -135,8 +134,8 @@ def extended_inverse_check(sode: SODESystem, zeta: ActionFunction,
                              "requires zeta(q, z)")
 
     def values(p):
-        return {f"extended_defect_{i + 1}": abs(evaluate(defects[i], p, merged))
-                for i in range(n)}
+        return {f"extended_defect_{i + 1}": abs(x)
+                for i, x in enumerate(evaluate_all(defects, p, merged))}
 
     report = run_check(n, values, plan, tol,
                        predicate=lambda p: zeta.frame_ok(p, merged),
@@ -183,8 +182,8 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
 
     def values(p):
         nonlocal excluded
-        d_vals = [evaluate(d, p, sode.params) for d in d_exprs]
-        e_vals = [evaluate(e, p, sode.params) for e in e_exprs]
+        vals = evaluate_all((*d_exprs, *e_exprs), p, sode.params)
+        d_vals, e_vals = vals[:n], vals[n:]
         out: dict[str, float] = {}
         usable = []
         for i in range(n):
@@ -202,12 +201,10 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
             for b_idx in usable:
                 spread = max(spread, abs(ratios[a_idx] - ratios[b_idx]))
         out["ratio_spread"] = spread
-        grad_max = 0.0
-        for i in usable:
-            for k in range(n):
-                grad_max = max(grad_max,
-                               abs(evaluate(ratio_grads[i][k], p, sode.params)))
-        out["ratio_velocity_gradient"] = grad_max
+        # the ratio gradients of an excluded index may not evaluate (E_i can
+        # fold to 0), so only the usable ones are walked
+        grads = evaluate_all([g for i in usable for g in ratio_grads[i]], p, sode.params)
+        out["ratio_velocity_gradient"] = max([0.0, *map(abs, grads)])
         return out
 
     keys = tuple(f"zero_set_mismatch_{i + 1}" for i in range(n)) + \

@@ -21,11 +21,10 @@ import numpy as np
 
 from .checks import DET_TOL
 from .contact import ContactHamiltonianSystem, CoordOneForm, CoordVectorField
-from .expr import Expr, StatePoint, evaluate, z
+from .expr import Expr, StatePoint, evaluate_all, z
 from .extended import (
     ActionFunction, ExtendedLagrangianSystem, _zeta_acceleration_system,
-    _zeta_hessian_exprs, extended_lagrangian_form, zeta_energy,
-    zeta_herglotz_field,
+    extended_lagrangian_form, zeta_energy, zeta_herglotz_field, zeta_hessian,
 )
 
 __all__ = [
@@ -52,8 +51,7 @@ def _extended(sys: ContactLagrangianSystem) -> ExtendedLagrangianSystem:
 
 
 def velocity_hessian(sys: ContactLagrangianSystem, p: StatePoint) -> np.ndarray:
-    exprs = _zeta_hessian_exprs(sys.L, z(), sys.n_dim)
-    return np.array([[evaluate(e, p, sys.params) for e in row] for row in exprs])
+    return zeta_hessian(_extended(sys), p)
 
 
 def lagrangian_form(sys: ContactLagrangianSystem) -> CoordOneForm:
@@ -79,7 +77,7 @@ def herglotz_field(sys: ContactLagrangianSystem) -> CoordVectorField:
 
 def _acceleration_rhs_values(sys: ContactLagrangianSystem, p: StatePoint) -> np.ndarray:
     rhs, _ = _zeta_acceleration_system(sys.L, z(), sys.n_dim)
-    return np.array([evaluate(e, p, sys.params) for e in rhs])
+    return np.array(evaluate_all(rhs, p, sys.params))
 
 
 def herglotz_accelerations(sys: ContactLagrangianSystem, p: StatePoint) -> np.ndarray:

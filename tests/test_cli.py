@@ -305,8 +305,12 @@ def test_nonpositive_dt_is_config_error(tmp_path, capsys):
     ({"tasks": [{"command": "stationarity", "args": {
         "lagrangian": "linear_drag", "perturbations": 1.7}}]}, ["batch"],
      "perturbations"),
+    # a flag value is converted like a config value, not by argparse (exit 2)
+    (None, ["simulate", "--system", "parachute", "--initial", "0,2,0", "--t", "abc"],
+     "t"),
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--grid", "1.5"], "grid"),
 ], ids=["grid", "perturbations", "amplitude", "amplitude-inf", "config-task-t",
-        "config-task-fractional-perturbations"])
+        "config-task-fractional-perturbations", "flag-t", "flag-fractional-grid"])
 def test_bad_run_argument_is_config_error(config, argv, key, tmp_path, capsys):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"

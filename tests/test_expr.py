@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from herglotz.expr import (
     BinOp, Call, Const, Coord, DomainError, ExprError, IntPow, Param, ParseError,
     StatePoint, UnboundParameterError, compile_components, coords, det_expr,
-    differentiate, depends_on, eval_jet2, evaluate, evaluate_many,
+    differentiate, depends_on, eval_jet2, evaluate, evaluate_all, evaluate_many,
     merge_params, parse, solve_cramer, substitute, unparse,
 )
 from herglotz import expr as ex
@@ -312,6 +312,14 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
+def _outcomes(run):
+    """Several values as their reprs, or the error type and text."""
+    try:
+        return tuple(repr(float(x)) for x in run())
+    except ExprError as exc:
+        return type(exc), str(exc)
+
+
 BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
@@ -352,10 +360,11 @@ DAG_SHAPES = {
 
 
 @settings(max_examples=300, deadline=None)
-@given(e=expr_strategy(), shape=st.sampled_from(sorted(DAG_SHAPES)),
+@given(e=expr_strategy(), other=expr_strategy(),
+       shape=st.sampled_from(sorted(DAG_SHAPES)),
        flat=st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5, 800.0, 1e200]),
                      min_size=5, max_size=5))
-def test_executors_agree_on_values_and_errors(e, shape, flat):
+def test_executors_agree_on_values_and_errors(e, other, shape, flat):
     e = DAG_SHAPES[shape](e)
     assert parse(unparse(e), n=2) == e
     params = {"gam": 0.7, "m_0": -1.5}
@@ -366,10 +375,15 @@ def test_executors_agree_on_values_and_errors(e, shape, flat):
     assert compiled == scalar
     many = _outcome(lambda: evaluate_many(
         e, point.q[None], point.v[None], [point.z], params)[0])
-    if isinstance(scalar, str) and not math.isfinite(float(scalar)):
-        assert many == (DomainError, f"non-finite result evaluating {unparse(e)}")
-    else:
-        assert many == scalar
+    assert many == scalar
+    # several expressions sharing subtrees: the values of one walk each, or
+    # the error of the first expression that fails
+    exprs = [e, other, differentiate(e, "q1"), ex.sub(e, other), ex.mul(other, e)]
+    each = [_outcome(lambda x=x: evaluate(x, point, params)) for x in exprs]
+    expected = next((o for o in each if not isinstance(o, str)), tuple(each))
+    assert _outcomes(lambda: evaluate_all(exprs, point, params)) == expected
+    program = compile_components(exprs, 2, params)
+    assert _outcomes(lambda: program(point.coords())) == expected
 
 
 def test_unparse_examples():
@@ -519,4 +533,10 @@ def test_evaluate_computes_a_shared_node_once(monkeypatch):
     for _ in range(20):
         e = ex.add(e, e)
     assert evaluate(e, pt(0.3, 0.0, 0.0)) == 2.0**20 * math.sin(0.3)
+    assert calls == [0.3]
+    # one memo across the sequence: the second expression reuses the first's
+    calls.clear()
+    doubled = ex.add(e, e)
+    assert evaluate_all((e, doubled), pt(0.3, 0.0, 0.0)) == (
+        2.0**20 * math.sin(0.3), 2.0**21 * math.sin(0.3))
     assert calls == [0.3]
