@@ -8,7 +8,9 @@ defining linear systems
     i_X d(eta) = dH - (RH) eta,   eta(X) = -H,
 
 stacked into a (2n+2) x (2n+1) system and solved by least squares with a
-residual check.  The defining equations, not any printed coordinate
+residual check.  Each ``ContactHamiltonianSystem`` compiles its contact data
+(d(eta) Jacobian, eta, grad H, H) once, and reads its params at that time.
+The defining equations, not any printed coordinate
 shortcut, are the source of truth; in Darboux coordinates the solution
 agrees with X = dH/dp_i d/dq_i - (dH/dq_i + p_i dH/dz) d/dp_i +
 (p_i dH/dp_i - H) d/dz.
@@ -17,14 +19,14 @@ agrees with X = dH/dp_i d/dq_i - (dH/dq_i + p_i dH/dz) d/dp_i +
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .checks import CONTACT_TOL, SOLVE_TOL
 from .expr import (
-    Const, Expr, ParamSet, StatePoint, add, coords, differentiate, evaluate_all,
-    gradient, mul, neg, unparse, v,
+    Const, Expr, ParamSet, StatePoint, add, compile_components, coords,
+    differentiate, evaluate_all, gradient, mul, neg, unparse, v,
 )
 
 __all__ = [
@@ -108,6 +110,9 @@ def darboux_form(n: int) -> CoordOneForm:
 
 @dataclass(frozen=True)
 class ContactHamiltonianSystem:
+    """Contact form eta and Hamiltonian H.  ``params`` are read when the
+    contact data is first compiled; no code mutates them afterwards."""
+
     n_dim: int
     eta: CoordOneForm
     H: Expr
@@ -116,6 +121,18 @@ class ContactHamiltonianSystem:
     def __post_init__(self):
         if self.eta.n_dim != self.n_dim:
             raise GeometryError("form dimension does not match the system")
+
+    @cached_property
+    def _form_program(self):
+        """The d(eta) Jacobian entries, row-major, then the eta components."""
+        return compile_components((*_component_jacobian(self.eta), *self.eta.components),
+                                  self.n_dim, self.params)
+
+    @cached_property
+    def _energy_program(self):
+        """grad H, then H."""
+        return compile_components((*gradient(self.H, self.n_dim), self.H),
+                                  self.n_dim, self.params)
 
 
 @lru_cache(maxsize=None)
@@ -127,36 +144,36 @@ def _component_jacobian(form: CoordOneForm) -> tuple[Expr, ...]:
 
 def exterior_derivative(alpha: CoordOneForm, p: StatePoint,
                         params: ParamSet | None = None) -> np.ndarray:
-    """Matrix of d(alpha) at p: M[a][b] = d(alpha_b)/dx^a - d(alpha_a)/dx^b.
-
-    Antisymmetry is enforced structurally (upper triangle mirrored).
-    """
+    """Matrix of d(alpha) at p: M[a][b] = d(alpha_b)/dx^a - d(alpha_a)/dx^b."""
     d = 2 * alpha.n_dim + 1
-    jac = np.array(evaluate_all(_component_jacobian(alpha), p, params)).reshape(d, d)
-    m = np.zeros((d, d))
+    return _antisymmetrised(evaluate_all(_component_jacobian(alpha), p, params), d)
+
+
+def _antisymmetrised(jac: tuple[float, ...], d: int) -> np.ndarray:
+    """M[a][b] = J[a][b] - J[b][a] from the row-major values of J, upper
+    triangle mirrored: exactly antisymmetric, with an exact 0.0 diagonal."""
+    m = [[0.0] * d for _ in range(d)]
     for a in range(d):
         for b in range(a + 1, d):
-            entry = jac[a, b] - jac[b, a]
-            m[a, b] = entry
-            m[b, a] = -entry
-    return m
+            entry = jac[a * d + b] - jac[b * d + a]
+            m[a][b] = entry
+            m[b][a] = -entry
+    return np.array(m)
 
 
-def _stacked_system(sys: ContactHamiltonianSystem, p: StatePoint
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stacked_system(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
     """Rows (i_X d eta)^T over the coordinate basis, then the eta row."""
-    deta = exterior_derivative(sys.eta, p, sys.params)
-    eta_p = sys.eta.values(p, sys.params)
+    d = 2 * sys.n_dim + 1
+    values = sys._form_program(p._flat)
     # (i_X d eta)(d/dx^b) = sum_a X^a M[a][b], so the coefficient matrix is M^T
-    matrix = np.vstack([deta.T, eta_p])
-    return matrix, deta, eta_p
+    return np.vstack([_antisymmetrised(values[:d * d], d).T, values[d * d:]])
 
 
 def contact_condition(sys: ContactHamiltonianSystem, p: StatePoint
                       ) -> tuple[bool, float]:
     """Numeric contact check at p: smallest/largest singular value ratio,
     which must exceed CONTACT_TOL."""
-    matrix, _, _ = _stacked_system(sys, p)
+    matrix = _stacked_system(sys, p)
     svals = np.linalg.svd(matrix, compute_uv=False)
     ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0
     return ratio > CONTACT_TOL, ratio
@@ -186,8 +203,7 @@ def _reeb(matrix: np.ndarray) -> np.ndarray:
 
 def reeb_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
     """Reeb vector at p: the unique R with i_R d(eta) = 0 and eta(R) = 1."""
-    matrix, _, _ = _stacked_system(sys, p)
-    return _reeb(matrix)
+    return _reeb(_stacked_system(sys, p))
 
 
 def hamiltonian_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
@@ -196,8 +212,9 @@ def hamiltonian_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarra
     Solves i_X d(eta) = dH - (RH) eta and eta(X) = -H, then verifies the
     energy pairing |eta(X) + H| <= SOLVE_TOL (1 + |H|).
     """
-    matrix, _, eta_p = _stacked_system(sys, p)
-    *grad_h, h_val = evaluate_all((*gradient(sys.H, sys.n_dim), sys.H), p, sys.params)
+    matrix = _stacked_system(sys, p)
+    eta_p = matrix[-1]
+    *grad_h, h_val = sys._energy_program(p._flat)
     grad_h = np.array(grad_h)
     rh = float(_reeb(matrix) @ grad_h)
     rhs = np.append(grad_h - rh * eta_p, -h_val)

@@ -10,6 +10,10 @@ serves lists of expressions evaluated many times) and first/second
 derivative jets.  Only light simplification is performed on construction
 (constant folding, 0/1 elimination); there is no attempt at canonical forms.
 
+Nodes are immutable and slotted.  ``==`` is structural (same type and equal
+fields, so ``Const(0.0) == Const(-0.0)``), and a node stores its hash on
+first use, so a tree-keyed cache lookup costs O(1) once the tree is hashed.
+
 Grammar accepted by :func:`parse` (whitespace insignificant, numbers are
 decimal with an optional exponent)::
 
@@ -76,9 +80,40 @@ class DomainError(EvalError):
 # AST nodes
 
 
-@dataclass(frozen=True)
 class Expr:
-    """Base node. All nodes are immutable and safe to share."""
+    """Base node.  Nodes are immutable, slotted and safe to share.
+
+    ``==`` is structural: same type and equal fields, so ``Const(0.0) ==
+    Const(-0.0)``.  The hash is computed on first use and stored in the
+    node; compound nodes compare identity, then stored hashes, then fields.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self._key())
+            _set_hash(self, h)
+        return h
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -114,39 +149,115 @@ class Expr:
         return unparse(self)
 
 
-@dataclass(frozen=True)
+# Nodes set their fields through the slot descriptors, which bypass the
+# immutable __setattr__ and cost less than object.__setattr__.
+
+
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set_value(self, value)
+        _set_hash(self, None)
+
+    def _key(self):
+        return (self.value,)
 
 
-@dataclass(frozen=True)
 class Coord(Expr):
-    kind: str        # "q", "v" or "z"
-    index: int = 0   # 1-based for q/v, unused for z
+    __slots__ = ("kind", "index")   # "q", "v" or "z"; 1-based for q/v, 0 for z
+
+    def __init__(self, kind: str, index: int = 0):
+        _set_kind(self, kind)
+        _set_index(self, index)
+        _set_hash(self, None)
+
+    def _key(self):
+        return (self.kind, self.index)
 
 
-@dataclass(frozen=True)
 class Param(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_hash(self, None)
+
+    def _key(self):
+        return (self.name,)
 
 
-@dataclass(frozen=True)
-class Call(Expr):
-    fn: str          # one of FUNCTIONS or "neg"
-    arg: Expr
+class _Compound(Expr):
+    """A node with children.  A node proven equal to another remembers it
+    (``_twin``), so comparing two separately built DAGs costs their
+    distinct nodes, not their tree size.  A dict lookup calls the stored
+    key's ``__eq__`` with the probe, so the probe points at the cached node
+    and a cache keeps no extra tree alive."""
+
+    __slots__ = ("_twin",)
+
+    __hash__ = Expr.__hash__
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        if hash(self) != hash(other):
+            return False
+        if other._twin is self:
+            return True
+        if self._key() != other._key():
+            return False
+        _set_twin(other, self)
+        return True
 
 
-@dataclass(frozen=True)
-class BinOp(Expr):
-    op: str          # "+", "-", "*", "/"
-    lhs: Expr
-    rhs: Expr
+class Call(_Compound):
+    __slots__ = ("fn", "arg")       # fn: one of FUNCTIONS or "neg"
+
+    def __init__(self, fn: str, arg: Expr):
+        _set_fn(self, fn)
+        _set_arg(self, arg)
+        _set_hash(self, None)
+        _set_twin(self, None)
+
+    def _key(self):
+        return (self.fn, self.arg)
 
 
-@dataclass(frozen=True)
-class IntPow(Expr):
-    base: Expr
-    exponent: int
+class BinOp(_Compound):
+    __slots__ = ("op", "lhs", "rhs")  # op: "+", "-", "*", "/"
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+        _set_op(self, op)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_hash(self, None)
+        _set_twin(self, None)
+
+    def _key(self):
+        return (self.op, self.lhs, self.rhs)
+
+
+class IntPow(_Compound):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        _set_base(self, base)
+        _set_exponent(self, exponent)
+        _set_hash(self, None)
+        _set_twin(self, None)
+
+    def _key(self):
+        return (self.base, self.exponent)
+
+
+_set_hash, _set_twin = Expr._hash.__set__, _Compound._twin.__set__
+_set_value, _set_kind, _set_index = Const.value.__set__, Coord.kind.__set__, Coord.index.__set__
+_set_name, _set_fn, _set_arg = Param.name.__set__, Call.fn.__set__, Call.arg.__set__
+_set_op, _set_lhs, _set_rhs = BinOp.op.__set__, BinOp.lhs.__set__, BinOp.rhs.__set__
+_set_base, _set_exponent = IntPow.base.__set__, IntPow.exponent.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ pointwise obstruction diagnostics D_i / E_i provide necessary conditions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .checks import (
@@ -159,7 +160,9 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
     reports (i) zero-set mismatches between D_i and E_i, (ii) the pairwise
     spread of the ratios D_i/E_i, and (iii) the velocity gradient of each
     ratio, the last two only where |E_i| > 1e-6 (exclusion counts are
-    reported).  A clean report is necessary, not sufficient.
+    reported).  A non-finite D_i, E_i, ratio or ratio gradient ends the
+    check with an error naming the point and the key.  A clean report is
+    necessary, not sufficient.
     """
     n = sode.n_dim
     r = sode.z_rate
@@ -179,11 +182,19 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
     ratio_grads = [[differentiate(div(d_exprs[i], e_exprs[i]), v(k + 1))
                     for k in range(n)] for i in range(n)]
     excluded = 0
+    index = -1
+
+    def finite(key: str, value: float) -> float:
+        if not math.isfinite(value):
+            raise CheckAbort(f"non-finite value at point {index}: {key} = {value!r}")
+        return value
 
     def values(p):
-        nonlocal excluded
+        nonlocal excluded, index
+        index += 1
         vals = evaluate_all((*d_exprs, *e_exprs), p, sode.params)
-        d_vals, e_vals = vals[:n], vals[n:]
+        d_vals = [finite(f"D_{i + 1}", x) for i, x in enumerate(vals[:n])]
+        e_vals = [finite(f"E_{i + 1}", x) for i, x in enumerate(vals[n:])]
         out: dict[str, float] = {}
         usable = []
         for i in range(n):
@@ -195,16 +206,13 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
                 usable.append(i)
             else:
                 excluded += 1
-        spread = 0.0
-        ratios = {i: d_vals[i] / e_vals[i] for i in usable}
-        for a_idx in usable:
-            for b_idx in usable:
-                spread = max(spread, abs(ratios[a_idx] - ratios[b_idx]))
-        out["ratio_spread"] = spread
+        ratios = [finite(f"D_{i + 1}/E_{i + 1}", d_vals[i] / e_vals[i]) for i in usable]
+        out["ratio_spread"] = max(ratios) - min(ratios) if ratios else 0.0
         # the ratio gradients of an excluded index may not evaluate (E_i can
         # fold to 0), so only the usable ones are walked
         grads = evaluate_all([g for i in usable for g in ratio_grads[i]], p, sode.params)
-        out["ratio_velocity_gradient"] = max([0.0, *map(abs, grads)])
+        out["ratio_velocity_gradient"] = max(
+            (abs(finite("ratio_velocity_gradient", g)) for g in grads), default=0.0)
         return out
 
     keys = tuple(f"zero_set_mismatch_{i + 1}" for i in range(n)) + \

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+from herglotz import contact
+from herglotz.checks import CONTACT_TOL
 from herglotz.contact import (
     ContactConditionError, ContactHamiltonianSystem, CoordOneForm,
     CoordVectorField, conformal_factor, contact_condition, darboux_form,
     exterior_derivative, hamiltonian_field, lie_derivative_form, reeb_field,
 )
-from herglotz.expr import Const, evaluate, gradient, parse, q, v
+from herglotz.expr import (
+    Const, DomainError, evaluate, evaluate_all, gradient, mul, parse, q, v,
+)
+from herglotz.fixtures import builtin_systems
 from herglotz.lagrangian import (
     ContactLagrangianSystem, as_hamiltonian, energy, herglotz_field,
     lagrangian_form,
 )
 
-from conftest import pt, random_points, random_regular_lagrangian
+from conftest import dense_lagrangian, pt, random_points, random_regular_lagrangian
 
 
 def darboux_system(h_text, n=1, params=None):
@@ -199,3 +204,79 @@ def test_conformal_factor_zero_covector():
     from herglotz.contact import ZeroCovectorError
     with pytest.raises(ZeroCovectorError):
         conformal_factor(zero_form, field, pt(0.0, 0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# Compiled contact data against the tree walk
+
+
+def walk_reference(sys, p):
+    """(hamiltonian_field, reeb_field, contact_condition) at p from tree
+    walks of the contact data, with the numpy calls of the contact module
+    (its residual checks only raise, so they are left out)."""
+    deta = exterior_derivative(sys.eta, p, sys.params)
+    eta_p = np.array(evaluate_all(sys.eta.components, p, sys.params))
+    matrix = np.vstack([deta.T, eta_p])
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0
+    unit = np.zeros(matrix.shape[0])
+    unit[-1] = 1.0
+    reeb, *_ = np.linalg.lstsq(matrix, unit, rcond=None)
+    *grad_h, h_val = evaluate_all((*gradient(sys.H, sys.n_dim), sys.H), p, sys.params)
+    grad_h = np.array(grad_h)
+    rh = float(reeb @ grad_h)
+    x, *_ = np.linalg.lstsq(matrix, np.append(grad_h - rh * eta_p, -h_val), rcond=None)
+    return x, reeb, (ratio > CONTACT_TOL, ratio)
+
+
+def rescaled(ham):
+    factor = parse("exp(0.1*q1)", ham.n_dim)
+    eta = CoordOneForm(ham.n_dim, tuple(mul(factor, c) for c in ham.eta.components))
+    return ContactHamiltonianSystem(ham.n_dim, eta, mul(factor, ham.H), dict(ham.params))
+
+
+def compiled_cases():
+    hams = [make() for make in builtin_systems().values()]
+    cases = [s for s in hams if isinstance(s, ContactHamiltonianSystem)]
+    for n in range(1, 5):
+        ham = as_hamiltonian(dense_lagrangian(n))
+        cases += [ham, rescaled(ham)]
+    return cases
+
+
+def test_compiled_contact_data_equals_the_walk(rng):
+    for sys in compiled_cases():
+        for p in random_points(rng, sys.n_dim, 20):
+            x, reeb, condition = walk_reference(sys, p)
+            np.testing.assert_array_equal(hamiltonian_field(sys, p), x)
+            np.testing.assert_array_equal(reeb_field(sys, p), reeb)
+            assert contact_condition(sys, p) == condition
+
+
+def _domain_error_text(run):
+    with pytest.raises(DomainError) as info:
+        run()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("eta, h_text, pole", [
+    # the form's Jacobian divides by q1; H takes the log of q1
+    (CoordOneForm(1, (parse("-v1/q1", 1), Const(0.0), parse("1/q1", 1))), "v1^2",
+     pt(0.0, 0.5, 0.2)),
+    (darboux_form(1), "0.5*v1^2 + log(q1)", pt(-0.5, 0.5, 0.2)),
+])
+def test_compiled_contact_data_fails_like_the_walk(eta, h_text, pole):
+    sys = ContactHamiltonianSystem(1, eta, parse(h_text, 1), {})
+    expected = _domain_error_text(lambda: walk_reference(sys, pole))
+    assert _domain_error_text(lambda: hamiltonian_field(sys, pole)) == expected
+
+
+def test_contact_data_compiles_once_per_system(monkeypatch, rng):
+    calls = []
+    compile_components = contact.compile_components
+    monkeypatch.setattr(contact, "compile_components",
+                        lambda *args: calls.append(args) or compile_components(*args))
+    sys = as_hamiltonian(dense_lagrangian(2))
+    for p in random_points(rng, 2, 50):
+        hamiltonian_field(sys, p)
+    assert len(calls) == 2

@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -301,6 +303,7 @@ def test_parse_unparse_round_trip(e):
     text = unparse(e)
     again = parse(text, n=2)
     assert again == e
+    assert hash(again) == hash(e)
     assert unparse(again) == text
 
 
@@ -540,3 +543,59 @@ def test_evaluate_computes_a_shared_node_once(monkeypatch):
     assert evaluate_all((e, doubled), pt(0.3, 0.0, 0.0)) == (
         2.0**20 * math.sin(0.3), 2.0**21 * math.sin(0.3))
     assert calls == [0.3]
+
+
+# ---------------------------------------------------------------------------
+# Node contract: structural ==, stored hash, immutable slotted nodes
+
+
+def test_node_equality_is_structural_and_typed():
+    a, b = parse("q1*sin(v1) + z^2 - gam", 1), parse("q1*sin(v1) + z^2 - gam", 1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+    # equal payload tuples, hence equal hashes, but different node types
+    for x, y in [(Const(2.0), Param(2.0)), (Coord("q", 1), Call("q", 1)),
+                 (Call("neg", a), IntPow("neg", a))]:
+        assert hash(x) == hash(y)
+        assert x != y and y != x
+
+
+def test_nodes_are_immutable_and_slotted():
+    x = Coord("q", 1)
+    nodes = {Const(1.5): "value", x: "index", Param("gam"): "name",
+             Call("sin", x): "arg", BinOp("+", x, x): "rhs", IntPow(x, 2): "exponent"}
+    for node, name in nodes.items():
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(node, name, Const(0.0))
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+        assert pickle.loads(pickle.dumps(node)) == node
+        assert copy.deepcopy(node) == node
+    assert repr(IntPow(x, 2)) == "IntPow(base=Coord(kind='q', index=1), exponent=2)"
+
+
+def _doubling(depth):
+    e = ex.sin(Coord("q", 1))
+    for _ in range(depth):
+        e = ex.add(e, e)
+    return e
+
+
+def test_doubling_dags_hash_and_compare_per_distinct_node(monkeypatch):
+    calls = {"__hash__": 0, "__eq__": 0}
+    for name in calls:
+        method = getattr(BinOp, name)
+
+        def counted(*args, method=method, name=name):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(BinOp, name, counted)
+    a, b = _doubling(12), _doubling(12)
+    assert hash(a) == hash(b) and a == b
+    # a constant number per level; a tree walk makes 2^13 - 1 of each
+    assert calls["__hash__"] <= 10 * 12 and calls["__eq__"] <= 3 * 12
+    monkeypatch.undo()
+    a, b = _doubling(60), _doubling(60)
+    assert hash(a) == hash(b) and a == b
+    assert a != ex.add(_doubling(59), ex.cos(Coord("q", 1)))

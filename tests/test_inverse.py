@@ -4,6 +4,7 @@ import pytest
 from herglotz.contact import CoordOneForm, conformal_factor
 from herglotz.expr import Const, differentiate, evaluate, neg, parse, v
 from herglotz.extended import ActionFunction
+from herglotz.checks import SamplePlan
 from herglotz.fixtures import builtin_plans, builtin_systems, lagrangian_fixture_names
 from herglotz.inverse import (
     SODESystem, di_ei_diagnostics, extended_inverse_check, naive_inverse_check,
@@ -190,3 +191,12 @@ def test_diagnostics_exclusion_counts_reported():
     sode = sode_from_lagrangian(REG["oscillator"]())
     report = di_ei_diagnostics(sode, BOX1)
     assert any("excluded" in d for d in report.diagnostics)
+
+
+def test_diagnostics_non_finite_value_is_error():
+    # big^2 overflows, so E_1 = (big*v1 + ...)*big - (...)*big is inf - inf
+    sode = SODESystem(1, (parse("big*v1", 1),), parse("0.5*v1^2 + big*z*v1", 1),
+                      {"big": 1e200})
+    report = di_ei_diagnostics(sode, SamplePlan("random", (), 5, 0))
+    assert report.verdict == "error"
+    assert report.diagnostics[0] == "non-finite value at point 0: E_1 = nan"
