@@ -64,6 +64,13 @@ SYMMETRY_TOL = 1e-9
 PULLBACK_TOL = 1e-8
 # Points with |H| at or below this are left out of conformal factor estimation.
 ESTIMATE_TOL = 1e-8
+# integrate takes ceil(t_end/dt - STEP_SLACK) steps: round-off in the
+# quotient adds no sliver step.
+STEP_SLACK = 1e-9
+# A sampled curve's times must start at 0 and end at 1 within this.
+CURVE_SPAN_TOL = 1e-15
+# A trajectory becomes a curve only if its times span [0, 1] within this.
+TRAJECTORY_SPAN_TOL = 1e-12
 
 PASS, FAIL, ERROR, INCONCLUSIVE = "pass", "fail", "error", "inconclusive"
 

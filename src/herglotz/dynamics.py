@@ -2,11 +2,12 @@
 
 Integration is classical fixed-step RK4 throughout (adaptive stepping is
 deliberately avoided so that reports and convergence studies are exactly
-reproducible).  The action of a curve is obtained by integrating the state
-equation zdot = L(q, v, z) along the curve with linear interpolation of
-(q, v) inside each step; stationarity of the action functional is probed
-with central differences along a fixed sine-bump basis that vanishes at the
-endpoints.
+reproducible); integral curves and the action share one step on Python
+floats with a fixed operation order.  The action of a curve is obtained by
+integrating the state equation zdot = L(q, v, z) along the curve with
+linear interpolation of (q, v) inside each step; stationarity of the
+action functional is probed with central differences along a fixed
+sine-bump basis that vanishes at the endpoints.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .checks import CheckReport, Tolerances, verdict_for
+from .checks import (CURVE_SPAN_TOL, STEP_SLACK, TRAJECTORY_SPAN_TOL, CheckReport,
+                     Tolerances, verdict_for)
 from .contact import CoordVectorField
 from .expr import Expr, ParamSet, StatePoint, compile_components
 
@@ -28,6 +30,7 @@ __all__ = [
 ]
 
 FieldLike = Union[CoordVectorField, Callable[[StatePoint], np.ndarray]]
+_Rate = Callable[[int, list[float]], Sequence[float]]   # (stage, y) -> ydot
 
 
 class IntegrationError(RuntimeError):
@@ -83,8 +86,8 @@ class SampledCurve:
             raise ValueError("q must have one row per sample time")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if not (math.isclose(times[0], 0.0, abs_tol=1e-15)
-                and math.isclose(times[-1], 1.0, abs_tol=1e-15)):
+        if not (math.isclose(times[0], 0.0, abs_tol=CURVE_SPAN_TOL)
+                and math.isclose(times[-1], 1.0, abs_tol=CURVE_SPAN_TOL)):
             raise ValueError("curves are sampled on [0, 1]")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "q", qa)
@@ -109,52 +112,55 @@ class SampledCurve:
         return out
 
 
-def _field_fn(field: FieldLike, n: int, params: ParamSet | None
-              ) -> Callable[[np.ndarray], np.ndarray]:
+def _rk4_step(rate: _Rate, y: list[float], h: float) -> list[float]:
+    """One classical RK4 step of a list of floats: rate(stage, y) is called
+    at stage 0 (step start), twice at 1 (midpoint) and at 2 (step end)."""
+    b1 = rate(0, y)
+    b2 = rate(1, [a + 0.5 * h * b for a, b in zip(y, b1, strict=True)])
+    b3 = rate(1, [a + 0.5 * h * b for a, b in zip(y, b2, strict=True)])
+    b4 = rate(2, [a + h * b for a, b in zip(y, b3, strict=True)])
+    return [a + (h / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4)
+            for a, c1, c2, c3, c4 in zip(y, b1, b2, b3, b4, strict=True)]
+
+
+def _field_rate(field: FieldLike, n: int, params: ParamSet | None) -> _Rate:
     if isinstance(field, CoordVectorField):
-        compiled = compile_components(field.components, n, params)
-        return lambda y: np.asarray(compiled(y))
-    return lambda y: np.asarray(field(StatePoint.from_coords(y, n)))
+        program = compile_components(field.components, n, params)
+        return lambda _, y: program(y)
+    return lambda _, y: np.asarray(field(StatePoint.from_coords(y, n))).tolist()
 
 
 def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
               params: ParamSet | None = None) -> Trajectory:
     """Fixed-step RK4 integral curve from p0.
 
-    The step count is the integer N = ceil(t_end / dt - 1e-9), so round-off
-    in the quotient adds no sliver step.  Step k ends at t_k = k * dt and
-    is dt long, except the last, which ends exactly at t_N = t_end.
+    The step count is N = ceil(t_end / dt - STEP_SLACK), so round-off in
+    the quotient adds no sliver step.  Step k ends at t_k = k * dt and is
+    dt long, except the last, which ends exactly at t_N = t_end.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     n = p0.n
-    fn = _field_fn(field, n, params)
-    steps = max(1, math.ceil(t_end / dt - 1e-9))
-    times = [0.0]
-    states = [p0.coords()]
-    y = p0.coords()
+    rate = _field_rate(field, n, params)
+    steps = max(1, math.ceil(t_end / dt - STEP_SLACK))
+    times = np.empty(steps + 1)
+    states = np.empty((steps + 1, 2 * n + 1))
+    y = p0.coords().tolist()
+    times[0], states[0] = 0.0, y
     for k in range(1, steps + 1):
         t, h = (k * dt, dt) if k < steps else (t_end, t_end - (steps - 1) * dt)
         try:
-            k1 = fn(y)
-            k2 = fn(y + 0.5 * h * k1)
-            k3 = fn(y + 0.5 * h * k2)
-            k4 = fn(y + h * k3)
+            y = _rk4_step(rate, y, h)
         except Exception as exc:
-            partial = _make_trajectory(times, states, n)
+            partial = _make_trajectory(times[:k], states[:k], n)
             raise IntegrationError(f"field evaluation failed at t = {t}: {exc}",
                                    partial) from exc
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        times.append(t)
-        states.append(y)
+        times[k], states[k] = t, y
     return _make_trajectory(times, states, n)
 
 
-def _make_trajectory(times: Sequence[float], states: Sequence[np.ndarray],
-                     n: int) -> Trajectory:
-    arr = np.asarray(states)
-    return Trajectory(np.asarray(times, dtype=float),
-                      arr[:, :n], arr[:, n:2 * n], arr[:, 2 * n])
+def _make_trajectory(times: np.ndarray, states: np.ndarray, n: int) -> Trajectory:
+    return Trajectory(times, states[:, :n], states[:, n:2 * n], states[:, 2 * n])
 
 
 def z_operator(L: Expr, curve: SampledCurve, z0: float,
@@ -165,29 +171,17 @@ def z_operator(L: Expr, curve: SampledCurve, z0: float,
     at the half steps.  Passing a zeta-chart Lagrangian makes the returned
     sequence the action coordinate along the lifted curve instead of z.
     """
-    n = curve.n
-    fn = compile_components([L], n, params)
-    qs = curve.q
-    vs = curve.velocities()
-    t = curve.times
+    program = compile_components([L], curve.n, params)
+    t = curve.times.tolist()
+    rows = np.hstack([curve.q, curve.velocities()]).tolist()   # (q, v) per sample
     out = np.empty(len(t))
     out[0] = z0
-    zc = float(z0)
-
-    def rate(qrow, vrow, zval):
-        return fn(tuple(qrow) + tuple(vrow) + (zval,))[0]
-
+    y = [float(z0)]
     for k in range(len(t) - 1):
-        h = t[k + 1] - t[k]
-        q0, q1 = qs[k], qs[k + 1]
-        v0, v1 = vs[k], vs[k + 1]
-        qm, vm = 0.5 * (q0 + q1), 0.5 * (v0 + v1)
-        k1 = rate(q0, v0, zc)
-        k2 = rate(qm, vm, zc + 0.5 * h * k1)
-        k3 = rate(qm, vm, zc + 0.5 * h * k2)
-        k4 = rate(q1, v1, zc + h * k3)
-        zc += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = zc
+        r0, r1 = rows[k], rows[k + 1]
+        stages = (r0, [0.5 * (a + b) for a, b in zip(r0, r1)], r1)   # start, mid, end
+        y = _rk4_step(lambda s, zs: program(stages[s] + zs), y, t[k + 1] - t[k])
+        out[k + 1] = y[0]
     return out
 
 
@@ -246,8 +240,8 @@ def trajectory_to_curve(traj: Trajectory) -> SampledCurve:
     t = traj.times
     scaled = (t - t[0]) / (t[-1] - t[0])
     # velocities are with respect to the original time; require unit span
-    if not (math.isclose(t[0], 0.0, abs_tol=1e-12)
-            and math.isclose(t[-1], 1.0, abs_tol=1e-12)):
+    if not (math.isclose(t[0], 0.0, abs_tol=TRAJECTORY_SPAN_TOL)
+            and math.isclose(t[-1], 1.0, abs_tol=TRAJECTORY_SPAN_TOL)):
         raise ValueError("trajectory must span [0, 1] to become a curve")
     return SampledCurve(scaled, traj.q.copy(), traj.v.copy())
 
@@ -257,8 +251,8 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     n = traj.n
     header = ["t"] + [f"q{i}" for i in range(1, n + 1)] \
         + [f"v{i}" for i in range(1, n + 1)] + ["z"]
+    table = np.column_stack([traj.times, traj.q, traj.v, traj.z])
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(len(traj.times)):
-            row = [traj.times[k], *traj.q[k], *traj.v[k], traj.z[k]]
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        for row in table:
+            fh.write(",".join(f"{x:.17g}" for x in row.tolist()) + "\n")

@@ -104,7 +104,7 @@ def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
             report.tolerances, report.plan)
     if skipped:
         report.diagnostics.append(
-            f"{skipped} points skipped for factor estimation (|H| <= 1e-8)")
+            f"{skipped} points skipped for factor estimation (|H| <= {ESTIMATE_TOL})")
     return report
 
 

@@ -313,10 +313,16 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
     return isinstance(e, Const) and (value is None or e.value == value)
 
 
+def _fold(op: str, a: Const, b: Const, value: float) -> Expr:
+    """Fold a constant binary node only to a finite value: a folded ``inf``
+    would print as a name and parse back as a parameter."""
+    return Const(value) if math.isfinite(value) else BinOp(op, a, b)
+
+
 def add(a, b) -> Expr:
     a, b = as_expr(a), as_expr(b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return _fold("+", a, b, a.value + b.value)
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
@@ -327,7 +333,7 @@ def add(a, b) -> Expr:
 def sub(a, b) -> Expr:
     a, b = as_expr(a), as_expr(b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        return _fold("-", a, b, a.value - b.value)
     if _is_const(b, 0.0):
         return a
     if _is_const(a, 0.0):
@@ -338,7 +344,7 @@ def sub(a, b) -> Expr:
 def mul(a, b) -> Expr:
     a, b = as_expr(a), as_expr(b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return _fold("*", a, b, a.value * b.value)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
         return Const(0.0)
     if _is_const(a, 1.0):
@@ -351,7 +357,7 @@ def mul(a, b) -> Expr:
 def div(a, b) -> Expr:
     a, b = as_expr(a), as_expr(b)
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
+        return _fold("/", a, b, a.value / b.value)
     if _is_const(b, 1.0):
         return a
     # 0/x -> 0: standard light simplification (0/0 ceases to be an error)
@@ -524,7 +530,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "number":
-            return Const(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number literal {text!r} overflows", pos)
+            return Const(value)
         if kind == "op" and text == "(":
             e = self.expr()
             self.expect_op(")")

@@ -8,11 +8,11 @@ from herglotz.dynamics import (
     IntegrationError, SampledCurve, Trajectory, action, integrate,
     stationarity_test, trajectory_to_csv, trajectory_to_curve, z_operator,
 )
-from herglotz.expr import Const, log, parse, q
+from herglotz.expr import Const, StatePoint, compile_components, log, parse, q
 from herglotz.fixtures import builtin_systems
 from herglotz.lagrangian import herglotz_field
 
-from conftest import pt
+from conftest import dense_lagrangian, pt
 
 REG = builtin_systems()
 
@@ -96,6 +96,103 @@ def test_rk4_convergence_order_on_stiff_damped_fixture():
     assert min(orders) >= 3.8
     # halving the step divides the error by about 2^4
     assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.2)
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit pins: a numpy RK4, stage for stage, that integrate and
+# z_operator must reproduce exactly
+
+
+def reference_integrate(field, p0, t_end, dt, params=None):
+    n = p0.n
+    if isinstance(field, CoordVectorField):
+        compiled = compile_components(field.components, n, params)
+        fn = lambda y: np.asarray(compiled(y))  # noqa: E731
+    else:
+        fn = lambda y: np.asarray(field(StatePoint.from_coords(y, n)))  # noqa: E731
+    steps = max(1, math.ceil(t_end / dt - 1e-9))
+    times, states, y = [0.0], [p0.coords()], p0.coords()
+    for k in range(1, steps + 1):
+        t, h = (k * dt, dt) if k < steps else (t_end, t_end - (steps - 1) * dt)
+        k1 = fn(y)
+        k2 = fn(y + 0.5 * h * k1)
+        k3 = fn(y + 0.5 * h * k2)
+        k4 = fn(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        times.append(t)
+        states.append(y)
+    return np.asarray(times), np.asarray(states)
+
+
+def reference_z_operator(L, curve, z0, params=None):
+    fn = compile_components([L], curve.n, params)
+    qs, vs, t = curve.q, curve.velocities(), curve.times
+    out = np.empty(len(t))
+    out[0] = z0
+    zc = float(z0)
+
+    def rate(qrow, vrow, zval):
+        return fn(tuple(qrow) + tuple(vrow) + (zval,))[0]
+
+    for k in range(len(t) - 1):
+        h = t[k + 1] - t[k]
+        q0, q1, v0, v1 = qs[k], qs[k + 1], vs[k], vs[k + 1]
+        qm, vm = 0.5 * (q0 + q1), 0.5 * (v0 + v1)
+        k1 = rate(q0, v0, zc)
+        k2 = rate(qm, vm, zc + 0.5 * h * k1)
+        k3 = rate(qm, vm, zc + 0.5 * h * k2)
+        k4 = rate(q1, v1, zc + h * k3)
+        zc += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[k + 1] = zc
+    return out
+
+
+def damped_callable(p):
+    return np.array([p.v[0], -p.q[0] - 0.3 * p.v[0] * p.z, 0.5 * p.v[0] ** 2 - 0.1 * p.z])
+
+
+@pytest.mark.parametrize("case", ["drag n=1", "dense n=3", "callable", "short last step"])
+def test_integrate_matches_numpy_rk4_bit_for_bit(case):
+    dense = dense_lagrangian(3)
+    field, p0, t_end, dt, params = {
+        "drag n=1": (herglotz_field(REG["linear_drag"]()), pt(0.1, 2.0, 0.3), 1.0, 0.01,
+                     REG["linear_drag"]().params),
+        "dense n=3": (herglotz_field(dense), pt([0.1, -0.2, 0.3], [0.5, 0.0, -0.4], 0.2),
+                      0.5, 0.01, dense.params),
+        "callable": (damped_callable, pt(1.0, 0.5, 0.0), 1.0, 0.02, None),
+        "short last step": (herglotz_field(REG["parachute"]()), pt(0.0, 2.0, 0.0), 1.0, 0.3,
+                            REG["parachute"]().params),
+    }[case]
+    traj = integrate(field, p0, t_end, dt, params)
+    times, states = reference_integrate(field, p0, t_end, dt, params)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(np.column_stack([traj.q, traj.v, traj.z]), states)
+
+
+def test_z_operator_matches_numpy_rk4_on_a_nonuniform_grid():
+    t = np.linspace(0.0, 1.0, 60) ** 2
+    curve = SampledCurve(t, np.column_stack([np.sin(3 * t), np.cos(2 * t) - t]))
+    L = parse("0.5*v1^2 + 0.5*v2^2 - q1*q2 - gam*z*v1 + sin(z)", 2)
+    zs = z_operator(L, curve, 0.25, {"gam": 0.4})
+    assert np.array_equal(zs, reference_z_operator(L, curve, 0.25, {"gam": 0.4}))
+
+
+def test_trajectory_csv_bytes_are_per_scalar_17g(tmp_path):
+    dense = dense_lagrangian(3)
+    traj = integrate(herglotz_field(dense), pt([0.1, -0.2, 0.3], [0.5, 0.0, -0.4], 0.2),
+                     0.1, 0.03, dense.params)
+    odd = Trajectory(np.array([0.0, 1 / 3, 1.0]), np.array([[-0.0], [1e-300], [2.0 ** 60]]),
+                     np.array([[5e-324], [-1e17], [0.1]]), np.array([1.0, -2.5, np.pi]))
+    for name, tr in (("dense", traj), ("odd", odd)):
+        path = tmp_path / f"{name}.csv"
+        trajectory_to_csv(tr, path)
+        n = tr.n
+        expected = ",".join(["t"] + [f"q{i}" for i in range(1, n + 1)]
+                            + [f"v{i}" for i in range(1, n + 1)] + ["z"]) + "\n"
+        for k in range(len(tr.times)):
+            row = [tr.times[k], *tr.q[k], *tr.v[k], tr.z[k]]
+            expected += ",".join(f"{x:.17g}" for x in row) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
 
 
 # ---------------------------------------------------------------------------

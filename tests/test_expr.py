@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herglotz.expr import (
@@ -62,6 +62,27 @@ def test_parse_errors_carry_offsets():
         parse("q1^2.5", n=1)
     with pytest.raises(ParseError):
         parse("(q1 + 2", n=1)
+
+
+def test_parse_rejects_an_overflowing_literal():
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse("q1 + 1e999*v1", n=1)
+    assert err.value.offset == 5
+
+
+@pytest.mark.parametrize("build, op, lhs, rhs", [
+    (ex.add, "+", 1e308, 1e308),
+    (ex.sub, "-", -1e308, 1e308),
+    (ex.mul, "*", 1e200, 1e200),
+    (ex.div, "/", 1e300, 1e-300),
+])
+def test_constant_folding_stops_at_overflow(build, op, lhs, rhs):
+    e = build(Const(lhs), Const(rhs))
+    assert e == BinOp(op, Const(lhs), Const(rhs))
+    assert parse(unparse(e), n=1) == e
+    assert math.isinf(evaluate(e, pt(0.0, 0.0, 0.0)))
+    assert evaluate(e, pt(0.0, 0.0, 0.0)) == BINARY[op](lhs, rhs)
+    assert build(Const(3.0), Const(2.0)) == Const(BINARY[op](3.0, 2.0))
 
 
 def test_parse_whitespace_and_exponent_numbers():
@@ -362,7 +383,11 @@ DAG_SHAPES = {
 }
 
 
+BIG = Const(2.7167594696637367e+271)
+
+
 @settings(max_examples=300, deadline=None)
+@example(e=ex.neg(ex.mul(BIG, BIG)), other=Const(1.0), shape="tree", flat=[0.0] * 5)
 @given(e=expr_strategy(), other=expr_strategy(),
        shape=st.sampled_from(sorted(DAG_SHAPES)),
        flat=st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5, 800.0, 1e200]),
