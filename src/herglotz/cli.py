@@ -41,8 +41,8 @@ from .equivalence import (
     strong_equivalence_check, zero_set_diagnostic,
 )
 from .expr import (
-    Expr, Param, ParseError, StatePoint, coords, evaluate_all, max_coord_index,
-    merge_params, parse, substitute, unparse, z,
+    Expr, Param, ParseError, StatePoint, compile_components, coords,
+    max_coord_index, merge_params, parse, substitute, unparse, z,
 )
 from .extended import (
     ActionFunction, ExtendedLagrangianSystem, legendre_pullback_residual,
@@ -458,14 +458,16 @@ def _task_simulate(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     exprs = [_parse_expr(t, n, "args.accel_residual") for t in resid_texts]
     if exprs and len(exprs) != n:
         raise ConfigError(f"need {n} acceleration expressions", "args.accel_residual")
-    pairs = [e for pair in zip(field_obj.components[n:2 * n], exprs) for e in pair]
-
-    def defects(state):
-        vals = evaluate_all(pairs, state, params)
-        return {f"acceleration_defect_{i + 1}": abs(vals[2 * i] - vals[2 * i + 1])
-                for i in range(n)}
-
     if exprs:
+        pairs_at = compile_components(
+            [e for pair in zip(field_obj.components[n:2 * n], exprs) for e in pair],
+            n, params)
+
+        def defects(state):
+            vals = pairs_at(state._flat)
+            return {f"acceleration_defect_{i + 1}": abs(vals[2 * i] - vals[2 * i + 1])
+                    for i in range(n)}
+
         states = list(traj.states())
         report = run_check(n, defects, tol=cfg.tolerances, points=states)
         notes.append(f"acceleration defect vs expected: max {report.max_residual!r} "
@@ -612,10 +614,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(_bind_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        cfg = load_config(ns.config)
+        return _run(ns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def _run(ns: argparse.Namespace) -> int:
+    """Run the parsed command line; a ConfigError ends the run."""
+    cfg = load_config(ns.config)
     out_dir = Path(ns.out) if ns.out else cfg.output_dir
 
     if ns.command == "batch":
@@ -624,12 +631,7 @@ def main(argv: list[str] | None = None) -> int:
         for idx, task in enumerate(tasks):
             tag = task.get("tag") or f"task{idx}"
             stem = f"{task['command']}_{tag}"
-            try:
-                report, _ = run_task(cfg, task["command"], task.get("args", {}),
-                                     out_dir, stem)
-            except ConfigError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+            report, _ = run_task(cfg, task["command"], task.get("args", {}), out_dir, stem)
             write_report(report, out_dir / f"{stem}.json")
             print(f"{stem}: {report.verdict} (max residual "
                   f"{report.max_residual!r})")
@@ -640,11 +642,7 @@ def main(argv: list[str] | None = None) -> int:
             if key not in ("command", "config", "out", "report", "tag")
             and value is not None and value is not False}
     tag = ns.tag or ns.command
-    try:
-        report, _ = run_task(cfg, ns.command, args, out_dir, tag)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    report, _ = run_task(cfg, ns.command, args, out_dir, tag)
     report_path = Path(ns.report) if ns.report else out_dir / f"{tag}.json"
     write_report(report, report_path)
     print(f"{ns.command}: {report.verdict} (max residual {report.max_residual!r}; "

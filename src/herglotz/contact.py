@@ -50,22 +50,28 @@ class ZeroCovectorError(GeometryError):
 
 
 @dataclass(frozen=True)
-class CoordOneForm:
-    """One-form alpha = sum a_k dx^k with symbolic coefficients.
-
-    Components are ordered (dq1..dqn, dv1..dvn, dz).
-    """
+class _Components:
+    """2n+1 symbolic components in chart order; ``kind`` names the object."""
 
     n_dim: int
     components: tuple[Expr, ...]
+    kind = "one-form"
 
     def __post_init__(self):
         if len(self.components) != 2 * self.n_dim + 1:
             raise GeometryError(
-                f"one-form on n={self.n_dim} needs {2 * self.n_dim + 1} components")
+                f"{self.kind} on n={self.n_dim} needs {2 * self.n_dim + 1} components")
 
     def values(self, p: StatePoint, params: ParamSet | None = None) -> np.ndarray:
         return np.array(evaluate_all(self.components, p, params))
+
+
+@dataclass(frozen=True)
+class CoordOneForm(_Components):
+    """One-form alpha = sum a_k dx^k with symbolic coefficients.
+
+    Components are ordered (dq1..dqn, dv1..dvn, dz).
+    """
 
     def pairing(self, field: "CoordVectorField") -> Expr:
         """alpha(X) as a symbolic expression."""
@@ -76,22 +82,13 @@ class CoordOneForm:
 
 
 @dataclass(frozen=True)
-class CoordVectorField:
+class CoordVectorField(_Components):
     """Vector field X = sum X^k d/dx^k with symbolic coefficients.
 
     Components are ordered (d/dq1..d/dqn, d/dv1..d/dvn, d/dz).
     """
 
-    n_dim: int
-    components: tuple[Expr, ...]
-
-    def __post_init__(self):
-        if len(self.components) != 2 * self.n_dim + 1:
-            raise GeometryError(
-                f"vector field on n={self.n_dim} needs {2 * self.n_dim + 1} components")
-
-    def values(self, p: StatePoint, params: ParamSet | None = None) -> np.ndarray:
-        return np.array(evaluate_all(self.components, p, params))
+    kind = "vector field"
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative X(f) as a symbolic expression."""

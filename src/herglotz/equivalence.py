@@ -20,10 +20,7 @@ from .contact import (
     ContactConditionError, ContactHamiltonianSystem, CoordVectorField,
     hamiltonian_field,
 )
-from .expr import (
-    Expr, StatePoint, differentiate, evaluate, evaluate_all, merge_params, q,
-    sub, v, z,
-)
+from .expr import Expr, StatePoint, differentiate, merge_params, q, sub, tape, v, z
 from .extended import (
     ActionFunction, ExtendedLagrangianSystem, compose_with_zeta,
     extended_lagrangian_form, herglotz_defects, zeta_herglotz_field, zeta_hessian,
@@ -44,8 +41,10 @@ def extended_sode_check(X: CoordVectorField, points: list[StatePoint],
                         params: dict | None = None,
                         tol: Tolerances | None = None) -> CheckReport:
     """Second order condition: the q-components of X equal the velocities."""
+    q_rates_at = tape(X.components[:X.n_dim], X.n_dim, params)
+
     def values(p):
-        q_rates = evaluate_all(X.components[:X.n_dim], p, params)
+        q_rates = q_rates_at(p._flat)
         return {"sode_defect": max(abs(r - v_i) for r, v_i in zip(q_rates, p.v))}
     return run_check(X.n_dim, values, tol=tol, points=points)
 
@@ -74,20 +73,25 @@ def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
     error.  A vanishing factor at any sampled point forces a fail.
     """
     skipped = 0
+    n = sys_a.n_dim
+    # one tape per parameter map; the forms are evaluated only where f is known
+    h_a_at, h_b_at = (tape((s.H,), n, s.params) for s in (sys_a, sys_b))
+    eta_a_at, eta_b_at = (tape(s.eta.components, n, s.params) for s in (sys_a, sys_b))
+    if factor is not None:
+        factor_at = tape((factor,), n, merge_params(sys_a.params, sys_b.params))
 
     def values(p):
         nonlocal skipped
-        h_a = evaluate(sys_a.H, p, sys_a.params)
-        h_b = evaluate(sys_b.H, p, sys_b.params)
+        (h_a,), (h_b,) = h_a_at(p._flat), h_b_at(p._flat)
         if factor is not None:
-            f_val = evaluate(factor, p, merge_params(sys_a.params, sys_b.params))
+            (f_val,) = factor_at(p._flat)
         elif abs(h_a) > ESTIMATE_TOL:
             f_val = h_b / h_a
         else:
             skipped += 1
             return None
-        eta_a = sys_a.eta.values(p, sys_a.params)
-        eta_b = sys_b.eta.values(p, sys_b.params)
+        eta_a = np.array(eta_a_at(p._flat))
+        eta_b = np.array(eta_b_at(p._flat))
         return {
             "form_defect": float(np.max(np.abs(eta_b - f_val * eta_a))),
             "hamiltonian_defect": abs(h_b - f_val * h_a),
@@ -96,7 +100,7 @@ def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
         }
 
     report = run_check(
-        sys_a.n_dim, values, plan, tol,
+        n, values, plan, tol,
         residual_keys=("form_defect", "hamiltonian_defect", "factor_vanishes"))
     if not report.records:
         return error_report(
@@ -135,9 +139,10 @@ def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,
     mismatches when exactly one Hamiltonian is (numerically) zero or when
     both are nonzero with opposite signs.
     """
+    h_a_at, h_b_at = (tape((s.H,), sys_a.n_dim, s.params) for s in (sys_a, sys_b))
+
     def values(p):
-        h_a = evaluate(sys_a.H, p, sys_a.params)
-        h_b = evaluate(sys_b.H, p, sys_b.params)
+        (h_a,), (h_b,) = h_a_at(p._flat), h_b_at(p._flat)
         zero_a, zero_b = abs(h_a) <= ZERO_TOL, abs(h_b) <= ZERO_TOL
         mismatch = (zero_a != zero_b) or \
             (not zero_a and not zero_b and (h_a > 0) != (h_b > 0))
@@ -169,9 +174,10 @@ def horizontal_similarity_check(xi: CoordVectorField, xi_bar: CoordVectorField,
     exprs = [e for i in range(n) for e in (
         xi.components[n + i], compose_with_zeta(xi_bar.components[n + i], zeta))]
     exprs += [compose_with_zeta(xi_bar.components[2 * n], zeta), xi.apply(zeta.zeta)]
+    residuals_at = tape(exprs, n, merged)
 
     def values(p):
-        vals = evaluate_all(exprs, p, merged)
+        vals = residuals_at(p._flat)
         out = {f"acceleration_defect_{i + 1}": abs(vals[2 * i] - vals[2 * i + 1])
                for i in range(n)}
         out["action_rate_defect"] = abs(vals[2 * n + 1] - vals[2 * n])
@@ -189,11 +195,10 @@ def projectability_check(xi: CoordVectorField,
     """Do the accelerations depend on the action coordinate?  Residual is
     max_i |d(a_i)/dz| over the sample."""
     n = xi.n_dim
-    dz_exprs = [differentiate(xi.components[n + i], z()) for i in range(n)]
+    dz_at = tape([differentiate(xi.components[n + i], z()) for i in range(n)], n, params)
 
     def values(p):
-        return {f"dz_dependence_{i + 1}": abs(x)
-                for i, x in enumerate(evaluate_all(dz_exprs, p, params))}
+        return {f"dz_dependence_{i + 1}": abs(x) for i, x in enumerate(dz_at(p._flat))}
 
     return run_check(n, values, plan, tol,
                      precheck=_second_order_precheck({"input": xi}, params, tol))
@@ -234,10 +239,11 @@ def strong_equivalence_check(sys: ContactLagrangianSystem,
     d = 2 * n + 1
     exprs = (*(differentiate(zeta.zeta, v(i)) for i in range(1, n + 1)),
              transported, lbar_base, dzeta_dz, *eta_l.components, *eta_bar.components)
+    residuals_at = tape(exprs, n, merged)
 
     def values(p):
         _require_regular(sys, ext, p, det_tol, "regularity failure")
-        vals = evaluate_all(exprs, p, merged)
+        vals = residuals_at(p._flat)
         transported_val, lbar_val, factor = vals[n:n + 3]
         eta_l_vals = np.array(vals[n + 3:n + 3 + d])
         eta_bar_vals = np.array(vals[n + 3 + d:])
@@ -276,12 +282,12 @@ def general_equivalence_check(sys: ContactLagrangianSystem,
     p_conditions = herglotz_defects(xi_l, lbar_base, zeta.zeta, n)
     xi_bar = zeta_herglotz_field(ext)
     # l_condition, the n p_conditions, then pairs of field components
-    exprs = [l_condition, *p_conditions, *(e for pair in zip(
-        xi_l.components, xi_bar.components) for e in pair)]
+    residuals_at = tape([l_condition, *p_conditions, *(e for pair in zip(
+        xi_l.components, xi_bar.components) for e in pair)], n, merged)
 
     def values(p):
         _require_regular(sys, ext, p, det_tol, "zeta-regularity violated")
-        vals = evaluate_all(exprs, p, merged)
+        vals = residuals_at(p._flat)
         out = {"L_condition": abs(vals[0])}
         for i in range(n):
             out[f"p_condition_{i + 1}"] = abs(vals[1 + i])

@@ -4,11 +4,13 @@ Every scalar field in this package (Lagrangians, Hamiltonians, action
 functions, form and vector-field components) is an immutable ``Expr`` tree
 over the coordinates ``q1..qn``, ``v1..vn``, ``z`` and named parameters.
 The module provides parsing, canonical printing, exact symbolic
-differentiation, substitution, evaluation (:func:`evaluate_all` walks the
-expressions needed at one point in one pass; compiled straight-line code
-serves lists of expressions evaluated many times) and first/second
-derivative jets.  Only light simplification is performed on construction
-(constant folding, 0/1 elimination); there is no attempt at canonical forms.
+differentiation, substitution, evaluation and first/second derivative jets.
+Evaluation lowers an expression tuple once to one instruction per distinct
+node; a :func:`tape` runs that list at each point (checks hold the tapes of
+their residuals, systems hold theirs) and :func:`compile_components` renders
+it as Python for long runs.  Only light simplification is performed on
+construction (constant folding, 0/1 elimination); there is no attempt at
+canonical forms, and constants are finite.
 
 Nodes are immutable and slotted.  ``==`` is structural (same type and equal
 fields, so ``Const(0.0) == Const(-0.0)``), and a node stores its hash on
@@ -29,6 +31,7 @@ decimal with an optional exponent)::
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,7 +45,7 @@ __all__ = [
     "ExprError", "ParseError", "EvalError", "UnboundParameterError", "DomainError",
     "parse", "unparse", "differentiate", "substitute", "depends_on",
     "evaluate", "evaluate_all", "evaluate_many", "eval_jet2", "gradient", "hessian",
-    "compile_components",
+    "tape", "compile_components",
     "coords", "coord", "q", "v", "z", "param", "const",
     "add", "sub", "mul", "div", "neg", "intpow",
     "sin", "cos", "exp", "log", "sqrt", "tanh",
@@ -269,12 +272,17 @@ def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, float)):
-        return Const(float(x))
+        return const(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Expr")
 
 
 def const(value: float) -> Const:
-    return Const(float(value))
+    """A finite constant: ``inf`` and ``nan`` would print as names and
+    parse back as parameters."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ExprError(f"constant {value!r} is not finite")
+    return Const(value)
 
 
 def q(i: int) -> Coord:
@@ -407,18 +415,11 @@ def _make_call(fn: str):
 _APPLY: dict[str, Callable[[float], float]] = {
     "sin": math.sin, "cos": math.cos, "exp": math.exp,
     "log": math.log, "sqrt": math.sqrt, "tanh": math.tanh,
-    "neg": lambda x: -x,
+    "neg": operator.neg,
 }
 
-sin = _make_call("sin")
-cos = _make_call("cos")
-exp = _make_call("exp")
-log = _make_call("log")
-sqrt = _make_call("sqrt")
-tanh = _make_call("tanh")
-
-_BUILDERS = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt,
-             "tanh": tanh}
+sin, cos, exp, log, sqrt, tanh = map(_make_call, FUNCTIONS)
+_BUILDERS = {build.__name__: build for build in (sin, cos, exp, log, sqrt, tanh)}
 
 
 # ---------------------------------------------------------------------------
@@ -477,26 +478,19 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                e = add(e, rhs) if text == "+" else sub(e, rhs)
-            else:
-                return e
+        return self.left_assoc(self.term, {"+": add, "-": sub})
 
     def term(self) -> Expr:
-        e = self.factor()
+        return self.left_assoc(self.factor, {"*": mul, "/": div})
+
+    def left_assoc(self, operand, builders) -> Expr:
+        e = operand()
         while True:
             kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = mul(e, rhs) if text == "*" else div(e, rhs)
-            else:
+            if kind != "op" or text not in builders:
                 return e
+            self.advance()
+            e = builders[text](e, operand())
 
     def factor(self) -> Expr:
         e = self.unary()
@@ -624,10 +618,6 @@ def unparse(e: Expr) -> str:
 # Differentiation and substitution
 
 
-def _as_var(var: Union[Coord, str]) -> Coord:
-    return var if isinstance(var, Coord) else coord(var)
-
-
 @lru_cache(maxsize=None)
 def _diff(e: Expr, var: Coord) -> Expr:
     if isinstance(e, Const) or isinstance(e, Param):
@@ -671,7 +661,7 @@ def _diff(e: Expr, var: Coord) -> Expr:
 
 def differentiate(e: Expr, var: Union[Coord, str]) -> Expr:
     """Exact symbolic partial derivative with respect to a coordinate."""
-    return _diff(e, _as_var(var))
+    return _diff(e, var if isinstance(var, Coord) else coord(var))
 
 
 def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
@@ -788,11 +778,11 @@ def merge_params(*param_sets: ParamSet) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: one semantics, two executors.  ``evaluate_all`` walks the
-# trees; ``compile_components`` generates one statement per distinct subtree
-# in the same post-order.  Both compute in Python floats, read leaves through
-# ``_slot`` and ``_param_value``, and turn a float exception into a
-# DomainError through ``_FAILURES``, so values and errors agree bit for bit.
+# Evaluation: one lowering, two backends.  ``_lower`` turns an expression
+# tuple into one instruction per distinct compound node object, in post-order.
+# ``tape`` runs the list over a copied register file; ``compile_components``
+# renders it as straight-line Python.  Both compute in Python floats, and one
+# failure table turns a float exception into a DomainError naming the node.
 
 
 # (exception type, node kind) -> what went wrong.  The kind of a Call is its
@@ -808,6 +798,7 @@ _FAILURES = {
     (OverflowError, "^"): "overflow",
 }
 _FLOAT_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _domain_error(exc: Exception, node: Expr) -> DomainError:
@@ -832,68 +823,83 @@ def _param_value(p: Param, params: ParamSet) -> float:
         raise UnboundParameterError(f"unbound parameter {p.name!r}") from None
 
 
+def _lower(exprs: Sequence[Expr], n: int, params: ParamSet | None):
+    """(code, regs, results).  Registers 0..2n are the coordinates; register
+    2n+1+k starts as ``regs[k]``: a constant, parameter value or exponent, or
+    the node of the instruction ``(fn, a, b, out)`` in ``code`` that sets it
+    to fn(r[a]), or fn(r[a], r[b]) when b is not None."""
+    exprs = tuple(exprs)   # keeps every node alive, so no id is reused
+    code: list[tuple] = []
+    regs: list = []
+    memo: dict[int, int] = {}
+    results = [_emit(e, n, params or {}, memo, code, regs) for e in exprs]
+    return code, regs, results
+
+
+def _emit(node: Expr, n: int, params: ParamSet, memo: dict[int, int],
+          code: list[tuple], regs: list) -> int:
+    """Register of ``node``, emitting its instructions on first visit."""
+    reg = memo.get(id(node))
+    if reg is not None:
+        return reg
+    kind = type(node)
+    if kind is Coord:
+        reg = _slot(node, n)
+    elif kind is Const or kind is Param:
+        reg = 2 * n + 1 + len(regs)
+        regs.append(node.value if kind is Const else _param_value(node, params))
+    else:
+        if kind is BinOp:
+            fn, a = _BINARY[node.op], _emit(node.lhs, n, params, memo, code, regs)
+            b = _emit(node.rhs, n, params, memo, code, regs)
+        elif kind is Call:
+            fn, a, b = _APPLY[node.fn], _emit(node.arg, n, params, memo, code, regs), None
+        elif kind is IntPow:
+            fn, a = operator.pow, _emit(node.base, n, params, memo, code, regs)
+            b = 2 * n + 1 + len(regs)
+            regs.append(node.exponent)
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        reg = 2 * n + 1 + len(regs)
+        regs.append(node)
+        code.append((fn, a, b, reg))
+    memo[id(node)] = reg
+    return reg
+
+
+def tape(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
+         ) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """Lower expressions once to a callable from the flat coordinates
+    (q1..qn, v1..vn, z) to their values, like a :func:`compile_components`
+    program.  Parameters are frozen in when lowering; every call runs the
+    instructions on a fresh copy of the register file."""
+    code, regs, results = _lower(exprs, n, params)
+    d = 2 * n + 1
+
+    def run(y: Sequence[float]) -> tuple[float, ...]:
+        r = [*map(float, y), *regs]
+        if len(r) != d + len(regs):
+            raise ValueError(f"expected {d} coordinates, got {len(r) - len(regs)}")
+        try:
+            for fn, a, b, out in code:
+                r[out] = fn(r[a]) if b is None else fn(r[a], r[b])
+        except _FLOAT_ERRORS as exc:
+            raise _domain_error(exc, regs[out - d]) from None
+        return tuple([r[k] for k in results])
+
+    return run
+
+
 def evaluate_all(exprs: Sequence[Expr], point: StatePoint,
                  params: ParamSet | None = None) -> tuple[float, ...]:
     """IEEE-double values of several expressions at one point, in order.
 
-    One walk serves the whole sequence: a compound node object reached more
-    than once (shared subtrees, as in derivatives, Cramer solves and the
-    entries of one residual set) is computed once per call.  The first
+    A node object shared within the sequence (derivatives, Cramer solves,
+    the entries of one residual set) is computed once, and the first
     expression that fails raises a DomainError naming the failing subtree.
+    Code that evaluates the same expressions at many points holds a tape.
     """
-    exprs = tuple(exprs)   # keeps every node alive, so no id is reused
-    params = params or {}
-    flat, n = point._flat, point.n
-    memo: dict[int, float] = {}
-
-    def ev(node: Expr) -> float:
-        kind = type(node)
-        if kind is Const:
-            return node.value
-        if kind is Coord:
-            return flat[_slot(node, n)]
-        if kind is Param:
-            return _param_value(node, params)
-        value = memo.get(id(node))
-        if value is not None:
-            return value
-        if kind is BinOp:
-            a, b = ev(node.lhs), ev(node.rhs)
-            op = node.op
-            if op == "+":
-                value = a + b
-            elif op == "-":
-                value = a - b
-            elif op == "*":
-                value = a * b
-            else:
-                try:
-                    value = a / b
-                except ZeroDivisionError as exc:
-                    raise _domain_error(exc, node) from None
-        elif kind is Call:
-            x = ev(node.arg)
-            try:
-                value = _APPLY[node.fn](x)
-            except _FLOAT_ERRORS as exc:
-                raise _domain_error(exc, node) from None
-        elif kind is IntPow:
-            x = ev(node.base)
-            try:
-                value = x ** node.exponent
-            except _FLOAT_ERRORS as exc:
-                raise _domain_error(exc, node) from None
-        else:
-            raise TypeError(f"not an Expr node: {node!r}")
-        memo[id(node)] = value
-        return value
-
-    try:
-        return tuple(map(ev, exprs))
-    finally:
-        # ev reaches itself through its closure; breaking that cycle frees
-        # the memo on return instead of at the next garbage collection
-        del ev
+    return tape(exprs, point.n, params)(point._flat)
 
 
 def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> float:
@@ -903,49 +909,36 @@ def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> floa
 
 def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
                        ) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """Compile expressions to a fast callable on flat coordinates.
-
-    The returned function maps a flat coordinate vector (q1..qn, v1..vn, z)
-    to a tuple of values.  Parameters are frozen in at compile time.  The
-    generated code has one statement per distinct subtree, in the order
-    :func:`evaluate` walks, so values and DomainErrors equal its own.
-    """
-    params = params or {}
+    """A :func:`tape` rendered as straight-line Python, one statement per
+    distinct statement text; faster to run, slower to build."""
+    code, regs, results = _lower(exprs, n, params)
+    d = 2 * n + 1
     lines: list[str] = []     # line k + 2 of the source assigns t{k}
-    nodes: list[Expr] = []    # the subtree line k + 2 computes
+    computes: list = []       # the node line k + 2 computes, None for a leaf
     by_text: dict[str, str] = {}
-    by_id: dict[int, str] = {}
+    names: dict[int, str] = {}
 
-    def emit(node: Expr) -> str:
-        name = by_id.get(id(node))
-        if name is not None:
-            return name
-        if isinstance(node, Const):
-            text = repr(node.value)
-        elif isinstance(node, Coord):
-            text = f"float(y[{_slot(node, n)}])"
-        elif isinstance(node, Param):
-            text = repr(_param_value(node, params))
+    def name(reg: int, text: str | None = None, node: Expr | None = None) -> str:
+        if reg not in names:   # an instruction names its output; a leaf, its first use
+            text = text or (f"float(y[{reg}])" if reg < d else repr(regs[reg - d]))
+            if text not in by_text:
+                by_text[text] = f"t{len(lines)}"
+                lines.append(f"    {by_text[text]} = {text}\n")
+                computes.append(node)
+            names[reg] = by_text[text]
+        return names[reg]
+
+    for _, a, b, out in code:
+        node = regs[out - d]
+        if isinstance(node, BinOp):
+            text = f"{name(a)} {node.op} {name(b)}"
         elif isinstance(node, Call):
-            arg = emit(node.arg)
-            text = f"-{arg}" if node.fn == "neg" else f"{node.fn}({arg})"
-        elif isinstance(node, BinOp):
-            lhs = emit(node.lhs)
-            text = f"{lhs} {node.op} {emit(node.rhs)}"
-        elif isinstance(node, IntPow):
-            text = f"{emit(node.base)} ** {node.exponent}"
+            text = f"-{name(a)}" if node.fn == "neg" else f"{node.fn}({name(a)})"
         else:
-            raise TypeError(f"not an Expr node: {node!r}")
-        name = by_text.get(text)
-        if name is None:
-            name = by_text[text] = f"t{len(lines)}"
-            lines.append(f"    {name} = {text}\n")
-            nodes.append(node)
-        by_id[id(node)] = name
-        return name
-
-    results = "".join(f"{emit(e)}, " for e in exprs)
-    source = f"def program(y):\n{''.join(lines)}    return ({results})\n"
+            text = f"{name(a)} ** {node.exponent}"
+        name(out, text, node)
+    returned = "".join(f"{name(reg)}, " for reg in results)
+    source = f"def program(y):\n{''.join(lines)}    return ({returned})\n"
     env = {"inf": math.inf, "nan": math.nan, **{fn: _APPLY[fn] for fn in FUNCTIONS}}
     exec(compile(source, "<compiled expressions>", "exec"), env)  # noqa: S102
     program = env["program"]
@@ -957,7 +950,7 @@ def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = 
             tb = exc.__traceback__
             while tb.tb_next is not None:
                 tb = tb.tb_next
-            raise _domain_error(exc, nodes[tb.tb_lineno - 2]) from None
+            raise _domain_error(exc, computes[tb.tb_lineno - 2]) from None
 
     return call
 
@@ -966,12 +959,12 @@ def evaluate_many(e: Expr, Q: np.ndarray, V: np.ndarray, Z: np.ndarray,
                   params: ParamSet | None = None) -> np.ndarray:
     """Evaluation over m points; Q and V are (m, n), Z is (m,).
 
-    Row k equals :func:`evaluate` at point k, and the first failing row
-    raises its DomainError.
+    Row k equals :func:`evaluate` at point k, through one tape, and the
+    first failing row raises its DomainError.
     """
     Q = np.asarray(Q, dtype=float)
-    program = compile_components([e], Q.shape[1], params)
-    return np.array([program(y)[0] for y in np.column_stack([Q, V, Z]).tolist()],
+    run = tape([e], Q.shape[1], params)
+    return np.array([run(y)[0] for y in np.column_stack([Q, V, Z]).tolist()],
                     dtype=float)
 
 
@@ -987,24 +980,18 @@ def gradient(e: Expr, n: int) -> tuple[Expr, ...]:
 
 @lru_cache(maxsize=None)
 def hessian(e: Expr, n: int) -> tuple[tuple[Expr, ...], ...]:
-    """Symbolic Hessian, symmetric by construction (upper triangle mirrored)."""
-    cs = coords(n)
-    grad = gradient(e, n)
-    d = len(cs)
-    rows: list[list[Expr]] = [[Const(0.0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            entry = _diff(grad[i], cs[j])
-            rows[i][j] = entry
-            rows[j][i] = entry
-    return tuple(tuple(r) for r in rows)
+    """Symbolic Hessian, symmetric by construction: entry (j, i) is the cached
+    object of entry (i, j), i <= j."""
+    cs, grad = coords(n), gradient(e, n)
+    return tuple(tuple(_diff(grad[min(i, j)], cs[max(i, j)]) for j in range(len(cs)))
+                 for i in range(len(cs)))
 
 
 def eval_jet2(e: Expr, point: StatePoint, params: ParamSet | None = None
               ) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient and Hessian at a point, all by symbolic differentiation.
 
-    One walk computes the whole jet; the mirrored Hessian entries are one
+    One tape computes the whole jet; the mirrored Hessian entries are one
     object, so they get one value and the Hessian is exactly symmetric.
     """
     n, d = point.n, 2 * point.n + 1

@@ -21,7 +21,7 @@ solve on W.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -31,7 +31,7 @@ from .contact import CoordOneForm, CoordVectorField
 from .expr import (
     Const, Coord, Expr, ParamSet, StatePoint, add, coord, coords, depends_on,
     differentiate, div, evaluate, evaluate_all, merge_params, mul, q, sub,
-    substitute, solve_cramer, v, z,
+    substitute, solve_cramer, tape, v, z,
 )
 
 __all__ = [
@@ -74,7 +74,8 @@ class ActionFunction:
 
 @dataclass(frozen=True)
 class ExtendedLagrangianSystem:
-    """(L, zeta) with L given on the base chart (q, v, z)."""
+    """(L, zeta) with L given on the base chart (q, v, z).  ``params`` are
+    read when the W^zeta tape is first lowered."""
 
     n_dim: int
     L: Expr
@@ -85,11 +86,11 @@ class ExtendedLagrangianSystem:
     def all_params(self) -> dict:
         return merge_params(self.params, self.zeta.params)
 
-
-def _as_var(var: Union[Coord, str]) -> Union[Coord, str]:
-    if var == "zeta":
-        return "zeta"
-    return var if isinstance(var, Coord) else coord(var)
+    @cached_property
+    def _hessian_tape(self):
+        """The W^zeta entries, row-major."""
+        rows = _zeta_hessian_exprs(self.L, self.zeta.zeta, self.n_dim)
+        return tape([e for row in rows for e in row], self.n_dim, self.all_params)
 
 
 def zeta_partial(f: Expr, zeta: Union[ActionFunction, Expr],
@@ -102,9 +103,9 @@ def zeta_partial(f: Expr, zeta: Union[ActionFunction, Expr],
     """
     zexpr = zeta.zeta if isinstance(zeta, ActionFunction) else zeta
     dz_zeta = differentiate(zexpr, z())
-    var = _as_var(var)
     if var == "zeta":
         return div(differentiate(f, z()), dz_zeta)
+    var = var if isinstance(var, Coord) else coord(var)
     if not isinstance(var, Coord) or var.kind == "z":
         raise ValueError("zeta-chart partials are taken along q_i, v_i or zeta")
     correction = div(differentiate(zexpr, var), dz_zeta)
@@ -155,9 +156,7 @@ def extended_lagrangian_form(sys: ExtendedLagrangianSystem) -> CoordOneForm:
 
 
 def zeta_hessian(sys: ExtendedLagrangianSystem, p: StatePoint) -> np.ndarray:
-    n = sys.n_dim
-    entries = [e for row in _zeta_hessian_exprs(sys.L, sys.zeta.zeta, n) for e in row]
-    return np.array(evaluate_all(entries, p, sys.all_params)).reshape(n, n)
+    return np.array(sys._hessian_tape(p._flat)).reshape(sys.n_dim, sys.n_dim)
 
 
 def zeta_regularity(sys: ExtendedLagrangianSystem, p: StatePoint

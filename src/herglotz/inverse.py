@@ -26,8 +26,7 @@ from .checks import (
 )
 from .contact import CoordVectorField
 from .expr import (
-    Const, Expr, det_expr, differentiate, div, evaluate_all, merge_params, q,
-    sub, v, z,
+    Const, Expr, det_expr, differentiate, div, merge_params, q, sub, tape, v, z,
 )
 from .extended import ActionFunction, _zeta_hessian_exprs, herglotz_defects
 
@@ -85,9 +84,10 @@ def naive_inverse_check(sode: SODESystem, plan: SamplePlan | None = None,
     b = sode.z_rate
     defects = herglotz_defects(sode.as_field(), b, z(), n)
     hessian_det = det_expr(_zeta_hessian_exprs(b, z(), n))
+    residuals_at = tape((*defects, hessian_det), n, sode.params)
 
     def values(p):
-        *defect_vals, det = evaluate_all((*defects, hessian_det), p, sode.params)
+        *defect_vals, det = residuals_at(p._flat)
         out = {f"herglotz_defect_{i + 1}": abs(x) for i, x in enumerate(defect_vals)}
         out["regularity_defect"] = 0.0 if abs(det) > det_tol else 1.0
         out["hessian_det"] = det
@@ -128,6 +128,7 @@ def extended_inverse_check(sode: SODESystem, zeta: ActionFunction,
         lhs = sub(differentiate(xi_zeta, q(i + 1)), sode.apply(momenta[i])) * dzeta_dz
         rhs = sub(differentiate(zeta.zeta, q(i + 1)), momenta[i]) * dxz_dz
         defects.append(sub(lhs, rhs))
+    defects_at = tape(defects, n, merged)
 
     def require_strong(points):
         if not zeta.is_strong(n):
@@ -136,7 +137,7 @@ def extended_inverse_check(sode: SODESystem, zeta: ActionFunction,
 
     def values(p):
         return {f"extended_defect_{i + 1}": abs(x)
-                for i, x in enumerate(evaluate_all(defects, p, merged))}
+                for i, x in enumerate(defects_at(p._flat))}
 
     report = run_check(n, values, plan, tol,
                        predicate=lambda p: zeta.frame_ok(p, merged),
@@ -179,8 +180,11 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
         e_i = sub(fiber * dr_dz, r * differentiate(fiber, z()))
         d_exprs.append(d_i)
         e_exprs.append(e_i)
-    ratio_grads = [[differentiate(div(d_exprs[i], e_exprs[i]), v(k + 1))
-                    for k in range(n)] for i in range(n)]
+    d_e_at = tape((*d_exprs, *e_exprs), n, sode.params)
+    # one tape per index: the ratio gradients of an excluded index may not
+    # evaluate (E_i can fold to 0), so only the usable ones are run
+    ratio_grads_at = [tape([differentiate(div(d_exprs[i], e_exprs[i]), v(k + 1))
+                            for k in range(n)], n, sode.params) for i in range(n)]
     excluded = 0
     index = -1
 
@@ -192,7 +196,7 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
     def values(p):
         nonlocal excluded, index
         index += 1
-        vals = evaluate_all((*d_exprs, *e_exprs), p, sode.params)
+        vals = d_e_at(p._flat)
         d_vals = [finite(f"D_{i + 1}", x) for i, x in enumerate(vals[:n])]
         e_vals = [finite(f"E_{i + 1}", x) for i, x in enumerate(vals[n:])]
         out: dict[str, float] = {}
@@ -208,9 +212,7 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
                 excluded += 1
         ratios = [finite(f"D_{i + 1}/E_{i + 1}", d_vals[i] / e_vals[i]) for i in usable]
         out["ratio_spread"] = max(ratios) - min(ratios) if ratios else 0.0
-        # the ratio gradients of an excluded index may not evaluate (E_i can
-        # fold to 0), so only the usable ones are walked
-        grads = evaluate_all([g for i in usable for g in ratio_grads[i]], p, sode.params)
+        grads = [g for i in usable for g in ratio_grads_at[i](p._flat)]
         out["ratio_velocity_gradient"] = max(
             (abs(finite("ratio_velocity_gradient", g)) for g in grads), default=0.0)
         return out

@@ -16,6 +16,7 @@ cross-checks the field against the pointwise contact solver on (eta_L, E_L).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,24 +45,24 @@ class ContactLagrangianSystem:
     L: Expr
     params: dict = field(default_factory=dict)
 
-
-def _extended(sys: ContactLagrangianSystem) -> ExtendedLagrangianSystem:
-    """The same system as the extended system (L, zeta = z)."""
-    return ExtendedLagrangianSystem(sys.n_dim, sys.L, ActionFunction(z()), sys.params)
+    @cached_property
+    def _extended(self) -> ExtendedLagrangianSystem:
+        """The system as (L, zeta = z), which holds the tape of W and reads params once."""
+        return ExtendedLagrangianSystem(self.n_dim, self.L, ActionFunction(z()), self.params)
 
 
 def velocity_hessian(sys: ContactLagrangianSystem, p: StatePoint) -> np.ndarray:
-    return zeta_hessian(_extended(sys), p)
+    return zeta_hessian(sys._extended, p)
 
 
 def lagrangian_form(sys: ContactLagrangianSystem) -> CoordOneForm:
     """eta_L = dz - (dL/dv_i) dq^i."""
-    return extended_lagrangian_form(_extended(sys))
+    return extended_lagrangian_form(sys._extended)
 
 
 def energy(sys: ContactLagrangianSystem) -> Expr:
     """E_L = v_i dL/dv_i - L."""
-    return zeta_energy(_extended(sys))
+    return zeta_energy(sys._extended)
 
 
 def regularity(sys: ContactLagrangianSystem, p: StatePoint) -> tuple[float, bool]:
@@ -72,7 +73,7 @@ def regularity(sys: ContactLagrangianSystem, p: StatePoint) -> tuple[float, bool
 
 def herglotz_field(sys: ContactLagrangianSystem) -> CoordVectorField:
     """The Herglotz vector field (v, a, L) with symbolic components."""
-    return zeta_herglotz_field(_extended(sys))
+    return zeta_herglotz_field(sys._extended)
 
 
 def _acceleration_rhs_values(sys: ContactLagrangianSystem, p: StatePoint) -> np.ndarray:

@@ -2,10 +2,14 @@ import math
 
 import pytest
 
+from herglotz import equivalence, inverse
+from herglotz import expr as ex
 from herglotz.checks import (
     CheckAbort, PointRecord, SamplePlan, Tolerances, report_from_records,
     run_check,
 )
+from herglotz.expr import parse
+from herglotz.fixtures import builtin_systems
 
 from conftest import pt
 
@@ -65,3 +69,89 @@ def test_check_without_records_is_error(points, values):
     assert math.isnan(report.max_residual)
     assert report.records == []
     assert report.diagnostics == ["no residual records: no sampled point gave values"]
+
+
+# ---------------------------------------------------------------------------
+# Per-point loops lower nothing: every checker lowers its tapes before its
+# points, so the lowerings made inside point functions do not grow with the
+# point count (a system's own tapes may be lowered lazily, at the first point).
+
+
+def checker_runs(plan):
+    """One call per checker of equivalence and inverse, on fresh fixtures, so
+    that no tape a system holds is left over from another run."""
+    reg = builtin_systems()
+    return {
+        "conformal": lambda: equivalence.conformal_similarity_check(
+            reg["saddle"](), reg["saddle_flipped"](), plan=plan),
+        "conformal-factor": lambda: equivalence.conformal_similarity_check(
+            reg["saddle"](), reg["saddle_shifted"](), parse("1", 1), plan),
+        "dynamical": lambda: equivalence.dynamical_equivalence_check(
+            reg["saddle"](), reg["saddle_flipped"](), plan),
+        "zero-set": lambda: equivalence.zero_set_diagnostic(
+            reg["saddle"](), reg["saddle_flipped"](), plan),
+        "horizontal": lambda: equivalence.horizontal_similarity_check(
+            reg["sode_shear"]().as_field(), reg["sode_shear_projected"]().as_field(),
+            reg["zeta_shear"](), plan, {"gam": 0.1}),
+        "projectability": lambda: equivalence.projectability_check(
+            reg["sode_linear_drag"]().as_field(), plan, {"gam": 0.1}),
+        "strong": lambda: equivalence.strong_equivalence_check(
+            reg["linear_drag"](), reg["drag_gauge_bar"](), reg["zeta_sin_q"](), plan),
+        "general": lambda: equivalence.general_equivalence_check(
+            reg["power_gauge_base"](), reg["power_gauge_bar1"](), reg["zeta_v1"](), plan),
+        "naive-inverse": lambda: inverse.naive_inverse_check(reg["sode_parachute"](), plan),
+        "extended-inverse": lambda: inverse.extended_inverse_check(
+            reg["sode_linear_drag"](), reg["zeta_identity"](), plan),
+        "di-ei": lambda: inverse.di_ei_diagnostics(reg["sode_parachute"](), plan),
+    }
+
+
+@pytest.fixture
+def lowerings_in_points(monkeypatch):
+    """Counts of ``expr._lower`` calls made inside run_check point functions,
+    and of point function calls."""
+    counts = {"lowered": 0, "points": 0}
+    depth = [0]
+    lower = ex._lower
+
+    def counted_lower(*args):
+        counts["lowered"] += depth[0] > 0
+        return lower(*args)
+
+    def counted_run_check(n, point_values, *args, **kwargs):
+        def values(p):
+            counts["points"] += 1
+            depth[0] += 1
+            try:
+                return point_values(p)
+            finally:
+                depth[0] -= 1
+        return run_check(n, values, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "_lower", counted_lower)
+    for module in (equivalence, inverse):
+        monkeypatch.setattr(module, "run_check", counted_run_check)
+    return counts, counted_run_check
+
+
+@pytest.mark.parametrize("name", sorted(checker_runs(None)))
+def test_per_point_loops_lower_nothing(lowerings_in_points, name):
+    counts, _ = lowerings_in_points
+    seen = []
+    for count in (5, 20):
+        counts.update(lowered=0, points=0)
+        report = checker_runs(SamplePlan("random", (), count, 3))[name]()
+        report = getattr(report, "report", report)
+        assert report.verdict != "error", report.diagnostics
+        assert counts["points"] >= count
+        seen.append(counts["lowered"])
+    assert seen[0] == seen[1]
+
+
+def test_the_lowering_count_sees_a_per_point_tape(lowerings_in_points):
+    counts, counted_run_check = lowerings_in_points
+    for count in (5, 20):
+        counts.update(lowered=0)
+        counted_run_check(1, lambda p: {"q1": ex.evaluate(parse("2*q1", 1), p)},
+                          SamplePlan("random", (), count, 3))
+        assert counts["lowered"] == count

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from herglotz import dynamics
 from herglotz.contact import CoordVectorField
 from herglotz.dynamics import (
     IntegrationError, SampledCurve, Trajectory, action, integrate,
@@ -298,6 +299,28 @@ def test_parachute_solution_is_stationary_and_random_curve_is_not():
                                    8, 1e-4, 1e-3, para.params)
     assert report_bad.verdict == "fail"
     assert report_bad.max_residual >= 1e-1
+
+
+def test_stationarity_compiles_the_lagrangian_once(monkeypatch):
+    para = REG["parachute"]()
+    traj = integrate(herglotz_field(para), pt(0.0, 2.0, 0.0), 1.0, 1.0 / 99, para.params)
+    curve, z0, amp = trajectory_to_curve(traj), 0.3, 1e-4
+    compiled = []
+    monkeypatch.setattr(dynamics, "compile_components", lambda *args: compiled.append(
+        args) or compile_components(*args))
+    report = stationarity_test(para.L, curve, z0, 8, amp, 1e-3, para.params)
+    assert len(compiled) == 1
+    monkeypatch.undo()
+    # the report is the one action() per probe curve gives
+    t, base_v = curve.times, curve.velocities()
+    assert report.diagnostics[0] == f"action = {action(para.L, curve, z0, para.params)!r}"
+    for j in range(1, 9):
+        bump, rate = np.sin(j * math.pi * t)[:, None], j * math.pi * np.cos(j * math.pi * t)
+        plus = SampledCurve(t, curve.q + amp * bump, base_v + amp * rate[:, None])
+        minus = SampledCurve(t, curve.q - amp * bump, base_v - amp * rate[:, None])
+        d = (action(para.L, plus, z0, para.params)
+             - action(para.L, minus, z0, para.params)) / (2.0 * amp)
+        assert report.diagnostics[1 + j] == f"D[j={j},q1] = {d!r}"
 
 
 def test_damped_solution_is_stationary():

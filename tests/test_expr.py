@@ -85,6 +85,18 @@ def test_constant_folding_stops_at_overflow(build, op, lhs, rhs):
     assert build(Const(3.0), Const(2.0)) == Const(BINARY[op](3.0, 2.0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ex.as_expr(math.inf),
+    lambda: ex.const(math.nan),
+    lambda: ex.add(Coord("q", 1), math.nan),
+    lambda: Coord("q", 1) * math.inf,
+], ids=["as_expr-inf", "const-nan", "add-nan", "mul-inf"])
+def test_non_finite_constants_are_rejected(build):
+    # a non-finite Const would print as a name and parse back as a parameter
+    with pytest.raises(ExprError, match=r"constant (inf|nan) is not finite"):
+        build()
+
+
 def test_parse_whitespace_and_exponent_numbers():
     assert parse(" 1e-2 * q1 ", n=1) == BinOp("*", Const(0.01), Coord("q", 1))
     assert parse("2.5e3", n=1) == Const(2500.0)
@@ -173,6 +185,19 @@ def test_compile_components_matches_evaluate():
     pole = compile_components([parse("1/(q1 - 1)", n=1)], n=1)
     with pytest.raises(DomainError, match=r"division by zero in 1/\(q1 - 1\)"):
         pole(np.array([1.0, 0.0, 0.0]))
+
+
+def test_tape_runs_at_many_points_and_checks_the_vector_length():
+    run = ex.tape([parse("q1/v1 + z", 1), parse("gam*q1", 1)], 1, {"gam": 2.0})
+    assert run((1.0, 4.0, 0.5)) == (0.75, 2.0)
+    assert run(np.array([3.0, 2.0, 0.0])) == (1.5, 6.0)
+    with pytest.raises(DomainError, match=r"division by zero in q1/v1"):
+        run((1.0, 0.0, 0.5))
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+        run((1.0, 4.0))
+    # lowering resolves names, so an unbound parameter fails before any point
+    with pytest.raises(UnboundParameterError, match="gam"):
+        ex.tape([parse("gam*q1", 1)], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +409,7 @@ DAG_SHAPES = {
 
 
 BIG = Const(2.7167594696637367e+271)
+OTHER_FLAT = (0.3, -0.7, 2.0, -1.0, 1e200)
 
 
 @settings(max_examples=300, deadline=None)
@@ -404,6 +430,11 @@ def test_executors_agree_on_values_and_errors(e, other, shape, flat):
     many = _outcome(lambda: evaluate_many(
         e, point.q[None], point.v[None], [point.z], params)[0])
     assert many == scalar
+    # a held tape, lowered once and run at another point first, keeps no
+    # register state from that run
+    held = ex.tape([e], 2, params)
+    _outcome(lambda: held(OTHER_FLAT)[0])
+    assert _outcome(lambda: held(point._flat)[0]) == scalar
     # several expressions sharing subtrees: the values of one walk each, or
     # the error of the first expression that fails
     exprs = [e, other, differentiate(e, "q1"), ex.sub(e, other), ex.mul(other, e)]
@@ -412,6 +443,9 @@ def test_executors_agree_on_values_and_errors(e, other, shape, flat):
     assert _outcomes(lambda: evaluate_all(exprs, point, params)) == expected
     program = compile_components(exprs, 2, params)
     assert _outcomes(lambda: program(point.coords())) == expected
+    held = ex.tape(exprs, 2, params)
+    _outcomes(lambda: held(OTHER_FLAT))
+    assert _outcomes(lambda: held(point._flat)) == expected
 
 
 def test_unparse_examples():
@@ -568,6 +602,12 @@ def test_evaluate_computes_a_shared_node_once(monkeypatch):
     assert evaluate_all((e, doubled), pt(0.3, 0.0, 0.0)) == (
         2.0**20 * math.sin(0.3), 2.0**21 * math.sin(0.3))
     assert calls == [0.3]
+    # a held tape computes it once per run
+    calls.clear()
+    run = ex.tape((e,), 1)
+    assert run(pt(0.3, 0.0, 0.0)._flat) == (2.0**20 * math.sin(0.3),)
+    assert run(pt(-0.4, 0.0, 0.0)._flat) == (2.0**20 * math.sin(-0.4),)
+    assert calls == [0.3, -0.4]
 
 
 # ---------------------------------------------------------------------------
