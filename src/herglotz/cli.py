@@ -375,9 +375,11 @@ def _as_hamiltonian_system(obj) -> ContactHamiltonianSystem:
 def _resolve_contact_pair(cfg, args) -> tuple[ContactHamiltonianSystem,
                                               ContactHamiltonianSystem]:
     kinds = (ContactHamiltonianSystem, ContactLagrangianSystem)
-    return tuple(_as_hamiltonian_system(_resolve(cfg, args[key], kinds,
-                                                 "contact system"))
-                 for key in ("system", "system_b"))
+    sys_a, sys_b = (_as_hamiltonian_system(_resolve(cfg, args[key], kinds, "contact system"))
+                    for key in ("system", "system_b"))
+    if sys_a.n_dim != sys_b.n_dim:
+        raise ConfigError("the two systems live on different charts", "args")
+    return sys_a, sys_b
 
 
 def _task_check_conformal(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
@@ -392,8 +394,6 @@ def _task_check_conformal(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]
 
 def _task_check_dynamical(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sys_a, sys_b = _resolve_contact_pair(cfg, args)
-    if sys_a.n_dim != sys_b.n_dim:
-        raise ConfigError("the two systems live on different charts", "args")
     plan = _resolve_plan(cfg, args.get("plan"))
     report = dynamical_equivalence_check(sys_a, sys_b, plan, cfg.tolerances)
     zero = zero_set_diagnostic(sys_a, sys_b, plan, cfg.tolerances)
@@ -426,7 +426,7 @@ def _task_legendre(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
         sys_l.n_dim,
         lambda p: {"pullback_defect": legendre_pullback_residual(ext, p)},
         _resolve_plan(cfg, args.get("plan")), cfg.tolerances,
-        predicate=lambda p: zeta.frame_ok(p, sys_l.params))
+        predicate=zeta.frame_test(sys_l.n_dim, sys_l.params))
     if report.records:
         first = report.records[0].point
         qv, momenta, zeta_val = zeta_legendre(ext, first)

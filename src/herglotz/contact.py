@@ -19,7 +19,7 @@ agrees with X = dH/dp_i d/dq_i - (dH/dq_i + p_i dH/dz) d/dp_i +
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -132,9 +132,9 @@ class ContactHamiltonianSystem:
                                   self.n_dim, self.params)
 
 
-@lru_cache(maxsize=None)
 def _component_jacobian(form: CoordOneForm) -> tuple[Expr, ...]:
-    """d(alpha_b)/dx^a, row-major in (a, b)."""
+    """d(alpha_b)/dx^a, row-major in (a, b); each entry is a node memo hit
+    once built."""
     return tuple(differentiate(comp, c) for c in coords(form.n_dim)
                  for comp in form.components)
 

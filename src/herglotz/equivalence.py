@@ -61,6 +61,15 @@ def _second_order_precheck(fields: dict[str, CoordVectorField],
     return precheck
 
 
+def _chart_dimension(sys_a: ContactHamiltonianSystem,
+                     sys_b: ContactHamiltonianSystem) -> int:
+    """The common n of two systems; a ValueError when their charts differ."""
+    if sys_a.n_dim != sys_b.n_dim:
+        raise ValueError(f"the two systems live on charts of different dimension "
+                         f"(n = {sys_a.n_dim} and n = {sys_b.n_dim})")
+    return sys_a.n_dim
+
+
 def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
                                sys_b: ContactHamiltonianSystem,
                                factor: Expr | None = None,
@@ -73,7 +82,7 @@ def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
     error.  A vanishing factor at any sampled point forces a fail.
     """
     skipped = 0
-    n = sys_a.n_dim
+    n = _chart_dimension(sys_a, sys_b)
     # one tape per parameter map; the forms are evaluated only where f is known
     h_a_at, h_b_at = (tape((s.H,), n, s.params) for s in (sys_a, sys_b))
     eta_a_at, eta_b_at = (tape(s.eta.components, n, s.params) for s in (sys_a, sys_b))
@@ -117,6 +126,8 @@ def dynamical_equivalence_check(sys_a: ContactHamiltonianSystem,
                                 plan: SamplePlan | None = None,
                                 tol: Tolerances | None = None) -> CheckReport:
     """Check X_H = X_Hbar pointwise (equality of Hamiltonian vector fields)."""
+    n = _chart_dimension(sys_a, sys_b)
+
     def values(p):
         try:
             x_a = hamiltonian_field(sys_a, p)
@@ -124,8 +135,7 @@ def dynamical_equivalence_check(sys_a: ContactHamiltonianSystem,
         except ContactConditionError as exc:
             raise CheckAbort(f"solver failure at {p}: {exc}") from None
         return {"field_mismatch": float(np.max(np.abs(x_a - x_b)))}
-    return run_check(sys_a.n_dim, values, plan, tol,
-                     residual_keys=("field_mismatch",))
+    return run_check(n, values, plan, tol, residual_keys=("field_mismatch",))
 
 
 def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,
@@ -139,7 +149,8 @@ def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,
     mismatches when exactly one Hamiltonian is (numerically) zero or when
     both are nonzero with opposite signs.
     """
-    h_a_at, h_b_at = (tape((s.H,), sys_a.n_dim, s.params) for s in (sys_a, sys_b))
+    n = _chart_dimension(sys_a, sys_b)
+    h_a_at, h_b_at = (tape((s.H,), n, s.params) for s in (sys_a, sys_b))
 
     def values(p):
         (h_a,), (h_b,) = h_a_at(p._flat), h_b_at(p._flat)
@@ -149,8 +160,7 @@ def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,
         return {"zero_set_mismatch": 1.0 if mismatch else 0.0,
                 "H": h_a, "H_bar": h_b}
 
-    report = run_check(sys_a.n_dim, values, plan, tol,
-                       residual_keys=("zero_set_mismatch",))
+    report = run_check(n, values, plan, tol, residual_keys=("zero_set_mismatch",))
     mismatches = sum(1 for rec in report.records if rec.values["zero_set_mismatch"])
     report.diagnostics.append(f"zero-set mismatches at {mismatches} of "
                               f"{len(report.records)} points")
@@ -184,7 +194,7 @@ def horizontal_similarity_check(xi: CoordVectorField, xi_bar: CoordVectorField,
         return out
 
     return run_check(
-        n, values, plan, tol, predicate=lambda p: zeta.frame_ok(p, merged),
+        n, values, plan, tol, predicate=zeta.frame_test(n, merged),
         precheck=_second_order_precheck({"xi": xi, "xi_bar": xi_bar}, merged, tol))
 
 
@@ -255,7 +265,7 @@ def strong_equivalence_check(sys: ContactLagrangianSystem,
         }
 
     return run_check(n, values, plan, tol,
-                     predicate=lambda p: zeta.frame_ok(p, merged))
+                     predicate=zeta.frame_test(n, merged))
 
 
 def general_equivalence_check(sys: ContactLagrangianSystem,
@@ -296,4 +306,4 @@ def general_equivalence_check(sys: ContactLagrangianSystem,
         return out
 
     return run_check(n, values, plan, tol,
-                     predicate=lambda p: zeta.frame_ok(p, merged))
+                     predicate=zeta.frame_test(n, merged))

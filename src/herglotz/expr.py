@@ -12,9 +12,11 @@ it as Python for long runs.  Only light simplification is performed on
 construction (constant folding, 0/1 elimination); there is no attempt at
 canonical forms, and constants are finite.
 
-Nodes are immutable and slotted.  ``==`` is structural (same type and equal
-fields, so ``Const(0.0) == Const(-0.0)``), and a node stores its hash on
-first use, so a tree-keyed cache lookup costs O(1) once the tree is hashed.
+Nodes are immutable, slotted and hash-consed (Filliatre & Conchon, 2006): a
+weak table keyed by class, payload and children makes equal trees one object,
+so ``==`` and ``hash`` are identity, and a node's memo (its derivatives) is
+freed with it.  A ``Const`` is keyed by its value's type and bit pattern, so
+``Const(0.0) is not Const(-0.0)``.
 
 Grammar accepted by :func:`parse` (whitespace insignificant, numbers are
 decimal with an optional exponent)::
@@ -33,6 +35,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence, Union
@@ -84,38 +89,28 @@ class DomainError(EvalError):
 
 
 class Expr:
-    """Base node.  Nodes are immutable, slotted and safe to share.
+    """Base node: immutable, slotted, interned, so ``==`` is ``is``.  Slot
+    ``_d`` is the node's memo (its derivatives, and builds keyed by it in
+    other modules), which lives exactly as long as the node."""
 
-    ``==`` is structural: same type and equal fields, so ``Const(0.0) ==
-    Const(-0.0)``.  The hash is computed on first use and stored in the
-    node; compound nodes compare identity, then stored hashes, then fields.
-    """
-
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__", "_d")
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     __delattr__ = __setattr__
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(self._key())
-            _set_hash(self, h)
-        return h
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
     def __reduce__(self):
-        return type(self), self._key()
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__slots__, self._key()))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
     def __add__(self, other):
@@ -152,115 +147,106 @@ class Expr:
         return unparse(self)
 
 
-# Nodes set their fields through the slot descriptors, which bypass the
-# immutable __setattr__ and cost less than object.__setattr__.
+# The intern table maps a node's key (class, payload, child ids) to a weak
+# reference, which drops the entry when the node dies.  A live node keeps its
+# children, so their ids are not reused while its entry exists, and keys hold
+# no node, so a memo that refers back to its node (d exp(u) = exp(u) du) is a
+# plain cycle for the collector.  Inserts and drops take a reentrant lock: a
+# collection run while a node is made drops entries from the same thread.
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+_nodes: dict[tuple, _Ref] = {}
+_table_lock = threading.RLock()
+
+
+def _drop(ref: _Ref) -> None:
+    with _table_lock:
+        if _nodes.get(ref.key) is ref:
+            del _nodes[ref.key]
+
+
+def _node(key: tuple, *fields) -> Expr:
+    """The node under ``key``, made with class ``key[0]`` and slot values
+    ``fields`` if no live one is in the table."""
+    with _table_lock:
+        ref = _nodes.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(key[0])
+            for setter, value in zip(key[0]._setters, fields):
+                setter(node, value)
+            _set_d(node, None)
+            ref = _nodes[key] = _Ref(node, _drop)
+            ref.key = key
+        return node
 
 
 class Const(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: float):
-        _set_value(self, value)
-        _set_hash(self, None)
-
-    def _key(self):
-        return (self.value,)
+    def __new__(cls, value: float):
+        # keyed by type and bit pattern: 0.0, -0.0 and 1 are three nodes
+        key = (cls, type(value), _bits(value) if isinstance(value, float) else value)
+        ref = _nodes.get(key)
+        return ref and ref() or _node(key, value)
 
 
 class Coord(Expr):
     __slots__ = ("kind", "index")   # "q", "v" or "z"; 1-based for q/v, 0 for z
 
-    def __init__(self, kind: str, index: int = 0):
-        _set_kind(self, kind)
-        _set_index(self, index)
-        _set_hash(self, None)
-
-    def _key(self):
-        return (self.kind, self.index)
+    def __new__(cls, kind: str, index: int = 0):
+        ref = _nodes.get(key := (cls, kind, index))
+        return ref and ref() or _node(key, kind, index)
 
 
 class Param(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        _set_name(self, name)
-        _set_hash(self, None)
-
-    def _key(self):
-        return (self.name,)
+    def __new__(cls, name: str):
+        ref = _nodes.get(key := (cls, name))
+        return ref and ref() or _node(key, name)
 
 
-class _Compound(Expr):
-    """A node with children.  A node proven equal to another remembers it
-    (``_twin``), so comparing two separately built DAGs costs their
-    distinct nodes, not their tree size.  A dict lookup calls the stored
-    key's ``__eq__`` with the probe, so the probe points at the cached node
-    and a cache keeps no extra tree alive."""
-
-    __slots__ = ("_twin",)
-
-    __hash__ = Expr.__hash__
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        if hash(self) != hash(other):
-            return False
-        if other._twin is self:
-            return True
-        if self._key() != other._key():
-            return False
-        _set_twin(other, self)
-        return True
-
-
-class Call(_Compound):
+class Call(Expr):
     __slots__ = ("fn", "arg")       # fn: one of FUNCTIONS or "neg"
 
-    def __init__(self, fn: str, arg: Expr):
-        _set_fn(self, fn)
-        _set_arg(self, arg)
-        _set_hash(self, None)
-        _set_twin(self, None)
-
-    def _key(self):
-        return (self.fn, self.arg)
+    def __new__(cls, fn: str, arg: Expr):
+        ref = _nodes.get(key := (cls, fn, id(arg)))
+        return ref and ref() or _node(key, fn, arg)
 
 
-class BinOp(_Compound):
+class BinOp(Expr):
     __slots__ = ("op", "lhs", "rhs")  # op: "+", "-", "*", "/"
 
-    def __init__(self, op: str, lhs: Expr, rhs: Expr):
-        _set_op(self, op)
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-        _set_hash(self, None)
-        _set_twin(self, None)
-
-    def _key(self):
-        return (self.op, self.lhs, self.rhs)
+    def __new__(cls, op: str, lhs: Expr, rhs: Expr):
+        ref = _nodes.get(key := (cls, op, id(lhs), id(rhs)))
+        return ref and ref() or _node(key, op, lhs, rhs)
 
 
-class IntPow(_Compound):
+class IntPow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int):
-        _set_base(self, base)
-        _set_exponent(self, exponent)
-        _set_hash(self, None)
-        _set_twin(self, None)
-
-    def _key(self):
-        return (self.base, self.exponent)
+    def __new__(cls, base: Expr, exponent: int):
+        ref = _nodes.get(key := (cls, id(base), exponent))
+        return ref and ref() or _node(key, base, exponent)
 
 
-_set_hash, _set_twin = Expr._hash.__set__, _Compound._twin.__set__
-_set_value, _set_kind, _set_index = Const.value.__set__, Coord.kind.__set__, Coord.index.__set__
-_set_name, _set_fn, _set_arg = Param.name.__set__, Call.fn.__set__, Call.arg.__set__
-_set_op, _set_lhs, _set_rhs = BinOp.op.__set__, BinOp.lhs.__set__, BinOp.rhs.__set__
-_set_base, _set_exponent = IntPow.base.__set__, IntPow.exponent.__set__
+for _cls in (Const, Coord, Param, Call, BinOp, IntPow):
+    _cls._setters = tuple(getattr(_cls, name).__set__ for name in _cls.__slots__)
+_bits, _set_d = struct.Struct("<d").pack, Expr._d.__set__
+_ZERO, _ONE = Const(0.0), Const(1.0)
+
+
+def _memo(e: Expr) -> dict:
+    """The memo dict of a node, made on first use."""
+    memo = e._d
+    if memo is None:
+        _set_d(e, memo := {})
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +340,7 @@ def mul(a, b) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return _fold("*", a, b, a.value * b.value)
     if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is_const(a, 1.0):
         return b
     if _is_const(b, 1.0):
@@ -370,7 +356,7 @@ def div(a, b) -> Expr:
         return a
     # 0/x -> 0: standard light simplification (0/0 ceases to be an error)
     if _is_const(a, 0.0):
-        return Const(0.0)
+        return _ZERO
     return BinOp("/", a, b)
 
 
@@ -388,7 +374,7 @@ def intpow(base, exponent: int) -> Expr:
     if isinstance(exponent, bool) or not isinstance(exponent, int):
         raise ExprError(f"integer exponent required, got {exponent!r}")
     if exponent == 0:
-        return Const(1.0)
+        return _ONE
     if exponent == 1:
         return base
     if isinstance(base, Const) and (base.value != 0.0 or exponent > 0):
@@ -568,8 +554,13 @@ def parse(text: str, n: int) -> Expr:
 
 def _fmt_number(value: float) -> str:
     if value.is_integer() and abs(value) < 1e16:
-        return str(int(value))
+        return "-0" if not value and _signed(value) else str(int(value))
     return repr(value)
+
+
+def _signed(value: float) -> bool:
+    """The sign bit, set for -0.0 too."""
+    return math.copysign(1.0, value) < 0
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -579,14 +570,14 @@ def _is_atomic(e: Expr) -> bool:
     # operands that reparse unchanged without parentheses after a unary
     # minus ("-x") and as the base of a power ("x^k")
     return isinstance(e, (Coord, Param)) or \
-        (isinstance(e, Const) and e.value >= 0) or \
+        (isinstance(e, Const) and not _signed(e.value)) or \
         (isinstance(e, Call) and e.fn != "neg")
 
 
 def _un(e: Expr, ctx: int) -> str:
     if isinstance(e, Const):
         s = _fmt_number(e.value)
-        return s if e.value >= 0 or ctx <= 1 else f"({s})"
+        return s if not _signed(e.value) or ctx <= 1 else f"({s})"
     if isinstance(e, Coord):
         return e.kind if e.kind == "z" else f"{e.kind}{e.index}"
     if isinstance(e, Param):
@@ -618,12 +609,21 @@ def unparse(e: Expr) -> str:
 # Differentiation and substitution
 
 
-@lru_cache(maxsize=None)
 def _diff(e: Expr, var: Coord) -> Expr:
-    if isinstance(e, Const) or isinstance(e, Param):
-        return Const(0.0)
-    if isinstance(e, Coord):
-        return Const(1.0) if e == var else Const(0.0)
+    """d e / d var, kept in the memo of a compound ``e``."""
+    kind = type(e)
+    if kind is Coord:
+        return _ONE if e is var else _ZERO
+    if kind is Const or kind is Param:
+        return _ZERO
+    memo = _memo(e)
+    found = memo.get(var)
+    if found is None:
+        found = memo[var] = _diff_rule(e, var)
+    return found
+
+
+def _diff_rule(e: Expr, var: Coord) -> Expr:
     if isinstance(e, Call):
         da = _diff(e.arg, var)
         a = e.arg
@@ -671,7 +671,7 @@ def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
     replacement = as_expr(replacement)
 
     def walk(node: Expr) -> Expr:
-        if node == target:
+        if node is target:
             return replacement
         if isinstance(node, Call):
             arg = walk(node.arg)
@@ -690,7 +690,7 @@ def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
 
 def depends_on(e: Expr, target: Expr) -> bool:
     """Structural check: does the tree reference the given Coord/Param leaf?"""
-    if e == target:
+    if e is target:
         return True
     if isinstance(e, Call):
         return depends_on(e.arg, target)
@@ -828,18 +828,17 @@ def _lower(exprs: Sequence[Expr], n: int, params: ParamSet | None):
     2n+1+k starts as ``regs[k]``: a constant, parameter value or exponent, or
     the node of the instruction ``(fn, a, b, out)`` in ``code`` that sets it
     to fn(r[a]), or fn(r[a], r[b]) when b is not None."""
-    exprs = tuple(exprs)   # keeps every node alive, so no id is reused
     code: list[tuple] = []
     regs: list = []
-    memo: dict[int, int] = {}
+    memo: dict[Expr, int] = {}
     results = [_emit(e, n, params or {}, memo, code, regs) for e in exprs]
     return code, regs, results
 
 
-def _emit(node: Expr, n: int, params: ParamSet, memo: dict[int, int],
+def _emit(node: Expr, n: int, params: ParamSet, memo: dict[Expr, int],
           code: list[tuple], regs: list) -> int:
     """Register of ``node``, emitting its instructions on first visit."""
-    reg = memo.get(id(node))
+    reg = memo.get(node)
     if reg is not None:
         return reg
     kind = type(node)
@@ -863,7 +862,7 @@ def _emit(node: Expr, n: int, params: ParamSet, memo: dict[int, int],
         reg = 2 * n + 1 + len(regs)
         regs.append(node)
         code.append((fn, a, b, reg))
-    memo[id(node)] = reg
+    memo[node] = reg
     return reg
 
 
@@ -910,22 +909,19 @@ def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> floa
 def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
                        ) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """A :func:`tape` rendered as straight-line Python, one statement per
-    distinct statement text; faster to run, slower to build."""
+    instruction and used leaf; faster to run, slower to build."""
     code, regs, results = _lower(exprs, n, params)
     d = 2 * n + 1
     lines: list[str] = []     # line k + 2 of the source assigns t{k}
     computes: list = []       # the node line k + 2 computes, None for a leaf
-    by_text: dict[str, str] = {}
     names: dict[int, str] = {}
 
     def name(reg: int, text: str | None = None, node: Expr | None = None) -> str:
         if reg not in names:   # an instruction names its output; a leaf, its first use
             text = text or (f"float(y[{reg}])" if reg < d else repr(regs[reg - d]))
-            if text not in by_text:
-                by_text[text] = f"t{len(lines)}"
-                lines.append(f"    {by_text[text]} = {text}\n")
-                computes.append(node)
-            names[reg] = by_text[text]
+            names[reg] = f"t{len(lines)}"
+            lines.append(f"    {names[reg]} = {text}\n")
+            computes.append(node)
         return names[reg]
 
     for _, a, b, out in code:
@@ -972,13 +968,17 @@ def evaluate_many(e: Expr, Q: np.ndarray, V: np.ndarray, Z: np.ndarray,
 # Derivative jets
 
 
-@lru_cache(maxsize=None)
+# Jets of the most recent expressions; an entry keeps its expression alive.
+GRADIENT_CACHE = 16
+
+
+@lru_cache(maxsize=GRADIENT_CACHE)
 def gradient(e: Expr, n: int) -> tuple[Expr, ...]:
     """Symbolic gradient over the 2n+1 chart coordinates."""
     return tuple(_diff(e, c) for c in coords(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRADIENT_CACHE)
 def hessian(e: Expr, n: int) -> tuple[tuple[Expr, ...], ...]:
     """Symbolic Hessian, symmetric by construction: entry (j, i) is the cached
     object of entry (i, j), i <= j."""
@@ -1017,7 +1017,7 @@ def _minor(rows: Sequence[Sequence[Expr]], cols: tuple[int, ...],
         return found
     k = len(cols)
     if k == 0:
-        return Const(1.0)
+        return _ONE
     top = rows[len(rows) - k]
     if k == 1:
         result = top[cols[0]]
@@ -1026,7 +1026,7 @@ def _minor(rows: Sequence[Sequence[Expr]], cols: tuple[int, ...],
         result = sub(mul(top[cols[0]], below[cols[1]]),
                      mul(top[cols[1]], below[cols[0]]))
     else:
-        result = Const(0.0)
+        result = _ZERO
         for j, col in enumerate(cols):
             term = mul(top[col], _minor(rows, cols[:j] + cols[j + 1:], built))
             result = add(result, term) if j % 2 == 0 else sub(result, term)

@@ -21,15 +21,15 @@ solve on W.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Union
+from functools import cached_property, wraps
+from typing import Callable, Union
 
 import numpy as np
 
 from .checks import DET_TOL, FRAME_TOL, PULLBACK_TOL, SYMMETRY_TOL
 from .contact import CoordOneForm, CoordVectorField
 from .expr import (
-    Const, Coord, Expr, ParamSet, StatePoint, add, coord, coords, depends_on,
+    Const, Coord, Expr, ParamSet, StatePoint, _memo, add, coord, coords, depends_on,
     differentiate, div, evaluate, evaluate_all, merge_params, mul, q, sub,
     substitute, solve_cramer, tape, v, z,
 )
@@ -64,8 +64,14 @@ class ActionFunction:
         return differentiate(self.zeta, z())
 
     def frame_ok(self, p: StatePoint, extra_params: ParamSet | None = None) -> bool:
-        params = merge_params(self.params, extra_params or {})
-        return abs(evaluate(self.dz, p, params)) > FRAME_TOL
+        return self.frame_test(p.n, extra_params)(p)
+
+    def frame_test(self, n: int, extra_params: ParamSet | None = None
+                   ) -> Callable[[StatePoint], bool]:
+        """:meth:`frame_ok` on n-dimensional points for one parameter map,
+        with dzeta/dz lowered once: a sampling predicate."""
+        dz_at = tape((self.dz,), n, merge_params(self.params, extra_params or {}))
+        return lambda p: abs(dz_at(p._flat)[0]) > FRAME_TOL
 
     def is_strong(self, n: int) -> bool:
         """True when zeta does not reference any velocity coordinate."""
@@ -109,7 +115,7 @@ def zeta_partial(f: Expr, zeta: Union[ActionFunction, Expr],
     if not isinstance(var, Coord) or var.kind == "z":
         raise ValueError("zeta-chart partials are taken along q_i, v_i or zeta")
     correction = div(differentiate(zexpr, var), dz_zeta)
-    if correction == Const(0.0):
+    if correction is Const(0.0):
         # no d/dz part (always so for zeta = z): df/dz is not built
         return differentiate(f, var)
     return sub(differentiate(f, var), mul(correction, differentiate(f, z())))
@@ -132,12 +138,25 @@ def zeta_frame(zeta: ActionFunction, p: StatePoint, n: int,
     return frame
 
 
-@lru_cache(maxsize=None)
+def _memo_on_lagrangian(build):
+    """Keep ``build(L, zeta, n)`` in the memo of node L, as long as L lives."""
+    @wraps(build)
+    def cached(L: Expr, zeta: Expr, n: int):
+        memo = _memo(L)
+        key = (build, zeta, n)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = build(L, zeta, n)
+        return found
+    return cached
+
+
+@_memo_on_lagrangian
 def _zeta_fibers(L: Expr, zeta: Expr, n: int) -> tuple[Expr, ...]:
     return tuple(zeta_partial(L, zeta, v(i)) for i in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
+@_memo_on_lagrangian
 def _zeta_hessian_exprs(L: Expr, zeta: Expr, n: int) -> tuple[tuple[Expr, ...], ...]:
     fibers = _zeta_fibers(L, zeta, n)
     return tuple(tuple(zeta_partial(fibers[i], zeta, v(j + 1)) for j in range(n))
@@ -180,7 +199,7 @@ def zeta_energy(sys: ExtendedLagrangianSystem) -> Expr:
     return sub(total, sys.L)
 
 
-@lru_cache(maxsize=None)
+@_memo_on_lagrangian
 def _zeta_acceleration_system(L: Expr, zeta: Expr, n: int
                               ) -> tuple[tuple[Expr, ...], Expr]:
     """rhs^zeta of W^zeta a = rhs^zeta, and c = L - v_j dzeta/dq_j.
@@ -206,7 +225,7 @@ def _zeta_acceleration_system(L: Expr, zeta: Expr, n: int
     return tuple(rhs), c
 
 
-@lru_cache(maxsize=None)
+@_memo_on_lagrangian
 def _zeta_herglotz_components(L: Expr, zeta: Expr, n: int) -> tuple[Expr, ...]:
     """(v, a, b): a by Cramer's rule on W^zeta, whose det is its only
     denominator, then b from xi(zeta) = L."""

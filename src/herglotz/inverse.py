@@ -140,7 +140,7 @@ def extended_inverse_check(sode: SODESystem, zeta: ActionFunction,
                 for i, x in enumerate(defects_at(p._flat))}
 
     report = run_check(n, values, plan, tol,
-                       predicate=lambda p: zeta.frame_ok(p, merged),
+                       predicate=zeta.frame_test(n, merged),
                        precheck=require_strong)
     if not report.passed:
         return ExtendedInverseResult(report, None, None, None)

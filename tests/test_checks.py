@@ -155,3 +155,26 @@ def test_the_lowering_count_sees_a_per_point_tape(lowerings_in_points):
         counted_run_check(1, lambda p: {"q1": ex.evaluate(parse("2*q1", 1), p)},
                           SamplePlan("random", (), count, 3))
         assert counts["lowered"] == count
+
+
+def test_frame_predicate_lowers_once_per_check(monkeypatch):
+    """A zeta-chart check lowers dzeta/dz once for its sampling, not at
+    every candidate draw: its lowerings do not grow with the plan."""
+    reg = builtin_systems()
+    lowered = [0]
+    lower = ex._lower
+
+    def counted_lower(*args):
+        lowered[0] += 1
+        return lower(*args)
+
+    monkeypatch.setattr(ex, "_lower", counted_lower)
+    seen = []
+    for count in (5, 20):
+        lowered[0] = 0
+        report = equivalence.strong_equivalence_check(
+            reg["linear_drag"](), reg["drag_gauge_bar"](), reg["zeta_sin_q"](),
+            SamplePlan("random", (), count, 3))
+        assert report.verdict == "pass", report.diagnostics
+        seen.append(lowered[0])
+    assert seen[0] == seen[1]

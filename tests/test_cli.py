@@ -334,3 +334,16 @@ def test_wrong_length_initial_is_config_error(tmp_path, capsys):
                        "--initial", "0,2"], tmp_path)
     assert code == 3
     assert "config path: args.initial" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check-conformal", "check-dynamical"])
+def test_contact_pair_on_different_charts_is_config_error(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": {
+        "wide": {"kind": "hamiltonian", "n": 2, "H": "q1*v1 + z"},
+        "narrow": {"kind": "hamiltonian", "n": 1, "H": "q1*v1 + z"}}}))
+    for pair in (("wide", "narrow"), ("narrow", "wide")):
+        code, data = run_cli(["--config", str(cfg), command, "--system", pair[0],
+                              "--system-b", pair[1]], tmp_path)
+        assert code == 3 and data is None
+        assert "config path: args" in capsys.readouterr().err

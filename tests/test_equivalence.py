@@ -313,3 +313,13 @@ def test_sampling_cap_errors_out():
     report = strong_equivalence_check(base, parse("0.5*v1^2 - gam*z", 1),
                                       zeta, plan)
     assert report.verdict == "error"
+
+
+@pytest.mark.parametrize("check", [conformal_similarity_check, dynamical_equivalence_check,
+                                   zero_set_diagnostic])
+def test_contact_pair_checks_reject_different_charts(check):
+    wide, narrow = (ContactHamiltonianSystem(n, darboux_form(n), parse("q1*v1 + z", n))
+                    for n in (2, 1))
+    for sys_a, sys_b in ((wide, narrow), (narrow, wide)):
+        with pytest.raises(ValueError, match="different dimension"):
+            check(sys_a, sys_b)

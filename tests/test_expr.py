@@ -1,7 +1,9 @@
 import copy
+import gc
 import math
 import operator
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -611,18 +613,20 @@ def test_evaluate_computes_a_shared_node_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Node contract: structural ==, stored hash, immutable slotted nodes
+# Node contract: interned (hash-consed) immutable slotted nodes, identity ==
 
 
-def test_node_equality_is_structural_and_typed():
+def test_equal_trees_are_one_node():
     a, b = parse("q1*sin(v1) + z^2 - gam", 1), parse("q1*sin(v1) + z^2 - gam", 1)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
-    # equal payload tuples, hence equal hashes, but different node types
+    assert a is b and a == b and hash(a) == hash(b)
+    # constants are keyed by type and bit pattern
+    assert Const(0.0) is not Const(-0.0) and Const(0.0) != Const(-0.0)
+    assert Const(1) is not Const(1.0) and type(Const(1).value) is int
+    assert Const(float("nan")) is Const(float("nan"))
+    # equal payload tuples, but different node types
     for x, y in [(Const(2.0), Param(2.0)), (Coord("q", 1), Call("q", 1)),
                  (Call("neg", a), IntPow("neg", a))]:
-        assert hash(x) == hash(y)
-        assert x != y and y != x
+        assert x is not y and x != y and y != x
 
 
 def test_nodes_are_immutable_and_slotted():
@@ -640,6 +644,35 @@ def test_nodes_are_immutable_and_slotted():
     assert repr(IntPow(x, 2)) == "IntPow(base=Coord(kind='q', index=1), exponent=2)"
 
 
+def test_pickle_and_copies_return_the_same_node():
+    for node in (parse("q1*sin(v1) - gam/z^3", 1), Const(-0.0), Const(1), Coord("z")):
+        assert pickle.loads(pickle.dumps(node)) is node
+        assert copy.deepcopy(node) is node and copy.copy(node) is node
+    assert copy.deepcopy([Param("gam")])[0] is Param("gam")
+
+
+def _subtrees(e):
+    yield e
+    for name in ("arg", "lhs", "rhs", "base"):
+        if isinstance(getattr(e, name, None), ex.Expr):
+            yield from _subtrees(getattr(e, name))
+
+
+def test_intern_table_holds_no_node_of_a_dropped_tree():
+    gc.collect()
+    before = len(ex._nodes)
+    e = parse("exp(q1*probe_k) + sin(z)^3/probe_k", 1)
+    d = differentiate(differentiate(e, "q1"), "z")   # exp's derivative memo is a cycle
+    dropped = [weakref.ref(node) for tree in (e, d) for node in _subtrees(tree)
+               if depends_on(node, Param("probe_k"))]
+    assert len(dropped) > 5 and len(ex._nodes) > before
+    del e, d
+    gc.collect()
+    assert all(ref() is None for ref in dropped)
+    assert not any("probe_k" in key for key in ex._nodes)
+    assert len(ex._nodes) <= before
+
+
 def _doubling(depth):
     e = ex.sin(Coord("q", 1))
     for _ in range(depth):
@@ -647,20 +680,17 @@ def _doubling(depth):
     return e
 
 
-def test_doubling_dags_hash_and_compare_per_distinct_node(monkeypatch):
-    calls = {"__hash__": 0, "__eq__": 0}
-    for name in calls:
-        method = getattr(BinOp, name)
-
-        def counted(*args, method=method, name=name):
-            calls[name] += 1
-            return method(*args)
-        monkeypatch.setattr(BinOp, name, counted)
-    a, b = _doubling(12), _doubling(12)
-    assert hash(a) == hash(b) and a == b
-    # a constant number per level; a tree walk makes 2^13 - 1 of each
-    assert calls["__hash__"] <= 10 * 12 and calls["__eq__"] <= 3 * 12
-    monkeypatch.undo()
+def test_doubling_dags_built_twice_are_one_object():
     a, b = _doubling(60), _doubling(60)
-    assert hash(a) == hash(b) and a == b
+    assert a is b and a == b and hash(a) == hash(b)
     assert a != ex.add(_doubling(59), ex.cos(Coord("q", 1)))
+
+
+def test_signed_zero_round_trips():
+    zero, x = Const(-0.0), Coord("q", 1)
+    cases = [zero, ex.intpow(zero, -1), ex.mul(x, ex.intpow(zero, -1)),
+             ex.mul(ex.log(zero), x), ex.sub(x, ex.log(zero)),
+             ex.neg(ex.intpow(zero, -3)), ex.neg(ex.log(zero))]
+    assert unparse(zero) == "-0" and unparse(cases[1]) == "(-0)^-1"
+    for e in cases:
+        assert parse(unparse(e), n=1) is e, unparse(e)
