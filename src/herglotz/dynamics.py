@@ -2,12 +2,13 @@
 
 Integration is classical fixed-step RK4 throughout (adaptive stepping is
 deliberately avoided so that reports and convergence studies are exactly
-reproducible); integral curves and the action share one step on Python
-floats with a fixed operation order.  The action of a curve is obtained by
-integrating the state equation zdot = L(q, v, z) along the curve with
-linear interpolation of (q, v) inside each step; stationarity of the
-action functional is probed with central differences along a fixed
-sine-bump basis that vanishes at the endpoints.
+reproducible).  Integral curves and the action each render one step as
+straight-line Python around the rate program, on Python floats in a fixed
+operation order.  The action of a curve is obtained by integrating the
+state equation zdot = L(q, v, z) along the curve with linear interpolation
+of (q, v) inside each step; stationarity of the action functional is
+probed with central differences along a fixed sine-bump basis that
+vanishes at the endpoints.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 FieldLike = Union[CoordVectorField, Callable[[StatePoint], np.ndarray]]
-_Rate = Callable[[int, list[float]], Sequence[float]]   # (stage, y) -> ydot
+_Rate = Callable[[list[float]], Sequence[float]]   # y -> ydot
 
 
 class IntegrationError(RuntimeError):
@@ -112,22 +113,31 @@ class SampledCurve:
         return out
 
 
-def _rk4_step(rate: _Rate, y: list[float], h: float) -> list[float]:
-    """One classical RK4 step of a list of floats: rate(stage, y) is called
-    at stage 0 (step start), twice at 1 (midpoint) and at 2 (step end)."""
-    b1 = rate(0, y)
-    b2 = rate(1, [a + 0.5 * h * b for a, b in zip(y, b1, strict=True)])
-    b3 = rate(1, [a + 0.5 * h * b for a, b in zip(y, b2, strict=True)])
-    b4 = rate(2, [a + h * b for a, b in zip(y, b3, strict=True)])
-    return [a + (h / 6.0) * (c1 + 2 * c2 + 2 * c3 + c4)
-            for a, c1, c2, c3, c4 in zip(y, b1, b2, b3, b4, strict=True)]
+def _rk4_program(rate: _Rate, m: int, along_curve: bool = False) -> Callable[..., list[float]]:
+    """One classical RK4 step of m floats as straight-line Python around
+    ``rate``: ``step(y, h)``, or ``step(r0, r1, y, h)``, whose stages feed
+    rate a curve row and then y: r0 at the step start, the midpoint
+    0.5 * (r0 + r1) at the middle stages and r1 at the end."""
+    ys = "".join(f"y{i}, " for i in range(m))
+    stages = [ys] + ["".join(f"y{i} + {c}h * k{j}_{i}, " for i in range(m))
+                     for j, c in ((1, "0.5 * "), (2, "0.5 * "), (3, ""))]
+    rows = ("r0 + ", "rm + ", "rm + ", "r1 + ") if along_curve else ("",) * 4
+    lines = [f"def step({'r0, r1, ' * along_curve}y, h):", f"    {ys}= y"] \
+        + ["    rm = [0.5 * (a + b) for a, b in zip(r0, r1)]"] * along_curve
+    for j, (row, stage) in enumerate(zip(rows, stages), 1):
+        lines.append(f"    {''.join(f'k{j}_{i}, ' for i in range(m))}= rate({row}[{stage}])")
+    update = "".join(f"y{i} + (h / 6.0) * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i}), "
+                     for i in range(m))
+    lines.append(f"    return [{update}]")
+    env = {"rate": rate}
+    exec(compile("\n".join(lines), "<rk4 step>", "exec"), env)  # noqa: S102
+    return env["step"]
 
 
 def _field_rate(field: FieldLike, n: int, params: ParamSet | None) -> _Rate:
     if isinstance(field, CoordVectorField):
-        program = compile_components(field.components, n, params)
-        return lambda _, y: program(y)
-    return lambda _, y: np.asarray(field(StatePoint.from_coords(y, n))).tolist()
+        return compile_components(field.components, n, params)
+    return lambda y: np.asarray(field(StatePoint.from_coords(y, n))).tolist()
 
 
 def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
@@ -141,7 +151,7 @@ def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     n = p0.n
-    rate = _field_rate(field, n, params)
+    step = _rk4_program(_field_rate(field, n, params), 2 * n + 1)
     steps = max(1, math.ceil(t_end / dt - STEP_SLACK))
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, 2 * n + 1))
@@ -150,7 +160,7 @@ def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
     for k in range(1, steps + 1):
         t, h = (k * dt, dt) if k < steps else (t_end, t_end - (steps - 1) * dt)
         try:
-            y = _rk4_step(rate, y, h)
+            y = step(y, h)
         except Exception as exc:
             partial = _make_trajectory(times[:k], states[:k], n)
             raise IntegrationError(f"field evaluation failed at t = {t}: {exc}",
@@ -171,20 +181,19 @@ def z_operator(L: Expr, curve: SampledCurve, z0: float,
     at the half steps.  Passing a zeta-chart Lagrangian makes the returned
     sequence the action coordinate along the lifted curve instead of z.
     """
-    return _z_steps(compile_components([L], curve.n, params), curve, z0)
+    return _z_steps(_rk4_program(compile_components([L], curve.n, params), 1, True),
+                    curve, z0)
 
 
-def _z_steps(program, curve: SampledCurve, z0: float) -> np.ndarray:
-    """z_operator with L already compiled: a program on (q, v, z)."""
+def _z_steps(step, curve: SampledCurve, z0: float) -> np.ndarray:
+    """z_operator with its step already rendered around compiled L."""
     t = curve.times.tolist()
     rows = np.hstack([curve.q, curve.velocities()]).tolist()   # (q, v) per sample
     out = np.empty(len(t))
     out[0] = z0
     y = [float(z0)]
     for k in range(len(t) - 1):
-        r0, r1 = rows[k], rows[k + 1]
-        stages = (r0, [0.5 * (a + b) for a, b in zip(r0, r1)], r1)   # start, mid, end
-        y = _rk4_step(lambda s, zs: program(stages[s] + zs), y, t[k + 1] - t[k])
+        y = step(rows[k], rows[k + 1], y, t[k + 1] - t[k])
         out[k + 1] = y[0]
     return out
 
@@ -210,10 +219,10 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
     """
     if n_perturbations < 1:
         raise ValueError(f"n_perturbations must be at least 1, got {n_perturbations!r}")
-    program = compile_components([L], curve.n, params)
+    step = _rk4_program(compile_components([L], curve.n, params), 1, True)
 
     def action_of(c: SampledCurve) -> float:   # action() with L compiled once
-        return float(_z_steps(program, c, z0)[-1] - z0)
+        return float(_z_steps(step, c, z0)[-1] - z0)
 
     base_v = curve.velocities()
     base = SampledCurve(curve.times, curve.q, base_v)
@@ -260,7 +269,8 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     header = ["t"] + [f"q{i}" for i in range(1, n + 1)] \
         + [f"v{i}" for i in range(1, n + 1)] + ["z"]
     table = np.column_stack([traj.times, traj.q, traj.v, traj.z])
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(",".join(f"{x:.17g}" for x in row.tolist()) + "\n")
+        for row in table:   # row by row: a whole-table tolist() raises peak memory
+            fh.write(line % tuple(row.tolist()))

@@ -668,49 +668,53 @@ def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
     """Replace every occurrence of a Coord/Param leaf by an expression."""
     if not isinstance(target, (Coord, Param)):
         raise ExprError("substitution target must be a coordinate or parameter")
-    replacement = as_expr(replacement)
+    memo: dict[Expr, Expr] = {target: as_expr(replacement)}   # interned: one entry per node
 
     def walk(node: Expr) -> Expr:
-        if node is target:
-            return replacement
+        out = memo.get(node)
+        if out is not None:
+            return out
         if isinstance(node, Call):
             arg = walk(node.arg)
-            if node.fn == "neg":
-                return neg(arg)
-            return _BUILDERS[node.fn](arg)
-        if isinstance(node, BinOp):
+            out = neg(arg) if node.fn == "neg" else _BUILDERS[node.fn](arg)
+        elif isinstance(node, BinOp):
             lhs, rhs = walk(node.lhs), walk(node.rhs)
-            return {"+": add, "-": sub, "*": mul, "/": div}[node.op](lhs, rhs)
-        if isinstance(node, IntPow):
-            return intpow(walk(node.base), node.exponent)
-        return node
+            out = {"+": add, "-": sub, "*": mul, "/": div}[node.op](lhs, rhs)
+        elif isinstance(node, IntPow):
+            out = intpow(walk(node.base), node.exponent)
+        else:
+            out = node
+        memo[node] = out
+        return out
 
     return walk(e)
 
 
+def _dag_nodes(e: Expr) -> set[Expr]:
+    """The distinct nodes under e, each visited once however often shared."""
+    seen: set[Expr] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, Call):
+            stack.append(node.arg)
+        elif isinstance(node, BinOp):
+            stack += (node.lhs, node.rhs)
+        elif isinstance(node, IntPow):
+            stack.append(node.base)
+    return seen
+
+
 def depends_on(e: Expr, target: Expr) -> bool:
     """Structural check: does the tree reference the given Coord/Param leaf?"""
-    if e is target:
-        return True
-    if isinstance(e, Call):
-        return depends_on(e.arg, target)
-    if isinstance(e, BinOp):
-        return depends_on(e.lhs, target) or depends_on(e.rhs, target)
-    if isinstance(e, IntPow):
-        return depends_on(e.base, target)
-    return False
+    return target in _dag_nodes(e)
 
 
 def max_coord_index(e: Expr) -> int:
-    if isinstance(e, Coord):
-        return e.index
-    if isinstance(e, Call):
-        return max_coord_index(e.arg)
-    if isinstance(e, BinOp):
-        return max(max_coord_index(e.lhs), max_coord_index(e.rhs))
-    if isinstance(e, IntPow):
-        return max_coord_index(e.base)
-    return 0
+    return max((node.index for node in _dag_nodes(e) if isinstance(node, Coord)), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from herglotz.expr import Const, StatePoint, compile_components, log, parse, q
 from herglotz.fixtures import builtin_systems
 from herglotz.lagrangian import herglotz_field
 
-from conftest import dense_lagrangian, pt
+from conftest import dense_lagrangian, pt, random_regular_lagrangian
 
 REG = builtin_systems()
 
@@ -194,6 +194,62 @@ def test_trajectory_csv_bytes_are_per_scalar_17g(tmp_path):
             row = [tr.times[k], *tr.q[k], *tr.v[k], tr.z[k]]
             expected += ",".join(f"{x:.17g}" for x in row) + "\n"
         assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_trajectory_csv_bytes_hold_infinities_and_nans(tmp_path):
+    inf, nan = math.inf, math.nan
+    odd = Trajectory(np.array([0.0, 0.5, 1.0, 2.0]),
+                     np.array([[inf, -0.0], [-inf, 5e-324], [nan, -nan], [2.2e-308, 1e308]]),
+                     np.array([[-5e-324, nan], [0.0, inf], [-inf, 1.0], [0.1, -2.5]]),
+                     np.array([nan, -inf, -0.0, 7.0]))
+    trajectory_to_csv(odd, tmp_path / "odd.csv")
+    expected = "t,q1,q2,v1,v2,z\n"
+    for k in range(len(odd.times)):
+        row = [odd.times[k], *odd.q[k], *odd.v[k], odd.z[k]]
+        expected += ",".join(f"{x:.17g}" for x in row) + "\n"
+    assert (tmp_path / "odd.csv").read_bytes() == expected.encode("ascii")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integrate_matches_numpy_rk4_on_random_regular_systems(rng, n):
+    system = random_regular_lagrangian(rng, n)
+    field = herglotz_field(system)
+    p0 = pt(rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5))
+    traj = integrate(field, p0, 0.5, 0.01, system.params)
+    times, states = reference_integrate(field, p0, 0.5, 0.01, system.params)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(np.column_stack([traj.q, traj.v, traj.z]), states)
+
+
+def test_z_operator_matches_numpy_rk4_on_the_dense_family():
+    dense = dense_lagrangian(3)
+    t = np.linspace(0.0, 1.0, 80) ** 1.5
+    curve = SampledCurve(t, np.column_stack([np.sin(2 * t), t * t - 0.3, np.cos(3 * t)]))
+    zs = z_operator(dense.L, curve, -0.1, dense.params)
+    assert np.array_equal(zs, reference_z_operator(dense.L, curve, -0.1, dense.params))
+
+
+def test_integrate_callable_failure_keeps_the_last_good_prefix():
+    def field(p):   # q' = v, v' = 1, z' = 0, undefined beyond q = 1.2
+        if p.q[0] > 1.2:
+            raise ValueError("left the chart")
+        return np.array([p.v[0], 1.0, 0.0])
+
+    with pytest.raises(IntegrationError) as err:
+        integrate(field, pt(1.0, 0.5, 0.0), 2.0, 0.1)
+    assert str(err.value) == ("field evaluation failed at t = 0.4: left the chart"
+                              " (last good t = 0.30000000000000004)")
+    partial = err.value.partial
+    assert partial.times.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
+    assert partial.q[:, 0] == pytest.approx(1.0 + 0.5 * partial.times + 0.5 * partial.times ** 2)
+    assert partial.v[:, 0] == pytest.approx(0.5 + partial.times)
+    assert partial.z.tolist() == [0.0] * 4
+
+
+def test_integrate_callable_with_too_few_components_fails():
+    with pytest.raises(IntegrationError, match=r"^field evaluation failed at t = 0\.1: ") as err:
+        integrate(lambda p: np.array([p.v[0], 1.0]), pt(1.0, 0.5, 0.0), 1.0, 0.1)
+    assert err.value.partial.times.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------

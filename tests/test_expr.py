@@ -3,6 +3,7 @@ import gc
 import math
 import operator
 import pickle
+import sys
 import weakref
 
 import numpy as np
@@ -684,6 +685,45 @@ def test_doubling_dags_built_twice_are_one_object():
     a, b = _doubling(60), _doubling(60)
     assert a is b and a == b and hash(a) == hash(b)
     assert a != ex.add(_doubling(59), ex.cos(Coord("q", 1)))
+
+
+def _expr_lines_run(fn, *args) -> int:
+    """Lines of expr.py executed while fn(*args) runs: the work of a walk,
+    whether it recurses or loops."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code.co_filename == ex.__file__ else None)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(old)
+    return lines
+
+
+def test_dag_walks_cost_distinct_nodes_not_paths(monkeypatch):
+    # an 18-level doubling DAG has 20 distinct nodes but 2^18 paths to its leaf
+    e, distinct, q1, q2 = _doubling(18), 20, Coord("q", 1), Coord("q", 2)
+    adds = []
+    monkeypatch.setattr(ex, "add", lambda a, b: adds.append(1) or ex.BinOp("+", a, b))
+    out = ex.substitute(e, q1, q2)
+    monkeypatch.undo()
+    assert len(adds) <= 2 * distinct
+    expected = ex.sin(q2)
+    for _ in range(18):
+        expected = ex.add(expected, expected)
+    assert out is expected
+    for walk, args in ((ex.substitute, (e, q1, q2)), (ex.depends_on, (e, q2)),
+                       (ex.max_coord_index, (e,))):
+        assert _expr_lines_run(walk, *args) <= 50 * distinct, walk.__name__
+    assert not ex.depends_on(e, q2) and ex.depends_on(e, q1)
+    assert ex.max_coord_index(e) == 1 and ex.max_coord_index(out) == 2
 
 
 def test_signed_zero_round_trips():
