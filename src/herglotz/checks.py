@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,20 +130,29 @@ class SamplePlan:
         return SamplePlan(self.mode, tuple((-1.0, 1.0) for _ in range(2 * n + 1)),
                           self.count, self.seed)
 
-    def raw_points(self, limit: int) -> Iterable[np.ndarray]:
-        """Up to ``limit`` candidate coordinate rows, in a fixed order."""
+    def raw_points(self, limit: int) -> Iterator[Sequence[float]]:
+        """Up to ``limit`` candidate coordinate rows, in a fixed order.
+
+        Random rows are drawn ``count`` at a time, one generator call per
+        chunk; the doubles and their order are those of row-by-row draws.  A
+        grid plan yields its lattice of k points per axis, k^d >= ``count``
+        with k as small as possible (at least 2, so both bounds are on every
+        axis), in product order and at most once.
+        """
         d = len(self.bounds)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
         if self.mode == "random":
+            lo = np.array([b[0] for b in self.bounds])
+            span = np.array([b[1] for b in self.bounds]) - lo
             rng = np.random.default_rng(self.seed)
-            for _ in range(limit):
-                yield lo + (hi - lo) * rng.uniform(size=d)
+            while limit > 0:
+                chunk = min(limit, self.count)
+                yield from (lo + span * rng.uniform(size=(chunk, d))).tolist()
+                limit -= chunk
         else:
-            per_axis = max(2, math.ceil(limit ** (1.0 / d)))
-            axes = [np.linspace(b[0], b[1], per_axis) for b in self.bounds]
-            for combo in itertools.islice(itertools.product(*axes), limit):
-                yield np.array(combo)
+            per_axis = max(2, round(self.count ** (1.0 / d)))
+            per_axis += per_axis ** d < self.count   # the rounded root fell short
+            axes = [np.linspace(lo, hi, per_axis).tolist() for lo, hi in self.bounds]
+            yield from itertools.islice(itertools.product(*axes), limit)
 
     def to_dict(self) -> dict:
         return {"mode": self.mode, "seed": self.seed,
@@ -180,9 +189,9 @@ class PointRecord:
     values: dict[str, float]
 
     def to_dict(self) -> dict:
+        flat, n = self.point._flat, self.point.n
         return {
-            "point": {"q": self.point.q.tolist(), "v": self.point.v.tolist(),
-                      "z": self.point.z},
+            "point": {"q": list(flat[:n]), "v": list(flat[n:2 * n]), "z": flat[2 * n]},
             "values": self.values,
         }
 

@@ -301,7 +301,74 @@ def write_report(report: CheckReport, path: Path) -> None:
         "version": __version__,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2) + "\n")
+    path.write_text(json_text(data) + "\n")
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, and the same TypeError
+    for what it rejects.  The standard encoder writes indented output in pure
+    Python; here each all-float list is one ``join`` over ``float.__repr__``
+    and every other leaf goes to a C-level formatter too."""
+    return _json_text(obj, "\n")
+
+
+def _json_text(o, pad: str) -> str:
+    """JSON text of ``o``, whose closing bracket follows ``pad`` (a newline
+    and the indentation of the line holding ``o``)."""
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            (_ESCAPE(k) if k.__class__ is str else _key_text(k)) + ": "
+            + (_float_text(v) if v.__class__ is float else _json_text(v, inner))
+            for k, v in o.items()]) + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        sep = "," + inner
+        try:
+            body = sep.join(map(float.__repr__, o))
+        except TypeError:   # not all floats
+            body = sep.join([_float_text(x) if x.__class__ is float
+                             else _json_text(x, inner) for x in o])
+        else:
+            if "n" in body:   # nan or inf; finite reprs hold no letter n
+                body = sep.join(map(_float_text, o))
+        return "[" + inner + body + pad + "]"
+    if isinstance(o, str):
+        return _ESCAPE(o)
+    if o is None or o is True or o is False:
+        return {None: "null", True: "true", False: "false"}[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: str, float, bool, None and int keys
+    become strings."""
+    if isinstance(key, str):
+        return _ESCAPE(key)
+    if isinstance(key, float):
+        return _ESCAPE(_float_text(key))
+    if key is None or key is True or key is False:
+        return _ESCAPE(_json_text(key, ""))
+    if isinstance(key, int):
+        return _ESCAPE(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def _subsample(records: list[PointRecord], cap: int = 200) -> list[PointRecord]:

@@ -32,6 +32,7 @@ __all__ = [
 
 FieldLike = Union[CoordVectorField, Callable[[StatePoint], np.ndarray]]
 _Rate = Callable[[list[float]], Sequence[float]]   # y -> ydot
+_Explain = Callable[[Exception], Exception | None]
 
 
 class IntegrationError(RuntimeError):
@@ -65,7 +66,9 @@ class Trajectory:
         return StatePoint(self.q[k], self.v[k], self.z[k])
 
     def states(self):
-        return (self.state(k) for k in range(len(self.times)))
+        n = self.n
+        rows = np.column_stack([self.q, self.v, self.z]).tolist()
+        return (StatePoint.from_coords(row, n) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -134,10 +137,16 @@ def _rk4_program(rate: _Rate, m: int, along_curve: bool = False) -> Callable[...
     return env["step"]
 
 
-def _field_rate(field: FieldLike, n: int, params: ParamSet | None) -> _Rate:
+def _field_rate(field: FieldLike, n: int, params: ParamSet | None
+                ) -> tuple[_Rate, _Explain]:
+    """The rate a step program calls, and the map from its float exception
+    to a DomainError (None for a callable field).  A compiled rate is the
+    raw program, run without its error wrapper's frame."""
     if isinstance(field, CoordVectorField):
-        return compile_components(field.components, n, params)
-    return lambda y: np.asarray(field(StatePoint.from_coords(y, n))).tolist()
+        rate = compile_components(field.components, n, params)
+        return rate.program, rate.explain
+    return (lambda y: np.asarray(field(StatePoint.from_coords(y, n))).tolist(),
+            lambda exc: None)
 
 
 def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
@@ -151,20 +160,22 @@ def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     n = p0.n
-    step = _rk4_program(_field_rate(field, n, params), 2 * n + 1)
+    rate, explain = _field_rate(field, n, params)
+    step = _rk4_program(rate, 2 * n + 1)
     steps = max(1, math.ceil(t_end / dt - STEP_SLACK))
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, 2 * n + 1))
-    y = p0.coords().tolist()
+    y = list(p0._flat)
     times[0], states[0] = 0.0, y
     for k in range(1, steps + 1):
         t, h = (k * dt, dt) if k < steps else (t_end, t_end - (steps - 1) * dt)
         try:
             y = step(y, h)
         except Exception as exc:
+            cause = explain(exc) or exc
             partial = _make_trajectory(times[:k], states[:k], n)
-            raise IntegrationError(f"field evaluation failed at t = {t}: {exc}",
-                                   partial) from exc
+            raise IntegrationError(f"field evaluation failed at t = {t}: {cause}",
+                                   partial) from cause
         times[k], states[k] = t, y
     return _make_trajectory(times, states, n)
 
@@ -181,20 +192,23 @@ def z_operator(L: Expr, curve: SampledCurve, z0: float,
     at the half steps.  Passing a zeta-chart Lagrangian makes the returned
     sequence the action coordinate along the lifted curve instead of z.
     """
-    return _z_steps(_rk4_program(compile_components([L], curve.n, params), 1, True),
-                    curve, z0)
+    rate = compile_components([L], curve.n, params)
+    return _z_steps(_rk4_program(rate.program, 1, True), rate.explain, curve, z0)
 
 
-def _z_steps(step, curve: SampledCurve, z0: float) -> np.ndarray:
+def _z_steps(step, explain: _Explain, curve: SampledCurve, z0: float) -> np.ndarray:
     """z_operator with its step already rendered around compiled L."""
     t = curve.times.tolist()
     rows = np.hstack([curve.q, curve.velocities()]).tolist()   # (q, v) per sample
     out = np.empty(len(t))
     out[0] = z0
     y = [float(z0)]
-    for k in range(len(t) - 1):
-        y = step(rows[k], rows[k + 1], y, t[k + 1] - t[k])
-        out[k + 1] = y[0]
+    try:
+        for k in range(len(t) - 1):
+            y = step(rows[k], rows[k + 1], y, t[k + 1] - t[k])
+            out[k + 1] = y[0]
+    except (ArithmeticError, ValueError) as exc:   # a float exception of the program
+        raise (explain(exc) or exc) from None
     return out
 
 
@@ -219,10 +233,11 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
     """
     if n_perturbations < 1:
         raise ValueError(f"n_perturbations must be at least 1, got {n_perturbations!r}")
-    step = _rk4_program(compile_components([L], curve.n, params), 1, True)
+    rate = compile_components([L], curve.n, params)
+    step = _rk4_program(rate.program, 1, True)
 
     def action_of(c: SampledCurve) -> float:   # action() with L compiled once
-        return float(_z_steps(step, c, z0)[-1] - z0)
+        return float(_z_steps(step, rate.explain, c, z0)[-1] - z0)
 
     base_v = curve.velocities()
     base = SampledCurve(curve.times, curve.q, base_v)

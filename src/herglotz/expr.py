@@ -734,19 +734,21 @@ class StatePoint:
     z: float
 
     def __post_init__(self):
-        qa = np.asarray(self.q, dtype=float).reshape(-1)
-        va = np.asarray(self.v, dtype=float).reshape(-1)
-        if qa.shape != va.shape:
+        q = np.asarray(self.q, dtype=float).reshape(-1).tolist()
+        v = np.asarray(self.v, dtype=float).reshape(-1).tolist()
+        if len(q) != len(v):
             raise ValueError("q and v must have the same length")
-        zf = float(self.z)
-        if not (np.all(np.isfinite(qa)) and np.all(np.isfinite(va))
-                and math.isfinite(zf)):
+        self._set([*q, *v, float(self.z)], len(q))
+
+    def _set(self, flat: list[float], n: int) -> None:
+        """Fill the fields from the Python floats (q1..qn, v1..vn, z)."""
+        if not all(map(math.isfinite, flat)):
             raise ValueError("state point entries must be finite")
-        object.__setattr__(self, "q", qa)
-        object.__setattr__(self, "v", va)
-        object.__setattr__(self, "z", zf)
-        # flat coordinates (q1..qn, v1..vn, z) as Python floats, for evaluation
-        object.__setattr__(self, "_flat", (*qa.tolist(), *va.tolist(), zf))
+        object.__setattr__(self, "q", np.array(flat[:n]))
+        object.__setattr__(self, "v", np.array(flat[n:2 * n]))
+        object.__setattr__(self, "z", flat[2 * n])
+        # the flat coordinates, for evaluation and reports
+        object.__setattr__(self, "_flat", tuple(flat))
 
     @property
     def n(self) -> int:
@@ -754,14 +756,19 @@ class StatePoint:
 
     def coords(self) -> np.ndarray:
         """Flat coordinates in canonical order (q1..qn, v1..vn, z)."""
-        return np.concatenate([self.q, self.v, [self.z]])
+        return np.array(self._flat)
 
     @classmethod
     def from_coords(cls, flat: Sequence[float], n: int) -> "StatePoint":
-        flat = np.asarray(flat, dtype=float).reshape(-1)
+        """The point with flat coordinates (q1..qn, v1..vn, z): a sequence of
+        numbers or an array of any shape holding 2n+1 of them."""
+        flat = np.asarray(flat, dtype=float).reshape(-1).tolist() \
+            if isinstance(flat, np.ndarray) else [float(x) for x in flat]
         if len(flat) != 2 * n + 1:
             raise ValueError(f"expected {2 * n + 1} coordinates, got {len(flat)}")
-        return cls(flat[:n], flat[n:2 * n], flat[2 * n])
+        point = cls.__new__(cls)
+        point._set(flat, n)
+        return point
 
     def __repr__(self) -> str:
         return f"StatePoint(q={self.q.tolist()}, v={self.v.tolist()}, z={self.z})"
@@ -943,15 +950,24 @@ def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = 
     exec(compile(source, "<compiled expressions>", "exec"), env)  # noqa: S102
     program = env["program"]
 
+    def explain(exc: BaseException) -> DomainError | None:
+        """The DomainError of a float exception raised by ``program``, else None."""
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        node = computes[tb.tb_lineno - 2] if tb.tb_frame.f_code is program.__code__ else None
+        return _domain_error(exc, node) if node is not None \
+            and isinstance(exc, _FLOAT_ERRORS) else None
+
     def call(y: Sequence[float]) -> tuple[float, ...]:
         try:
             return program(y)
         except _FLOAT_ERRORS as exc:
-            tb = exc.__traceback__
-            while tb.tb_next is not None:
-                tb = tb.tb_next
-            raise _domain_error(exc, computes[tb.tb_lineno - 2]) from None
+            raise (explain(exc) or exc) from None
 
+    # callers that run the program in a loop call it raw and explain a
+    # failure once, saving this wrapper's frame per call
+    call.program, call.explain = program, explain
     return call
 
 

@@ -1,15 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from herglotz import equivalence, inverse
 from herglotz import expr as ex
 from herglotz.checks import (
-    CheckAbort, PointRecord, SamplePlan, Tolerances, report_from_records,
-    run_check,
+    CheckAbort, PointRecord, SamplePlan, SamplingError, Tolerances,
+    report_from_records, run_check, sample_states,
 )
-from herglotz.expr import parse
-from herglotz.fixtures import builtin_systems
+from herglotz.expr import StatePoint, parse
+from herglotz.fixtures import builtin_plans, builtin_systems
 
 from conftest import pt
 
@@ -178,3 +179,66 @@ def test_frame_predicate_lowers_once_per_check(monkeypatch):
         assert report.verdict == "pass", report.diagnostics
         seen.append(lowered[0])
     assert seen[0] == seen[1]
+
+
+# ---------------------------------------------------------------------------
+# Sampling
+
+
+def row_by_row_draws(plan, limit):
+    """The random rows as drawn one generator call per row, the reference
+    for the chunked draw."""
+    lo = np.array([b[0] for b in plan.bounds])
+    hi = np.array([b[1] for b in plan.bounds])
+    rng = np.random.default_rng(plan.seed)
+    return [lo + (hi - lo) * rng.uniform(size=len(plan.bounds)) for _ in range(limit)]
+
+
+@pytest.mark.parametrize("count, limit", [
+    (1, 1), (1, 10), (3, 7), (3, 30), (100, 250), (100, 1000)])
+def test_chunked_random_draw_matches_row_by_row(count, limit):
+    bounds = ((-1.0, 1.0), (0.0, 3.5), (-2.0, -1.0), (-1e-3, 1e-3), (5.0, 5.0))
+    plan = SamplePlan("random", bounds, count, 20260810 + count)
+    rows = list(plan.raw_points(limit))
+    assert all(type(x) is float for row in rows for x in row)
+    assert np.array(rows).tobytes() == np.array(row_by_row_draws(plan, limit)).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 3, 100])
+def test_sampled_states_match_the_row_by_row_draw(count):
+    plan = SamplePlan("random", (), count, 7).with_default_bounds(1)
+    keep = lambda p: p.z > -0.5   # noqa: E731
+    states = sample_states(plan, 1, keep)
+    expected = [p for p in map(lambda row: StatePoint.from_coords(row, 1),
+                               row_by_row_draws(plan, 10 * count)) if keep(p)][:count]
+    assert [p._flat for p in states] == [p._flat for p in expected]
+
+
+@pytest.mark.parametrize("n, per_axis", [(1, 5), (1, 2), (2, 2), (1, 3)])
+def test_grid_plan_samples_its_full_lattice(n, per_axis):
+    d = 2 * n + 1
+    plan = SamplePlan("grid", tuple((-1.0, 1.0) for _ in range(d)), per_axis ** d, 0)
+    states = sample_states(plan, n)
+    assert len({p._flat for p in states}) == per_axis ** d
+    axis = set(np.linspace(-1.0, 1.0, per_axis).tolist())
+    for k in range(d):
+        assert {p._flat[k] for p in states} == axis
+
+
+def test_builtin_grid_plan_covers_the_box():
+    states = sample_states(builtin_plans()["box1_grid"], 1)
+    assert len(states) == 125
+    for k in range(3):
+        assert {p._flat[k] for p in states} == {-1.0, -0.5, 0.0, 0.5, 1.0}
+
+
+def test_grid_plan_rejection_stays_on_its_lattice():
+    plan = SamplePlan("grid", tuple((-1.0, 1.0) for _ in range(3)), 10, 0)
+    # 10 points need a 3 x 3 x 3 lattice, read in product order
+    assert len(list(plan.raw_points(1000))) == 27
+    states = sample_states(plan, 1, lambda p: p.z != 0.0)
+    assert [p._flat for p in states] == [
+        (a, b, c) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)
+        for c in (-1.0, 1.0)][:10]
+    with pytest.raises(SamplingError, match=r"\(18 accepted\)"):
+        sample_states(SamplePlan("grid", plan.bounds, 27, 0), 1, lambda p: p.z != 0.0)

@@ -1,8 +1,17 @@
+import enum
 import json
+import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from herglotz.cli import main
+from herglotz import cli
+from herglotz.checks import PointRecord, SamplePlan, Tolerances, error_report
+from herglotz.cli import json_text, main
+from herglotz.expr import StatePoint
 
 
 def run_cli(args, tmp_path, name="r"):
@@ -347,3 +356,87 @@ def test_contact_pair_on_different_charts_is_config_error(command, tmp_path, cap
                               "--system-b", pair[1]], tmp_path)
         assert code == 3 and data is None
         assert "config path: args" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The report writer: json.dumps(indent=2), byte for byte
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not a JSON number"
+
+
+_Level = enum.IntEnum("_Level", "LOW HIGH")   # json writes int.__repr__ of it
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
+                   1.7976931348623157e308, 1e16, 0.1]
+_STRANGE_TEXT = "\x00\x01\x1f\x7f\n\t\"\\/é \u2028\U0001f600az"
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2 ** 63, -2 ** 64, 10 ** 100]),
+    st.floats(), st.sampled_from(_SPECIAL_FLOATS), st.text(_STRANGE_TEXT, max_size=6))
+_keys = st.one_of(st.text(_STRANGE_TEXT, max_size=4), st.integers(), st.floats(),
+                  st.booleans(), st.none())
+_json_values = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(_keys, inner, max_size=3),
+    st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), max_size=4)), max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values)
+@example({"residuals": [{"point": {"q": [0.5, -0.0], "v": [5e-324, 1e300], "z": -1.5},
+                         "values": {"a": math.nan, "b": math.inf, "c": -math.inf}}],
+          "empty": [[], {}, ()], "leaves": [None, True, False, 2 ** 70, "é\x00\n"],
+          3: {None: 1, True: 2, 1.5: (), -0.0: [math.nan]},
+          "subclasses": {_Level.LOW: [_Level.HIGH, _Float(2.5), np.float64(0.1)],
+                         _Float(0.5): _Float(math.inf)}})
+def test_json_text_is_json_dumps_indent_2(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    object(), [1.0, {1j}], {(1, 2): 0.0}, {"a": {b"k": 1}}, [np.float32(1.0)],
+    {"n": np.int64(3)}])
+def test_json_text_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError, match=rf"^{re.escape(str(expected.value))}$"):
+        json_text(obj)
+
+
+def _assert_written_as_json_dumps(report, path):
+    """The file at ``path`` holds json.dumps(indent=2) of the report's dict
+    with the file's own metadata."""
+    text = path.read_text()
+    data = report.to_dict()
+    data["metadata"] = json.loads(text)["metadata"]
+    assert text == json.dumps(data, indent=2) + "\n", path.name
+
+
+@pytest.mark.parametrize("seed", [None, "7", "123"])
+def test_batch_reports_are_json_dumps_indent_2(seed, tmp_path, monkeypatch):
+    if seed is None:
+        monkeypatch.delenv("HERGLOTZ_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HERGLOTZ_SEED", seed)
+    written, write_report = [], cli.write_report
+
+    def write(report, path):
+        write_report(report, path)
+        written.append((report, path))
+
+    monkeypatch.setattr(cli, "write_report", write)
+    main(["batch", "--out", str(tmp_path)])
+    assert len(written) == 16
+    for report, path in written:
+        _assert_written_as_json_dumps(report, path)
+
+
+def test_error_report_with_nan_residual_is_json_dumps_indent_2(tmp_path):
+    records = [PointRecord(StatePoint.from_coords([0.5, -0.0, 1e-310], 1),
+                           {"defect": math.nan, "other": -math.inf})]
+    report = error_report("singular é \x00 point", Tolerances(),
+                          SamplePlan("grid", ((0.0, 1.0),) * 3, 8, 0), records)
+    assert math.isnan(report.max_residual)
+    cli.write_report(report, tmp_path / "error.json")
+    _assert_written_as_json_dumps(report, tmp_path / "error.json")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from herglotz.dynamics import (
     IntegrationError, SampledCurve, Trajectory, action, integrate,
     stationarity_test, trajectory_to_csv, trajectory_to_curve, z_operator,
 )
-from herglotz.expr import Const, StatePoint, compile_components, log, parse, q
+from herglotz.expr import (
+    Const, DomainError, StatePoint, compile_components, log, parse, q,
+)
 from herglotz.fixtures import builtin_systems
 from herglotz.lagrangian import herglotz_field
 
@@ -82,6 +85,41 @@ def test_integrate_failure_names_the_subtree():
                        match=r"log of non-positive value in log\(q1\).*"
                              r"\(last good t = 0\.25\)$"):
         integrate(field, pt(0.3, 0.0, 0.0), 1.0, 0.25)
+
+
+@pytest.mark.parametrize("n, texts, initial, t_end, dt, message", [
+    (1, ("v1", "exp(z)", "z^2 + 1"), [0.0, 0.0, 1.0], 3.0, 0.01,
+     "field evaluation failed at t = 0.79: overflow in exp(z) (last good t = 0.78)"),
+    (2, ("v1", "v2", "-1", "0", "sqrt(q1 + v2)"), [0.5, 0.1, 0.2, 0.0, 0.0], 2.0, 0.1,
+     "field evaluation failed at t = 1.3: sqrt of negative value in sqrt(q1 + v2) "
+     "(last good t = 1.2000000000000002)"),
+])
+def test_integrate_failure_texts_name_the_failing_subtree(n, texts, initial, t_end, dt,
+                                                          message):
+    """The step program calls the raw rate program; the float exception is
+    worded once, as the compiled program's own wrapper words it."""
+    field = CoordVectorField(n, tuple(parse(t, n) for t in texts))
+    with pytest.raises(IntegrationError) as err:
+        integrate(field, StatePoint.from_coords(initial, n), t_end, dt)
+    assert str(err.value) == message
+    assert type(err.value.__cause__) is DomainError
+    assert str(err.value.__cause__) == message.split(": ", 1)[1].split(" (last")[0]
+
+
+@pytest.mark.parametrize("text, q0, slope, message", [
+    ("log(q1) + v1*z", 0.5, -1.0, "log of non-positive value in log(q1)"),
+    ("sqrt(v1 + 2*q1)", 0.5, -1.0, "sqrt of negative value in sqrt(v1 + 2*q1)"),
+    ("z^100", 0.0, 1.0, "overflow in z^100"),
+])
+def test_z_operator_failure_texts_name_the_failing_subtree(text, q0, slope, message):
+    t = np.linspace(0.0, 1.0, 21)
+    curve = SampledCurve(t, np.column_stack([q0 + slope * t]))
+    L = parse(text, 1)
+    with pytest.raises(DomainError, match=rf"^{re.escape(message)}$") as err:
+        z_operator(L, curve, 2.0)
+    assert err.value.__cause__ is None and err.value.__suppress_context__
+    with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+        stationarity_test(L, curve, 2.0)
 
 
 def test_rk4_convergence_order_on_stiff_damped_fixture():

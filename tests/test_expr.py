@@ -495,6 +495,43 @@ def test_statepoint_validation():
     np.testing.assert_array_equal(p.coords(), [1.0, 2.0, 3.0])
 
 
+FLAT = [0.25, -1.5, 3, 1e-300, -0.0]   # n = 2, with an int and a negative zero
+
+
+@pytest.mark.parametrize("coords", [
+    FLAT, tuple(FLAT), [1, 2, 3, 4, 5], np.array(FLAT), np.array(FLAT).reshape(1, 5),
+    np.array([1, 2, 3, 4, 5]),
+], ids=["list", "tuple", "ints", "array", "row-array", "int-array"])
+def test_from_coords_matches_the_constructor(coords):
+    p = StatePoint.from_coords(coords, 2)
+    flat = np.asarray(coords, dtype=float).reshape(-1)
+    ref = StatePoint(flat[:2], flat[2:4], flat[4])
+    assert all(type(x) is float for x in p._flat)
+    assert np.array(p._flat).tobytes() == np.array(ref._flat).tobytes() == flat.tobytes()
+    for got, want in ((p.q, ref.q), (p.v, ref.v)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert type(p.z) is float and repr(p.z) == repr(ref.z)
+    assert p.n == 2 and p.coords().tobytes() == ref.coords().tobytes()
+
+
+@pytest.mark.parametrize("slot", range(5))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_coords_rejects_non_finite_entries(slot, bad):
+    coords = [0.5] * 5
+    coords[slot] = bad
+    for build in (lambda: StatePoint.from_coords(coords, 2),
+                  lambda: StatePoint.from_coords(np.array(coords), 2),
+                  lambda: StatePoint(coords[:2], coords[2:4], coords[4])):
+        with pytest.raises(ValueError, match=r"^state point entries must be finite$"):
+            build()
+
+
+@pytest.mark.parametrize("coords", [[0.0] * 4, [0.0] * 6, np.zeros((2, 3))])
+def test_from_coords_rejects_a_wrong_length(coords):
+    with pytest.raises(ValueError, match=rf"^expected 5 coordinates, got {len(np.ravel(coords))}$"):
+        StatePoint.from_coords(coords, 2)
+
+
 # ---------------------------------------------------------------------------
 # Symbolic linear algebra helpers
 
