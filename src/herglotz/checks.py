@@ -53,10 +53,13 @@ DET_TOL = 1e-10
 ZERO_TOL = 1e-8
 # Indices with |E_i| at or below this are left out of the D_i/E_i ratio tests.
 RATIO_EXCLUDE = 1e-6
-# Relative residual admitted in the stacked contact solves and energy pairing.
+# Relative residual admitted when the Reeb and Hamiltonian vectors from the
+# flat-map solve are checked against the stacked contact system, and in the
+# energy pairing |eta(X) + H|.
 SOLVE_TOL = 1e-10
 # The contact condition fails where the smallest/largest singular value ratio
-# of the stacked system [d(eta); eta] is at or below this.
+# of the stacked system [d(eta); eta] is at or below this, or is NaN; no
+# flat-map solve runs there.
 CONTACT_TOL = 1e-10
 # W^zeta counts as not symmetric above this relative asymmetry.
 SYMMETRY_TOL = 1e-9

@@ -310,10 +310,35 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def json_text(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, and the same TypeError
-    for what it rejects.  The standard encoder writes indented output in pure
-    Python; here each all-float list is one ``join`` over ``float.__repr__``
-    and every other leaf goes to a C-level formatter too."""
-    return _json_text(obj, "\n")
+    for what it rejects and ValueError for a container that holds itself.
+    The standard encoder writes indented output in pure Python; here each
+    all-float list is one ``join`` over ``float.__repr__`` and every other
+    leaf goes to a C-level formatter too."""
+    try:
+        return _json_text(obj, "\n")
+    except RecursionError:
+        # a cycle recurses without end; look for one only then, so that
+        # writing an acyclic report tracks no container ids
+        if _holds_itself(obj):
+            raise ValueError("Circular reference detected") from None
+        raise
+
+
+def _holds_itself(obj) -> bool:
+    """Whether a dict, list or tuple in ``obj`` contains itself: a walk with
+    an explicit stack that keeps the ids of the containers on its path."""
+    path, stack = set(), [(obj, False)]
+    while stack:
+        o, leaving = stack.pop()
+        if leaving:
+            path.remove(id(o))
+        elif isinstance(o, (dict, list, tuple)):
+            if id(o) in path:
+                return True
+            path.add(id(o))
+            stack.append((o, True))
+            stack.extend((x, False) for x in (o.values() if isinstance(o, dict) else o))
+    return False
 
 
 def _json_text(o, pad: str) -> str:

@@ -1,23 +1,24 @@
 """Pointwise contact geometry in the global chart (q1..qn, v1..vn, z).
 
 Coordinate one-forms and vector fields are tuples of symbolic components.
-The Reeb and Hamiltonian vector fields are obtained pointwise from their
-defining linear systems
+The Reeb and Hamiltonian vector fields at a point satisfy
 
     i_R d(eta) = 0,        eta(R)  = 1,
     i_X d(eta) = dH - (RH) eta,   eta(X) = -H,
 
-stacked into a (2n+2) x (2n+1) system and solved by least squares with a
-residual check.  Each ``ContactHamiltonianSystem`` compiles its contact data
-(d(eta) Jacobian, eta, grad H, H) once, and reads its params at that time.
-The defining equations, not any printed coordinate
-shortcut, are the source of truth; in Darboux coordinates the solution
-agrees with X = dH/dp_i d/dq_i - (dH/dq_i + p_i dH/dz) d/dp_i +
-(p_i dH/dp_i - H) d/dz.
+a (2n+2) x (2n+1) stacked system [M^T; eta], M the matrix of d(eta).  Where
+its singular value ratio exceeds CONTACT_TOL, the flat map
+flat(X) = i_X d(eta) + eta(X) eta, of matrix M^T + eta eta^T, is invertible:
+one LU solve gives R = flat^-1 eta and X = flat^-1 dH - (RH + H) R, both
+checked against the stacked system.  Non-finite contact data never reaches
+LAPACK.  A ``ContactHamiltonianSystem`` compiles its contact data once and
+reads its params then.  In Darboux coordinates X = dH/dp_i d/dq_i -
+(dH/dq_i + p_i dH/dz) d/dp_i + (p_i dH/dp_i - H) d/dz.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -42,7 +43,8 @@ class GeometryError(ValueError):
 
 
 class ContactConditionError(GeometryError):
-    """The stacked system [d(eta); eta] is singular at the requested point."""
+    """No contact solve at the point: [d(eta); eta] fails the singular value
+    gate, the contact data is not finite, or a residual check fails."""
 
 
 class ZeroCovectorError(GeometryError):
@@ -141,81 +143,93 @@ def _component_jacobian(form: CoordOneForm) -> tuple[Expr, ...]:
 
 def exterior_derivative(alpha: CoordOneForm, p: StatePoint,
                         params: ParamSet | None = None) -> np.ndarray:
-    """Matrix of d(alpha) at p: M[a][b] = d(alpha_b)/dx^a - d(alpha_a)/dx^b."""
+    """Matrix of d(alpha) at p: M[a][b] = d(alpha_b)/dx^a - d(alpha_a)/dx^b,
+    exactly antisymmetric, with a 0.0 diagonal where the entries are finite."""
     d = 2 * alpha.n_dim + 1
-    return _antisymmetrised(evaluate_all(_component_jacobian(alpha), p, params), d)
+    jac = np.reshape(evaluate_all(_component_jacobian(alpha), p, params), (d, d))
+    return jac - jac.T
 
 
-def _antisymmetrised(jac: tuple[float, ...], d: int) -> np.ndarray:
-    """M[a][b] = J[a][b] - J[b][a] from the row-major values of J, upper
-    triangle mirrored: exactly antisymmetric, with an exact 0.0 diagonal."""
-    m = [[0.0] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(a + 1, d):
-            entry = jac[a * d + b] - jac[b * d + a]
-            m[a][b] = entry
-            m[b][a] = -entry
-    return np.array(m)
-
-
-def _stacked_system(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
-    """Rows (i_X d eta)^T over the coordinate basis, then the eta row."""
+def _stacked_system(sys: ContactHamiltonianSystem, p: StatePoint
+                    ) -> tuple[np.ndarray | None, float]:
+    """Rows (i_X d eta)^T over the coordinate basis, then the eta row, and
+    their smallest/largest singular value ratio; (None, NaN), without a
+    LAPACK call, where a value of d(eta) or eta is not finite."""
     d = 2 * sys.n_dim + 1
-    values = sys._form_program(p._flat)
+    values = np.array(sys._form_program(p._flat))
+    if not np.isfinite(values).all():
+        return None, math.nan
+    jac = values[:d * d].reshape(d, d)
     # (i_X d eta)(d/dx^b) = sum_a X^a M[a][b], so the coefficient matrix is M^T
-    return np.vstack([_antisymmetrised(values[:d * d], d).T, values[d * d:]])
+    matrix = np.vstack([jac.T - jac, values[d * d:]])
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return matrix, (svals[-1] / svals[0] if svals[0] > 0 else 0.0)
 
 
 def contact_condition(sys: ContactHamiltonianSystem, p: StatePoint
                       ) -> tuple[bool, float]:
     """Numeric contact check at p: smallest/largest singular value ratio,
-    which must exceed CONTACT_TOL."""
-    matrix = _stacked_system(sys, p)
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0
+    which must exceed CONTACT_TOL; NaN, failing, where d(eta) or eta is not
+    finite."""
+    ratio = _stacked_system(sys, p)[1]
     return ratio > CONTACT_TOL, ratio
 
 
-def _lstsq_checked(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-    residual = np.max(np.abs(matrix @ solution - rhs))
-    scale = 1.0 + np.max(np.abs(rhs))
-    if residual > SOLVE_TOL * scale:
+def _regular_system(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
+    """The stacked system at p, after the tests that every solve with it
+    relies on."""
+    matrix, ratio = _stacked_system(sys, p)
+    if matrix is None:
+        raise ContactConditionError(f"d(eta) or eta is not finite at {p}")
+    if not ratio > CONTACT_TOL:
+        raise ContactConditionError(
+            "reeb_field: stacked system is singular (contact condition fails)")
+    return matrix
+
+
+def _flat_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """flat^-1 rhs, for flat(X) = i_X d(eta) + eta(X) eta = (M^T + eta eta^T) X."""
+    eta_p = matrix[-1]
+    try:
+        return np.linalg.solve(matrix[:-1] + np.outer(eta_p, eta_p), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ContactConditionError(f"flat map is singular: {exc}") from None
+
+
+def _residual_checked(matrix: np.ndarray, solution: np.ndarray, rhs: np.ndarray,
+                      what: str) -> np.ndarray:
+    residual = abs(matrix @ solution - rhs).max()
+    if not residual <= SOLVE_TOL * (1.0 + abs(rhs).max()):
         raise ContactConditionError(
             f"{what}: inconsistent linear system, residual {residual:.3e}")
     return solution
 
 
-def _reeb(matrix: np.ndarray) -> np.ndarray:
-    """Reeb vector of a stacked system, after the regularity test that every
-    later solve with the same matrix relies on."""
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] / svals[0] <= CONTACT_TOL:
-        raise ContactConditionError(
-            "reeb_field: stacked system is singular (contact condition fails)")
-    rhs = np.zeros(matrix.shape[0])
-    rhs[-1] = 1.0
-    return _lstsq_checked(matrix, rhs, "reeb_field")
-
-
 def reeb_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
     """Reeb vector at p: the unique R with i_R d(eta) = 0 and eta(R) = 1."""
-    return _reeb(_stacked_system(sys, p))
+    matrix = _regular_system(sys, p)
+    return _residual_checked(matrix, _flat_solve(matrix, matrix[-1]),
+                             np.append(np.zeros(len(matrix) - 1), 1.0), "reeb_field")
 
 
 def hamiltonian_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
     """Hamiltonian vector at p from the defining equations.
 
-    Solves i_X d(eta) = dH - (RH) eta and eta(X) = -H, then verifies the
+    flat(R) = eta and flat(Y) = dH in one solve; X = Y - (RH + H) R then has
+    i_X d(eta) = dH - (RH) eta and eta(X) = -H, which are checked, as is the
     energy pairing |eta(X) + H| <= SOLVE_TOL (1 + |H|).
     """
-    matrix = _stacked_system(sys, p)
+    matrix = _regular_system(sys, p)
     eta_p = matrix[-1]
-    *grad_h, h_val = sys._energy_program(p._flat)
-    grad_h = np.array(grad_h)
-    rh = float(_reeb(matrix) @ grad_h)
-    rhs = np.append(grad_h - rh * eta_p, -h_val)
-    x = _lstsq_checked(matrix, rhs, "hamiltonian_field")
+    energy = np.array(sys._energy_program(p._flat))
+    if not np.isfinite(energy).all():
+        raise ContactConditionError(f"H or dH is not finite at {p}")
+    grad_h, h_val = energy[:-1], energy[-1]
+    reeb, y = _flat_solve(matrix, np.column_stack([eta_p, grad_h])).T
+    _residual_checked(matrix, reeb, np.append(np.zeros(len(reeb)), 1.0), "reeb_field")
+    rh = float(reeb @ grad_h)
+    x = _residual_checked(matrix, y - (rh + h_val) * reeb,
+                          np.append(grad_h - rh * eta_p, -h_val), "hamiltonian_field")
     pairing = float(eta_p @ x)
     if abs(pairing + h_val) > SOLVE_TOL * (1.0 + abs(h_val)):
         raise ContactConditionError(

@@ -404,6 +404,32 @@ def test_json_text_rejects_what_json_rejects(obj):
         json_text(obj)
 
 
+def _self_list():
+    a = [1.0, "x"]
+    a.append(a)
+    return a
+
+
+def _dict_through_tuple():
+    d = {"records": []}
+    d["records"].append(({"point": d},))
+    return d
+
+
+@pytest.mark.parametrize("make", [_self_list, _dict_through_tuple])
+def test_json_text_rejects_a_circular_reference_as_json_does(make):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(make(), indent=2)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(expected.value))}$"):
+        json_text(make())
+
+
+def test_json_text_writes_shared_containers_each_time():
+    shared, floats = {"k": [None, "v"]}, [0.5, 1.5]
+    obj = {"a": shared, "b": [shared, (shared, floats)], "c": floats}
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
 def _assert_written_as_json_dumps(report, path):
     """The file at ``path`` holds json.dumps(indent=2) of the report's dict
     with the file's own metadata."""

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import textwrap
+from pathlib import Path
+from sys import executable
+
 import numpy as np
 import pytest
 
@@ -212,21 +218,22 @@ def test_conformal_factor_zero_covector():
 
 def walk_reference(sys, p):
     """(hamiltonian_field, reeb_field, contact_condition) at p from tree
-    walks of the contact data, with the numpy calls of the contact module
-    (its residual checks only raise, so they are left out)."""
+    walks of the contact data, with the numpy calls of the contact module:
+    the singular value gate on the stacked system, then one solve of the
+    flat map M^T + eta eta^T on the columns (eta, dH) (its residual checks
+    only raise, so they are left out)."""
     deta = exterior_derivative(sys.eta, p, sys.params)
     eta_p = np.array(evaluate_all(sys.eta.components, p, sys.params))
     matrix = np.vstack([deta.T, eta_p])
     svals = np.linalg.svd(matrix, compute_uv=False)
     ratio = svals[-1] / svals[0] if svals[0] > 0 else 0.0
-    unit = np.zeros(matrix.shape[0])
-    unit[-1] = 1.0
-    reeb, *_ = np.linalg.lstsq(matrix, unit, rcond=None)
+    flat = matrix[:-1] + np.outer(eta_p, eta_p)
     *grad_h, h_val = evaluate_all((*gradient(sys.H, sys.n_dim), sys.H), p, sys.params)
     grad_h = np.array(grad_h)
+    reeb, y = np.linalg.solve(flat, np.column_stack([eta_p, grad_h])).T
     rh = float(reeb @ grad_h)
-    x, *_ = np.linalg.lstsq(matrix, np.append(grad_h - rh * eta_p, -h_val), rcond=None)
-    return x, reeb, (ratio > CONTACT_TOL, ratio)
+    x = y - (rh + h_val) * reeb
+    return x, np.linalg.solve(flat, eta_p), (ratio > CONTACT_TOL, ratio)
 
 
 def rescaled(ham):
@@ -280,3 +287,142 @@ def test_contact_data_compiles_once_per_system(monkeypatch, rng):
     for p in random_points(rng, 2, 50):
         hamiltonian_field(sys, p)
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# The flat-map solve against a least-squares oracle, its gate and its failures
+
+
+def lstsq_reference(sys, p):
+    """(hamiltonian_field, reeb_field) at p by numpy least squares on the
+    stacked defining equations, independent of the contact module's solve."""
+    deta = exterior_derivative(sys.eta, p, sys.params)
+    eta_p = sys.eta.values(p, sys.params)
+    matrix = np.vstack([deta.T, eta_p])
+    unit = np.zeros(len(matrix))
+    unit[-1] = 1.0
+    reeb, *_ = np.linalg.lstsq(matrix, unit, rcond=None)
+    *grad_h, h_val = evaluate_all((*gradient(sys.H, sys.n_dim), sys.H), p, sys.params)
+    rh = float(reeb @ np.array(grad_h))
+    x, *_ = np.linalg.lstsq(matrix, np.append(np.array(grad_h) - rh * eta_p, -h_val),
+                            rcond=None)
+    return x, reeb
+
+
+def test_flat_solve_matches_the_least_squares_oracle(rng):
+    cases = compiled_cases()
+    ham = as_hamiltonian(dense_lagrangian(5))
+    for sys in cases + [ham, rescaled(ham)]:
+        for p in random_points(rng, sys.n_dim, 10):
+            x, reeb = lstsq_reference(sys, p)
+            for got, want in ((hamiltonian_field(sys, p), x), (reeb_field(sys, p), reeb)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def crossing_family(s):
+    """eta = dz - s v1 dq1: its singular value ratio is about s."""
+    eta = CoordOneForm(1, (parse("-s*v1", 1), Const(0.0), Const(1.0)))
+    return ContactHamiltonianSystem(1, eta, parse("v1*q1 - z^2", 1), {"s": s})
+
+
+def gate_cases(rng):
+    dz_only = ContactHamiltonianSystem(
+        1, CoordOneForm(1, (Const(0.0), Const(0.0), Const(1.0))), parse("z", 1))
+    fixtures = [make() for make in builtin_systems().values()]
+    systems = [s for s in fixtures if isinstance(s, ContactHamiltonianSystem)]
+    systems += [dz_only] + [crossing_family(10.0 ** k) for k in np.linspace(-12, -8, 21)]
+    return [(sys, p) for sys in systems for p in random_points(rng, sys.n_dim, 5)]
+
+
+def test_solvers_raise_exactly_where_the_contact_condition_fails(rng):
+    cases = gate_cases(rng)
+    ratios = [contact_condition(sys, p)[1] for sys, p in cases]
+    assert min(ratios) <= CONTACT_TOL < max(r for r in ratios if r < 1e-8)
+    for sys, p in cases:
+        contact_ok, _ = contact_condition(sys, p)
+        for solver in (reeb_field, hamiltonian_field):
+            try:
+                solver(sys, p)
+            except ContactConditionError:
+                assert not contact_ok, (solver.__name__, sys.params, p)
+            else:
+                assert contact_ok, (solver.__name__, sys.params, p)
+
+
+def test_flat_solve_matches_the_crossing_family_in_closed_form(rng):
+    # with p = s v1 the form is Darboux, so X follows from the coordinate formula
+    for k in (-9.5, -9.0, -6.0, 0.0):
+        s = 10.0 ** k
+        for point in random_points(rng, 1, 10):
+            (q1,), (v1,), z1 = point.q, point.v, point.z
+            dh_dp, dh_dq, dh_dz, h = q1 / s, v1, -2.0 * z1, v1 * q1 - z1 * z1
+            expected = np.array([dh_dp, -(dh_dq + s * v1 * dh_dz) / s,
+                                 s * v1 * dh_dp - h])
+            x = hamiltonian_field(crossing_family(s), point)
+            assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_a_singular_flat_map_is_a_contact_condition_error(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    sys = darboux_system("q1*v1 + z")
+    for solver in (reeb_field, hamiltonian_field):
+        with pytest.raises(ContactConditionError, match="flat map is singular"):
+            solver(sys, pt(1.0, 1.0, 1.0))
+
+
+# d(eta) or H overflows to -inf at (0.1, 0.2, 0.3) through the parameter big
+NON_FINITE = [
+    (CoordOneForm(1, (parse("-v1*big*big", 1), Const(0.0), Const(1.0))), "z",
+     r"d\(eta\) or eta is not finite at StatePoint\(q=\[0\.1\], v=\[0\.2\], z=0\.3\)"),
+    (darboux_form(1), "-z*big*big",
+     r"H or dH is not finite at StatePoint\(q=\[0\.1\], v=\[0\.2\], z=0\.3\)"),
+]
+
+
+@pytest.mark.parametrize("eta, h_text, message", NON_FINITE)
+def test_non_finite_contact_data_never_reaches_lapack(eta, h_text, message, monkeypatch):
+    sys = ContactHamiltonianSystem(1, eta, parse(h_text, 1), {"big": 1e200})
+    p = pt(0.1, 0.2, 0.3)
+    finite_form = np.isfinite(sys.eta.values(p, sys.params)).all()
+
+    def finite_only(run):
+        def call(*arrays, **kwargs):
+            assert all(np.isfinite(a).all() for a in arrays), "non-finite data reached LAPACK"
+            return run(*arrays, **kwargs)
+        return call
+    for name in ("svd", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, finite_only(getattr(np.linalg, name)))
+    assert contact_condition(sys, p)[0] == finite_form
+    solvers = (hamiltonian_field,) if finite_form else (reeb_field, hamiltonian_field)
+    for solver in solvers:
+        with pytest.raises(ContactConditionError, match=message):
+            solver(sys, p)
+
+
+def test_non_finite_contact_data_fails_promptly_without_guards():
+    # the solvers once spun in LAPACK on such data, so a fresh interpreter
+    # runs them under a timeout
+    script = textwrap.dedent("""
+        from herglotz.contact import (ContactConditionError, ContactHamiltonianSystem,
+            CoordOneForm, darboux_form, hamiltonian_field, reeb_field)
+        from herglotz.expr import Const, StatePoint, parse
+        p = StatePoint.from_coords([0.1, 0.2, 0.3], 1)
+        form = CoordOneForm(1, (parse("-v1*big*big", 1), Const(0.0), Const(1.0)))
+        for eta, h, solvers in ((form, "z", (reeb_field, hamiltonian_field)),
+                                (darboux_form(1), "-z*big*big", (hamiltonian_field,))):
+            sys = ContactHamiltonianSystem(1, eta, parse(h, 1), {"big": 1e200})
+            for solver in solvers:
+                try:
+                    solver(sys, p)
+                except ContactConditionError as exc:
+                    print(exc)
+    """)
+    src = str(Path(contact.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("not finite at StatePoint") == 3, done.stdout
+    assert done.stderr == ""
