@@ -22,6 +22,10 @@ Every sampled check runs through :func:`run_check`, which alone decides:
   an error report with ``max_residual`` NaN, never a pass, and so does a
   check that ends with no records at all.
 
+A check whose records are residual magnitudes states them as a table for
+:func:`residual_table`.  Its reduction, :func:`max_abs`, propagates NaN, so
+a NaN in any component reaches the engine as an error naming the key.
+
 All error reports are built by :func:`error_report`.  The module is also the
 single home of the numerical thresholds shared by the other modules.
 """
@@ -31,16 +35,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .expr import StatePoint
+from .expr import Expr, ParamSet, StatePoint, tape
 
 __all__ = [
     "Tolerances", "SamplePlan", "CheckReport", "PointRecord", "SamplingError",
     "CheckAbort", "sample_states", "verdict_for", "report_from_records",
-    "error_report", "run_check",
+    "error_report", "run_check", "residual_table", "max_abs",
 ]
 
 # Points where |dzeta/dz| falls at or below this threshold are rejected when
@@ -79,7 +83,15 @@ PASS, FAIL, ERROR, INCONCLUSIVE = "pass", "fail", "error", "inconclusive"
 
 
 class SamplingError(RuntimeError):
-    """Predicate rejection exceeded the 10x oversampling cap."""
+    """Predicate rejection exceeded the 10x cap, or a grid count is not k^d."""
+
+
+def _grid_side(count: int, d: int, error: type[Exception] = SamplingError) -> int:
+    """The k with k^d == count; ``error`` when there is none."""
+    k = round(count ** (1.0 / d))
+    if k ** d != count:
+        raise error(f"grid count {count} is not k^{d} for any whole k")
+    return k
 
 
 @dataclass(frozen=True)
@@ -125,11 +137,15 @@ class SamplePlan:
         for lo, hi in bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"invalid bounds ({lo}, {hi})")
+        if self.mode == "grid" and bounds:
+            _grid_side(self.count, len(bounds), ValueError)
         object.__setattr__(self, "bounds", bounds)
 
     def with_default_bounds(self, n: int) -> "SamplePlan":
         if self.bounds:
             return self
+        if self.mode == "grid":
+            _grid_side(self.count, 2 * n + 1)
         return SamplePlan(self.mode, tuple((-1.0, 1.0) for _ in range(2 * n + 1)),
                           self.count, self.seed)
 
@@ -138,9 +154,9 @@ class SamplePlan:
 
         Random rows are drawn ``count`` at a time, one generator call per
         chunk; the doubles and their order are those of row-by-row draws.  A
-        grid plan yields its lattice of k points per axis, k^d >= ``count``
-        with k as small as possible (at least 2, so both bounds are on every
-        axis), in product order and at most once.
+        grid plan yields its lattice of k points per axis in product order, at
+        most once.  Its ``count`` must be k^d: any other count is a ValueError
+        with given bounds, and a SamplingError with the chart's default ones.
         """
         d = len(self.bounds)
         if self.mode == "random":
@@ -152,8 +168,7 @@ class SamplePlan:
                 yield from (lo + span * rng.uniform(size=(chunk, d))).tolist()
                 limit -= chunk
         else:
-            per_axis = max(2, round(self.count ** (1.0 / d)))
-            per_axis += per_axis ** d < self.count   # the rounded root fell short
+            per_axis = _grid_side(self.count, d)
             axes = [np.linspace(lo, hi, per_axis).tolist() for lo, hi in self.bounds]
             yield from itertools.islice(itertools.product(*axes), limit)
 
@@ -276,8 +291,9 @@ def run_check(n: int, point_values: Callable[[StatePoint], dict | None],
     """
     tol = tol or Tolerances()
     if points is None:
-        plan = (plan or SamplePlan()).with_default_bounds(n)
+        plan = plan or SamplePlan()
         try:
+            plan = plan.with_default_bounds(n)
             points = sample_states(plan, n, predicate=predicate)
         except SamplingError as exc:
             return error_report(str(exc), tol, plan)
@@ -295,3 +311,27 @@ def run_check(n: int, point_values: Callable[[StatePoint], dict | None],
         return error_report("no residual records: no sampled point gave values",
                             tol, plan)
     return report_from_records(records, tol, plan, residual_keys=residual_keys)
+
+
+def max_abs(values: Iterable[float]) -> float:
+    """The largest ``|x|`` (0.0 for no values), NaN when any x is NaN."""
+    mags = [abs(x) for x in values]
+    return math.nan if any(m != m for m in mags) else max(mags, default=0.0)
+
+
+def residual_table(table: Mapping[str, Sequence[Expr]], n: int,
+                   params: ParamSet | None = None
+                   ) -> Callable[[StatePoint], dict[str, float]]:
+    """``point_values`` for :func:`run_check` from a table of residuals.
+
+    ``table`` maps each record key to the expressions whose largest
+    ``|value|`` (:func:`max_abs`) at a point is that key's value; all of
+    them are lowered into one tape, in table order.
+    """
+    sizes = {key: len(exprs) for key, exprs in table.items()}
+    run = tape([e for exprs in table.values() for e in exprs], n, params)
+
+    def values(p: StatePoint) -> dict[str, float]:
+        vals = iter(run(p._flat))
+        return {key: max_abs(itertools.islice(vals, k)) for key, k in sizes.items()}
+    return values

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .checks import (
-    CheckReport, PointRecord, SamplePlan, Tolerances, error_report, run_check,
+    CheckReport, PointRecord, SamplePlan, Tolerances, error_report, residual_table,
+    run_check,
 )
 from .contact import ContactHamiltonianSystem, CoordOneForm, darboux_form
 from .dynamics import (
@@ -41,8 +42,8 @@ from .equivalence import (
     strong_equivalence_check, zero_set_diagnostic,
 )
 from .expr import (
-    Expr, Param, ParseError, StatePoint, compile_components, coords,
-    max_coord_index, merge_params, parse, substitute, unparse, z,
+    Expr, Param, ParseError, StatePoint, coords, max_coord_index, merge_params,
+    parse, sub, substitute, unparse, z,
 )
 from .extended import (
     ActionFunction, ExtendedLagrangianSystem, legendre_pullback_residual,
@@ -551,15 +552,9 @@ def _task_simulate(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     if exprs and len(exprs) != n:
         raise ConfigError(f"need {n} acceleration expressions", "args.accel_residual")
     if exprs:
-        pairs_at = compile_components(
-            [e for pair in zip(field_obj.components[n:2 * n], exprs) for e in pair],
-            n, params)
-
-        def defects(state):
-            vals = pairs_at(state._flat)
-            return {f"acceleration_defect_{i + 1}": abs(vals[2 * i] - vals[2 * i + 1])
-                    for i in range(n)}
-
+        defects = residual_table(
+            {f"acceleration_defect_{i + 1}": [sub(a, e)] for i, (a, e) in
+             enumerate(zip(field_obj.components[n:2 * n], exprs))}, n, params)
         states = list(traj.states())
         report = run_check(n, defects, tol=cfg.tolerances, points=states)
         notes.append(f"acceleration defect vs expected: max {report.max_residual!r} "

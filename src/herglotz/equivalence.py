@@ -14,20 +14,18 @@ import numpy as np
 
 from .checks import (
     ESTIMATE_TOL, ZERO_TOL, CheckAbort, CheckReport, SamplePlan, Tolerances,
-    error_report, run_check,
+    error_report, max_abs, residual_table, run_check,
 )
 from .contact import (
     ContactConditionError, ContactHamiltonianSystem, CoordVectorField,
     hamiltonian_field,
 )
-from .expr import Expr, StatePoint, differentiate, merge_params, q, sub, tape, v, z
+from .expr import Expr, StatePoint, differentiate, merge_params, mul, q, sub, tape, v, z
 from .extended import (
-    ActionFunction, ExtendedLagrangianSystem, compose_with_zeta,
-    extended_lagrangian_form, herglotz_defects, zeta_herglotz_field, zeta_hessian,
+    ActionFunction, ExtendedLagrangianSystem, _hessian_det, compose_with_zeta,
+    extended_lagrangian_form, herglotz_defects, zeta_herglotz_field,
 )
-from .lagrangian import (
-    ContactLagrangianSystem, herglotz_field, lagrangian_form, velocity_hessian,
-)
+from .lagrangian import ContactLagrangianSystem, herglotz_field, lagrangian_form
 
 __all__ = [
     "conformal_similarity_check", "dynamical_equivalence_check",
@@ -41,12 +39,10 @@ def extended_sode_check(X: CoordVectorField, points: list[StatePoint],
                         params: dict | None = None,
                         tol: Tolerances | None = None) -> CheckReport:
     """Second order condition: the q-components of X equal the velocities."""
-    q_rates_at = tape(X.components[:X.n_dim], X.n_dim, params)
-
-    def values(p):
-        q_rates = q_rates_at(p._flat)
-        return {"sode_defect": max(abs(r - v_i) for r, v_i in zip(q_rates, p.v))}
-    return run_check(X.n_dim, values, tol=tol, points=points)
+    n = X.n_dim
+    defects = [sub(X.components[i], v(i + 1)) for i in range(n)]
+    return run_check(n, residual_table({"sode_defect": defects}, n, params),
+                     tol=tol, points=points)
 
 
 def _second_order_precheck(fields: dict[str, CoordVectorField],
@@ -99,10 +95,9 @@ def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
         else:
             skipped += 1
             return None
-        eta_a = np.array(eta_a_at(p._flat))
-        eta_b = np.array(eta_b_at(p._flat))
+        eta_pairs = zip(eta_a_at(p._flat), eta_b_at(p._flat))
         return {
-            "form_defect": float(np.max(np.abs(eta_b - f_val * eta_a))),
+            "form_defect": max_abs(b - f_val * a for a, b in eta_pairs),
             "hamiltonian_defect": abs(h_b - f_val * h_a),
             "factor_vanishes": 1.0 if abs(f_val) <= ZERO_TOL else 0.0,
             "factor": f_val,
@@ -180,21 +175,14 @@ def horizontal_similarity_check(xi: CoordVectorField, xi_bar: CoordVectorField,
     """
     n = xi.n_dim
     merged = merge_params(params or {}, zeta.params)
-    # pairs (a_i, a_bar_i o phi), then (b_bar o phi, xi(zeta))
-    exprs = [e for i in range(n) for e in (
+    table = {f"acceleration_defect_{i + 1}": [sub(
         xi.components[n + i], compose_with_zeta(xi_bar.components[n + i], zeta))]
-    exprs += [compose_with_zeta(xi_bar.components[2 * n], zeta), xi.apply(zeta.zeta)]
-    residuals_at = tape(exprs, n, merged)
-
-    def values(p):
-        vals = residuals_at(p._flat)
-        out = {f"acceleration_defect_{i + 1}": abs(vals[2 * i] - vals[2 * i + 1])
-               for i in range(n)}
-        out["action_rate_defect"] = abs(vals[2 * n + 1] - vals[2 * n])
-        return out
-
+        for i in range(n)}
+    table["action_rate_defect"] = [sub(
+        xi.apply(zeta.zeta), compose_with_zeta(xi_bar.components[2 * n], zeta))]
     return run_check(
-        n, values, plan, tol, predicate=zeta.frame_test(n, merged),
+        n, residual_table(table, n, merged), plan, tol,
+        predicate=zeta.frame_test(n, merged),
         precheck=_second_order_precheck({"xi": xi, "xi_bar": xi_bar}, merged, tol))
 
 
@@ -205,23 +193,25 @@ def projectability_check(xi: CoordVectorField,
     """Do the accelerations depend on the action coordinate?  Residual is
     max_i |d(a_i)/dz| over the sample."""
     n = xi.n_dim
-    dz_at = tape([differentiate(xi.components[n + i], z()) for i in range(n)], n, params)
-
-    def values(p):
-        return {f"dz_dependence_{i + 1}": abs(x) for i, x in enumerate(dz_at(p._flat))}
-
-    return run_check(n, values, plan, tol,
+    table = {f"dz_dependence_{i + 1}": [differentiate(xi.components[n + i], z())]
+             for i in range(n)}
+    return run_check(n, residual_table(table, n, params), plan, tol,
                      precheck=_second_order_precheck({"input": xi}, params, tol))
 
 
 def _require_regular(sys: ContactLagrangianSystem, ext: ExtendedLagrangianSystem,
-                     p: StatePoint, det_tol: float, what: str) -> None:
-    """Abort the check unless both velocity Hessians are regular at p."""
-    det_l = float(np.linalg.det(velocity_hessian(sys, p)))
-    det_bar = float(np.linalg.det(zeta_hessian(ext, p)))
-    if abs(det_l) <= det_tol or abs(det_bar) <= det_tol:
-        raise CheckAbort(f"{what} at {p}: det W = {det_l:.3e}, "
-                         f"det W^zeta = {det_bar:.3e}")
+                     tol: Tolerances | None, what: str, point_values):
+    """``point_values`` after a gate that aborts the check where |det W| or
+    |det W^zeta| is not above ``det_tol``, NaN included."""
+    det_tol = (tol or Tolerances()).det_tol
+
+    def gated(p: StatePoint):
+        det_l, det_bar = _hessian_det(sys._extended, p), _hessian_det(ext, p)
+        if not (abs(det_l) > det_tol and abs(det_bar) > det_tol):
+            raise CheckAbort(f"{what} at {p}: det W = {det_l:.3e}, "
+                             f"det W^zeta = {det_bar:.3e}")
+        return point_values(p)
+    return gated
 
 
 def strong_equivalence_check(sys: ContactLagrangianSystem,
@@ -236,7 +226,6 @@ def strong_equivalence_check(sys: ContactLagrangianSystem,
     eta^zeta_Lbar = (dzeta/dz) eta_L is asserted as well.
     """
     n = sys.n_dim
-    det_tol = (tol or Tolerances()).det_tol
     merged = merge_params(sys.params, zeta.params)
     lbar_base = compose_with_zeta(lbar_zeta_chart, zeta)
     ext = ExtendedLagrangianSystem(n, lbar_base, zeta, merged)
@@ -246,26 +235,14 @@ def strong_equivalence_check(sys: ContactLagrangianSystem,
     transported: Expr = sys.L * dzeta_dz
     for i in range(1, n + 1):
         transported = transported + v(i) * differentiate(zeta.zeta, q(i))
-    d = 2 * n + 1
-    exprs = (*(differentiate(zeta.zeta, v(i)) for i in range(1, n + 1)),
-             transported, lbar_base, dzeta_dz, *eta_l.components, *eta_bar.components)
-    residuals_at = tape(exprs, n, merged)
-
-    def values(p):
-        _require_regular(sys, ext, p, det_tol, "regularity failure")
-        vals = residuals_at(p._flat)
-        transported_val, lbar_val, factor = vals[n:n + 3]
-        eta_l_vals = np.array(vals[n + 3:n + 3 + d])
-        eta_bar_vals = np.array(vals[n + 3 + d:])
-        return {
-            "velocity_dependence": max(abs(x) for x in vals[:n]),
-            "lagrangian_defect": abs(transported_val - lbar_val),
-            "form_conformal_defect": float(
-                np.max(np.abs(eta_bar_vals - factor * eta_l_vals))),
-        }
-
-    return run_check(n, values, plan, tol,
-                     predicate=zeta.frame_test(n, merged))
+    residuals = residual_table({
+        "velocity_dependence": [differentiate(zeta.zeta, v(i)) for i in range(1, n + 1)],
+        "lagrangian_defect": [sub(transported, lbar_base)],
+        "form_conformal_defect": [sub(bar_k, mul(dzeta_dz, l_k)) for l_k, bar_k
+                                  in zip(eta_l.components, eta_bar.components)],
+    }, n, merged)
+    return run_check(n, _require_regular(sys, ext, tol, "regularity failure", residuals),
+                     plan, tol, predicate=zeta.frame_test(n, merged))
 
 
 def general_equivalence_check(sys: ContactLagrangianSystem,
@@ -282,7 +259,6 @@ def general_equivalence_check(sys: ContactLagrangianSystem,
     a fail: a singular instance is undecided, not inequivalent.
     """
     n = sys.n_dim
-    det_tol = (tol or Tolerances()).det_tol
     merged = merge_params(sys.params, zeta.params)
     lbar_base = compose_with_zeta(lbar_zeta_chart, zeta)
     ext = ExtendedLagrangianSystem(n, lbar_base, zeta, merged)
@@ -291,19 +267,10 @@ def general_equivalence_check(sys: ContactLagrangianSystem,
     l_condition = sub(lbar_base, xi_l.apply(zeta.zeta))
     p_conditions = herglotz_defects(xi_l, lbar_base, zeta.zeta, n)
     xi_bar = zeta_herglotz_field(ext)
-    # l_condition, the n p_conditions, then pairs of field components
-    residuals_at = tape([l_condition, *p_conditions, *(e for pair in zip(
-        xi_l.components, xi_bar.components) for e in pair)], n, merged)
-
-    def values(p):
-        _require_regular(sys, ext, p, det_tol, "zeta-regularity violated")
-        vals = residuals_at(p._flat)
-        out = {"L_condition": abs(vals[0])}
-        for i in range(n):
-            out[f"p_condition_{i + 1}"] = abs(vals[1 + i])
-        pairs = vals[n + 1:]
-        out["field_mismatch"] = max(abs(a - b) for a, b in zip(pairs[::2], pairs[1::2]))
-        return out
-
-    return run_check(n, values, plan, tol,
-                     predicate=zeta.frame_test(n, merged))
+    table = {"L_condition": [l_condition]}
+    table.update((f"p_condition_{i + 1}", [e]) for i, e in enumerate(p_conditions))
+    table["field_mismatch"] = [sub(a, b) for a, b in zip(xi_l.components,
+                                                         xi_bar.components)]
+    return run_check(n, _require_regular(sys, ext, tol, "zeta-regularity violated",
+                                         residual_table(table, n, merged)),
+                     plan, tol, predicate=zeta.frame_test(n, merged))

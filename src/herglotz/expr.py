@@ -38,7 +38,6 @@ import re
 import struct
 import threading
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence, Union
 
@@ -721,38 +720,42 @@ def max_coord_index(e: Expr) -> int:
 # State points and evaluation
 
 
-@dataclass(frozen=True, eq=False)
 class StatePoint:
     """A chart point (q, v, z).
 
     ``v`` carries the velocities on the Lagrangian side and the momenta on
-    the Hamiltonian side.
+    the Hamiltonian side.  A point is immutable and holds only its flat
+    floats (q1..qn, v1..vn, z); ``q`` and ``v`` are arrays built when read.
     """
 
-    q: np.ndarray
-    v: np.ndarray
-    z: float
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).reshape(-1).tolist()
-        v = np.asarray(self.v, dtype=float).reshape(-1).tolist()
+    def __init__(self, q, v, z: float):
+        q = np.asarray(q, dtype=float).reshape(-1).tolist()
+        v = np.asarray(v, dtype=float).reshape(-1).tolist()
         if len(q) != len(v):
             raise ValueError("q and v must have the same length")
-        self._set([*q, *v, float(self.z)], len(q))
+        self._set([*q, *v, float(z)], len(q))
 
     def _set(self, flat: list[float], n: int) -> None:
-        """Fill the fields from the Python floats (q1..qn, v1..vn, z)."""
+        """Store the Python floats (q1..qn, v1..vn, z)."""
         if not all(map(math.isfinite, flat)):
             raise ValueError("state point entries must be finite")
-        object.__setattr__(self, "q", np.array(flat[:n]))
-        object.__setattr__(self, "v", np.array(flat[n:2 * n]))
         object.__setattr__(self, "z", flat[2 * n])
-        # the flat coordinates, for evaluation and reports
         object.__setattr__(self, "_flat", tuple(flat))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to StatePoint.{name}")
 
     @property
     def n(self) -> int:
-        return len(self.q)
+        return len(self._flat) // 2
+
+    @property
+    def q(self) -> np.ndarray:
+        return np.array(self._flat[:self.n])
+
+    @property
+    def v(self) -> np.ndarray:
+        return np.array(self._flat[self.n:-1])
 
     def coords(self) -> np.ndarray:
         """Flat coordinates in canonical order (q1..qn, v1..vn, z)."""

@@ -26,11 +26,11 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .checks import DET_TOL, FRAME_TOL, PULLBACK_TOL, SYMMETRY_TOL
+from .checks import DET_TOL, FRAME_TOL, PULLBACK_TOL, SYMMETRY_TOL, residual_table
 from .contact import CoordOneForm, CoordVectorField
 from .expr import (
     Const, Coord, Expr, ParamSet, StatePoint, _memo, add, coord, coords, depends_on,
-    differentiate, div, evaluate, evaluate_all, merge_params, mul, q, sub,
+    det_expr, differentiate, div, evaluate, evaluate_all, merge_params, mul, q, sub,
     substitute, solve_cramer, tape, v, z,
 )
 
@@ -94,9 +94,10 @@ class ExtendedLagrangianSystem:
 
     @cached_property
     def _hessian_tape(self):
-        """The W^zeta entries, row-major."""
+        """The W^zeta entries, row-major, then det W^zeta by cofactors."""
         rows = _zeta_hessian_exprs(self.L, self.zeta.zeta, self.n_dim)
-        return tape([e for row in rows for e in row], self.n_dim, self.all_params)
+        return tape([*(e for row in rows for e in row), det_expr(rows)],
+                    self.n_dim, self.all_params)
 
 
 def zeta_partial(f: Expr, zeta: Union[ActionFunction, Expr],
@@ -175,7 +176,12 @@ def extended_lagrangian_form(sys: ExtendedLagrangianSystem) -> CoordOneForm:
 
 
 def zeta_hessian(sys: ExtendedLagrangianSystem, p: StatePoint) -> np.ndarray:
-    return np.array(sys._hessian_tape(p._flat)).reshape(sys.n_dim, sys.n_dim)
+    return np.array(sys._hessian_tape(p._flat)[:-1]).reshape(sys.n_dim, sys.n_dim)
+
+
+def _hessian_det(sys: ExtendedLagrangianSystem, p: StatePoint) -> float:
+    """det W^zeta at p, from its cofactor expansion on the W^zeta tape."""
+    return sys._hessian_tape(p._flat)[-1]
 
 
 def zeta_regularity(sys: ExtendedLagrangianSystem, p: StatePoint
@@ -187,7 +193,7 @@ def zeta_regularity(sys: ExtendedLagrangianSystem, p: StatePoint
     w = zeta_hessian(sys, p)
     if w.size and np.max(np.abs(w - w.T)) > SYMMETRY_TOL * (1.0 + np.max(np.abs(w))):
         raise SingularZetaError(f"W^zeta not symmetric at {p}: {w}")
-    det = float(np.linalg.det(w))
+    det = _hessian_det(sys, p)
     return det, abs(det) > DET_TOL
 
 
@@ -274,10 +280,10 @@ def zeta_legendre(sys: ExtendedLagrangianSystem, p: StatePoint
         (*_zeta_fibers(sys.L, sys.zeta.zeta, sys.n_dim), sys.zeta.zeta),
         p, sys.all_params)
     residual = legendre_pullback_residual(sys, p)
-    if residual > PULLBACK_TOL:
+    if not residual <= PULLBACK_TOL:
         raise SingularZetaError(
             f"Legendre pullback identity violated at {p}: residual {residual:.3e}")
-    return p.q.copy(), np.array(momenta), zeta_val
+    return p.q, np.array(momenta), zeta_val
 
 
 def legendre_pullback_residual(sys: ExtendedLagrangianSystem, p: StatePoint) -> float:
@@ -297,9 +303,9 @@ def legendre_pullback_residual(sys: ExtendedLagrangianSystem, p: StatePoint) -> 
             # dq^i/dx^a is 1 exactly when x^a = q^i
             term = sub(term, fibers[a])
         pulled.append(term)
-    pairs = zip(pulled, extended_lagrangian_form(sys).components)
-    vals = evaluate_all([e for pair in pairs for e in pair], p, sys.all_params)
-    return max(abs(a - b) for a, b in zip(vals[::2], vals[1::2]))
+    table = {"pullback_defect": [sub(a, b) for a, b in zip(
+        pulled, extended_lagrangian_form(sys).components)]}
+    return residual_table(table, n, sys.all_params)(p)["pullback_defect"]
 
 
 def compose_with_zeta(expr_in_zeta_chart: Expr, zeta: Union[ActionFunction, Expr]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .checks import (
     RATIO_EXCLUDE, ZERO_TOL, CheckAbort, CheckReport, SamplePlan, Tolerances,
-    run_check,
+    residual_table, run_check,
 )
 from .contact import CoordVectorField
 from .expr import (
@@ -123,23 +123,18 @@ def extended_inverse_check(sode: SODESystem, zeta: ActionFunction,
     dzeta_dz = zeta.dz
     dxz_dz = differentiate(xi_zeta, z())
     momenta = tuple(differentiate(xi_zeta, v(i)) for i in range(1, n + 1))
-    defects = []
+    table = {}
     for i in range(n):
         lhs = sub(differentiate(xi_zeta, q(i + 1)), sode.apply(momenta[i])) * dzeta_dz
         rhs = sub(differentiate(zeta.zeta, q(i + 1)), momenta[i]) * dxz_dz
-        defects.append(sub(lhs, rhs))
-    defects_at = tape(defects, n, merged)
+        table[f"extended_defect_{i + 1}"] = [sub(lhs, rhs)]
 
     def require_strong(points):
         if not zeta.is_strong(n):
             raise CheckAbort("zeta depends on the velocities; the extended check "
                              "requires zeta(q, z)")
 
-    def values(p):
-        return {f"extended_defect_{i + 1}": abs(x)
-                for i, x in enumerate(defects_at(p._flat))}
-
-    report = run_check(n, values, plan, tol,
+    report = run_check(n, residual_table(table, n, merged), plan, tol,
                        predicate=zeta.frame_test(n, merged),
                        precheck=require_strong)
     if not report.passed:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from herglotz.checks import (
     CheckAbort, PointRecord, SamplePlan, SamplingError, Tolerances,
     report_from_records, run_check, sample_states,
 )
+from herglotz.cli import main
 from herglotz.expr import StatePoint, parse
 from herglotz.fixtures import builtin_plans, builtin_systems
 
@@ -233,12 +235,35 @@ def test_builtin_grid_plan_covers_the_box():
 
 
 def test_grid_plan_rejection_stays_on_its_lattice():
-    plan = SamplePlan("grid", tuple((-1.0, 1.0) for _ in range(3)), 10, 0)
-    # 10 points need a 3 x 3 x 3 lattice, read in product order
-    assert len(list(plan.raw_points(1000))) == 27
-    states = sample_states(plan, 1, lambda p: p.z != 0.0)
-    assert [p._flat for p in states] == [
+    plan = SamplePlan("grid", tuple((-1.0, 1.0) for _ in range(3)), 27, 0)
+    # the 3 x 3 x 3 lattice in product order, and no point beyond it
+    assert list(plan.raw_points(1000)) == [
         (a, b, c) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)
-        for c in (-1.0, 1.0)][:10]
+        for c in (-1.0, 0.0, 1.0)]
     with pytest.raises(SamplingError, match=r"\(18 accepted\)"):
-        sample_states(SamplePlan("grid", plan.bounds, 27, 0), 1, lambda p: p.z != 0.0)
+        sample_states(plan, 1, lambda p: p.z != 0.0)
+
+
+@pytest.mark.parametrize("count", [2, 10, 100, 126])
+def test_grid_count_that_is_not_a_power_is_rejected(count, tmp_path, capsys):
+    """A grid count that is not k^d would read a product-order prefix of a
+    larger lattice, which leaves out the upper bound of the first axis."""
+    box = ((-1.0, 1.0),) * 3
+    with pytest.raises(ValueError, match=f"grid count {count} is not k\\^3"):
+        SamplePlan("grid", box, count, 0)
+    report = run_check(1, lambda p: {"defect": 0.0}, SamplePlan("grid", (), count, 0))
+    assert report.verdict == "error"
+    assert report.diagnostics == [f"grid count {count} is not k^3 for any whole k"]
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(
+        {"plans": {"g": {"mode": "grid", "bounds": [list(b) for b in box],
+                         "count": count}}}))
+    code = main(["--config", str(cfg_path), "--out", str(tmp_path),
+                 "herglotz", "--lagrangian", "linear_drag"])
+    assert code == 3
+    assert "plans.g" in capsys.readouterr().err
+
+
+def test_grid_plan_of_one_point_is_the_lower_corner():
+    plan = SamplePlan("grid", ((0.5, 1.0), (-1.0, 1.0), (2.0, 2.0)), 1, 0)
+    assert list(plan.raw_points(10)) == [(0.5, -1.0, 2.0)]
