@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -121,7 +122,8 @@ def verdict_for(max_residual: float, tol: Tolerances) -> str:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Deterministic point source: seeded uniform draws or a lattice."""
+    """Deterministic point source: seeded uniform draws or a lattice.  The
+    seed is a non-negative integer (not a bool), as numpy's generators take."""
 
     mode: str = "random"            # "random" or "grid"
     bounds: tuple[tuple[float, float], ...] = ()
@@ -133,6 +135,12 @@ class SamplePlan:
             raise ValueError(f"unknown sample mode {self.mode!r}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if isinstance(self.seed, bool) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         for lo, hi in bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -140,6 +148,7 @@ class SamplePlan:
         if self.mode == "grid" and bounds:
             _grid_side(self.count, len(bounds), ValueError)
         object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "seed", seed)
 
     def with_default_bounds(self, n: int) -> "SamplePlan":
         if self.bounds:

@@ -245,13 +245,13 @@ def _initial_state(args: dict, n: int, default=None) -> StatePoint:
 
 
 def _run_arg(args: dict, key: str, default, kind=float, above=None):
-    """args[key] (or the default) as a finite number of the given kind; a
-    ConfigError at args.<key> when it is not one or, with ``above`` given,
-    is not above it."""
+    """args[key] (or the default) as a finite number of the given kind, which
+    a bool is not; a ConfigError at args.<key> when it is not one or, with
+    ``above`` given, is not above it."""
     value = args.get(key, default)
     try:
         out = kind(value)
-        ok = math.isfinite(out) and out == float(value)
+        ok = not isinstance(value, bool) and math.isfinite(out) and out == float(value)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
@@ -287,7 +287,8 @@ def _resolve_plan(cfg: RunConfig, name: str | None) -> SamplePlan:
         try:
             plan = replace(plan, seed=int(env_seed))
         except ValueError:
-            raise ConfigError("HERGLOTZ_SEED must be an integer", "env") from None
+            raise ConfigError("HERGLOTZ_SEED must be a non-negative integer, "
+                              f"got {env_seed!r}", "env") from None
     return plan
 
 
@@ -580,7 +581,7 @@ def _task_stationarity(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     traj = integrate(field_obj, p0, 1.0, 1.0 / (grid - 1), sys_l.params)
     curve = trajectory_to_curve(traj)
     if args.get("random_curve"):
-        rng = np.random.default_rng(_run_arg(args, "curve_seed", 0, int))
+        rng = np.random.default_rng(_run_arg(args, "curve_seed", 0, int, above=-1))
         t = curve.times
         qa = np.outer(1 - t, curve.q[0]) + np.outer(t, curve.q[-1])
         va = np.tile(curve.q[-1] - curve.q[0], (len(t), 1)).astype(float)

@@ -11,8 +11,8 @@ its singular value ratio exceeds CONTACT_TOL, the flat map
 flat(X) = i_X d(eta) + eta(X) eta, of matrix M^T + eta eta^T, is invertible:
 one LU solve gives R = flat^-1 eta and X = flat^-1 dH - (RH + H) R, both
 checked against the stacked system.  Non-finite contact data never reaches
-LAPACK.  A ``ContactHamiltonianSystem`` compiles its contact data once and
-reads its params then.  In Darboux coordinates X = dH/dp_i d/dq_i -
+LAPACK.  A ``ContactHamiltonianSystem`` lowers its contact data to tapes
+once and reads its params then.  In Darboux coordinates X = dH/dp_i d/dq_i -
 (dH/dq_i + p_i dH/dz) d/dp_i + (p_i dH/dp_i - H) d/dz.
 """
 
@@ -26,8 +26,8 @@ import numpy as np
 
 from .checks import CONTACT_TOL, SOLVE_TOL
 from .expr import (
-    Const, Expr, ParamSet, StatePoint, add, compile_components, coords,
-    differentiate, evaluate_all, gradient, mul, neg, unparse, v,
+    Const, Expr, ParamSet, StatePoint, add, coords, differentiate,
+    evaluate_all, gradient, mul, neg, tape, unparse, v,
 )
 
 __all__ = [
@@ -110,7 +110,7 @@ def darboux_form(n: int) -> CoordOneForm:
 @dataclass(frozen=True)
 class ContactHamiltonianSystem:
     """Contact form eta and Hamiltonian H.  ``params`` are read when the
-    contact data is first compiled; no code mutates them afterwards."""
+    contact data is first lowered; no code mutates them afterwards."""
 
     n_dim: int
     eta: CoordOneForm
@@ -122,16 +122,15 @@ class ContactHamiltonianSystem:
             raise GeometryError("form dimension does not match the system")
 
     @cached_property
-    def _form_program(self):
+    def _form_tape(self):
         """The d(eta) Jacobian entries, row-major, then the eta components."""
-        return compile_components((*_component_jacobian(self.eta), *self.eta.components),
-                                  self.n_dim, self.params)
+        return tape((*_component_jacobian(self.eta), *self.eta.components),
+                    self.n_dim, self.params)
 
     @cached_property
-    def _energy_program(self):
+    def _energy_tape(self):
         """grad H, then H."""
-        return compile_components((*gradient(self.H, self.n_dim), self.H),
-                                  self.n_dim, self.params)
+        return tape((*gradient(self.H, self.n_dim), self.H), self.n_dim, self.params)
 
 
 def _component_jacobian(form: CoordOneForm) -> tuple[Expr, ...]:
@@ -156,12 +155,13 @@ def _stacked_system(sys: ContactHamiltonianSystem, p: StatePoint
     their smallest/largest singular value ratio; (None, NaN), without a
     LAPACK call, where a value of d(eta) or eta is not finite."""
     d = 2 * sys.n_dim + 1
-    values = np.array(sys._form_program(p._flat))
-    if not np.isfinite(values).all():
+    values = sys._form_tape(p._flat)
+    if not all(map(math.isfinite, values)):
         return None, math.nan
-    jac = values[:d * d].reshape(d, d)
-    # (i_X d eta)(d/dx^b) = sum_a X^a M[a][b], so the coefficient matrix is M^T
-    matrix = np.vstack([jac.T - jac, values[d * d:]])
+    # rows J[a] = d(eta)/dx^a, then eta; as (i_X d eta)(d/dx^b) = sum_a X^a M[a][b],
+    # the coefficient matrix is M^T = J^T - J, written over J
+    matrix = np.array(values).reshape(d + 1, d)
+    np.subtract(matrix[:-1].T, matrix[:-1], out=matrix[:-1])
     svals = np.linalg.svd(matrix, compute_uv=False)
     return matrix, (svals[-1] / svals[0] if svals[0] > 0 else 0.0)
 
@@ -220,12 +220,12 @@ def hamiltonian_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarra
     energy pairing |eta(X) + H| <= SOLVE_TOL (1 + |H|).
     """
     matrix = _regular_system(sys, p)
-    eta_p = matrix[-1]
-    energy = np.array(sys._energy_program(p._flat))
-    if not np.isfinite(energy).all():
+    energy = sys._energy_tape(p._flat)
+    if not all(map(math.isfinite, energy)):
         raise ContactConditionError(f"H or dH is not finite at {p}")
-    grad_h, h_val = energy[:-1], energy[-1]
-    reeb, y = _flat_solve(matrix, np.column_stack([eta_p, grad_h])).T
+    eta_p, grad_h = rhs = np.empty((2, len(matrix) - 1))   # views of the columns (eta, dH)
+    rhs[0], rhs[1], h_val = matrix[-1], energy[:-1], energy[-1]
+    reeb, y = _flat_solve(matrix, rhs.T).T
     _residual_checked(matrix, reeb, np.append(np.zeros(len(reeb)), 1.0), "reeb_field")
     rh = float(reeb @ grad_h)
     x = _residual_checked(matrix, y - (rh + h_val) * reeb,

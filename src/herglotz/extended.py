@@ -81,7 +81,7 @@ class ActionFunction:
 @dataclass(frozen=True)
 class ExtendedLagrangianSystem:
     """(L, zeta) with L given on the base chart (q, v, z).  ``params`` are
-    read when the W^zeta tape is first lowered."""
+    read when a tape (W^zeta, the pullback residual) is first lowered."""
 
     n_dim: int
     L: Expr
@@ -98,6 +98,22 @@ class ExtendedLagrangianSystem:
         rows = _zeta_hessian_exprs(self.L, self.zeta.zeta, self.n_dim)
         return tape([*(e for row in rows for e in row), det_expr(rows)],
                     self.n_dim, self.all_params)
+
+    @cached_property
+    def _pullback_residual(self):
+        """The residual table of :func:`legendre_pullback_residual`."""
+        n, zexpr = self.n_dim, self.zeta.zeta
+        fibers = _zeta_fibers(self.L, zexpr, n)
+        pulled: list[Expr] = []
+        for a, c in enumerate(coords(n)):
+            term: Expr = differentiate(zexpr, c)
+            if a < n:
+                # dq^i/dx^a is 1 exactly when x^a = q^i
+                term = sub(term, fibers[a])
+            pulled.append(term)
+        table = {"pullback_defect": [sub(a, b) for a, b in zip(
+            pulled, extended_lagrangian_form(self).components)]}
+        return residual_table(table, n, self.all_params)
 
 
 def zeta_partial(f: Expr, zeta: Union[ActionFunction, Expr],
@@ -291,21 +307,10 @@ def legendre_pullback_residual(sys: ExtendedLagrangianSystem, p: StatePoint) -> 
 
     The pullback through (q, v, z) -> (q, p^zeta(q,v,z), zeta(q,v,z)) has
     base-chart components  d(zeta)/dx^a - sum_i p^zeta_i d(q^i)/dx^a, which
-    is evaluated against eta^zeta_L componentwise.
+    is evaluated against eta^zeta_L componentwise, through a table the
+    system lowers once.
     """
-    n = sys.n_dim
-    zexpr = sys.zeta.zeta
-    fibers = _zeta_fibers(sys.L, zexpr, n)
-    pulled: list[Expr] = []
-    for a, c in enumerate(coords(n)):
-        term: Expr = differentiate(zexpr, c)
-        if a < n:
-            # dq^i/dx^a is 1 exactly when x^a = q^i
-            term = sub(term, fibers[a])
-        pulled.append(term)
-    table = {"pullback_defect": [sub(a, b) for a, b in zip(
-        pulled, extended_lagrangian_form(sys).components)]}
-    return residual_table(table, n, sys.all_params)(p)["pullback_defect"]
+    return sys._pullback_residual(p)["pullback_defect"]
 
 
 def compose_with_zeta(expr_in_zeta_chart: Expr, zeta: Union[ActionFunction, Expr]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from herglotz import cli
+from herglotz import cli, expr
 from herglotz.checks import PointRecord, SamplePlan, Tolerances, error_report
 from herglotz.cli import json_text, main
 from herglotz.expr import StatePoint
@@ -356,6 +356,61 @@ def test_contact_pair_on_different_charts_is_config_error(command, tmp_path, cap
                               "--system-b", pair[1]], tmp_path)
         assert code == 3 and data is None
         assert "config path: args" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-3, 1.5, "abc", True, None])
+def test_malformed_plan_seed_is_config_error(seed, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"plans": {"seeded": {"count": 5, "seed": seed}}}))
+    code, data = run_cli(["--config", str(cfg), "check-dynamical", "--system", "saddle",
+                          "--system-b", "saddle_flipped", "--plan", "seeded"], tmp_path)
+    assert code == 3 and data is None
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer" in err
+    assert "config path: plans.seeded" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+def test_malformed_seed_env_is_config_error(seed, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HERGLOTZ_SEED", seed)
+    code, data = run_cli(["check-dynamical", "--system", "saddle",
+                          "--system-b", "saddle_flipped", "--plan", "box1"], tmp_path)
+    assert code == 3 and data is None
+    assert "config path: env" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, argv", [
+    (None, ["--curve-seed", "-1"]),
+    ({"tasks": [{"command": "stationarity", "args": {
+        "lagrangian": "linear_drag", "random_curve": True, "curve_seed": True}}]}, []),
+], ids=["flag-negative", "config-task-bool"])
+def test_malformed_curve_seed_is_config_error(config, argv, tmp_path, capsys):
+    if config is None:
+        argv = ["stationarity", "--lagrangian", "linear_drag", "--grid", "20",
+                "--perturbations", "1", "--random-curve", *argv]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        argv = ["--config", str(cfg_path), "batch"]
+    code, data = run_cli(argv, tmp_path)
+    assert code == 3 and data is None
+    assert "config path: args.curve_seed" in capsys.readouterr().err
+
+
+def test_legendre_task_lowers_once_per_check(tmp_path, monkeypatch):
+    lower, lowered = expr._lower, []
+    monkeypatch.setattr(expr, "_lower", lambda *args: lowered.append(args) or lower(*args))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"plans": {"few": {"count": 20, "seed": 4},
+                                         "many": {"count": 200, "seed": 4}}}))
+    counts = []
+    for plan in ("few", "many"):
+        del lowered[:]
+        code, data = run_cli(["--config", str(cfg), "legendre", "--lagrangian", "parachute",
+                              "--zeta", "zeta_v1", "--plan", plan], tmp_path, plan)
+        assert code == 0 and len(data["residuals"]) > 0
+        counts.append(len(lowered))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

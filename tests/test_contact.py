@@ -2,18 +2,19 @@ import os
 import subprocess
 import textwrap
 from pathlib import Path
-from sys import executable
+from sys import executable, modules
 
 import numpy as np
 import pytest
 
 from herglotz import contact
-from herglotz.checks import CONTACT_TOL
+from herglotz.checks import CONTACT_TOL, SamplePlan
 from herglotz.contact import (
     ContactConditionError, ContactHamiltonianSystem, CoordOneForm,
     CoordVectorField, conformal_factor, contact_condition, darboux_form,
     exterior_derivative, hamiltonian_field, lie_derivative_form, reeb_field,
 )
+from herglotz.equivalence import dynamical_equivalence_check
 from herglotz.expr import (
     Const, DomainError, evaluate, evaluate_all, gradient, mul, parse, q, v,
 )
@@ -279,14 +280,22 @@ def test_compiled_contact_data_fails_like_the_walk(eta, h_text, pole):
 
 
 def test_contact_data_compiles_once_per_system(monkeypatch, rng):
-    calls = []
-    compile_components = contact.compile_components
-    monkeypatch.setattr(contact, "compile_components",
-                        lambda *args: calls.append(args) or compile_components(*args))
-    sys = as_hamiltonian(dense_lagrangian(2))
+    # the contact data is lowered to two tapes per system, and nothing on the
+    # dynamical check renders a compiled program
+    lowered, compiled = [], []
+    tape = contact.tape
+    monkeypatch.setattr(contact, "tape", lambda *args: lowered.append(args) or tape(*args))
+    for module in [m for name, m in modules.items() if name.startswith("herglotz")]:
+        if hasattr(module, "compile_components"):
+            monkeypatch.setattr(module, "compile_components",
+                                lambda *args: compiled.append(args))
+    ham = as_hamiltonian(dense_lagrangian(2))
     for p in random_points(rng, 2, 50):
-        hamiltonian_field(sys, p)
-    assert len(calls) == 2
+        hamiltonian_field(ham, p)
+    assert len(lowered) == 2
+    report = dynamical_equivalence_check(ham, rescaled(ham), SamplePlan(count=50, seed=3))
+    assert report.verdict == "pass" and len(report.records) == 50
+    assert len(lowered) == 4 and compiled == []
 
 
 # ---------------------------------------------------------------------------
