@@ -120,10 +120,19 @@ def verdict_for(max_residual: float, tol: Tolerances) -> str:
     return INCONCLUSIVE
 
 
+def _whole(value) -> int:
+    """``value`` as an int, or -1 when it is a bool or operator.index refuses it."""
+    try:
+        return -1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return -1
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Deterministic point source: seeded uniform draws or a lattice.  The
-    seed is a non-negative integer (not a bool), as numpy's generators take."""
+    count is a positive integer and the seed a non-negative one, as numpy's
+    generators take; neither is a bool."""
 
     mode: str = "random"            # "random" or "grid"
     bounds: tuple[tuple[float, float], ...] = ()
@@ -133,21 +142,19 @@ class SamplePlan:
     def __post_init__(self):
         if self.mode not in ("random", "grid"):
             raise ValueError(f"unknown sample mode {self.mode!r}")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = -1
-        if isinstance(self.seed, bool) or seed < 0:
+        count, seed = _whole(self.count), _whole(self.seed)
+        if count < 1:
+            raise ValueError(f"count must be a positive integer, got {self.count!r}")
+        if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         for lo, hi in bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"invalid bounds ({lo}, {hi})")
         if self.mode == "grid" and bounds:
-            _grid_side(self.count, len(bounds), ValueError)
+            _grid_side(count, len(bounds), ValueError)
         object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "count", count)
         object.__setattr__(self, "seed", seed)
 
     def with_default_bounds(self, n: int) -> "SamplePlan":

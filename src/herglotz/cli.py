@@ -94,21 +94,15 @@ def _load_params(raw, path: str) -> dict:
         return {}
     if not isinstance(raw, dict):
         raise ConfigError("params must be an object", path)
-    out = {}
-    for key, value in raw.items():
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"parameter {key!r} must be a number", f"{path}.{key}")
-        out[key] = float(value)
-    return out
+    return {key: _number(value, f"parameter {key!r}", f"{path}.{key}")
+            for key, value in raw.items()}
 
 
 def _load_system(name: str, raw: dict, path: str):
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("system entry needs a 'kind'", path)
     kind = raw["kind"]
-    n = raw.get("n", 1)
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("'n' must be a positive integer", f"{path}.n")
+    n = _number(raw.get("n", 1), "'n'", f"{path}.n", int, above=0)
     params = _load_params(raw.get("params"), f"{path}.params")
     if kind == "lagrangian":
         return ContactLagrangianSystem(n, _parse_expr(raw.get("L"), n, f"{path}.L"),
@@ -185,10 +179,11 @@ def load_config(path: str | None) -> RunConfig:
     tol_raw = raw.get("tolerances") or {}
     if not isinstance(tol_raw, dict):
         raise ConfigError("tolerances must be an object", "tolerances")
+    values = {f.name: _number(tol_raw.get(f.name, f.default), f"'{f.name}'",
+                              f"tolerances.{f.name}") for f in fields(Tolerances)}
     try:
-        cfg.tolerances = Tolerances(**{
-            f.name: float(tol_raw.get(f.name, f.default)) for f in fields(Tolerances)})
-    except (TypeError, ValueError) as exc:
+        cfg.tolerances = Tolerances(**values)
+    except ValueError as exc:
         raise ConfigError(str(exc), "tolerances") from None
     if "output_dir" in raw:
         cfg.output_dir = Path(raw["output_dir"])
@@ -245,10 +240,14 @@ def _initial_state(args: dict, n: int, default=None) -> StatePoint:
 
 
 def _run_arg(args: dict, key: str, default, kind=float, above=None):
-    """args[key] (or the default) as a finite number of the given kind, which
-    a bool is not; a ConfigError at args.<key> when it is not one or, with
-    ``above`` given, is not above it."""
-    value = args.get(key, default)
+    """args[key], or the default, as a :func:`_number` at args.<key>."""
+    return _number(args.get(key, default), f"'{key}'", f"args.{key}", kind, above)
+
+
+def _number(value, name: str, path: str, kind=float, above=None):
+    """A config value as a finite number of the given kind, which a bool is
+    not; a ConfigError at ``path`` when it is not one or, with ``above``
+    given, is not above it."""
     try:
         out = kind(value)
         ok = not isinstance(value, bool) and math.isfinite(out) and out == float(value)
@@ -256,10 +255,9 @@ def _run_arg(args: dict, key: str, default, kind=float, above=None):
         ok = False
     if not ok:
         what = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"'{key}' must be {what}, got {value!r}", f"args.{key}")
+        raise ConfigError(f"{name} must be {what}, got {value!r}", path)
     if above is not None and not out > above:
-        raise ConfigError(f"'{key}' must be greater than {above}, got {value!r}",
-                          f"args.{key}")
+        raise ConfigError(f"{name} must be greater than {above}, got {value!r}", path)
     return out
 
 

@@ -32,7 +32,6 @@ __all__ = [
 
 FieldLike = Union[CoordVectorField, Callable[[StatePoint], np.ndarray]]
 _Rate = Callable[[list[float]], Sequence[float]]   # y -> ydot
-_Explain = Callable[[Exception], Exception | None]
 
 
 class IntegrationError(RuntimeError):
@@ -61,9 +60,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.q.shape[1]
-
-    def state(self, k: int) -> StatePoint:
-        return StatePoint(self.q[k], self.v[k], self.z[k])
 
     def states(self):
         n = self.n
@@ -137,16 +133,13 @@ def _rk4_program(rate: _Rate, m: int, along_curve: bool = False) -> Callable[...
     return env["step"]
 
 
-def _field_rate(field: FieldLike, n: int, params: ParamSet | None
-                ) -> tuple[_Rate, _Explain]:
-    """The rate a step program calls, and the map from its float exception
-    to a DomainError (None for a callable field).  A compiled rate is the
-    raw program, run without its error wrapper's frame."""
+def _field_rate(field: FieldLike, n: int, params: ParamSet | None) -> _Rate:
+    """The rate a step program calls: the compiled components, which raise
+    a DomainError naming the failing subtree, or the callable field on a
+    StatePoint."""
     if isinstance(field, CoordVectorField):
-        rate = compile_components(field.components, n, params)
-        return rate.program, rate.explain
-    return (lambda y: np.asarray(field(StatePoint.from_coords(y, n))).tolist(),
-            lambda exc: None)
+        return compile_components(field.components, n, params)
+    return lambda y: np.asarray(field(StatePoint.from_coords(y, n))).tolist()
 
 
 def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
@@ -160,8 +153,7 @@ def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     n = p0.n
-    rate, explain = _field_rate(field, n, params)
-    step = _rk4_program(rate, 2 * n + 1)
+    step = _rk4_program(_field_rate(field, n, params), 2 * n + 1)
     steps = max(1, math.ceil(t_end / dt - STEP_SLACK))
     times = np.empty(steps + 1)
     states = np.empty((steps + 1, 2 * n + 1))
@@ -172,10 +164,9 @@ def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
         try:
             y = step(y, h)
         except Exception as exc:
-            cause = explain(exc) or exc
             partial = _make_trajectory(times[:k], states[:k], n)
-            raise IntegrationError(f"field evaluation failed at t = {t}: {cause}",
-                                   partial) from cause
+            raise IntegrationError(f"field evaluation failed at t = {t}: {exc}",
+                                   partial) from exc
         times[k], states[k] = t, y
     return _make_trajectory(times, states, n)
 
@@ -193,22 +184,19 @@ def z_operator(L: Expr, curve: SampledCurve, z0: float,
     sequence the action coordinate along the lifted curve instead of z.
     """
     rate = compile_components([L], curve.n, params)
-    return _z_steps(_rk4_program(rate.program, 1, True), rate.explain, curve, z0)
+    return _z_steps(_rk4_program(rate, 1, True), curve, z0)
 
 
-def _z_steps(step, explain: _Explain, curve: SampledCurve, z0: float) -> np.ndarray:
+def _z_steps(step, curve: SampledCurve, z0: float) -> np.ndarray:
     """z_operator with its step already rendered around compiled L."""
     t = curve.times.tolist()
     rows = np.hstack([curve.q, curve.velocities()]).tolist()   # (q, v) per sample
     out = np.empty(len(t))
     out[0] = z0
     y = [float(z0)]
-    try:
-        for k in range(len(t) - 1):
-            y = step(rows[k], rows[k + 1], y, t[k + 1] - t[k])
-            out[k + 1] = y[0]
-    except (ArithmeticError, ValueError) as exc:   # a float exception of the program
-        raise (explain(exc) or exc) from None
+    for k in range(len(t) - 1):
+        y = step(rows[k], rows[k + 1], y, t[k + 1] - t[k])
+        out[k + 1] = y[0]
     return out
 
 
@@ -233,11 +221,10 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
     """
     if n_perturbations < 1:
         raise ValueError(f"n_perturbations must be at least 1, got {n_perturbations!r}")
-    rate = compile_components([L], curve.n, params)
-    step = _rk4_program(rate.program, 1, True)
+    step = _rk4_program(compile_components([L], curve.n, params), 1, True)
 
     def action_of(c: SampledCurve) -> float:   # action() with L compiled once
-        return float(_z_steps(step, rate.explain, c, z0)[-1] - z0)
+        return float(_z_steps(step, c, z0)[-1] - z0)
 
     base_v = curve.velocities()
     base = SampledCurve(curve.times, curve.q, base_v)

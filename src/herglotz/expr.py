@@ -112,36 +112,6 @@ class Expr:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __pow__(self, exponent: int):
-        return intpow(self, exponent)
-
-    def __neg__(self):
-        return neg(self)
-
     def __str__(self) -> str:
         return unparse(self)
 
@@ -382,6 +352,15 @@ def intpow(base, exponent: int) -> Expr:
         except OverflowError:
             pass  # leave unfolded; evaluation raises with a location
     return IntPow(base, exponent)
+
+
+# The operators are the constructors; a reflected one swaps its operands.
+Expr.__add__, Expr.__sub__, Expr.__mul__, Expr.__truediv__ = add, sub, mul, div
+Expr.__pow__, Expr.__neg__ = intpow, neg
+Expr.__radd__ = lambda self, other: add(other, self)
+Expr.__rsub__ = lambda self, other: sub(other, self)
+Expr.__rmul__ = lambda self, other: mul(other, self)
+Expr.__rtruediv__ = lambda self, other: div(other, self)
 
 
 def _make_call(fn: str):
@@ -795,8 +774,8 @@ def merge_params(*param_sets: ParamSet) -> dict[str, float]:
 # Evaluation: one lowering, two backends.  ``_lower`` turns an expression
 # tuple into one instruction per distinct compound node object, in post-order.
 # ``tape`` runs the list over a copied register file; ``compile_components``
-# renders it as straight-line Python.  Both compute in Python floats, and one
-# failure table turns a float exception into a DomainError naming the node.
+# renders it as straight-line Python.  Both compute in Python floats, and a
+# float exception in either becomes, on the tape, a DomainError naming the node.
 
 
 # (exception type, node kind) -> what went wrong.  The kind of a Call is its
@@ -880,14 +859,10 @@ def _emit(node: Expr, n: int, params: ParamSet, memo: dict[Expr, int],
     return reg
 
 
-def tape(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
+def _run(code: list[tuple], regs: list, results: list[int], d: int
          ) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """Lower expressions once to a callable from the flat coordinates
-    (q1..qn, v1..vn, z) to their values, like a :func:`compile_components`
-    program.  Parameters are frozen in when lowering; every call runs the
-    instructions on a fresh copy of the register file."""
-    code, regs, results = _lower(exprs, n, params)
-    d = 2 * n + 1
+    """The runner of a lowering over d coordinates: each call runs ``code``
+    on a fresh copy of the register file."""
 
     def run(y: Sequence[float]) -> tuple[float, ...]:
         r = [*map(float, y), *regs]
@@ -901,6 +876,15 @@ def tape(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
         return tuple([r[k] for k in results])
 
     return run
+
+
+def tape(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
+         ) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """Lower expressions once to a callable from the flat coordinates
+    (q1..qn, v1..vn, z) to their values, like a :func:`compile_components`
+    program.  Parameters are frozen in when lowering; every call runs the
+    instructions on a fresh copy of the register file."""
+    return _run(*_lower(exprs, n, params), 2 * n + 1)
 
 
 def evaluate_all(exprs: Sequence[Expr], point: StatePoint,
@@ -926,19 +910,21 @@ def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = 
     instruction and used leaf.  A run is 3-4.5 times faster than a tape's, but
     a build costs 15-22 times a lowering and pays back only after 110-140
     runs: it is for callers that run it thousands of times (RK4 fields,
-    action integrals), not for sampled checks."""
+    action integrals), not for sampled checks.
+
+    A float exception makes the program rerun the point on the tape of the
+    same lowering, parameters as frozen at compile time, which fails at the
+    same instruction and raises its DomainError."""
     code, regs, results = _lower(exprs, n, params)
     d = 2 * n + 1
-    lines: list[str] = []     # line k + 2 of the source assigns t{k}
-    computes: list = []       # the node line k + 2 computes, None for a leaf
+    lines: list[str] = []
     names: dict[int, str] = {}
 
-    def name(reg: int, text: str | None = None, node: Expr | None = None) -> str:
+    def name(reg: int, text: str | None = None) -> str:
         if reg not in names:   # an instruction names its output; a leaf, its first use
             text = text or (f"float(y[{reg}])" if reg < d else repr(regs[reg - d]))
             names[reg] = f"t{len(lines)}"
-            lines.append(f"    {names[reg]} = {text}\n")
-            computes.append(node)
+            lines.append(f"        {names[reg]} = {text}\n")
         return names[reg]
 
     for _, a, b, out in code:
@@ -949,32 +935,14 @@ def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = 
             text = f"-{name(a)}" if node.fn == "neg" else f"{node.fn}({name(a)})"
         else:
             text = f"{name(a)} ** {node.exponent}"
-        name(out, text, node)
+        name(out, text)
     returned = "".join(f"{name(reg)}, " for reg in results)
-    source = f"def program(y):\n{''.join(lines)}    return ({returned})\n"
-    env = {"inf": math.inf, "nan": math.nan, **{fn: _APPLY[fn] for fn in FUNCTIONS}}
+    source = (f"def program(y):\n    try:\n{''.join(lines)}        return ({returned})\n"
+              "    except FLOAT_ERRORS:\n        return tape(y)\n")
+    env = {"inf": math.inf, "nan": math.nan, "FLOAT_ERRORS": _FLOAT_ERRORS,
+           "tape": _run(code, regs, results, d), **{fn: _APPLY[fn] for fn in FUNCTIONS}}
     exec(compile(source, "<compiled expressions>", "exec"), env)  # noqa: S102
-    program = env["program"]
-
-    def explain(exc: BaseException) -> DomainError | None:
-        """The DomainError of a float exception raised by ``program``, else None."""
-        tb = exc.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        node = computes[tb.tb_lineno - 2] if tb.tb_frame.f_code is program.__code__ else None
-        return _domain_error(exc, node) if node is not None \
-            and isinstance(exc, _FLOAT_ERRORS) else None
-
-    def call(y: Sequence[float]) -> tuple[float, ...]:
-        try:
-            return program(y)
-        except _FLOAT_ERRORS as exc:
-            raise (explain(exc) or exc) from None
-
-    # callers that run the program in a loop call it raw and explain a
-    # failure once, saving this wrapper's frame per call
-    call.program, call.explain = program, explain
-    return call
+    return env["program"]
 
 
 def evaluate_many(e: Expr, Q: np.ndarray, V: np.ndarray, Z: np.ndarray,
@@ -995,6 +963,9 @@ def evaluate_many(e: Expr, Q: np.ndarray, V: np.ndarray, Z: np.ndarray,
 
 
 # Jets of the most recent expressions; an entry keeps its expression alive.
+# These stay lru_caches, not entries on the node memo: perfbench reads
+# ``cache_info()`` of every lru_cache here for expr.diff_cache.hit_ratio and
+# .entries, which its tier-1 dense_sweep run requires to be finite.
 GRADIENT_CACHE = 16
 
 

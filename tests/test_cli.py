@@ -370,6 +370,30 @@ def test_malformed_plan_seed_is_config_error(seed, tmp_path, capsys):
     assert "config path: plans.seeded" in err
 
 
+LAGRANGIAN = {"kind": "lagrangian", "n": 1, "L": "0.5*v1^2 - gam*z"}
+
+
+@pytest.mark.parametrize("raw, path", [
+    ({"plans": {"p": {"count": 2.5}}}, "plans.p"),
+    ({"plans": {"p": {"count": True}}}, "plans.p"),
+    ({"systems": {"s": {**LAGRANGIAN, "n": True}}}, "systems.s.n"),
+    ({"systems": {"s": {**LAGRANGIAN, "params": {"gam": True}}}}, "systems.s.params.gam"),
+    ({"systems": {"s": {**LAGRANGIAN, "params": {"gam": math.nan}}}},
+     "systems.s.params.gam"),
+    ({"tolerances": {"fail_tol": True}}, "tolerances.fail_tol"),
+], ids=["fractional-count", "bool-count", "bool-n", "bool-param", "nan-param",
+        "bool-tolerance"])
+def test_malformed_config_number_is_config_error_at_its_path(raw, path, tmp_path, capsys):
+    """A config number is a finite number of the right kind and not a bool,
+    like a run argument, or the run ends with exit 3 at its path."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code, data = run_cli(["--config", str(cfg), "herglotz", "--lagrangian", "linear_drag"],
+                         tmp_path)
+    assert code == 3 and data is None
+    assert capsys.readouterr().err.rstrip().endswith(f"(config path: {path})")
+
+
 @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
 def test_malformed_seed_env_is_config_error(seed, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HERGLOTZ_SEED", seed)

@@ -96,8 +96,8 @@ def test_integrate_failure_names_the_subtree():
 ])
 def test_integrate_failure_texts_name_the_failing_subtree(n, texts, initial, t_end, dt,
                                                           message):
-    """The step program calls the raw rate program; the float exception is
-    worded once, as the compiled program's own wrapper words it."""
+    """The step program calls the compiled rate program directly, whose own
+    DomainError is the cause, worded once."""
     field = CoordVectorField(n, tuple(parse(t, n) for t in texts))
     with pytest.raises(IntegrationError) as err:
         integrate(field, StatePoint.from_coords(initial, n), t_end, dt)

@@ -190,6 +190,16 @@ def test_compile_components_matches_evaluate():
         pole(np.array([1.0, 0.0, 0.0]))
 
 
+def test_compiled_program_explains_a_failure_with_its_frozen_parameters():
+    # the tape that names the failure is the one lowered at compile time: a
+    # second lowering would read c = 5.0 and return (-0.2,) at q1 = 0
+    params = {"c": 0.0}
+    program = compile_components([parse("1/(q1 - c)", n=1)], n=1, params=params)
+    params["c"] = 5.0
+    with pytest.raises(DomainError, match=r"^division by zero in 1/\(q1 - c\)$"):
+        program((0.0, 0.0, 0.0))
+
+
 def test_tape_runs_at_many_points_and_checks_the_vector_length():
     run = ex.tape([parse("q1/v1 + z", 1), parse("gam*q1", 1)], 1, {"gam": 2.0})
     assert run((1.0, 4.0, 0.5)) == (0.75, 2.0)
