@@ -79,6 +79,9 @@ STEP_SLACK = 1e-9
 CURVE_SPAN_TOL = 1e-15
 # A trajectory becomes a curve only if its times span [0, 1] within this.
 TRAJECTORY_SPAN_TOL = 1e-12
+# Defaults of the stationarity probe: sine bumps per coordinate, their
+# amplitude, and the relative bound on the directional derivatives.
+STAT_PERTURBATIONS, STAT_AMPLITUDE, STAT_TOL = 8, 1e-4, 1e-3
 
 PASS, FAIL, ERROR, INCONCLUSIVE = "pass", "fail", "error", "inconclusive"
 

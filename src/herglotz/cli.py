@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .checks import (
-    CheckReport, PointRecord, SamplePlan, Tolerances, error_report, residual_table,
-    run_check,
+    STAT_AMPLITUDE, STAT_PERTURBATIONS, STAT_TOL, CheckReport, PointRecord, SamplePlan,
+    Tolerances, error_report, residual_table, run_check,
 )
 from .contact import ContactHamiltonianSystem, CoordOneForm, darboux_form
 from .dynamics import (
@@ -172,13 +172,14 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}", path) from None
     if not isinstance(raw, dict):
         raise ConfigError("top level must be an object", "$")
+    for key in ("systems", "plans", "tolerances"):
+        if not isinstance(raw.get(key) or {}, dict):
+            raise ConfigError(f"{key} must be an object", key)
     for name, entry in (raw.get("systems") or {}).items():
         cfg.systems[name] = _load_system(name, entry, f"systems.{name}")
     for name, entry in (raw.get("plans") or {}).items():
         cfg.plans[name] = _load_plan(entry, f"plans.{name}")
     tol_raw = raw.get("tolerances") or {}
-    if not isinstance(tol_raw, dict):
-        raise ConfigError("tolerances must be an object", "tolerances")
     values = {f.name: _number(tol_raw.get(f.name, f.default), f"'{f.name}'",
                               f"tolerances.{f.name}") for f in fields(Tolerances)}
     try:
@@ -186,6 +187,8 @@ def load_config(path: str | None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), "tolerances") from None
     if "output_dir" in raw:
+        if not isinstance(raw["output_dir"], str):
+            raise ConfigError("output_dir must be a string", "output_dir")
         cfg.output_dir = Path(raw["output_dir"])
     tasks = raw.get("tasks") or []
     if not isinstance(tasks, list):
@@ -572,9 +575,9 @@ def _task_stationarity(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
                      "Lagrangian system")
     p0 = _initial_state(args, sys_l.n_dim, [0.0, 2.0, 0.0])
     grid = _run_arg(args, "grid", 200, int, above=1)
-    perturbations = _run_arg(args, "perturbations", 8, int, above=0)
-    amplitude = _run_arg(args, "amplitude", 1e-4, above=0.0)
-    stat_tol = _run_arg(args, "stat_tol", 1e-3)
+    perturbations = _run_arg(args, "perturbations", STAT_PERTURBATIONS, int, above=0)
+    amplitude = _run_arg(args, "amplitude", STAT_AMPLITUDE, above=0.0)
+    stat_tol = _run_arg(args, "stat_tol", STAT_TOL)
     field_obj = herglotz_field(sys_l)
     traj = integrate(field_obj, p0, 1.0, 1.0 / (grid - 1), sys_l.params)
     curve = trajectory_to_curve(traj)

@@ -19,8 +19,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .checks import (CURVE_SPAN_TOL, STEP_SLACK, TRAJECTORY_SPAN_TOL, CheckReport,
-                     Tolerances, verdict_for)
+from .checks import (CURVE_SPAN_TOL, STAT_AMPLITUDE, STAT_PERTURBATIONS, STAT_TOL,
+                     STEP_SLACK, TRAJECTORY_SPAN_TOL, CheckReport, Tolerances,
+                     verdict_for)
 from .contact import CoordVectorField
 from .expr import Expr, ParamSet, StatePoint, compile_components
 
@@ -207,8 +208,8 @@ def action(L: Expr, curve: SampledCurve, z0: float,
 
 
 def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
-                      n_perturbations: int = 8, amplitude: float = 1e-4,
-                      stat_tol: float = 1e-3,
+                      n_perturbations: int = STAT_PERTURBATIONS,
+                      amplitude: float = STAT_AMPLITUDE, stat_tol: float = STAT_TOL,
                       params: ParamSet | None = None) -> CheckReport:
     """Probe stationarity of the action at a curve with fixed endpoints.
 

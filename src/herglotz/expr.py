@@ -28,6 +28,14 @@ decimal with an optional exponent)::
     atom   := number | ident | func "(" expr ")" | "(" expr ")"
     func   := "sin"|"cos"|"exp"|"log"|"sqrt"|"tanh"
     ident  := "q"digits | "v"digits | "z" | parameter-name
+
+One regular expression reads the text in one pass (numbers, coordinates,
+names, operators, and a catch-all for a bad character, reported before any
+syntax error); one precedence routine builds the tree over the printer's
+``_PREC`` with the constructors ``substitute`` uses.  ``MAX_NESTING`` bounds
+open parentheses and ``MAX_DEPTH`` the operators on any root-to-leaf path,
+which keeps the recursive walks over a parsed tree within Python's recursion
+limit; crossing either is a ``ParseError`` at the crossing token.
 """
 
 from __future__ import annotations
@@ -383,147 +391,116 @@ _APPLY: dict[str, Callable[[float], float]] = {
 }
 
 sin, cos, exp, log, sqrt, tanh = map(_make_call, FUNCTIONS)
-_BUILDERS = {build.__name__: build for build in (sin, cos, exp, log, sqrt, tanh)}
+# symbol -> constructor, for parse and substitute; "neg" is no function name
+_BUILDERS = {"+": add, "-": sub, "*": mul, "/": div, "neg": neg,
+             **{build.__name__: build for build in (sin, cos, exp, log, sqrt, tanh)}}
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}   # binding of the binary operators
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 
+MAX_NESTING = 100   # parentheses (grouping or call) open at once
+MAX_DEPTH = 400     # operators and calls on one path from the root to a leaf
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<number>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+# Each match is optional whitespace, then one token, a bad character or the
+# end.  An "int" has no fraction or exponent ("2e" is "2", then a name);
+# only an "int" is an exponent.
+_LEXER = re.compile(r"""\s*(?:
+    (?P<int>\d+)(?![.\d]|[eE][+-]?\d)
+  | (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<coord>[qv][0-9]+|z)(?![A-Za-z_0-9])
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^()])
-""", re.VERBOSE)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, n: int):
-        if not text.strip():
-            raise ParseError("empty expression", 0)
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.n = n
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != symbol:
-            raise ParseError(f"expected {symbol!r}", pos)
-        self.advance()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {text!r}", pos)
-        return e
-
-    def expr(self) -> Expr:
-        return self.left_assoc(self.term, {"+": add, "-": sub})
-
-    def term(self) -> Expr:
-        return self.left_assoc(self.factor, {"*": mul, "/": div})
-
-    def left_assoc(self, operand, builders) -> Expr:
-        e = operand()
-        while True:
-            kind, text, _ = self.peek()
-            if kind != "op" or text not in builders:
-                return e
-            self.advance()
-            e = builders[text](e, operand())
-
-    def factor(self) -> Expr:
-        e = self.unary()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            e = intpow(e, self.integer())
-        return e
-
-    def integer(self) -> int:
-        sign = 1
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            sign = -1
-            kind, text, pos = self.peek()
-        if kind != "number":
-            raise ParseError("expected an integer exponent", pos)
-        if not re.fullmatch(r"\d+", text):
-            raise ParseError(f"exponent must be an integer, got {text!r}", pos)
-        self.advance()
-        return sign * int(text)
-
-    def unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return neg(self.unary())
-        return self.atom()
-
-    def atom(self) -> Expr:
-        kind, text, pos = self.advance()
-        if kind == "number":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ParseError(f"number literal {text!r} overflows", pos)
-            return Const(value)
-        if kind == "op" and text == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        if kind == "ident":
-            nxt_kind, nxt_text, _ = self.peek()
-            if nxt_kind == "op" and nxt_text == "(":
-                if text not in _BUILDERS:
-                    raise ParseError(f"unknown function {text!r}", pos)
-                self.advance()
-                e = self.expr()
-                self.expect_op(")")
-                return _BUILDERS[text](e)
-            return self.ident(text, pos)
-        raise ParseError(f"unexpected token {text!r}", pos)
-
-    def ident(self, text: str, pos: int) -> Expr:
-        if text == "z":
-            return Coord("z")
-        m = re.fullmatch(r"([qv])(\d+)", text)
-        if m:
-            index = int(m.group(2))
-            if not 1 <= index <= self.n:
-                raise ParseError(
-                    f"coordinate index out of range: {text!r} with n={self.n}", pos)
-            return Coord(m.group(1), index)
-        return Param(text)
+  | (?P<bad>\S)
+  | (?P<end>\Z))""", re.VERBOSE)
 
 
 def parse(text: str, n: int) -> Expr:
     """Parse an expression over the chart of dimension ``n``."""
-    return _Parser(text, n).parse()
+    if not text.strip():
+        raise ParseError("empty expression", 0)
+    tokens = [(kind := m.lastgroup, m[kind], m.start(kind)) for m in _LEXER.finditer(text)]
+    for kind, tok, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", pos)
+    i = 0
+
+    def deeper(depth: int, pos: int) -> int:
+        if depth == MAX_DEPTH:
+            raise ParseError(f"expression deeper than {MAX_DEPTH} operators", pos)
+        return depth + 1
+
+    def binary(prec: int, nesting: int) -> tuple[Expr, int]:
+        """The operands and operators binding at least as tightly as
+        ``prec``, left to right, and the depth of the tree they make."""
+        nonlocal i
+        lhs, depth = operand(nesting)
+        while _PREC.get(op := tokens[i][1], 0) >= prec:
+            pos = tokens[i][2]
+            i += 1
+            rhs, right = binary(_PREC[op] + 1, nesting)
+            lhs, depth = _BUILDERS[op](lhs, rhs), deeper(max(depth, right), pos)
+        return lhs, depth
+
+    def operand(nesting: int) -> tuple[Expr, int]:
+        """Minus signs, an atom and an optional power: -x^2 is (-x)^2."""
+        nonlocal i
+        first = i
+        while tokens[i][1] == "-":
+            i += 1
+        signs, call, depth = i - first, None, 0
+        kind, tok, pos = tokens[i]
+        i += 1
+        if kind == "int" or kind == "num":
+            value = float(tok)
+            if not math.isfinite(value):
+                raise ParseError(f"number literal {tok!r} overflows", pos)
+            e = Const(value)
+        elif kind in ("coord", "name") and tokens[i][1] == "(":
+            if tok not in FUNCTIONS:
+                raise ParseError(f"unknown function {tok!r}", pos)
+            call, at, (kind, tok, pos) = _BUILDERS[tok], pos, tokens[i]
+            i += 1
+        elif kind == "coord":
+            index = int(tok[1:] or 0)
+            if tok != "z" and not 1 <= index <= n:
+                raise ParseError(f"coordinate index out of range: {tok!r} with n={n}", pos)
+            e = Coord(tok[0], index)
+        elif kind == "name":
+            e = Param(tok)
+        elif tok != "(":
+            raise ParseError(f"unexpected token {tok!r}", pos)
+        if tok == "(":
+            if nesting == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            e, depth = binary(1, nesting + 1)
+            if tokens[i][1] != ")":
+                raise ParseError("expected ')'", tokens[i][2])
+            i += 1
+            if call:
+                e, depth = call(e), deeper(depth, at)
+        if signs:   # a chain of minus signs is one loop, not one call each
+            for _ in range(signs):
+                e = neg(e)
+            depth = deeper(depth, tokens[first][2])
+        if tokens[i][1] == "^":
+            at = tokens[i][2]
+            sign = -1 if tokens[i + 1][1] == "-" else 1
+            i += 2 if sign < 0 else 1
+            kind, tok, pos = tokens[i]
+            if kind != "int":
+                raise ParseError(f"exponent must be an integer, got {tok!r}"
+                                 if kind == "num" else "expected an integer exponent", pos)
+            i += 1
+            e, depth = intpow(e, sign * int(tok)), deeper(depth, at)
+        return e, depth
+
+    e, _ = binary(1, 0)
+    kind, tok, pos = tokens[i]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {tok!r}", pos)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +516,6 @@ def _fmt_number(value: float) -> str:
 def _signed(value: float) -> bool:
     """The sign bit, set for -0.0 too."""
     return math.copysign(1.0, value) < 0
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def _is_atomic(e: Expr) -> bool:
@@ -653,11 +627,9 @@ def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
         if out is not None:
             return out
         if isinstance(node, Call):
-            arg = walk(node.arg)
-            out = neg(arg) if node.fn == "neg" else _BUILDERS[node.fn](arg)
+            out = _BUILDERS[node.fn](walk(node.arg))
         elif isinstance(node, BinOp):
-            lhs, rhs = walk(node.lhs), walk(node.rhs)
-            out = {"+": add, "-": sub, "*": mul, "/": div}[node.op](lhs, rhs)
+            out = _BUILDERS[node.op](walk(node.lhs), walk(node.rhs))
         elif isinstance(node, IntPow):
             out = intpow(walk(node.base), node.exponent)
         else:

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from herglotz import cli, expr
@@ -419,6 +419,85 @@ def test_malformed_curve_seed_is_config_error(config, argv, tmp_path, capsys):
     code, data = run_cli(argv, tmp_path)
     assert code == 3 and data is None
     assert "config path: args.curve_seed" in capsys.readouterr().err
+
+
+DEEP_INPUTS = {
+    "parentheses": ({"kind": "lagrangian", "L": "(" * 150 + "0.5*v1^2 - q1^2" + ")" * 150},
+                    ["herglotz", "--lagrangian", "deep"]),
+    "long-sum": ({"kind": "bar_lagrangian", "L": " + ".join(["0.5*v1^2"] + ["q1"] * 4999)},
+                 ["check-eq", "--lagrangian", "power_gauge_base", "--lagrangian-bar", "deep",
+                  "--zeta", "zeta_v1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_INPUTS))
+def test_deep_expression_is_config_error_at_its_path(name, tmp_path, capsys):
+    """Past the parser's nesting or depth limit an expression is refused
+    with exit 3 at its config path, not with a RecursionError."""
+    system, argv = DEEP_INPUTS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": {"deep": {**system, "n": 1}}}))
+    code, data = run_cli(["--config", str(cfg), *argv], tmp_path)
+    assert code == 3 and data is None
+    err = capsys.readouterr().err
+    assert re.search(r"(nested|deeper) than \d+", err)
+    assert "config path: systems.deep.L" in err
+
+
+@pytest.mark.parametrize("L", [
+    "-" * 3000 + "0.5*v1^2 - q1^2",
+    "0.5*v1^2" + "".join(f" + {0.001 * (k % 7 + 1)!r}*q1^{k % 4 + 1}*v1^{k % 2}*z^{k % 3}"
+                         for k in range(299)),
+], ids=["minus-chain", "300-term-polynomial"])
+def test_long_expression_within_the_limits_runs(L, tmp_path):
+    """A chain of minus signs is parsed by a loop, and a 300-term
+    polynomial Lagrangian stays below the depth limit."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": {"long": {"kind": "lagrangian", "n": 1, "L": L}}}))
+    code, data = run_cli(["--config", str(cfg), "herglotz", "--lagrangian", "long"], tmp_path)
+    assert code == 0 and data["verdict"] == "pass"
+
+
+# Config fragments: some well formed, most not.  A system's n stays below 5:
+# a Hamiltonian without eta builds its Darboux form of 2n + 1 components.
+FUZZ_ODD = st.sampled_from([None, True, False, 0, -1, 3, 2.5, -0.0, 1e300, 10**400, math.nan,
+                       math.inf, "", "abc", "2", [], [1, "a"], {}, {"a": None}])
+FUZZ_NUMBER = st.integers() | st.floats() | FUZZ_ODD
+FUZZ_EXPR_TEXT = st.sampled_from(["0.5*v1^2 - q1^2", "z + sin(q1)", "q1 +", "q9", "zeta - v1",
+                             "(" * 120 + "z" + ")" * 120]) | st.text(max_size=8) | FUZZ_ODD
+FUZZ_SYSTEM = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["lagrangian", "bar_lagrangian", "hamiltonian", "sode",
+                             "action", "other"]) | FUZZ_ODD,
+    "n": st.integers(-1, 4) | st.sampled_from([2.5, True, "2", None, math.nan, [1]]),
+    "params": st.dictionaries(st.text(max_size=3), FUZZ_NUMBER, max_size=2) | FUZZ_ODD,
+    **{key: FUZZ_EXPR_TEXT for key in ("L", "H", "zeta", "z_rate")},
+    **{key: st.lists(FUZZ_EXPR_TEXT, max_size=4) | FUZZ_ODD for key in ("eta", "accelerations")},
+}) | FUZZ_ODD
+FUZZ_PLAN = st.fixed_dictionaries({}, optional={
+    "mode": st.sampled_from(["random", "grid"]) | FUZZ_ODD,
+    "bounds": st.lists(st.lists(FUZZ_NUMBER, max_size=3), max_size=3) | FUZZ_ODD,
+    "count": FUZZ_NUMBER, "seed": FUZZ_NUMBER,
+}) | FUZZ_ODD
+FUZZ_CONFIG = st.fixed_dictionaries({}, optional={
+    "systems": st.dictionaries(st.text(max_size=3), FUZZ_SYSTEM, max_size=2) | FUZZ_ODD,
+    "plans": st.dictionaries(st.text(max_size=3), FUZZ_PLAN, max_size=2) | FUZZ_ODD,
+    "tolerances": st.fixed_dictionaries({}, optional={
+        key: FUZZ_NUMBER for key in ("pass_tol", "fail_tol", "det_tol")}) | FUZZ_ODD,
+    "tasks": st.lists(st.fixed_dictionaries({"command": FUZZ_NUMBER}) | FUZZ_ODD, max_size=2) | FUZZ_ODD,
+    "output_dir": st.text(max_size=3) | FUZZ_ODD,
+}) | FUZZ_ODD
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=FUZZ_CONFIG)
+def test_load_config_returns_a_config_or_raises_config_error(raw, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    try:
+        assert isinstance(cli.load_config(str(path)), cli.RunConfig)
+    except cli.ConfigError:
+        pass
 
 
 def test_legendre_task_lowers_once_per_check(tmp_path, monkeypatch):

@@ -1,13 +1,18 @@
 import copy
+import functools
 import gc
 import math
 import operator
 import pickle
+import random
+import re
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +22,15 @@ from herglotz.expr import (
     differentiate, depends_on, eval_jet2, evaluate, evaluate_all, evaluate_many,
     merge_params, parse, solve_cramer, substitute, unparse,
 )
+from herglotz import cli, fixtures
 from herglotz import expr as ex
+from herglotz.expr import Expr, add, div, intpow, mul, neg, sub
 from herglotz.lagrangian import herglotz_field
+from perfbench import workloads
 
-from conftest import dense_lagrangian
+from conftest import dense_lagrangian, random_regular_lagrangian
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def pt(q, v, z):
@@ -362,8 +372,340 @@ def test_parse_unparse_round_trip(e):
     text = unparse(e)
     again = parse(text, n=2)
     assert again == e
+    assert reference_parse(text, 2) is again
     assert hash(again) == hash(e)
     assert unparse(again) == text
+
+
+def sympy_partials(e, n, params):
+    """``unparse(e)`` in sympy, with its first and second partials over the chart."""
+    names = [str(c) for c in coords(n)]
+    syms = sympy.symbols(names)
+    f = sympy.sympify(unparse(e).replace("^", "**"), locals={
+        **dict(zip(names, syms)), **{k: sympy.Float(x) for k, x in params.items()}})
+    first = [sympy.diff(f, s) for s in syms]
+    return syms, f, first, [[sympy.diff(first[a], s) for s in syms] for a in range(len(syms))]
+
+
+def float_value(e, point, params):
+    """``evaluate(e)``, or None where it is undefined or not finite."""
+    try:
+        value = evaluate(e, point, params)
+    except DomainError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def sympy_value(f, at):
+    """A sympy expression at 30 digits, or None where it is not a finite real."""
+    try:
+        value = complex(f.evalf(30, subs=at))
+    except TypeError:   # a complex infinity, such as a constant 1/0
+        return None
+    return value.real if not value.imag and math.isfinite(value.real) else None
+
+
+# a float partial agrees with sympy's to ORACLE_RTOL of max(1, |value|)
+# (the largest difference seen over 1600 drawn trees: 1.6e-12)
+ORACLE_RTOL = 1e-9
+
+
+def assert_partials_match_sympy(e, n, params, rng, points):
+    """Compares at the points where both sides define the function itself;
+    sympy folds an undefined constant such as sin(log(0)) to nan, whose
+    derivative it then takes as 0."""
+    syms, f, first, second = sympy_partials(e, n, params)
+    d = 2 * n + 1
+    pairs = [(ex.gradient(e, n)[a], first[a]) for a in range(d)]
+    pairs += [(ex.hessian(e, n)[a][b], second[min(a, b)][max(a, b)])
+              for a in range(d) for b in range(d)]
+    compared = 0
+    for _ in range(points):
+        flat = rng.uniform(-1.0, 1.0, d)
+        point = StatePoint.from_coords(flat, n)
+        at = dict(zip(syms, (sympy.Float(x, 30) for x in flat)))
+        if float_value(e, point, params) is None or sympy_value(f, at) is None:
+            continue
+        for ours, theirs in pairs:
+            value, exact = float_value(ours, point, params), sympy_value(theirs, at)
+            if value is not None and exact is not None:
+                assert abs(value - exact) <= ORACLE_RTOL * max(1.0, abs(exact)), \
+                    (unparse(e), unparse(ours))
+                compared += 1
+    return compared
+
+
+@settings(max_examples=10, deadline=None)
+@example(e=ex.add(Coord("q", 1), ex.sin(ex.log(Const(0.0)))))
+@given(expr_strategy())
+def test_partials_match_sympy_on_drawn_trees(e):
+    assert_partials_match_sympy(e, 2, {"gam": 0.7, "m_0": -1.5}, np.random.default_rng(31), 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partials_match_sympy_on_regular_lagrangians(n):
+    rng = np.random.default_rng(40 + n)
+    system = random_regular_lagrangian(rng, n)
+    assert assert_partials_match_sympy(system.L, n, {}, rng, 2) == 2 * (2 * n + 1) * (2 * n + 2)
+
+
+# ---------------------------------------------------------------------------
+# The parser as it was before the one-pass lexer, kept verbatim as the
+# reference: parse must return the same node, or raise the same message at
+# the same offset, on every input within its limits.
+
+_BUILDERS = {name: getattr(ex, name) for name in ex.FUNCTIONS}
+
+_TOKEN = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<number>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>[-+*/^()])
+""", re.VERBOSE)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, n: int):
+        if not text.strip():
+            raise ParseError("empty expression", 0)
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.n = n
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, symbol: str):
+        kind, text, pos = self.peek()
+        if kind != "op" or text != symbol:
+            raise ParseError(f"expected {symbol!r}", pos)
+        self.advance()
+
+    def parse(self) -> Expr:
+        e = self.expr()
+        kind, text, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
+        return e
+
+    def expr(self) -> Expr:
+        return self.left_assoc(self.term, {"+": add, "-": sub})
+
+    def term(self) -> Expr:
+        return self.left_assoc(self.factor, {"*": mul, "/": div})
+
+    def left_assoc(self, operand, builders) -> Expr:
+        e = operand()
+        while True:
+            kind, text, _ = self.peek()
+            if kind != "op" or text not in builders:
+                return e
+            self.advance()
+            e = builders[text](e, operand())
+
+    def factor(self) -> Expr:
+        e = self.unary()
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "^":
+            self.advance()
+            e = intpow(e, self.integer())
+        return e
+
+    def integer(self) -> int:
+        sign = 1
+        kind, text, pos = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            sign = -1
+            kind, text, pos = self.peek()
+        if kind != "number":
+            raise ParseError("expected an integer exponent", pos)
+        if not re.fullmatch(r"\d+", text):
+            raise ParseError(f"exponent must be an integer, got {text!r}", pos)
+        self.advance()
+        return sign * int(text)
+
+    def unary(self) -> Expr:
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            return neg(self.unary())
+        return self.atom()
+
+    def atom(self) -> Expr:
+        kind, text, pos = self.advance()
+        if kind == "number":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number literal {text!r} overflows", pos)
+            return Const(value)
+        if kind == "op" and text == "(":
+            e = self.expr()
+            self.expect_op(")")
+            return e
+        if kind == "ident":
+            nxt_kind, nxt_text, _ = self.peek()
+            if nxt_kind == "op" and nxt_text == "(":
+                if text not in _BUILDERS:
+                    raise ParseError(f"unknown function {text!r}", pos)
+                self.advance()
+                e = self.expr()
+                self.expect_op(")")
+                return _BUILDERS[text](e)
+            return self.ident(text, pos)
+        raise ParseError(f"unexpected token {text!r}", pos)
+
+    def ident(self, text: str, pos: int) -> Expr:
+        if text == "z":
+            return Coord("z")
+        m = re.fullmatch(r"([qv])(\d+)", text)
+        if m:
+            index = int(m.group(2))
+            if not 1 <= index <= self.n:
+                raise ParseError(
+                    f"coordinate index out of range: {text!r} with n={self.n}", pos)
+            return Coord(m.group(1), index)
+        return Param(text)
+
+
+def reference_parse(text, n):
+    return _Parser(text, n).parse()
+
+
+def parse_outcome(parse_fn, text, n):
+    """The node parsed, or the message and offset of the ParseError."""
+    try:
+        return parse_fn(text, n)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+def recorded_texts(build):
+    """(text, n, node) of every parse call that ``build()`` makes, in order."""
+    seen = []
+
+    def record(text, n):
+        seen.append((text, n, parse(text, n)))
+        return seen[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (ex, fixtures, cli):
+            mp.setattr(module, "parse", record)
+        build()
+    return seen
+
+
+def program_texts(out_dir):
+    """The fixture texts, the README's configuration and command-line
+    expressions, and the perfbench texts other than the symbolic stream's."""
+    readme = (ROOT / "README.md").read_text()
+    config = re.search(r"### Configuration\s+```json\n(.*?)```", readme, re.S).group(1)
+    (out_dir / "readme.json").write_text(config)
+
+    def build():
+        for make in fixtures.builtin_systems().values():
+            make()
+        cli.load_config(str(out_dir / "readme.json"))
+        for text in re.findall(r'--accel-residual "([^"]+)"', readme):
+            ex.parse(text, 1)
+        for name in ("dense_sweep", "trajectory"):
+            workloads.BUILDERS[name](7, False, out_dir)
+
+    return recorded_texts(build)
+
+
+@functools.lru_cache(maxsize=1)
+def stream_texts():
+    """The 900 texts of one symbolic_stream benchmark pass."""
+    return tuple(recorded_texts(lambda: workloads.symbolic_stream(5, False, None)))
+
+
+def test_parse_matches_the_reference_on_program_texts(tmp_path):
+    texts = program_texts(tmp_path) + list(stream_texts())
+    assert len(texts) > 950
+    for text, n, node in texts:
+        assert reference_parse(text, n) is node
+
+
+MUTATION_ALPHABET = "qvz0123456789.eE+-*/^() \tsincoexplgrtah_$,\u00e9\u0663"
+MUTATIONS = 600
+
+
+def mutate(rng, text):
+    """One to three character deletions, insertions or replacements."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(chars) + 1)
+        kind = rng.randrange(3)
+        if kind == 1 or not chars:
+            chars.insert(at, rng.choice(MUTATION_ALPHABET))
+        elif kind == 0:
+            del chars[min(at, len(chars) - 1)]
+        else:
+            chars[min(at, len(chars) - 1)] = rng.choice(MUTATION_ALPHABET)
+    return "".join(chars)
+
+
+def test_parse_matches_the_reference_on_mutated_stream_texts():
+    rng = random.Random(20261019)
+    texts = stream_texts()
+    for _ in range(MUTATIONS):
+        text, n, _ = rng.choice(texts)
+        text, n = mutate(rng, text), rng.choice((n, 1, 3))
+        assert parse_outcome(parse, text, n) == parse_outcome(reference_parse, text, n), text
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.text(st.sampled_from(MUTATION_ALPHABET), max_size=30) | st.text(max_size=10),
+       st.integers(1, 3))
+def test_parse_returns_a_node_or_raises_parse_error(text, n):
+    try:
+        assert isinstance(parse(text, n), Expr)
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("(" * 101 + "z" + ")" * 101, "parentheses nested deeper than 100", 100),
+    ("sin(" * 101 + "z" + ")" * 101, "parentheses nested deeper than 100", 403),
+    ("+".join("z" * 402), "expression deeper than 400 operators", 801),
+    # call, sign and power add three a level: 101 + 3 * 100 crosses at the last "^"
+    ("-sin(" * 100 + "+".join("z" * 102) + ")^2" * 100,
+     "expression deeper than 400 operators", 500 + 203 + 298),
+], ids=["parentheses", "calls", "sum", "operand-chain"])
+def test_parse_limits_refuse_at_the_crossing_token(text, message, offset):
+    assert ex.MAX_NESTING == 100 and ex.MAX_DEPTH == 400
+    with pytest.raises(ParseError, match=message) as err:
+        parse(text, 1)
+    assert err.value.offset == offset
+
+
+def test_parse_limits_admit_what_they_bound():
+    z = Coord("z")
+    assert parse("(" * 100 + "z" + ")" * 100, 1) is z
+    assert parse("+".join("z" * 401), 1) is functools.reduce(ex.add, [z] * 401)
+    # a chain of minus signs is a loop: no depth beyond the one neg it leaves
+    assert parse("-" * 3000 + "q1", 1) is Coord("q", 1)
+    assert parse("-" * 3001 + "q1", 1) is ex.neg(Coord("q", 1))
 
 
 def _outcome(run):
