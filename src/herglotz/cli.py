@@ -79,6 +79,11 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Configuration loading
 
+# The largest chart dimension of a config system, far above any at which a
+# Herglotz field builds in seconds (its size doubles with each dimension).  It
+# refuses a huge n before a Darboux form of 2n + 1 nodes is built for it.
+MAX_N = 100
+
 
 def _parse_expr(text, n: int, path: str) -> Expr:
     if not isinstance(text, str):
@@ -103,6 +108,8 @@ def _load_system(name: str, raw: dict, path: str):
         raise ConfigError("system entry needs a 'kind'", path)
     kind = raw["kind"]
     n = _number(raw.get("n", 1), "'n'", f"{path}.n", int, above=0)
+    if n > MAX_N:
+        raise ConfigError(f"'n' must be at most {MAX_N}, got {n}", f"{path}.n")
     params = _load_params(raw.get("params"), f"{path}.params")
     if kind == "lagrangian":
         return ContactLagrangianSystem(n, _parse_expr(raw.get("L"), n, f"{path}.L"),

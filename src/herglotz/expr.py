@@ -8,15 +8,17 @@ differentiation, substitution, evaluation and first/second derivative jets.
 Evaluation lowers an expression tuple once to one instruction per distinct
 node; a :func:`tape` runs that list at each point (checks hold the tapes of
 their residuals, systems hold theirs) and :func:`compile_components` renders
-it as Python for runs of thousands of steps.  Only light simplification is performed on
-construction (constant folding, 0/1 elimination); there is no attempt at
-canonical forms, and constants are finite.
+it as Python for runs of thousands of steps.  Only light simplification is
+performed on construction (constant folding, 0/1 elimination with -0.0 as 0);
+there is no attempt at canonical forms, and constants are finite.
 
 Nodes are immutable, slotted and hash-consed (Filliatre & Conchon, 2006): a
 weak table keyed by class, payload and children makes equal trees one object,
 so ``==`` and ``hash`` are identity, and a node's memo (its derivatives) is
 freed with it.  A ``Const`` is keyed by its value's type and bit pattern, so
-``Const(0.0) is not Const(-0.0)``.
+``Const(0.0) is not Const(-0.0)``.  Each node also holds a mask of the
+coordinates it may depend on (Guenter, 2007): its derivative by every
+coordinate outside the mask is one node, built once and memoized once.
 
 Grammar accepted by :func:`parse` (whitespace insignificant, numbers are
 decimal with an optional exponent)::
@@ -35,7 +37,8 @@ syntax error); one precedence routine builds the tree over the printer's
 ``_PREC`` with the constructors ``substitute`` uses.  ``MAX_NESTING`` bounds
 open parentheses and ``MAX_DEPTH`` the operators on any root-to-leaf path,
 which keeps the recursive walks over a parsed tree within Python's recursion
-limit; crossing either is a ``ParseError`` at the crossing token.
+limit; crossing either is a ``ParseError`` at the crossing token, as is an
+index or exponent of more than ``MAX_DIGITS`` digits, which ``int()`` refuses.
 """
 
 from __future__ import annotations
@@ -98,9 +101,11 @@ class DomainError(EvalError):
 class Expr:
     """Base node: immutable, slotted, interned, so ``==`` is ``is``.  Slot
     ``_d`` is the node's memo (its derivatives, and builds keyed by it in
-    other modules), which lives exactly as long as the node."""
+    other modules), which lives exactly as long as the node.  Slot ``_m`` is
+    its coordinate mask: bit 0 for z, 2i and 2i + 1 for q_i and v_i (indices
+    past 30 share a pair), so it may hold more coordinates, never fewer."""
 
-    __slots__ = ("__weakref__", "_d")
+    __slots__ = ("__weakref__", "_d", "_m")
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -146,9 +151,9 @@ def _drop(ref: _Ref) -> None:
             del _nodes[ref.key]
 
 
-def _node(key: tuple, *fields) -> Expr:
-    """The node under ``key``, made with class ``key[0]`` and slot values
-    ``fields`` if no live one is in the table."""
+def _node(key: tuple, *fields, mask: int = 0) -> Expr:
+    """The node under ``key``; if none is live, one made with class ``key[0]``,
+    slot values ``fields`` and ``mask`` or'ed with the node fields' masks."""
     with _table_lock:
         ref = _nodes.get(key)
         node = ref and ref()
@@ -156,7 +161,9 @@ def _node(key: tuple, *fields) -> Expr:
             node = object.__new__(key[0])
             for setter, value in zip(key[0]._setters, fields):
                 setter(node, value)
+                mask |= getattr(value, "_m", 0)
             _set_d(node, None)
+            _set_m(node, mask)
             ref = _nodes[key] = _Ref(node, _drop)
             ref.key = key
         return node
@@ -177,7 +184,8 @@ class Coord(Expr):
 
     def __new__(cls, kind: str, index: int = 0):
         ref = _nodes.get(key := (cls, kind, index))
-        return ref and ref() or _node(key, kind, index)
+        return ref and ref() or _node(key, kind, index, mask=1 << (kind == "v") + 2 * (
+            index if type(index) is int and 0 <= index <= 30 else 31))
 
 
 class Param(Expr):
@@ -214,14 +222,13 @@ class IntPow(Expr):
 
 for _cls in (Const, Coord, Param, Call, BinOp, IntPow):
     _cls._setters = tuple(getattr(_cls, name).__set__ for name in _cls.__slots__)
-_bits, _set_d = struct.Struct("<d").pack, Expr._d.__set__
-_ZERO, _ONE = Const(0.0), Const(1.0)
+_bits, _set_d, _set_m = struct.Struct("<d").pack, Expr._d.__set__, Expr._m.__set__
+_ZERO, _ONE, _FREE = Const(0.0), Const(1.0), object()
 
 
 def _memo(e: Expr) -> dict:
     """The memo dict of a node, made on first use."""
-    memo = e._d
-    if memo is None:
+    if (memo := e._d) is None:
         _set_d(e, memo := {})
     return memo
 
@@ -280,10 +287,6 @@ def coords(n: int) -> tuple[Coord, ...]:
         tuple(Coord("v", i) for i in range(1, n + 1)) + (Coord("z"),)
 
 
-def _is_const(e: Expr, value: float | None = None) -> bool:
-    return isinstance(e, Const) and (value is None or e.value == value)
-
-
 def _fold(op: str, a: Const, b: Const, value: float) -> Expr:
     """Fold a constant binary node only to a finite value: a folded ``inf``
     would print as a name and parse back as a parameter."""
@@ -291,48 +294,55 @@ def _fold(op: str, a: Const, b: Const, value: float) -> Expr:
 
 
 def add(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold("+", a, b, a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    a, b = a if isinstance(a, Expr) else as_expr(a), b if isinstance(b, Expr) else as_expr(b)
+    if type(a) is Const:
+        if type(b) is Const:
+            return _fold("+", a, b, a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Const and b.value == 0.0:
         return a
     return BinOp("+", a, b)
 
 
 def sub(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold("-", a, b, a.value - b.value)
-    if _is_const(b, 0.0):
+    a, b = a if isinstance(a, Expr) else as_expr(a), b if isinstance(b, Expr) else as_expr(b)
+    if type(a) is Const:
+        if type(b) is Const:
+            return _fold("-", a, b, a.value - b.value)
+        if a.value == 0.0:
+            return neg(b)
+    elif type(b) is Const and b.value == 0.0:
         return a
-    if _is_const(a, 0.0):
-        return neg(b)
     return BinOp("-", a, b)
 
 
 def mul(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold("*", a, b, a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
+    a, b = a if isinstance(a, Expr) else as_expr(a), b if isinstance(b, Expr) else as_expr(b)
+    if type(a) is Const:
+        if type(b) is Const:
+            return _fold("*", a, b, a.value * b.value)
+        if a.value == 0.0:
+            return _ZERO
+        if a.value == 1.0:
+            return b
+    elif type(b) is Const:
+        if b.value == 0.0:
+            return _ZERO
+        if b.value == 1.0:
+            return a
     return BinOp("*", a, b)
 
 
 def div(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return _fold("/", a, b, a.value / b.value)
-    if _is_const(b, 1.0):
-        return a
+    a, b = a if isinstance(a, Expr) else as_expr(a), b if isinstance(b, Expr) else as_expr(b)
+    if type(b) is Const:
+        if type(a) is Const and b.value != 0.0:
+            return _fold("/", a, b, a.value / b.value)
+        if b.value == 1.0:
+            return a
     # 0/x -> 0: standard light simplification (0/0 ceases to be an error)
-    if _is_const(a, 0.0):
+    if type(a) is Const and a.value == 0.0:
         return _ZERO
     return BinOp("/", a, b)
 
@@ -402,6 +412,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}   # binding of the binary operators
 
 MAX_NESTING = 100   # parentheses (grouping or call) open at once
 MAX_DEPTH = 400     # operators and calls on one path from the root to a leaf
+MAX_DIGITS = 4300   # digits of an index or exponent: longer runs int() refuses
 
 # Each match is optional whitespace, then one token, a bad character or the
 # end.  An "int" has no fraction or exponent ("2e" is "2", then a name);
@@ -463,6 +474,8 @@ def parse(text: str, n: int) -> Expr:
             call, at, (kind, tok, pos) = _BUILDERS[tok], pos, tokens[i]
             i += 1
         elif kind == "coord":
+            if len(tok) > MAX_DIGITS + 1:
+                raise ParseError(f"coordinate index longer than {MAX_DIGITS} digits", pos)
             index = int(tok[1:] or 0)
             if tok != "z" and not 1 <= index <= n:
                 raise ParseError(f"coordinate index out of range: {tok!r} with n={n}", pos)
@@ -492,6 +505,8 @@ def parse(text: str, n: int) -> Expr:
             if kind != "int":
                 raise ParseError(f"exponent must be an integer, got {tok!r}"
                                  if kind == "num" else "expected an integer exponent", pos)
+            if len(tok) > MAX_DIGITS:
+                raise ParseError(f"exponent longer than {MAX_DIGITS} digits", pos)
             i += 1
             e, depth = intpow(e, sign * int(tok)), deeper(depth, at)
         return e, depth
@@ -562,16 +577,17 @@ def unparse(e: Expr) -> str:
 
 
 def _diff(e: Expr, var: Coord) -> Expr:
-    """d e / d var, kept in the memo of a compound ``e``."""
+    """d e / d var, kept in the memo of a compound ``e`` under ``var``, or
+    under ``_FREE`` if var is outside e's mask: every such var gets one node."""
     kind = type(e)
     if kind is Coord:
         return _ONE if e is var else _ZERO
     if kind is Const or kind is Param:
         return _ZERO
     memo = _memo(e)
-    found = memo.get(var)
+    found = memo.get(key := var if e._m & var._m else _FREE)
     if found is None:
-        found = memo[var] = _diff_rule(e, var)
+        found = memo[key] = _diff_rule(e, var)
     return found
 
 

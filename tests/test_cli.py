@@ -2,6 +2,7 @@ import enum
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -444,6 +445,37 @@ def test_deep_expression_is_config_error_at_its_path(name, tmp_path, capsys):
     assert "config path: systems.deep.L" in err
 
 
+@pytest.mark.parametrize("L, message", [
+    ("q" + "0" * 4400 + "1", "coordinate index longer than 4300 digits"),
+    ("0.5*v1^2 - q1^" + "1" * 4400, "exponent longer than 4300 digits"),
+], ids=["index", "exponent"])
+def test_digit_run_past_int_limit_is_config_error_at_its_path(L, message, tmp_path, capsys):
+    """A digit run that int() refuses is a ParseError, not a ValueError
+    traceback with exit 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"systems": {"long": {"kind": "lagrangian", "n": 1, "L": L}}}))
+    code, data = run_cli(["--config", str(cfg), "herglotz", "--lagrangian", "long"], tmp_path)
+    assert code == 3 and data is None
+    err = capsys.readouterr().err
+    assert message in err and "config path: systems.long.L" in err
+
+
+def test_dimension_past_the_bound_is_config_error_at_its_path(tmp_path, capsys):
+    """A huge n is refused before its Darboux form is built, whichever task
+    runs; n = MAX_N itself loads."""
+    cfg = tmp_path / "cfg.json"
+    system = {"kind": "hamiltonian", "H": "v1"}
+    cfg.write_text(json.dumps({"systems": {"big": {**system, "n": 300000}}}))
+    start = time.perf_counter()
+    code, data = run_cli(["--config", str(cfg), "herglotz", "--lagrangian", "linear_drag"],
+                         tmp_path)
+    assert code == 3 and data is None and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"'n' must be at most {cli.MAX_N}" in err and "config path: systems.big.n" in err
+    cfg.write_text(json.dumps({"systems": {"big": {**system, "n": cli.MAX_N}}}))
+    assert cli.load_config(str(cfg)).systems["big"].n_dim == cli.MAX_N
+
+
 @pytest.mark.parametrize("L", [
     "-" * 3000 + "0.5*v1^2 - q1^2",
     "0.5*v1^2" + "".join(f" + {0.001 * (k % 7 + 1)!r}*q1^{k % 4 + 1}*v1^{k % 2}*z^{k % 3}"
@@ -458,8 +490,9 @@ def test_long_expression_within_the_limits_runs(L, tmp_path):
     assert code == 0 and data["verdict"] == "pass"
 
 
-# Config fragments: some well formed, most not.  A system's n stays below 5:
-# a Hamiltonian without eta builds its Darboux form of 2n + 1 components.
+# Config fragments: some well formed, most not.  A system's n is drawn on
+# both sides of MAX_N, past which it is refused before a Hamiltonian without
+# eta builds its Darboux form of 2n + 1 components.
 FUZZ_ODD = st.sampled_from([None, True, False, 0, -1, 3, 2.5, -0.0, 1e300, 10**400, math.nan,
                        math.inf, "", "abc", "2", [], [1, "a"], {}, {"a": None}])
 FUZZ_NUMBER = st.integers() | st.floats() | FUZZ_ODD
@@ -468,7 +501,8 @@ FUZZ_EXPR_TEXT = st.sampled_from(["0.5*v1^2 - q1^2", "z + sin(q1)", "q1 +", "q9"
 FUZZ_SYSTEM = st.fixed_dictionaries({}, optional={
     "kind": st.sampled_from(["lagrangian", "bar_lagrangian", "hamiltonian", "sode",
                              "action", "other"]) | FUZZ_ODD,
-    "n": st.integers(-1, 4) | st.sampled_from([2.5, True, "2", None, math.nan, [1]]),
+    "n": st.integers(-1, 4) | st.integers(cli.MAX_N - 1, cli.MAX_N + 1)
+    | st.sampled_from([300000, 2.5, True, "2", None, math.nan, [1]]),
     "params": st.dictionaries(st.text(max_size=3), FUZZ_NUMBER, max_size=2) | FUZZ_ODD,
     **{key: FUZZ_EXPR_TEXT for key in ("L", "H", "zeta", "z_rate")},
     **{key: st.lists(FUZZ_EXPR_TEXT, max_size=4) | FUZZ_ODD for key in ("eta", "accelerations")},

@@ -83,6 +83,24 @@ def test_parse_rejects_an_overflowing_literal():
     assert err.value.offset == 5
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("q" + "0" * 4400 + "1", "coordinate index longer than 4300 digits", 0),
+    ("z + v" + "1" * 4301, "coordinate index longer than 4300 digits", 4),
+    ("z + q1^" + "1" * 4400, "exponent longer than 4300 digits", 7),
+    ("z + q1^-" + "2" * 4301, "exponent longer than 4300 digits", 8),
+], ids=["index", "index-4301", "exponent", "negative-exponent"])
+def test_parse_refuses_digit_runs_that_int_refuses(text, message, offset):
+    assert ex.MAX_DIGITS == 4300
+    with pytest.raises(ParseError, match=message) as err:
+        parse(text, n=1)
+    assert err.value.offset == offset
+
+
+def test_parse_admits_digit_runs_at_the_limit():
+    assert parse("q" + "0" * 4299 + "1", n=1) is Coord("q", 1)
+    assert parse("q1^" + "0" * 4299 + "2", n=1) is ex.intpow(Coord("q", 1), 2)
+
+
 @pytest.mark.parametrize("build, op, lhs, rhs", [
     (ex.add, "+", 1e308, 1e308),
     (ex.sub, "-", -1e308, 1e308),
@@ -447,6 +465,219 @@ def test_partials_match_sympy_on_regular_lagrangians(n):
     rng = np.random.default_rng(40 + n)
     system = random_regular_lagrangian(rng, n)
     assert assert_partials_match_sympy(system.L, n, {}, rng, 2) == 2 * (2 * n + 1) * (2 * n + 2)
+
+
+# ---------------------------------------------------------------------------
+# The differentiator as it was before coordinate masks and the constructors'
+# node fast paths, kept as the reference: a derivative must be the very node
+# it built, signed zeros included.  Its memo is keyed by (node, coordinate).
+
+ZERO, ONE = Const(0.0), Const(1.0)
+
+
+def ref_is_const(e, value=None):
+    return isinstance(e, Const) and (value is None or e.value == value)
+
+
+def ref_fold(op, a, b, value):
+    return Const(value) if math.isfinite(value) else BinOp(op, a, b)
+
+
+def ref_add(a, b):
+    a, b = ex.as_expr(a), ex.as_expr(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return ref_fold("+", a, b, a.value + b.value)
+    if ref_is_const(a, 0.0):
+        return b
+    if ref_is_const(b, 0.0):
+        return a
+    return BinOp("+", a, b)
+
+
+def ref_sub(a, b):
+    a, b = ex.as_expr(a), ex.as_expr(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return ref_fold("-", a, b, a.value - b.value)
+    if ref_is_const(b, 0.0):
+        return a
+    if ref_is_const(a, 0.0):
+        return ref_neg(b)
+    return BinOp("-", a, b)
+
+
+def ref_mul(a, b):
+    a, b = ex.as_expr(a), ex.as_expr(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return ref_fold("*", a, b, a.value * b.value)
+    if ref_is_const(a, 0.0) or ref_is_const(b, 0.0):
+        return ZERO
+    if ref_is_const(a, 1.0):
+        return b
+    if ref_is_const(b, 1.0):
+        return a
+    return BinOp("*", a, b)
+
+
+def ref_div(a, b):
+    a, b = ex.as_expr(a), ex.as_expr(b)
+    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
+        return ref_fold("/", a, b, a.value / b.value)
+    if ref_is_const(b, 1.0):
+        return a
+    if ref_is_const(a, 0.0):
+        return ZERO
+    return BinOp("/", a, b)
+
+
+def ref_neg(a):
+    a = ex.as_expr(a)
+    if isinstance(a, Const):
+        return Const(-a.value)
+    if isinstance(a, Call) and a.fn == "neg":
+        return a.arg
+    return Call("neg", a)
+
+
+def ref_intpow(base, exponent):
+    base = ex.as_expr(base)
+    if exponent == 0:
+        return ONE
+    if exponent == 1:
+        return base
+    if isinstance(base, Const) and (base.value != 0.0 or exponent > 0):
+        try:
+            return Const(base.value ** exponent)
+        except OverflowError:
+            pass
+    return IntPow(base, exponent)
+
+
+def ref_call(fn, a):
+    if isinstance(a, Const):
+        try:
+            return Const({"sin": math.sin, "cos": math.cos}[fn](a.value))
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    return Call(fn, a)
+
+
+def reference_diff(e, var, memo):
+    if isinstance(e, Coord):
+        return ONE if e is var else ZERO
+    if isinstance(e, (Const, Param)):
+        return ZERO
+    if (e, var) not in memo:
+        memo[e, var] = reference_rule(e, var, memo)
+    return memo[e, var]
+
+
+def reference_rule(e, var, memo):
+    if isinstance(e, Call):
+        da, a = reference_diff(e.arg, var, memo), e.arg
+        if e.fn == "neg":
+            return ref_neg(da)
+        if e.fn == "sin":
+            return ref_mul(ref_call("cos", a), da)
+        if e.fn == "cos":
+            return ref_neg(ref_mul(ref_call("sin", a), da))
+        if e.fn == "exp":
+            return ref_mul(e, da)
+        if e.fn == "log":
+            return ref_div(da, a)
+        if e.fn == "sqrt":
+            return ref_div(da, ref_mul(2.0, e))
+        assert e.fn == "tanh"
+        return ref_mul(ref_sub(1.0, ref_intpow(e, 2)), da)
+    if isinstance(e, BinOp):
+        dl, dr = reference_diff(e.lhs, var, memo), reference_diff(e.rhs, var, memo)
+        if e.op == "+":
+            return ref_add(dl, dr)
+        if e.op == "-":
+            return ref_sub(dl, dr)
+        if e.op == "*":
+            return ref_add(ref_mul(dl, e.rhs), ref_mul(e.lhs, dr))
+        assert e.op == "/"
+        return ref_div(ref_sub(ref_mul(dl, e.rhs), ref_mul(e.lhs, dr)),
+                       ref_intpow(e.rhs, 2))
+    assert isinstance(e, IntPow)
+    db = reference_diff(e.base, var, memo)
+    return ref_mul(ref_mul(float(e.exponent), ref_intpow(e.base, e.exponent - 1)), db)
+
+
+def assert_partials_are_the_reference_nodes(e, n):
+    """Every first and second partial over the chart, through ``differentiate``
+    and through ``gradient``/``hessian``, is the reference's node.  Returns
+    the number of partials compared."""
+    memo, cs = {}, coords(n)
+    grad, hess = ex.gradient(e, n), ex.hessian(e, n)
+    for i, a in enumerate(cs):
+        first = reference_diff(e, a, memo)
+        assert differentiate(e, a) is first and grad[i] is first, (unparse(e), a)
+        for j, b in enumerate(cs):
+            second = reference_diff(first, b, memo)
+            assert differentiate(differentiate(e, a), b) is second, (unparse(e), a, b)
+            if i <= j:
+                assert hess[i][j] is second and hess[j][i] is second, (unparse(e), a, b)
+    return len(cs) * (len(cs) + 1)
+
+
+def assert_masks_hold_their_coordinates(e):
+    for node in ex._dag_nodes(e):
+        for leaf in ex._dag_nodes(node):
+            if isinstance(leaf, Coord):
+                assert leaf._m & node._m == leaf._m, (unparse(node), unparse(leaf))
+
+
+@settings(max_examples=200, deadline=None)
+@example(e=ex.neg(Param("gam")))
+@example(e=BinOp("*", Const(-1e200), Const(-1e200)))
+@example(e=ex.mul(ex.log(Const(-1.0)), Coord("v", 1)))
+@given(expr_strategy())
+def test_partials_are_the_reference_nodes_on_drawn_trees(e):
+    assert_partials_are_the_reference_nodes(e, 2)
+    assert_masks_hold_their_coordinates(e)
+
+
+def test_partials_are_the_reference_nodes_on_stream_lagrangians():
+    """The Lagrangians, bar-Lagrangians and action functions of one
+    symbolic_stream benchmark pass."""
+    compared = 0
+    for _, n, e in stream_texts():
+        compared += assert_partials_are_the_reference_nodes(e, n)
+        assert_masks_hold_their_coordinates(e)
+    assert compared == 300 * (12 + 30 + 56)
+
+
+def test_signed_zero_partials_survive_the_masks():
+    q1, v1, z, gam = Coord("q", 1), Coord("v", 1), Coord("z"), Param("gam")
+    big = ex.mul(Const(-1e200), Const(-1e200))   # overflows, so stays a product
+    assert isinstance(big, BinOp)
+    for e, var in [(ex.neg(gam), q1), (big, z), (ex.log(Const(-1.0)), v1)]:
+        assert differentiate(e, var) is Const(-0.0), unparse(e)
+        assert differentiate(e, q1) is differentiate(e, z)   # one node for all absent
+    e = ex.mul(ex.log(Const(-1.0)), v1)
+    assert differentiate(e, q1) is ZERO and differentiate(e, v1) is e.lhs
+
+
+def test_a_derivative_by_an_absent_coordinate_is_memoized_once():
+    e = parse("q1*sin(v1) - gam", 3)
+    ex.gradient(e, 3)
+    coordinate_keys = [key for key in e._d if isinstance(key, Coord)]
+    assert sorted(map(unparse, coordinate_keys)) == ["q1", "v1"]
+    assert len(e._d) == 3   # q1, v1 and one entry shared by q2, q3, v2, v3, z
+
+
+def test_masks_are_small_ints_and_raw_nodes_have_them():
+    far = Coord("q", 10**6)
+    assert far._m == Coord("v", 31)._m >> 1 and far._m < 2**64
+    assert Coord("q", 1)._m != Coord("v", 1)._m != Coord("z")._m
+    assert ex.add(far, Coord("q", 40))._m == far._m
+    # payloads that are not nodes add nothing
+    a = parse("q1*z", 1)
+    assert Call("q", 1)._m == 0 and IntPow("neg", a)._m == a._m
+    assert Coord("q", -1)._m and Coord("q", "1")._m
+    assert differentiate(ex.sin(far), far) is ex.cos(far)
+    assert differentiate(ex.sin(far), Coord("q", 10**6 + 1)) is ZERO
 
 
 # ---------------------------------------------------------------------------
