@@ -83,6 +83,9 @@ class RunConfig:
 # Herglotz field builds in seconds (its size doubles with each dimension).  It
 # refuses a huge n before a Darboux form of 2n + 1 nodes is built for it.
 MAX_N = 100
+# The largest count of a config plan, far above the 200 of a default plan: a
+# random plan draws count x (2n + 1) doubles in one generator call.
+MAX_COUNT = 10_000
 
 
 def _parse_expr(text, n: int, path: str) -> Expr:
@@ -162,9 +165,13 @@ def _load_plan(raw: dict, path: str) -> SamplePlan:
     count = raw.get("count", 200)
     seed = raw.get("seed", 0)
     try:
-        return SamplePlan(mode, tuple(tuple(b) for b in bounds), count, seed)
+        plan = SamplePlan(mode, tuple(tuple(b) for b in bounds), count, seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad sample plan: {exc}", path) from None
+    if plan.count > MAX_COUNT:
+        raise ConfigError(f"'count' must be at most {MAX_COUNT}, got {plan.count}",
+                          f"{path}.count")
+    return plan
 
 
 def load_config(path: str | None) -> RunConfig:

@@ -10,15 +10,19 @@ a (2n+2) x (2n+1) stacked system [M^T; eta], M the matrix of d(eta).  Where
 its singular value ratio exceeds CONTACT_TOL, the flat map
 flat(X) = i_X d(eta) + eta(X) eta, of matrix M^T + eta eta^T, is invertible:
 one LU solve gives R = flat^-1 eta and X = flat^-1 dH - (RH + H) R, both
-checked against the stacked system.  Non-finite contact data never reaches
-LAPACK.  A ``ContactHamiltonianSystem`` lowers its contact data to tapes
-once and reads its params then.  In Darboux coordinates X = dH/dp_i d/dq_i -
+checked against the stacked system.  ``hamiltonian_fields`` solves a sample
+in stacks of at most STACK_DOUBLES doubles, one SVD gate and one LU solve
+each, with the bits of a one-point solve; a stack that meets an error is
+solved again point by point.  Non-finite contact data never reaches LAPACK.
+A ``ContactHamiltonianSystem`` lowers its contact data to tapes once and
+reads its params then.  In Darboux coordinates X = dH/dp_i d/dq_i -
 (dH/dq_i + p_i dH/dz) d/dp_i + (p_i dH/dp_i - H) d/dz.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,7 +37,7 @@ from .expr import (
 __all__ = [
     "CoordOneForm", "CoordVectorField", "ContactHamiltonianSystem",
     "GeometryError", "ContactConditionError", "ZeroCovectorError",
-    "exterior_derivative", "reeb_field", "hamiltonian_field",
+    "exterior_derivative", "reeb_field", "hamiltonian_field", "hamiltonian_fields",
     "conformal_factor", "contact_condition", "lie_derivative_form",
 ]
 
@@ -149,21 +153,91 @@ def exterior_derivative(alpha: CoordOneForm, p: StatePoint,
     return jac - jac.T
 
 
-def _stacked_system(sys: ContactHamiltonianSystem, p: StatePoint
-                    ) -> tuple[np.ndarray | None, float]:
-    """Rows (i_X d eta)^T over the coordinate basis, then the eta row, and
-    their smallest/largest singular value ratio; (None, NaN), without a
-    LAPACK call, where a value of d(eta) or eta is not finite."""
+# The most doubles in one stack of (2n+2) x (2n+1) systems (8 MB); a point
+# takes 40,602 of them at n = 100.
+STACK_DOUBLES = 2 ** 20
+
+
+def _tape_values(run, points: Sequence[StatePoint], what: str) -> np.ndarray:
+    """A tape's values at the points, one row each, all of them finite."""
+    rows = np.array([run(p._flat) for p in points])
+    _require(np.isfinite(rows).all(axis=-1), points, what + " is not finite at {}")
+    return rows
+
+
+def _require(ok: np.ndarray, values: Sequence, text: str):
+    """Raise ``text`` with the value of the first row that is not ``ok``."""
+    if not ok.all():
+        raise ContactConditionError(text.format(values[np.argmin(ok)]))
+
+
+def _stacked_systems(sys: ContactHamiltonianSystem, points: Sequence[StatePoint]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked systems [M^T; eta] at the points, and their smallest/largest
+    singular value ratios from one LAPACK call."""
     d = 2 * sys.n_dim + 1
-    values = sys._form_tape(p._flat)
-    if not all(map(math.isfinite, values)):
-        return None, math.nan
+    stack = _tape_values(sys._form_tape, points, "d(eta) or eta").reshape(-1, d + 1, d)
     # rows J[a] = d(eta)/dx^a, then eta; as (i_X d eta)(d/dx^b) = sum_a X^a M[a][b],
     # the coefficient matrix is M^T = J^T - J, written over J
-    matrix = np.array(values).reshape(d + 1, d)
-    np.subtract(matrix[:-1].T, matrix[:-1], out=matrix[:-1])
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return matrix, (svals[-1] / svals[0] if svals[0] > 0 else 0.0)
+    np.subtract(stack[:, :-1].transpose(0, 2, 1), stack[:, :-1], out=stack[:, :-1])
+    svals = np.linalg.svd(stack, compute_uv=False)
+    return stack, np.divide(svals[:, -1], svals[:, 0], out=np.zeros(len(stack)),
+                            where=svals[:, 0] > 0)
+
+
+def _solve(sys: ContactHamiltonianSystem, points: Sequence[StatePoint],
+           hamiltonian: bool) -> np.ndarray:
+    """X_H (R without ``hamiltonian``) at the points, one row each.  Raises the
+    first error met; at one point, in order: the d(eta) and eta tape, the
+    singular value gate, the H and dH tape, a singular flat map, the residual
+    checks of R and X, and the pairing |eta(X) + H| <= SOLVE_TOL (1 + |H|)."""
+    stack, ratios = _stacked_systems(sys, points)
+    _require(ratios > CONTACT_TOL, ratios, "contact condition fails: singular value "
+             f"ratio {{:.3e}} <= CONTACT_TOL {CONTACT_TOL:g}")
+    eta, d = stack[:, -1], stack.shape[2]
+    if hamiltonian:
+        energy = _tape_values(sys._energy_tape, points, "H or dH")
+        grad_h, h_val = energy[:, :-1], energy[:, -1]
+    try:    # flat(R) = eta, and flat(Y) = dH, in one solve
+        solution = np.linalg.solve(stack[:, :-1] + eta[:, :, None] * eta[:, None, :],
+                                   np.stack([eta, grad_h] if hamiltonian else [eta], axis=2))
+    except np.linalg.LinAlgError as exc:
+        raise ContactConditionError(f"flat map is singular: {exc}") from None
+    result = reeb = solution[:, :, 0]
+    checks = [(reeb, np.eye(d + 1)[-1], "reeb_field")]
+    if hamiltonian:     # X = Y - (RH + H) R
+        rh = (reeb[:, None, :] @ grad_h[:, :, None])[:, 0, 0]
+        result = solution[:, :, 1] - (rh + h_val)[:, None] * reeb
+        checks.append((result, np.column_stack([grad_h - rh[:, None] * eta, -h_val]),
+                       "hamiltonian_field"))
+    for vec, rhs, what in checks:
+        residual = abs(stack @ vec[:, :, None] - rhs[..., None]).max(axis=(1, 2))
+        _require(residual <= SOLVE_TOL * (1.0 + abs(rhs).max(axis=-1)), residual,
+                 what + ": inconsistent linear system, residual {:.3e}")
+    if hamiltonian:
+        gap = abs((eta[:, None, :] @ result[:, :, None])[:, 0, 0] + h_val)
+        _require(~(gap > SOLVE_TOL * (1.0 + abs(h_val))), gap,
+                 "hamiltonian_field: energy pairing violated by {:.3e}")
+    return result
+
+
+def hamiltonian_fields(sys: ContactHamiltonianSystem,
+                       points: Sequence[StatePoint]) -> list:
+    """Per point, X_H or the exception that :func:`hamiltonian_field` raises
+    there.  Each chunk of at most STACK_DOUBLES doubles is one stacked solve;
+    a chunk with an error is solved again one point at a time."""
+    size = max(1, STACK_DOUBLES // ((2 * sys.n_dim + 2) * (2 * sys.n_dim + 1)))
+    fields: list = []
+    for chunk in (points[k:k + size] for k in range(0, len(points), size)):
+        try:
+            fields.extend(_solve(sys, chunk, hamiltonian=True))
+        except Exception:   # whatever it was, each point meets its own error alone
+            for p in chunk:
+                try:
+                    fields.append(hamiltonian_field(sys, p))
+                except Exception as exc:    # raised again when the point is reached
+                    fields.append(exc)
+    return fields
 
 
 def contact_condition(sys: ContactHamiltonianSystem, p: StatePoint
@@ -171,70 +245,22 @@ def contact_condition(sys: ContactHamiltonianSystem, p: StatePoint
     """Numeric contact check at p: smallest/largest singular value ratio,
     which must exceed CONTACT_TOL; NaN, failing, where d(eta) or eta is not
     finite."""
-    ratio = _stacked_system(sys, p)[1]
-    return ratio > CONTACT_TOL, ratio
-
-
-def _regular_system(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
-    """The stacked system at p, after the tests that every solve with it
-    relies on."""
-    matrix, ratio = _stacked_system(sys, p)
-    if matrix is None:
-        raise ContactConditionError(f"d(eta) or eta is not finite at {p}")
-    if not ratio > CONTACT_TOL:
-        raise ContactConditionError(
-            "reeb_field: stacked system is singular (contact condition fails)")
-    return matrix
-
-
-def _flat_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """flat^-1 rhs, for flat(X) = i_X d(eta) + eta(X) eta = (M^T + eta eta^T) X."""
-    eta_p = matrix[-1]
     try:
-        return np.linalg.solve(matrix[:-1] + np.outer(eta_p, eta_p), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ContactConditionError(f"flat map is singular: {exc}") from None
-
-
-def _residual_checked(matrix: np.ndarray, solution: np.ndarray, rhs: np.ndarray,
-                      what: str) -> np.ndarray:
-    residual = abs(matrix @ solution - rhs).max()
-    if not residual <= SOLVE_TOL * (1.0 + abs(rhs).max()):
-        raise ContactConditionError(
-            f"{what}: inconsistent linear system, residual {residual:.3e}")
-    return solution
+        (ratio,) = _stacked_systems(sys, [p])[1]
+    except ContactConditionError:
+        return False, math.nan
+    return ratio > CONTACT_TOL, ratio
 
 
 def reeb_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
     """Reeb vector at p: the unique R with i_R d(eta) = 0 and eta(R) = 1."""
-    matrix = _regular_system(sys, p)
-    return _residual_checked(matrix, _flat_solve(matrix, matrix[-1]),
-                             np.append(np.zeros(len(matrix) - 1), 1.0), "reeb_field")
+    return _solve(sys, [p], hamiltonian=False)[0]
 
 
 def hamiltonian_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
-    """Hamiltonian vector at p from the defining equations.
-
-    flat(R) = eta and flat(Y) = dH in one solve; X = Y - (RH + H) R then has
-    i_X d(eta) = dH - (RH) eta and eta(X) = -H, which are checked, as is the
-    energy pairing |eta(X) + H| <= SOLVE_TOL (1 + |H|).
-    """
-    matrix = _regular_system(sys, p)
-    energy = sys._energy_tape(p._flat)
-    if not all(map(math.isfinite, energy)):
-        raise ContactConditionError(f"H or dH is not finite at {p}")
-    eta_p, grad_h = rhs = np.empty((2, len(matrix) - 1))   # views of the columns (eta, dH)
-    rhs[0], rhs[1], h_val = matrix[-1], energy[:-1], energy[-1]
-    reeb, y = _flat_solve(matrix, rhs.T).T
-    _residual_checked(matrix, reeb, np.append(np.zeros(len(reeb)), 1.0), "reeb_field")
-    rh = float(reeb @ grad_h)
-    x = _residual_checked(matrix, y - (rh + h_val) * reeb,
-                          np.append(grad_h - rh * eta_p, -h_val), "hamiltonian_field")
-    pairing = float(eta_p @ x)
-    if abs(pairing + h_val) > SOLVE_TOL * (1.0 + abs(h_val)):
-        raise ContactConditionError(
-            f"hamiltonian_field: energy pairing violated by {abs(pairing + h_val):.3e}")
-    return x
+    """Hamiltonian vector at p from the defining equations: i_X d(eta) =
+    dH - (RH) eta and eta(X) = -H (see the module docstring)."""
+    return _solve(sys, [p], hamiltonian=True)[0]
 
 
 def lie_derivative_form(alpha: CoordOneForm, X: CoordVectorField, p: StatePoint,

@@ -18,7 +18,7 @@ from .checks import (
 )
 from .contact import (
     ContactConditionError, ContactHamiltonianSystem, CoordVectorField,
-    hamiltonian_field,
+    hamiltonian_fields,
 )
 from .expr import Expr, StatePoint, differentiate, merge_params, mul, q, sub, tape, v, z
 from .extended import (
@@ -120,17 +120,24 @@ def dynamical_equivalence_check(sys_a: ContactHamiltonianSystem,
                                 sys_b: ContactHamiltonianSystem,
                                 plan: SamplePlan | None = None,
                                 tol: Tolerances | None = None) -> CheckReport:
-    """Check X_H = X_Hbar pointwise (equality of Hamiltonian vector fields)."""
+    """Check X_H = X_Hbar pointwise (equality of Hamiltonian vector fields).
+
+    Both fields over the whole sample come first, from stacked solves
+    (:func:`contact.hamiltonian_fields`).  A point's solver error, system a's
+    first, is raised when the walk reaches it: a ContactConditionError aborts
+    the check there, any other error propagates."""
     n = _chart_dimension(sys_a, sys_b)
+    fields: list = []      # the zipped fields of the sample, from the precheck
 
     def values(p):
-        try:
-            x_a = hamiltonian_field(sys_a, p)
-            x_b = hamiltonian_field(sys_b, p)
-        except ContactConditionError as exc:
-            raise CheckAbort(f"solver failure at {p}: {exc}") from None
-        return {"field_mismatch": float(np.max(np.abs(x_a - x_b)))}
-    return run_check(n, values, plan, tol, residual_keys=("field_mismatch",))
+        for x in (pair := next(fields[0])):
+            if isinstance(x, Exception):
+                raise CheckAbort(f"solver failure at {p}: {x}") \
+                    if isinstance(x, ContactConditionError) else x
+        return {"field_mismatch": float(np.max(np.abs(pair[0] - pair[1])))}
+    return run_check(n, values, plan, tol, residual_keys=("field_mismatch",),
+                     precheck=lambda points: fields.append(zip(
+                         *(hamiltonian_fields(s, points) for s in (sys_a, sys_b)))))
 
 
 def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,

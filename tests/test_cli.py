@@ -476,6 +476,24 @@ def test_dimension_past_the_bound_is_config_error_at_its_path(tmp_path, capsys):
     assert cli.load_config(str(cfg)).systems["big"].n_dim == cli.MAX_N
 
 
+def test_count_past_the_bound_is_config_error_at_its_path(tmp_path, capsys):
+    """A huge plan count is refused before a random plan draws count x
+    (2n + 1) doubles in one generator call; count = MAX_COUNT itself loads."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"plans": {"huge": {"count": 100_000_000, "seed": 1}}}))
+    with pytest.raises(cli.ConfigError) as info:    # refused before anything is drawn
+        cli.load_config(str(cfg))
+    assert info.value.path == "plans.huge.count"
+    start = time.perf_counter()
+    code, data = run_cli(["--config", str(cfg), "check-dynamical", "--system", "saddle",
+                          "--system-b", "saddle_flipped", "--plan", "huge"], tmp_path)
+    assert code == 3 and data is None and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"'count' must be at most {cli.MAX_COUNT}" in err and "config path: plans.huge.count" in err
+    cfg.write_text(json.dumps({"plans": {"huge": {"count": cli.MAX_COUNT}}}))
+    assert cli.load_config(str(cfg)).plans["huge"].count == cli.MAX_COUNT
+
+
 @pytest.mark.parametrize("L", [
     "-" * 3000 + "0.5*v1^2 - q1^2",
     "0.5*v1^2" + "".join(f" + {0.001 * (k % 7 + 1)!r}*q1^{k % 4 + 1}*v1^{k % 2}*z^{k % 3}"
@@ -492,7 +510,8 @@ def test_long_expression_within_the_limits_runs(L, tmp_path):
 
 # Config fragments: some well formed, most not.  A system's n is drawn on
 # both sides of MAX_N, past which it is refused before a Hamiltonian without
-# eta builds its Darboux form of 2n + 1 components.
+# eta builds its Darboux form of 2n + 1 components, and a plan's count on both
+# sides of MAX_COUNT, past which it is refused before a sample is drawn.
 FUZZ_ODD = st.sampled_from([None, True, False, 0, -1, 3, 2.5, -0.0, 1e300, 10**400, math.nan,
                        math.inf, "", "abc", "2", [], [1, "a"], {}, {"a": None}])
 FUZZ_NUMBER = st.integers() | st.floats() | FUZZ_ODD
@@ -510,7 +529,9 @@ FUZZ_SYSTEM = st.fixed_dictionaries({}, optional={
 FUZZ_PLAN = st.fixed_dictionaries({}, optional={
     "mode": st.sampled_from(["random", "grid"]) | FUZZ_ODD,
     "bounds": st.lists(st.lists(FUZZ_NUMBER, max_size=3), max_size=3) | FUZZ_ODD,
-    "count": FUZZ_NUMBER, "seed": FUZZ_NUMBER,
+    "count": FUZZ_NUMBER | st.integers(cli.MAX_COUNT - 1, cli.MAX_COUNT + 1)
+    | st.sampled_from([100_000_000, float(cli.MAX_COUNT + 1)]),
+    "seed": FUZZ_NUMBER,
 }) | FUZZ_ODD
 FUZZ_CONFIG = st.fixed_dictionaries({}, optional={
     "systems": st.dictionaries(st.text(max_size=3), FUZZ_SYSTEM, max_size=2) | FUZZ_ODD,
@@ -525,13 +546,16 @@ FUZZ_CONFIG = st.fixed_dictionaries({}, optional={
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(raw=FUZZ_CONFIG)
+@example(raw={"plans": {"p": {"count": cli.MAX_COUNT + 1}}})
 def test_load_config_returns_a_config_or_raises_config_error(raw, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     try:
-        assert isinstance(cli.load_config(str(path)), cli.RunConfig)
+        cfg = cli.load_config(str(path))
     except cli.ConfigError:
-        pass
+        return
+    assert isinstance(cfg, cli.RunConfig)
+    assert all(plan.count <= cli.MAX_COUNT for plan in cfg.plans.values())
 
 
 def test_legendre_task_lowers_once_per_check(tmp_path, monkeypatch):

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from herglotz import contact
-from herglotz.checks import CONTACT_TOL, SamplePlan
+from herglotz.checks import CONTACT_TOL, SamplePlan, sample_states
 from herglotz.contact import (
     ContactConditionError, ContactHamiltonianSystem, CoordOneForm,
     CoordVectorField, conformal_factor, contact_condition, darboux_form,
-    exterior_derivative, hamiltonian_field, lie_derivative_form, reeb_field,
+    exterior_derivative, hamiltonian_field, hamiltonian_fields, lie_derivative_form,
+    reeb_field,
 )
 from herglotz.equivalence import dynamical_equivalence_check
 from herglotz.expr import (
-    Const, DomainError, evaluate, evaluate_all, gradient, mul, parse, q, v,
+    Const, DomainError, Param, evaluate, evaluate_all, gradient, mul, parse, q,
+    substitute, v,
 )
 from herglotz.fixtures import builtin_systems
 from herglotz.lagrangian import (
@@ -293,8 +295,20 @@ def test_contact_data_compiles_once_per_system(monkeypatch, rng):
     for p in random_points(rng, 2, 50):
         hamiltonian_field(ham, p)
     assert len(lowered) == 2
-    report = dynamical_equivalence_check(ham, rescaled(ham), SamplePlan(count=50, seed=3))
-    assert report.verdict == "pass" and len(report.records) == 50
+    # one stacked gate and one stacked solve per system, or per chunk of
+    # STACK_DOUBLES doubles (30 a point at n = 2), never one per point
+    calls = []
+    for name in ("svd", "solve"):
+        run = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, run=run, name=name, **k:
+                            calls.append(name) or run(*a, **k))
+    scaled = rescaled(ham)
+    for budget, chunks in ((contact.STACK_DOUBLES, 1), (300, 5)):
+        monkeypatch.setattr(contact, "STACK_DOUBLES", budget)
+        del calls[:]
+        report = dynamical_equivalence_check(ham, scaled, SamplePlan(count=50, seed=3))
+        assert report.verdict == "pass" and len(report.records) == 50
+        assert sorted(calls) == ["solve"] * 2 * chunks + ["svd"] * 2 * chunks
     assert len(lowered) == 4 and compiled == []
 
 
@@ -381,6 +395,95 @@ def test_a_singular_flat_map_is_a_contact_condition_error(monkeypatch):
             solver(sys, pt(1.0, 1.0, 1.0))
 
 
+# ---------------------------------------------------------------------------
+# The stacked solve: per point, what the one-point path gives
+
+
+def _outcome(run):
+    """run()'s value, or the type and text of the exception it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_stacked_fields_equal_the_one_point_path(rng):
+    ham = as_hamiltonian(dense_lagrangian(5))
+    gate_systems = {id(sys): sys for sys, _ in gate_cases(rng)}
+    errors = 0
+    for sys in compiled_cases() + [ham, rescaled(ham)] + list(gate_systems.values()):
+        points = random_points(rng, sys.n_dim, 50)
+        for p, got in zip(points, hamiltonian_fields(sys, points), strict=True):
+            if isinstance(got, Exception):
+                errors += 1
+                assert (type(got), str(got)) == _outcome(lambda: hamiltonian_field(sys, p))
+            else:
+                np.testing.assert_array_equal(got, walk_reference(sys, p)[0])
+    assert errors > 0
+
+
+def _marked_family(gate_at, pole_at):
+    """A system over a seeded 8-point sample whose contact form degenerates
+    (ratio 0) exactly at point ``gate_at`` and whose H divides by zero
+    exactly at point ``pole_at``; both are finite and regular elsewhere."""
+    plan = SamplePlan(count=8, seed=11)
+    points = sample_states(plan, 1)
+    eta = CoordOneForm(1, (parse("-(q1 - c_gate)*v1", 1), Const(0.0), Const(1.0)))
+    h = parse("v1*q1 - z^2 + 1/(q1 - c_pole)", 1)
+    params = {"c_gate": points[gate_at].q[0], "c_pole": points[pole_at].q[0]}
+    return ContactHamiltonianSystem(1, eta, h, params), plan, points
+
+
+@pytest.mark.parametrize("pole_at", [6, 3])
+def test_a_stored_solver_error_ends_the_check_at_its_point(pole_at):
+    # the gate comes before H is evaluated, at a point as in the sample
+    sys, plan, points = _marked_family(gate_at=3, pole_at=pole_at)
+    report = dynamical_equivalence_check(sys, sys, plan)
+    assert report.verdict == "error"
+    assert [str(rec.point) for rec in report.records] == [str(p) for p in points[:3]]
+    assert report.diagnostics == [
+        f"solver failure at {points[3]}: contact condition fails: singular value "
+        f"ratio 0.000e+00 <= CONTACT_TOL {CONTACT_TOL:g}"]
+    sys, plan, _ = _marked_family(gate_at=6, pole_at=3)
+    with pytest.raises(DomainError, match="division by zero"):
+        dynamical_equivalence_check(sys, sys, plan)
+
+
+def test_the_gate_failure_names_the_gate_and_its_ratio():
+    sys = crossing_family(1e-11)
+    plan = SamplePlan(count=20, seed=2)
+    first = sample_states(plan, 1)[0]
+    ok, ratio = contact_condition(sys, first)
+    assert not ok
+    report = dynamical_equivalence_check(sys, sys, plan)
+    assert report.verdict == "error" and report.records == []
+    assert report.diagnostics == [
+        f"solver failure at {first}: contact condition fails: singular value "
+        f"ratio {ratio:.3e} <= CONTACT_TOL 1e-10"]
+    with pytest.raises(ContactConditionError, match=f"singular value ratio {ratio:.3e}"):
+        hamiltonian_field(sys, first)
+
+
+def test_a_singular_flat_map_in_a_stack_fails_only_its_point(monkeypatch):
+    sys = darboux_system("0.5*v1^2 + sin(q1) + 0.2*z*q1")
+    points = random_points(np.random.default_rng(4), 1, 6)
+    expected = [hamiltonian_field(sys, p) for p in points]
+    # dH at point 2 marks its flat map as singular, in any stack that holds it
+    marked = np.array(evaluate_all(gradient(sys.H, 1), points[2]))
+    solve = np.linalg.solve
+
+    def singular_at_mark(a, b):
+        if any(np.array_equal(col, marked) for col in b[:, :, 1]):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", singular_at_mark)
+    got = hamiltonian_fields(sys, points)
+    assert isinstance(got[2], ContactConditionError)
+    assert str(got[2]) == "flat map is singular: Singular matrix"
+    for k in (0, 1, 3, 4, 5):
+        np.testing.assert_array_equal(got[k], expected[k])
+
+
 # d(eta) or H overflows to -inf at (0.1, 0.2, 0.3) through the parameter big
 NON_FINITE = [
     (CoordOneForm(1, (parse("-v1*big*big", 1), Const(0.0), Const(1.0))), "z",
@@ -408,6 +511,19 @@ def test_non_finite_contact_data_never_reaches_lapack(eta, h_text, message, monk
     for solver in solvers:
         with pytest.raises(ContactConditionError, match=message):
             solver(sys, p)
+    # with big scaled by q1^2 the data still overflows at p, and is finite where
+    # q1 = 1e-100: in a 5-point sample p fails alone
+    def scaled(e):
+        return substitute(e, Param("big"), parse("big*q1*q1", 1))
+    sys = ContactHamiltonianSystem(1, CoordOneForm(1, tuple(map(scaled, eta.components))),
+                                   scaled(parse(h_text, 1)), {"big": 1e200})
+    sample = [pt(1e-100, v1, z1) for v1, z1 in ((0.5, -0.3), (-0.7, 0.2), (0.1, 0.9), (0.4, 0.4))]
+    sample.insert(2, p)
+    fields = hamiltonian_fields(sys, sample)
+    with pytest.raises(ContactConditionError, match=message):
+        raise fields[2]
+    assert all(isinstance(x, np.ndarray) and np.isfinite(x).all()
+               for k, x in enumerate(fields) if k != 2)
 
 
 def test_non_finite_contact_data_fails_promptly_without_guards():
