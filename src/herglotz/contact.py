@@ -12,8 +12,9 @@ flat(X) = i_X d(eta) + eta(X) eta, of matrix M^T + eta eta^T, is invertible:
 one LU solve gives R = flat^-1 eta and X = flat^-1 dH - (RH + H) R, both
 checked against the stacked system.  ``hamiltonian_fields`` solves a sample
 in stacks of at most STACK_DOUBLES doubles, one SVD gate and one LU solve
-each, with the bits of a one-point solve; a stack that meets an error is
-solved again point by point.  Non-finite contact data never reaches LAPACK.
+each, with the bits of a one-point solve, up to the first point that fails
+a test; a tape's error or a singular flat map, which a stack cannot place,
+sends the sample on one point at a time.  Non-finite data never reaches LAPACK.
 A ``ContactHamiltonianSystem`` lowers its contact data to tapes once and
 reads its params then.  In Darboux coordinates X = dH/dp_i d/dq_i -
 (dH/dq_i + p_i dH/dz) d/dp_i + (p_i dH/dp_i - H) d/dz.
@@ -22,7 +23,6 @@ reads its params then.  In Darboux coordinates X = dH/dp_i d/dq_i -
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -158,25 +158,32 @@ def exterior_derivative(alpha: CoordOneForm, p: StatePoint,
 STACK_DOUBLES = 2 ** 20
 
 
-def _tape_values(run, points: Sequence[StatePoint], what: str) -> np.ndarray:
-    """A tape's values at the points, one row each, all of them finite."""
-    rows = np.array([run(p._flat) for p in points])
-    _require(np.isfinite(rows).all(axis=-1), points, what + " is not finite at {}")
-    return rows
+class _Prefix:
+    """The points of a sample before the first failure met, and that failure."""
+
+    def __init__(self, points: list[StatePoint]):
+        self.points, self.error = points, None
+
+    def require(self, ok: np.ndarray, values, text: str):
+        """Cut at the first point that is not ``ok``: ``text`` with its value."""
+        if not ok[:len(self.points)].all():
+            k = int(np.argmin(ok))
+            self.points = self.points[:k]
+            self.error = ContactConditionError(text.format(values[k]))
+
+    def rows(self, run, width: int, what: str) -> np.ndarray:
+        """A tape's values, a row a point, cut at the first that is not finite."""
+        rows = np.array([run(p._flat) for p in self.points], dtype=float).reshape(-1, width)
+        self.require(np.isfinite(rows).all(axis=-1), self.points, what + " is not finite at {}")
+        return rows[:len(self.points)]
 
 
-def _require(ok: np.ndarray, values: Sequence, text: str):
-    """Raise ``text`` with the value of the first row that is not ``ok``."""
-    if not ok.all():
-        raise ContactConditionError(text.format(values[np.argmin(ok)]))
-
-
-def _stacked_systems(sys: ContactHamiltonianSystem, points: Sequence[StatePoint]
+def _stacked_systems(sys: ContactHamiltonianSystem, prefix: _Prefix
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked systems [M^T; eta] at the points, and their smallest/largest
+    """The stacked systems [M^T; eta] at the prefix, and their smallest/largest
     singular value ratios from one LAPACK call."""
     d = 2 * sys.n_dim + 1
-    stack = _tape_values(sys._form_tape, points, "d(eta) or eta").reshape(-1, d + 1, d)
+    stack = prefix.rows(sys._form_tape, (d + 1) * d, "d(eta) or eta").reshape(-1, d + 1, d)
     # rows J[a] = d(eta)/dx^a, then eta; as (i_X d eta)(d/dx^b) = sum_a X^a M[a][b],
     # the coefficient matrix is M^T = J^T - J, written over J
     np.subtract(stack[:, :-1].transpose(0, 2, 1), stack[:, :-1], out=stack[:, :-1])
@@ -185,19 +192,24 @@ def _stacked_systems(sys: ContactHamiltonianSystem, points: Sequence[StatePoint]
                             where=svals[:, 0] > 0)
 
 
-def _solve(sys: ContactHamiltonianSystem, points: Sequence[StatePoint],
-           hamiltonian: bool) -> np.ndarray:
-    """X_H (R without ``hamiltonian``) at the points, one row each.  Raises the
-    first error met; at one point, in order: the d(eta) and eta tape, the
-    singular value gate, the H and dH tape, a singular flat map, the residual
-    checks of R and X, and the pairing |eta(X) + H| <= SOLVE_TOL (1 + |H|)."""
-    stack, ratios = _stacked_systems(sys, points)
-    _require(ratios > CONTACT_TOL, ratios, "contact condition fails: singular value "
-             f"ratio {{:.3e}} <= CONTACT_TOL {CONTACT_TOL:g}")
-    eta, d = stack[:, -1], stack.shape[2]
+def _solve(sys: ContactHamiltonianSystem, points: list[StatePoint],
+           hamiltonian: bool) -> tuple[np.ndarray, Exception | None]:
+    """X_H (R without ``hamiltonian``) at the points before the first that
+    fails a test, one row each, and that point's ContactConditionError, or
+    None.  At a point, in order: the d(eta) and eta tape, the singular value
+    gate, the H and dH tape, the flat map, the residual checks of R and X, and
+    the pairing |eta(X) + H| <= SOLVE_TOL (1 + |H|).  An error that the stack
+    cannot place, a tape's or a singular flat map's, is raised."""
+    prefix = _Prefix(points)
+    stack, ratios = _stacked_systems(sys, prefix)
+    prefix.require(ratios > CONTACT_TOL, ratios, "contact condition fails: singular "
+                   f"value ratio {{:.3e}} <= CONTACT_TOL {CONTACT_TOL:g}")
+    d = stack.shape[2]
     if hamiltonian:
-        energy = _tape_values(sys._energy_tape, points, "H or dH")
+        energy = prefix.rows(sys._energy_tape, d + 1, "H or dH")
         grad_h, h_val = energy[:, :-1], energy[:, -1]
+    stack = stack[:len(prefix.points)]
+    eta = stack[:, -1]
     try:    # flat(R) = eta, and flat(Y) = dH, in one solve
         solution = np.linalg.solve(stack[:, :-1] + eta[:, :, None] * eta[:, None, :],
                                    np.stack([eta, grad_h] if hamiltonian else [eta], axis=2))
@@ -212,31 +224,33 @@ def _solve(sys: ContactHamiltonianSystem, points: Sequence[StatePoint],
                        "hamiltonian_field"))
     for vec, rhs, what in checks:
         residual = abs(stack @ vec[:, :, None] - rhs[..., None]).max(axis=(1, 2))
-        _require(residual <= SOLVE_TOL * (1.0 + abs(rhs).max(axis=-1)), residual,
-                 what + ": inconsistent linear system, residual {:.3e}")
+        prefix.require(residual <= SOLVE_TOL * (1.0 + abs(rhs).max(axis=-1)), residual,
+                       what + ": inconsistent linear system, residual {:.3e}")
     if hamiltonian:
         gap = abs((eta[:, None, :] @ result[:, :, None])[:, 0, 0] + h_val)
-        _require(~(gap > SOLVE_TOL * (1.0 + abs(h_val))), gap,
-                 "hamiltonian_field: energy pairing violated by {:.3e}")
-    return result
+        prefix.require(~(gap > SOLVE_TOL * (1.0 + abs(h_val))), gap,
+                       "hamiltonian_field: energy pairing violated by {:.3e}")
+    return result[:len(prefix.points)], prefix.error
 
 
-def hamiltonian_fields(sys: ContactHamiltonianSystem,
-                       points: Sequence[StatePoint]) -> list:
-    """Per point, X_H or the exception that :func:`hamiltonian_field` raises
-    there.  Each chunk of at most STACK_DOUBLES doubles is one stacked solve;
-    a chunk with an error is solved again one point at a time."""
+def hamiltonian_fields(sys: ContactHamiltonianSystem, points: list[StatePoint]) -> list:
+    """X_H at the points up to the first where :func:`hamiltonian_field`
+    raises, then that exception; no later point is solved.  Each chunk of at
+    most STACK_DOUBLES doubles is one stacked solve until an error that the
+    stack cannot place, after which the points are solved one at a time."""
     size = max(1, STACK_DOUBLES // ((2 * sys.n_dim + 2) * (2 * sys.n_dim + 1)))
     fields: list = []
-    for chunk in (points[k:k + size] for k in range(0, len(points), size)):
+    while len(fields) < len(points):
         try:
-            fields.extend(_solve(sys, chunk, hamiltonian=True))
-        except Exception:   # whatever it was, each point meets its own error alone
-            for p in chunk:
-                try:
-                    fields.append(hamiltonian_field(sys, p))
-                except Exception as exc:    # raised again when the point is reached
-                    fields.append(exc)
+            solved, error = _solve(sys, points[len(fields):len(fields) + size], True)
+        except Exception as exc:    # a tape's error or a singular flat map
+            if size == 1:
+                return fields + [exc]
+            size = 1
+            continue
+        fields.extend(solved)
+        if error is not None:
+            return fields + [error]
     return fields
 
 
@@ -245,22 +259,26 @@ def contact_condition(sys: ContactHamiltonianSystem, p: StatePoint
     """Numeric contact check at p: smallest/largest singular value ratio,
     which must exceed CONTACT_TOL; NaN, failing, where d(eta) or eta is not
     finite."""
-    try:
-        (ratio,) = _stacked_systems(sys, [p])[1]
-    except ContactConditionError:
-        return False, math.nan
-    return ratio > CONTACT_TOL, ratio
+    ratios = _stacked_systems(sys, _Prefix([p]))[1]
+    return (ratios[0] > CONTACT_TOL, ratios[0]) if len(ratios) else (False, math.nan)
+
+
+def _at(sys: ContactHamiltonianSystem, p: StatePoint, hamiltonian: bool) -> np.ndarray:
+    result, error = _solve(sys, [p], hamiltonian)
+    if error is not None:
+        raise error
+    return result[0]
 
 
 def reeb_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
     """Reeb vector at p: the unique R with i_R d(eta) = 0 and eta(R) = 1."""
-    return _solve(sys, [p], hamiltonian=False)[0]
+    return _at(sys, p, hamiltonian=False)
 
 
 def hamiltonian_field(sys: ContactHamiltonianSystem, p: StatePoint) -> np.ndarray:
     """Hamiltonian vector at p from the defining equations: i_X d(eta) =
     dH - (RH) eta and eta(X) = -H (see the module docstring)."""
-    return _solve(sys, [p], hamiltonian=True)[0]
+    return _at(sys, p, hamiltonian=True)
 
 
 def lie_derivative_form(alpha: CoordOneForm, X: CoordVectorField, p: StatePoint,

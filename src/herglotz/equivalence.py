@@ -122,12 +122,16 @@ def dynamical_equivalence_check(sys_a: ContactHamiltonianSystem,
                                 tol: Tolerances | None = None) -> CheckReport:
     """Check X_H = X_Hbar pointwise (equality of Hamiltonian vector fields).
 
-    Both fields over the whole sample come first, from stacked solves
-    (:func:`contact.hamiltonian_fields`).  A point's solver error, system a's
-    first, is raised when the walk reaches it: a ContactConditionError aborts
-    the check there, any other error propagates."""
+    Both fields come first, from stacked solves up to the first solver error
+    (:func:`contact.hamiltonian_fields`), b's only as far as a's reach.  That
+    error, a's first, is raised when the walk reaches its point: a
+    ContactConditionError aborts the check there, any other error propagates."""
     n = _chart_dimension(sys_a, sys_b)
     fields: list = []      # the zipped fields of the sample, from the precheck
+
+    def precheck(points):
+        field_a = hamiltonian_fields(sys_a, points)
+        fields.append(zip(field_a, hamiltonian_fields(sys_b, points[:len(field_a)])))
 
     def values(p):
         for x in (pair := next(fields[0])):
@@ -136,8 +140,7 @@ def dynamical_equivalence_check(sys_a: ContactHamiltonianSystem,
                     if isinstance(x, ContactConditionError) else x
         return {"field_mismatch": float(np.max(np.abs(pair[0] - pair[1])))}
     return run_check(n, values, plan, tol, residual_keys=("field_mismatch",),
-                     precheck=lambda points: fields.append(zip(
-                         *(hamiltonian_fields(s, points) for s in (sys_a, sys_b)))))
+                     precheck=precheck)
 
 
 def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,

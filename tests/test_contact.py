@@ -7,7 +7,7 @@ from sys import executable, modules
 import numpy as np
 import pytest
 
-from herglotz import contact
+from herglotz import contact, equivalence
 from herglotz.checks import CONTACT_TOL, SamplePlan, sample_states
 from herglotz.contact import (
     ContactConditionError, ContactHamiltonianSystem, CoordOneForm,
@@ -412,14 +412,31 @@ def test_stacked_fields_equal_the_one_point_path(rng):
     gate_systems = {id(sys): sys for sys, _ in gate_cases(rng)}
     errors = 0
     for sys in compiled_cases() + [ham, rescaled(ham)] + list(gate_systems.values()):
-        points = random_points(rng, sys.n_dim, 50)
-        for p, got in zip(points, hamiltonian_fields(sys, points), strict=True):
-            if isinstance(got, Exception):
-                errors += 1
-                assert (type(got), str(got)) == _outcome(lambda: hamiltonian_field(sys, p))
-            else:
-                np.testing.assert_array_equal(got, walk_reference(sys, p)[0])
+        rest = random_points(rng, sys.n_dim, 50)
+        while rest:     # the fields end at the first error; go on after it
+            got = hamiltonian_fields(sys, rest)
+            for p, x in zip(rest, got):
+                if isinstance(x, Exception):
+                    errors += 1
+                    assert x is got[-1]
+                    assert (type(x), str(x)) == _outcome(lambda: hamiltonian_field(sys, p))
+                else:
+                    np.testing.assert_array_equal(x, walk_reference(sys, p)[0])
+            rest = rest[len(got):]
     assert errors > 0
+
+
+def test_a_sample_failing_everywhere_keeps_one_error_per_system(monkeypatch):
+    sys = crossing_family(1e-11)
+    points = sample_states(SamplePlan(count=200, seed=2), 1)
+    (error,) = hamiltonian_fields(sys, points)
+    assert isinstance(error, ContactConditionError)
+    solved = []
+    fields = contact.hamiltonian_fields
+    monkeypatch.setattr(equivalence, "hamiltonian_fields",
+                        lambda s, pts: solved.append(len(pts)) or fields(s, pts))
+    report = dynamical_equivalence_check(sys, sys, SamplePlan(count=200, seed=2))
+    assert report.verdict == "error" and solved == [200, 1]
 
 
 def _marked_family(gate_at, pole_at):
@@ -464,7 +481,7 @@ def test_the_gate_failure_names_the_gate_and_its_ratio():
         hamiltonian_field(sys, first)
 
 
-def test_a_singular_flat_map_in_a_stack_fails_only_its_point(monkeypatch):
+def test_a_singular_flat_map_in_a_stack_ends_the_sample_at_its_point(monkeypatch):
     sys = darboux_system("0.5*v1^2 + sin(q1) + 0.2*z*q1")
     points = random_points(np.random.default_rng(4), 1, 6)
     expected = [hamiltonian_field(sys, p) for p in points]
@@ -478,10 +495,10 @@ def test_a_singular_flat_map_in_a_stack_fails_only_its_point(monkeypatch):
         return solve(a, b)
     monkeypatch.setattr(np.linalg, "solve", singular_at_mark)
     got = hamiltonian_fields(sys, points)
-    assert isinstance(got[2], ContactConditionError)
+    assert len(got) == 3 and isinstance(got[2], ContactConditionError)
     assert str(got[2]) == "flat map is singular: Singular matrix"
-    for k in (0, 1, 3, 4, 5):
-        np.testing.assert_array_equal(got[k], expected[k])
+    for k, x in [*enumerate(got[:2]), *enumerate(hamiltonian_fields(sys, points[3:]), 3)]:
+        np.testing.assert_array_equal(x, expected[k])
 
 
 # d(eta) or H overflows to -inf at (0.1, 0.2, 0.3) through the parameter big
@@ -512,7 +529,7 @@ def test_non_finite_contact_data_never_reaches_lapack(eta, h_text, message, monk
         with pytest.raises(ContactConditionError, match=message):
             solver(sys, p)
     # with big scaled by q1^2 the data still overflows at p, and is finite where
-    # q1 = 1e-100: in a 5-point sample p fails alone
+    # q1 = 1e-100: in a 5-point sample the fields end at p, and go on after it
     def scaled(e):
         return substitute(e, Param("big"), parse("big*q1*q1", 1))
     sys = ContactHamiltonianSystem(1, CoordOneForm(1, tuple(map(scaled, eta.components))),
@@ -520,10 +537,11 @@ def test_non_finite_contact_data_never_reaches_lapack(eta, h_text, message, monk
     sample = [pt(1e-100, v1, z1) for v1, z1 in ((0.5, -0.3), (-0.7, 0.2), (0.1, 0.9), (0.4, 0.4))]
     sample.insert(2, p)
     fields = hamiltonian_fields(sys, sample)
+    assert len(fields) == 3
     with pytest.raises(ContactConditionError, match=message):
         raise fields[2]
     assert all(isinstance(x, np.ndarray) and np.isfinite(x).all()
-               for k, x in enumerate(fields) if k != 2)
+               for x in fields[:2] + hamiltonian_fields(sys, sample[3:]))
 
 
 def test_non_finite_contact_data_fails_promptly_without_guards():
