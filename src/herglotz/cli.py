@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .checks import (
-    STAT_AMPLITUDE, STAT_PERTURBATIONS, STAT_TOL, CheckReport, PointRecord, SamplePlan,
-    Tolerances, error_report, residual_table, run_check,
+    STAT_AMPLITUDE, STAT_PERTURBATIONS, STAT_TOL, STEP_SLACK, CheckReport, PointRecord,
+    SamplePlan, Tolerances, error_report, residual_table, run_check,
 )
 from .contact import ContactHamiltonianSystem, CoordOneForm, darboux_form
 from .dynamics import (
@@ -86,6 +86,9 @@ MAX_N = 100
 # The largest count of a config plan, far above the 200 of a default plan: a
 # random plan draws count x (2n + 1) doubles in one generator call.
 MAX_COUNT = 10_000
+# The largest RK4 step count of a simulate or stationarity task, far above the
+# 10,000 of any fixture: a run appends every state to a growing buffer.
+MAX_STEPS = 1_000_000
 
 
 def _parse_expr(text, n: int, path: str) -> Expr:
@@ -276,6 +279,14 @@ def _number(value, name: str, path: str, kind=float, above=None):
     if above is not None and not out > above:
         raise ConfigError(f"{name} must be greater than {above}, got {value!r}", path)
     return out
+
+
+def _require_steps(t_end: float, dt: float, path: str) -> None:
+    """A ConfigError at ``path`` when integrate would take more than
+    MAX_STEPS steps, ceil(t_end / dt - STEP_SLACK), for this run."""
+    if t_end / dt - STEP_SLACK > MAX_STEPS:
+        raise ConfigError(f"t / dt gives more than {MAX_STEPS} steps "
+                          f"(t = {t_end!r}, dt = {dt!r})", path)
 
 
 def _require_consistent_n(n: int, **named_exprs) -> None:
@@ -555,6 +566,7 @@ def _task_simulate(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     p0 = _initial_state(args, n)
     t_end = _run_arg(args, "t", 1.0, above=0.0)
     dt = _run_arg(args, "dt", 1e-3, above=0.0)
+    _require_steps(t_end, dt, "args.dt")
     traj = integrate(field_obj, p0, t_end, dt, params)
     csv_path = Path(f"{out_stem}.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -592,6 +604,7 @@ def _task_stationarity(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     perturbations = _run_arg(args, "perturbations", STAT_PERTURBATIONS, int, above=0)
     amplitude = _run_arg(args, "amplitude", STAT_AMPLITUDE, above=0.0)
     stat_tol = _run_arg(args, "stat_tol", STAT_TOL)
+    _require_steps(1.0, 1.0 / (grid - 1), "args.grid")
     field_obj = herglotz_field(sys_l)
     traj = integrate(field_obj, p0, 1.0, 1.0 / (grid - 1), sys_l.params)
     curve = trajectory_to_curve(traj)

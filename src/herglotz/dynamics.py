@@ -2,28 +2,33 @@
 
 Integration is classical fixed-step RK4 throughout (adaptive stepping is
 deliberately avoided so that reports and convergence studies are exactly
-reproducible).  Integral curves and the action each render one step as
-straight-line Python around the rate program, on Python floats in a fixed
-operation order.  The action of a curve is obtained by integrating the
-state equation zdot = L(q, v, z) along the curve with linear interpolation
-of (q, v) inside each step; stationarity of the action functional is
-probed with central differences along a fixed sine-bump basis that
-vanishes at the endpoints.
+reproducible).  Integral curves and the action each render one function
+that holds the whole run: the state in locals, the rendered rate statements
+in a four-pass stage loop, Python floats in a fixed operation order, and
+each state appended to a flat buffer that numpy views without a copy.  A
+float error ends the loop at step k, and the loop around the tape of the
+same lowering replays step k to raise its DomainError.  The action of a
+curve is obtained by integrating the state equation zdot = L(q, v, z)
+along the curve with linear interpolation of (q, v) inside each step;
+stationarity of the action functional is probed with central differences
+along a fixed sine-bump basis that vanishes at the endpoints.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .checks import (CURVE_SPAN_TOL, STAT_AMPLITUDE, STAT_PERTURBATIONS, STAT_TOL,
                      STEP_SLACK, TRAJECTORY_SPAN_TOL, CheckReport, Tolerances,
-                     verdict_for)
+                     error_report, max_abs, verdict_for)
 from .contact import CoordVectorField
-from .expr import Expr, ParamSet, StatePoint, compile_components
+from .expr import Expr, ParamSet, StatePoint, render
 
 __all__ = [
     "Trajectory", "SampledCurve", "IntegrationError",
@@ -33,6 +38,9 @@ __all__ = [
 
 FieldLike = Union[CoordVectorField, Callable[[StatePoint], np.ndarray]]
 _Rate = Callable[[list[float]], Sequence[float]]   # y -> ydot
+# Rows of a trajectory CSV formatted by one ``%``: the text of a block is
+# held at once, so memory stays bounded however long the trajectory.
+CSV_BLOCK = 512
 
 
 class IntegrationError(RuntimeError):
@@ -55,7 +63,7 @@ class Trajectory:
     def __post_init__(self):
         if not (len(self.times) == len(self.q) == len(self.v) == len(self.z)):
             raise ValueError("trajectory arrays must have uniform length")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
 
     @property
@@ -85,7 +93,7 @@ class SampledCurve:
         qa = np.atleast_2d(np.asarray(self.q, dtype=float))
         if qa.shape[0] != len(times):
             raise ValueError("q must have one row per sample time")
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
         if not (math.isclose(times[0], 0.0, abs_tol=CURVE_SPAN_TOL)
                 and math.isclose(times[-1], 1.0, abs_tol=CURVE_SPAN_TOL)):
@@ -113,34 +121,77 @@ class SampledCurve:
         return out
 
 
-def _rk4_program(rate: _Rate, m: int, along_curve: bool = False) -> Callable[..., list[float]]:
-    """One classical RK4 step of m floats as straight-line Python around
-    ``rate``: ``step(y, h)``, or ``step(r0, r1, y, h)``, whose stages feed
-    rate a curve row and then y: r0 at the step start, the midpoint
-    0.5 * (r0 + r1) at the middle stages and r1 at the end."""
-    ys = "".join(f"y{i}, " for i in range(m))
-    stages = [ys] + ["".join(f"y{i} + {c}h * k{j}_{i}, " for i in range(m))
-                     for j, c in ((1, "0.5 * "), (2, "0.5 * "), (3, ""))]
-    rows = ("r0 + ", "rm + ", "rm + ", "r1 + ") if along_curve else ("",) * 4
-    lines = [f"def step({'r0, r1, ' * along_curve}y, h):", f"    {ys}= y"] \
-        + ["    rm = [0.5 * (a + b) for a, b in zip(r0, r1)]"] * along_curve
-    for j, (row, stage) in enumerate(zip(rows, stages), 1):
-        lines.append(f"    {''.join(f'k{j}_{i}, ' for i in range(m))}= rate({row}[{stage}])")
-    update = "".join(f"y{i} + (h / 6.0) * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i}), "
-                     for i in range(m))
-    lines.append(f"    return [{update}]")
-    env = {"rate": rate}
-    exec(compile("\n".join(lines), "<rk4 step>", "exec"), env)  # noqa: S102
-    return env["step"]
+def _names(fmt: str, count: int, start: int = 0) -> str:
+    """``fmt.format(i=i)`` for i = start.., as a target or value list "a, b, "."""
+    return "".join(fmt.format(i=i) + ", " for i in range(start, start + count))
 
 
-def _field_rate(field: FieldLike, n: int, params: ParamSet | None) -> _Rate:
-    """The rate a step program calls: the compiled components, which raise
-    a DomainError naming the failing subtree, or the callable field on a
-    StatePoint."""
-    if isinstance(field, CoordVectorField):
-        return compile_components(field.components, n, params)
-    return lambda y: np.asarray(field(StatePoint.from_coords(y, n))).tolist()
+def _rk4_loop(body: list[str], results: list[str], env: dict, m: int, w: int = 0
+              ) -> Callable[..., None]:
+    """Render a whole classical RK4 run as ``loop(y, hs, rows, out, j=0)``:
+    from the state y of m floats, one step of size h for each h in hs[j:],
+    each new state appended to ``out``.  The state lives in locals, and the
+    statements ``body`` set the rate ``results`` from the stage inputs x0..
+    in a four-pass stage loop.  With w > 0 the inputs start with a curve row
+    of w floats: rows[j] at the step start, the midpoint 0.5 * (a + b) with
+    the next row at the middle stages, and the next row at the end."""
+    def ys(tail: str = "") -> str:   # y_i and a tail for each i
+        return _names("y{i}" + tail, m)
+
+    rate, row, state = "".join(f"{r}, " for r in results), _names("x{i}", w), _names("x{i}", m, w)
+    a, b = _names("a{i}", w), _names("b{i}", w)
+    steps = (f"    {a}= rows[j]\n    for h, ({b}) in zip(islice(hs, j, None), "
+             "islice(rows, j + 1, None)):") if w else "    for h in islice(hs, j, None):"
+    rates = "".join(f"            {line}\n" for line in body)
+    # after stage s: k_s, then the inputs of stage s + 1
+    source = f"""def loop(y, hs, rows, out, j=0):
+    {ys()}= y
+    put = out.extend
+{steps}
+        {row}{state}= {a}{ys()}
+        for s in (1, 2, 3, 4):
+{rates}            if s == 1:
+                {_names('k1_{i}', m)}= {rate}
+                {row}{state}= {_names('0.5 * (a{i} + b{i})', w)}{ys(' + 0.5 * h * k1_{i}')}
+            elif s == 2:
+                {_names('k2_{i}', m)}= {rate}
+                {state}= {ys(' + 0.5 * h * k2_{i}')}
+            elif s == 3:
+                {_names('k3_{i}', m)}= {rate}
+                {row}{state}= {b}{ys(' + h * k3_{i}')}
+            else:
+                {_names('k4_{i}', m)}= {rate}
+        {ys()}= {ys(' + (h / 6.0) * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})')}
+        put(({ys()}))
+        {f"{a}= {b}" if w else ""}
+"""
+    env = {**env, "islice": islice}
+    exec(compile(source, "<rk4 loop>", "exec"), env)  # noqa: S102
+    return env["loop"]
+
+
+def _rate_loop(rate: _Rate, m: int, w: int = 0) -> Callable[..., None]:
+    """The RK4 loop whose body calls ``rate`` on the list of stage inputs."""
+    call = f"{_names('r{i}', m)}= rate([{_names('x{i}', w + m)}])"
+    return _rk4_loop([call], [f"r{i}" for i in range(m)], {"rate": rate}, m, w)
+
+
+def _compiled_loop(exprs: Sequence[Expr], n: int, params: ParamSet | None, m: int,
+                   w: int = 0) -> Callable[..., None]:
+    """The RK4 loop around the rendered rate ``exprs`` of the 2n + 1 stage
+    inputs.  A float error ends it at step j; the loop around the tape of the
+    same lowering replays step j and raises the DomainError."""
+    body, results, env = render(exprs, n, params, [f"x{i}" for i in range(2 * n + 1)])
+    loop = _rk4_loop(body, results, env, m, w)
+
+    def run(y, hs, rows, out) -> None:
+        try:
+            return loop(y, hs, rows, out)
+        except env["FLOAT_ERRORS"]:
+            pass   # replayed outside the handler: the DomainError chains no loop error
+        _rate_loop(env["tape"], m, w)(out[-m:], hs, rows, out, len(out) // m - 1)
+
+    return run
 
 
 def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
@@ -153,27 +204,25 @@ def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
-    n = p0.n
-    step = _rk4_program(_field_rate(field, n, params), 2 * n + 1)
+    n, d = p0.n, 2 * p0.n + 1
+    run = _compiled_loop(field.components, n, params, d) if isinstance(field, CoordVectorField) \
+        else _rate_loop(lambda y: np.asarray(field(StatePoint.from_coords(y, n))).tolist(), d)
     steps = max(1, math.ceil(t_end / dt - STEP_SLACK))
-    times = np.empty(steps + 1)
-    states = np.empty((steps + 1, 2 * n + 1))
-    y = list(p0._flat)
-    times[0], states[0] = 0.0, y
-    for k in range(1, steps + 1):
-        t, h = (k * dt, dt) if k < steps else (t_end, t_end - (steps - 1) * dt)
-        try:
-            y = step(y, h)
-        except Exception as exc:
-            partial = _make_trajectory(times[:k], states[:k], n)
-            raise IntegrationError(f"field evaluation failed at t = {t}: {exc}",
-                                   partial) from exc
-        times[k], states[k] = t, y
+    times = np.append(np.arange(steps) * dt, t_end)   # t_k = k * dt, then t_end
+    states = array("d", p0._flat)
+    try:
+        run(p0._flat, [dt] * (steps - 1) + [t_end - (steps - 1) * dt], None, states)
+    except Exception as exc:
+        k = len(states) // d
+        partial = _make_trajectory(times[:k], states, n)
+        raise IntegrationError(f"field evaluation failed at t = {float(times[k])}: {exc}",
+                               partial) from exc
     return _make_trajectory(times, states, n)
 
 
-def _make_trajectory(times: np.ndarray, states: np.ndarray, n: int) -> Trajectory:
-    return Trajectory(times, states[:, :n], states[:, n:2 * n], states[:, 2 * n])
+def _make_trajectory(times: np.ndarray, states: array, n: int) -> Trajectory:
+    flat = np.frombuffer(states).reshape(len(times), 2 * n + 1)
+    return Trajectory(times, flat[:, :n], flat[:, n:2 * n], flat[:, 2 * n])
 
 
 def z_operator(L: Expr, curve: SampledCurve, z0: float,
@@ -184,21 +233,15 @@ def z_operator(L: Expr, curve: SampledCurve, z0: float,
     at the half steps.  Passing a zeta-chart Lagrangian makes the returned
     sequence the action coordinate along the lifted curve instead of z.
     """
-    rate = compile_components([L], curve.n, params)
-    return _z_steps(_rk4_program(rate, 1, True), curve, z0)
+    return _z_steps(_compiled_loop([L], curve.n, params, 1, 2 * curve.n), curve, z0)
 
 
-def _z_steps(step, curve: SampledCurve, z0: float) -> np.ndarray:
-    """z_operator with its step already rendered around compiled L."""
-    t = curve.times.tolist()
+def _z_steps(run, curve: SampledCurve, z0: float) -> np.ndarray:
+    """z_operator with its loop already rendered around L."""
     rows = np.hstack([curve.q, curve.velocities()]).tolist()   # (q, v) per sample
-    out = np.empty(len(t))
-    out[0] = z0
-    y = [float(z0)]
-    for k in range(len(t) - 1):
-        y = step(rows[k], rows[k + 1], y, t[k + 1] - t[k])
-        out[k + 1] = y[0]
-    return out
+    out = array("d", [z0])
+    run(out[:1], np.diff(curve.times).tolist(), rows, out)
+    return np.frombuffer(out)
 
 
 def action(L: Expr, curve: SampledCurve, z0: float,
@@ -217,23 +260,25 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
     sin(j pi t), j = 1..n_perturbations, applied per configuration
     coordinate with analytic velocity perturbations.  The verdict is a pass
     when max |D_j| <= stat_tol (1 + |action|), a fail above ten times that
-    bound, and inconclusive in between.  At least one perturbation is
+    bound, and inconclusive in between.  A non-finite action or D_j makes
+    an error report naming it, never a pass.  At least one perturbation is
     required: a verdict needs a probed direction.
     """
     if n_perturbations < 1:
         raise ValueError(f"n_perturbations must be at least 1, got {n_perturbations!r}")
-    step = _rk4_program(compile_components([L], curve.n, params), 1, True)
+    run = _compiled_loop([L], curve.n, params, 1, 2 * curve.n)
 
-    def action_of(c: SampledCurve) -> float:   # action() with L compiled once
-        return float(_z_steps(step, c, z0)[-1] - z0)
+    def action_of(c: SampledCurve) -> float:   # action() with L rendered once
+        return float(_z_steps(run, c, z0)[-1] - z0)
 
     base_v = curve.velocities()
     base = SampledCurve(curve.times, curve.q, base_v)
     a0 = action_of(base)
+    if not math.isfinite(a0):
+        return error_report(f"non-finite action = {a0!r}", Tolerances())
     bound = stat_tol * (1.0 + abs(a0))
     t = curve.times
     derivatives: dict[str, float] = {}
-    max_d = 0.0
     for j in range(1, n_perturbations + 1):
         bump = np.sin(j * math.pi * t)
         bump_rate = j * math.pi * np.cos(j * math.pi * t)
@@ -246,10 +291,16 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
             minus = SampledCurve(t, curve.q - amplitude * dq, base_v - amplitude * dv)
             d = (action_of(plus) - action_of(minus)) / (2.0 * amplitude)
             derivatives[f"D[j={j},q{c + 1}]"] = d
-            max_d = max(max_d, abs(d))
     tol = Tolerances(pass_tol=bound, fail_tol=10.0 * bound)
     diagnostics = [f"action = {a0!r}", f"stationarity bound = {bound!r}"]
     diagnostics += [f"{name} = {value!r}" for name, value in derivatives.items()]
+    max_d = max_abs(derivatives.values())
+    if not math.isfinite(max_d):
+        name = next(name for name, d in derivatives.items() if not math.isfinite(d))
+        report = error_report(f"non-finite directional derivative {name} = "
+                              f"{derivatives[name]!r}", tol)
+        report.diagnostics += diagnostics
+        return report
     return CheckReport(verdict=verdict_for(max_d, tol), max_residual=max_d,
                        diagnostics=diagnostics, tolerances=tol)
 
@@ -275,5 +326,6 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in table:   # row by row: a whole-table tolist() raises peak memory
-            fh.write(line % tuple(row.tolist()))
+        for start in range(0, len(table), CSV_BLOCK):   # bounded text per write
+            block = table[start:start + CSV_BLOCK]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))

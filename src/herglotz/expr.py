@@ -7,10 +7,11 @@ The module provides parsing, canonical printing, exact symbolic
 differentiation, substitution, evaluation and first/second derivative jets.
 Evaluation lowers an expression tuple once to one instruction per distinct
 node; a :func:`tape` runs that list at each point (checks hold the tapes of
-their residuals, systems hold theirs) and :func:`compile_components` renders
-it as Python for runs of thousands of steps.  Only light simplification is
-performed on construction (constant folding, 0/1 elimination with -0.0 as 0);
-there is no attempt at canonical forms, and constants are finite.
+their residuals, systems hold theirs) and :func:`render` writes it as Python
+statements for runs of thousands of steps (RK4 loops and
+:func:`compile_components`).  Only light simplification is performed on
+construction (constant folding, 0/1 elimination with -0.0 as 0); there is
+no attempt at canonical forms, and constants are finite.
 
 Nodes are immutable, slotted and hash-consed (Filliatre & Conchon, 2006): a
 weak table keyed by class, payload and children makes equal trees one object,
@@ -60,7 +61,7 @@ __all__ = [
     "ExprError", "ParseError", "EvalError", "UnboundParameterError", "DomainError",
     "parse", "unparse", "differentiate", "substitute", "depends_on",
     "evaluate", "evaluate_all", "evaluate_many", "eval_jet2", "gradient", "hessian",
-    "tape", "compile_components",
+    "tape", "render", "compile_components",
     "coords", "coord", "q", "v", "z", "param", "const",
     "add", "sub", "mul", "div", "neg", "intpow",
     "sin", "cos", "exp", "log", "sqrt", "tanh",
@@ -761,9 +762,9 @@ def merge_params(*param_sets: ParamSet) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # Evaluation: one lowering, two backends.  ``_lower`` turns an expression
 # tuple into one instruction per distinct compound node object, in post-order.
-# ``tape`` runs the list over a copied register file; ``compile_components``
-# renders it as straight-line Python.  Both compute in Python floats, and a
-# float exception in either becomes, on the tape, a DomainError naming the node.
+# ``tape`` runs the list over a copied register file; ``render`` writes it as
+# straight-line Python.  Both compute in Python floats, and a float
+# exception in either becomes, on the tape, a DomainError naming the node.
 
 
 # (exception type, node kind) -> what went wrong.  The kind of a Call is its
@@ -892,27 +893,24 @@ def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> floa
     return evaluate_all((e,), point, params)[0]
 
 
-def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
-                       ) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """A :func:`tape` rendered as straight-line Python, one statement per
-    instruction and used leaf.  A run is 3-4.5 times faster than a tape's, but
-    a build costs 15-22 times a lowering and pays back only after 110-140
-    runs: it is for callers that run it thousands of times (RK4 fields,
-    action integrals), not for sampled checks.
-
-    A float exception makes the program rerun the point on the tape of the
-    same lowering, parameters as frozen at compile time, which fails at the
-    same instruction and raises its DomainError."""
+def render(exprs: Sequence[Expr], n: int, params: ParamSet | None,
+           coords: Sequence[str]) -> tuple[list[str], list[str], dict]:
+    """A lowering as straight-line Python statements, one per instruction and
+    used leaf; the names holding the values of ``exprs``; and the namespace
+    to run them in, which binds ``FLOAT_ERRORS``, what a statement may raise,
+    and ``tape``, the same lowering's runner.  ``coords`` are the texts of the
+    2n + 1 coordinates; a plain name is used as is."""
     code, regs, results = _lower(exprs, n, params)
     d = 2 * n + 1
     lines: list[str] = []
-    names: dict[int, str] = {}
+    names: dict[int, str] = {reg: text for reg, text in enumerate(coords)
+                             if text.isidentifier()}
 
     def name(reg: int, text: str | None = None) -> str:
         if reg not in names:   # an instruction names its output; a leaf, its first use
-            text = text or (f"float(y[{reg}])" if reg < d else repr(regs[reg - d]))
+            text = text or (coords[reg] if reg < d else repr(regs[reg - d]))
             names[reg] = f"t{len(lines)}"
-            lines.append(f"        {names[reg]} = {text}\n")
+            lines.append(f"{names[reg]} = {text}")
         return names[reg]
 
     for _, a, b, out in code:
@@ -924,11 +922,26 @@ def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = 
         else:
             text = f"{name(a)} ** {node.exponent}"
         name(out, text)
-    returned = "".join(f"{name(reg)}, " for reg in results)
-    source = (f"def program(y):\n    try:\n{''.join(lines)}        return ({returned})\n"
-              "    except FLOAT_ERRORS:\n        return tape(y)\n")
     env = {"inf": math.inf, "nan": math.nan, "FLOAT_ERRORS": _FLOAT_ERRORS,
            "tape": _run(code, regs, results, d), **{fn: _APPLY[fn] for fn in FUNCTIONS}}
+    return lines, [name(reg) for reg in results], env
+
+
+def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
+                       ) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """A :func:`tape` :func:`render`ed as one function.  A run is 3-4.5 times
+    faster than a tape's, but a build costs 15-22 times a lowering and pays
+    back only after 110-140 runs: it is for callers that run it thousands of
+    times, not for sampled checks (RK4 renders the statements into its loop).
+
+    A float exception makes the program rerun the point on the tape of the
+    same lowering, parameters as frozen at compile time, which fails at the
+    same instruction and raises its DomainError."""
+    lines, names, env = render(exprs, n, params, [f"float(y[{i}])" for i in range(2 * n + 1)])
+    body = "".join(f"        {line}\n" for line in lines)
+    returned = "".join(f"{name}, " for name in names)
+    source = (f"def program(y):\n    try:\n{body}        return ({returned})\n"
+              "    except FLOAT_ERRORS:\n        return tape(y)\n")
     exec(compile(source, "<compiled expressions>", "exec"), env)  # noqa: S102
     return env["program"]
 

@@ -494,6 +494,31 @@ def test_count_past_the_bound_is_config_error_at_its_path(tmp_path, capsys):
     assert cli.load_config(str(cfg)).plans["huge"].count == cli.MAX_COUNT
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["simulate", "--system", "parachute", "--initial", "0,2,0", "--t", "1e18", "--dt", "1"],
+     "args.dt"),
+    (["simulate", "--system", "parachute", "--initial", "0,2,0", "--t", "1e300",
+      "--dt", "1e-300"], "args.dt"),
+    (["stationarity", "--lagrangian", "parachute", "--grid", "1000002"], "args.grid"),
+])
+def test_steps_past_the_bound_are_config_error_at_their_path(argv, path, tmp_path, capsys,
+                                                              monkeypatch):
+    """A run of more than MAX_STEPS RK4 steps is refused before anything
+    integrates; exactly MAX_STEPS steps get past the check."""
+    def refuse(*args):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr(cli, "integrate", refuse)
+    code, data = run_cli(argv, tmp_path)
+    assert code == 3 and data is None
+    err = capsys.readouterr().err
+    assert f"more than {cli.MAX_STEPS} steps" in err and f"config path: {path}" in err
+    at_bound = {"args.dt": ["--t", "1000000", "--dt", "1"], "args.grid": ["--grid", "1000001"]}
+    code, data = run_cli(argv[:3] + ["--initial", "0,2,0"] * (path == "args.dt")
+                         + at_bound[path], tmp_path)
+    assert code == 2 and data["diagnostics"] == ["AssertionError: integrate called"]
+
+
 @pytest.mark.parametrize("L", [
     "-" * 3000 + "0.5*v1^2 - q1^2",
     "0.5*v1^2" + "".join(f" + {0.001 * (k % 7 + 1)!r}*q1^{k % 4 + 1}*v1^{k % 2}*z^{k % 3}"

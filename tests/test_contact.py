@@ -288,9 +288,9 @@ def test_contact_data_compiles_once_per_system(monkeypatch, rng):
     tape = contact.tape
     monkeypatch.setattr(contact, "tape", lambda *args: lowered.append(args) or tape(*args))
     for module in [m for name, m in modules.items() if name.startswith("herglotz")]:
-        if hasattr(module, "compile_components"):
-            monkeypatch.setattr(module, "compile_components",
-                                lambda *args: compiled.append(args))
+        for renderer in ("compile_components", "render", "_rk4_loop"):
+            if hasattr(module, renderer):
+                monkeypatch.setattr(module, renderer, lambda *args: compiled.append(args))
     ham = as_hamiltonian(dense_lagrangian(2))
     for p in random_points(rng, 2, 50):
         hamiltonian_field(ham, p)

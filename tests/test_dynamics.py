@@ -234,6 +234,30 @@ def test_trajectory_csv_bytes_are_per_scalar_17g(tmp_path):
         assert path.read_bytes() == expected.encode("ascii")
 
 
+def rowwise_csv(traj, path):
+    """The row-by-row writer the block writer replaced, as its reference."""
+    n = traj.n
+    header = ["t"] + [f"q{i}" for i in range(1, n + 1)] \
+        + [f"v{i}" for i in range(1, n + 1)] + ["z"]
+    table = np.column_stack([traj.times, traj.q, traj.v, traj.z])
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in table:
+            fh.write(line % tuple(row.tolist()))
+
+
+@pytest.mark.parametrize("rows", [1, dynamics.CSV_BLOCK, 2 * dynamics.CSV_BLOCK + 77])
+def test_trajectory_csv_blocks_match_the_row_writer(tmp_path, rng, rows):
+    values = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-300, 300, (rows, 5))
+    values[::7, 1] = np.resize([math.inf, -math.inf, math.nan, -0.0, 5e-324],
+                               len(values[::7]))
+    odd = Trajectory(np.arange(rows) / 3.0, values[:, :2], values[:, 2:4], values[:, 4])
+    trajectory_to_csv(odd, tmp_path / "blocks.csv")
+    rowwise_csv(odd, tmp_path / "rows.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_trajectory_csv_bytes_hold_infinities_and_nans(tmp_path):
     inf, nan = math.inf, math.nan
     odd = Trajectory(np.array([0.0, 0.5, 1.0, 2.0]),
@@ -288,6 +312,93 @@ def test_integrate_callable_with_too_few_components_fails():
     with pytest.raises(IntegrationError, match=r"^field evaluation failed at t = 0\.1: ") as err:
         integrate(lambda p: np.array([p.v[0], 1.0]), pt(1.0, 0.5, 0.0), 1.0, 0.1)
     assert err.value.partial.times.tolist() == [0.0]
+
+
+def test_integrate_matches_numpy_rk4_on_a_large_body():
+    # the dense family at n = 5 renders a rate body of about 800 statements
+    dense = dense_lagrangian(5)
+    field = herglotz_field(dense)
+    p0 = pt([0.1, -0.2, 0.3, 0.0, 0.2], [0.5, 0.0, -0.4, 0.1, 0.3], 0.2)
+    traj = integrate(field, p0, 0.2, 0.01, dense.params)
+    times, states = reference_integrate(field, p0, 0.2, 0.01, dense.params)
+    assert len(times) == 21
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(np.column_stack([traj.q, traj.v, traj.z]), states)
+
+
+def reference_failure(field, p0, t_end, dt):
+    """reference_integrate up to its first DomainError: the times and states
+    before it, the time its step would end at, the failing stage and the error."""
+    fn = compile_components(field.components, p0.n)
+    steps = max(1, math.ceil(t_end / dt - 1e-9))
+    times, states, y = [0.0], [p0.coords()], p0.coords()
+    for k in range(1, steps + 1):
+        t, h = (k * dt, dt) if k < steps else (t_end, t_end - (steps - 1) * dt)
+        ks = []
+        try:
+            for c in (0.0, 0.5, 0.5, 1.0):
+                ks.append(np.asarray(fn(y + c * h * ks[-1] if ks else y)))
+        except DomainError as exc:
+            return np.asarray(times), np.asarray(states), t, len(ks) + 1, exc
+        k1, k2, k3, k4 = ks
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        times.append(t)
+        states.append(y)
+    raise AssertionError("the reference integrates without failing")
+
+
+@pytest.mark.parametrize("q0, stage", [(0.5, 2), (0.551, 3), (0.5525, 4)])
+def test_integrate_failure_at_a_late_stage_matches_the_reference(q0, stage):
+    """q1 falls through zero in step 25, where log(q1) first fails at the
+    given stage; the run ends with the reference's error and prefix."""
+    field = CoordVectorField(1, (parse("v1", 1), Const(-1.0), log(q(1))))
+    p0 = pt(q0, 1.0, 0.0)
+    times, states, t, failing, cause = reference_failure(field, p0, 5.0, 0.1)
+    assert (len(times), failing) == (25, stage)
+    with pytest.raises(IntegrationError) as err:
+        integrate(field, p0, 5.0, 0.1)
+    assert str(err.value) == (f"field evaluation failed at t = {t}: {cause} "
+                              f"(last good t = {float(times[-1])!r})")
+    assert type(err.value.__cause__) is DomainError
+    assert str(err.value.__cause__) == str(cause) == "log of non-positive value in log(q1)"
+    partial = err.value.partial
+    assert np.array_equal(partial.times, times)
+    assert np.array_equal(np.column_stack([partial.q, partial.v, partial.z]), states)
+
+
+def reference_z_failure(L, curve, z0):
+    """reference_z_operator up to its first DomainError: the failing step
+    (1-based), its stage and the error."""
+    fn = compile_components([L], curve.n)
+    rows = np.hstack([curve.q, curve.velocities()])
+    t, zc = curve.times, float(z0)
+    for k in range(len(t) - 1):
+        h, mid = t[k + 1] - t[k], 0.5 * (rows[k] + rows[k + 1])
+        ks = []
+        try:
+            for c, row in zip((0.0, 0.5, 0.5, 1.0), (rows[k], mid, mid, rows[k + 1])):
+                ks.append(fn((*row, zc + c * h * ks[-1] if ks else zc))[0])
+        except DomainError as exc:
+            return k + 1, len(ks) + 1, exc
+        zc += (h / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
+    raise AssertionError("the reference integrates without failing")
+
+
+@pytest.mark.parametrize("z0, stage", [(0.3245, 2), (0.3365, 3), (0.341, 4)])
+def test_z_operator_failure_at_a_late_stage_matches_the_reference(z0, stage):
+    """z falls through zero in step 8 of 40, where log(z) first fails at the
+    given stage; z_operator and the stationarity probe raise its error."""
+    t = np.linspace(0.0, 1.0, 41)
+    curve = SampledCurve(t, np.column_stack([t * t]))
+    L = parse("log(z) - v1^2", 1)
+    step, failing, cause = reference_z_failure(L, curve, z0)
+    assert (step, failing) == (8, stage)
+    assert str(cause) == "log of non-positive value in log(z)"
+    with pytest.raises(DomainError, match=rf"^{re.escape(str(cause))}$") as err:
+        z_operator(L, curve, z0)
+    assert err.value.__cause__ is None and err.value.__suppress_context__
+    with pytest.raises(DomainError, match=rf"^{re.escape(str(cause))}$"):
+        stationarity_test(L, curve, z0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +507,15 @@ def test_parachute_solution_is_stationary_and_random_curve_is_not():
 
 
 def test_stationarity_compiles_the_lagrangian_once(monkeypatch):
+    # one RK4 loop is rendered around L and serves every probe curve
     para = REG["parachute"]()
     traj = integrate(herglotz_field(para), pt(0.0, 2.0, 0.0), 1.0, 1.0 / 99, para.params)
     curve, z0, amp = trajectory_to_curve(traj), 0.3, 1e-4
-    compiled = []
-    monkeypatch.setattr(dynamics, "compile_components", lambda *args: compiled.append(
-        args) or compile_components(*args))
+    rendered, loop = [], dynamics._rk4_loop
+    monkeypatch.setattr(dynamics, "_rk4_loop", lambda *args: rendered.append(
+        args) or loop(*args))
     report = stationarity_test(para.L, curve, z0, 8, amp, 1e-3, para.params)
-    assert len(compiled) == 1
+    assert len(rendered) == 1
     monkeypatch.undo()
     # the report is the one action() per probe curve gives
     t, base_v = curve.times, curve.velocities()
@@ -424,6 +536,30 @@ def test_damped_solution_is_stationary():
     report = stationarity_test(drag.L, trajectory_to_curve(traj), 0.0,
                                8, 1e-4, 1e-3, drag.params)
     assert report.passed
+
+
+NAN_PARAMS = {"k": 0.0, "M": 1.7976931348623157e308}
+
+
+def test_stationarity_with_nan_derivatives_is_an_error():
+    """k*(M*q1) is 0 on the curve, whose |q1| <= 1, but 0*inf = NaN on the
+    odd bumps that push q1 past 1: those D_j are NaN, which is no pass."""
+    L = parse("0.5*v1^2 - 0.5*(3.141592653589793^2)*q1^2 + k*(M*q1)", 1)
+    t = np.linspace(0.0, 1.0, 1001)
+    report = stationarity_test(L, SampledCurve(t, np.sin(np.pi * t)[:, None]), 0.0,
+                               params=NAN_PARAMS)
+    assert report.verdict == "error" and math.isnan(report.max_residual)
+    assert report.diagnostics[0] == "non-finite directional derivative D[j=1,q1] = nan"
+    assert "D[j=1,q1] = nan" in report.diagnostics and "D[j=3,q1] = nan" in report.diagnostics
+
+
+def test_stationarity_with_a_nan_action_is_an_error():
+    L = parse("0.5*v1^2 + k*(M*q1)", 1)
+    t = np.linspace(0.0, 1.0, 101)
+    report = stationarity_test(L, SampledCurve(t, 2.0 * np.sin(np.pi * t)[:, None]), 0.0,
+                               params=NAN_PARAMS)
+    assert report.verdict == "error" and math.isnan(report.max_residual)
+    assert report.diagnostics == ["non-finite action = nan"]
 
 
 # ---------------------------------------------------------------------------
@@ -451,3 +587,11 @@ def test_curve_validation():
     with pytest.raises(ValueError, match="increasing"):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)), np.zeros((2, 1)),
                    np.zeros(2))
+
+
+def test_a_nan_time_is_not_increasing():
+    with pytest.raises(ValueError, match="increasing"):
+        SampledCurve([0.0, math.nan, 1.0], np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="increasing"):
+        Trajectory(np.array([0.0, math.nan, 1.0]), np.zeros((3, 1)), np.zeros((3, 1)),
+                   np.zeros(3))
