@@ -526,6 +526,7 @@ def _task_herglotz(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
                      "Lagrangian system")
     if args.get("zeta"):
         zeta = _resolve(cfg, args["zeta"], (ActionFunction,), "action function")
+        _require_consistent_n(sys_l.n_dim, zeta=zeta.zeta)
         field_obj = zeta_herglotz_field(
             ExtendedLagrangianSystem(sys_l.n_dim, sys_l.L, zeta, sys_l.params))
     else:
@@ -541,6 +542,7 @@ def _task_legendre(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
                      "Lagrangian system")
     zeta = _resolve(cfg, args.get("zeta", "zeta_identity"), (ActionFunction,),
                     "action function")
+    _require_consistent_n(sys_l.n_dim, zeta=zeta.zeta)
     ext = ExtendedLagrangianSystem(sys_l.n_dim, sys_l.L, zeta, sys_l.params)
     report = run_check(
         sys_l.n_dim,
@@ -603,7 +605,7 @@ def _task_stationarity(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     grid = _run_arg(args, "grid", 200, int, above=1)
     perturbations = _run_arg(args, "perturbations", STAT_PERTURBATIONS, int, above=0)
     amplitude = _run_arg(args, "amplitude", STAT_AMPLITUDE, above=0.0)
-    stat_tol = _run_arg(args, "stat_tol", STAT_TOL)
+    stat_tol = _run_arg(args, "stat_tol", STAT_TOL, above=0.0)
     _require_steps(1.0, 1.0 / (grid - 1), "args.grid")
     field_obj = herglotz_field(sys_l)
     traj = integrate(field_obj, p0, 1.0, 1.0 / (grid - 1), sys_l.params)

@@ -6,9 +6,9 @@ reproducible).  Integral curves and the action each render one function
 that holds the whole run: the state in locals, the rendered rate statements
 in a four-pass stage loop, Python floats in a fixed operation order, and
 each state appended to a flat buffer that numpy views without a copy.  A
-float error ends the loop at step k, and the loop around the tape of the
-same lowering replays step k to raise its DomainError.  The action of a
-curve is obtained by integrating the state equation zdot = L(q, v, z)
+float error ends the loop, and its stage inputs, run through the tape of
+the same lowering, raise the DomainError of the failing node.  The action
+of a curve is obtained by integrating the state equation zdot = L(q, v, z)
 along the curve with linear interpolation of (q, v) inside each step;
 stationarity of the action functional is probed with central differences
 along a fixed sine-bump basis that vanishes at the endpoints.
@@ -128,70 +128,57 @@ def _names(fmt: str, count: int, start: int = 0) -> str:
 
 def _rk4_loop(body: list[str], results: list[str], env: dict, m: int, w: int = 0
               ) -> Callable[..., None]:
-    """Render a whole classical RK4 run as ``loop(y, hs, rows, out, j=0)``:
-    from the state y of m floats, one step of size h for each h in hs[j:],
-    each new state appended to ``out``.  The state lives in locals, and the
-    statements ``body`` set the rate ``results`` from the stage inputs x0..
-    in a four-pass stage loop.  With w > 0 the inputs start with a curve row
-    of w floats: rows[j] at the step start, the midpoint 0.5 * (a + b) with
-    the next row at the middle stages, and the next row at the end."""
+    """Render a whole classical RK4 run as ``loop(y, hs, rows, out)``: from
+    the state y of m floats, one step of size h for each h in hs, each new
+    state appended to ``out``.  The state lives in locals, and the statements
+    ``body`` set the rate ``results`` from the stage inputs x0.. in a
+    four-pass stage loop.  With w > 0 the inputs start with a curve row of w
+    floats: rows[j] at step j's start, the midpoint 0.5 * (a + b) with the
+    next row at the middle stages, and the next row at the end.  An error in
+    ``env``'s FLOAT_ERRORS (none by default) ends the run: its ``tape`` raises."""
     def ys(tail: str = "") -> str:   # y_i and a tail for each i
         return _names("y{i}" + tail, m)
 
     rate, row, state = "".join(f"{r}, " for r in results), _names("x{i}", w), _names("x{i}", m, w)
     a, b = _names("a{i}", w), _names("b{i}", w)
-    steps = (f"    {a}= rows[j]\n    for h, ({b}) in zip(islice(hs, j, None), "
-             "islice(rows, j + 1, None)):") if w else "    for h in islice(hs, j, None):"
-    rates = "".join(f"            {line}\n" for line in body)
+    steps = (f"        {a}= rows[0]\n        for h, ({b}) in zip(hs, islice(rows, 1, None)):"
+             if w else "        for h in hs:")
+    rates = "".join(f"                {line}\n" for line in body)
     # after stage s: k_s, then the inputs of stage s + 1
-    source = f"""def loop(y, hs, rows, out, j=0):
+    source = f"""def loop(y, hs, rows, out):
     {ys()}= y
     put = out.extend
+    try:
 {steps}
-        {row}{state}= {a}{ys()}
-        for s in (1, 2, 3, 4):
-{rates}            if s == 1:
-                {_names('k1_{i}', m)}= {rate}
-                {row}{state}= {_names('0.5 * (a{i} + b{i})', w)}{ys(' + 0.5 * h * k1_{i}')}
-            elif s == 2:
-                {_names('k2_{i}', m)}= {rate}
-                {state}= {ys(' + 0.5 * h * k2_{i}')}
-            elif s == 3:
-                {_names('k3_{i}', m)}= {rate}
-                {row}{state}= {b}{ys(' + h * k3_{i}')}
-            else:
-                {_names('k4_{i}', m)}= {rate}
-        {ys()}= {ys(' + (h / 6.0) * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})')}
-        put(({ys()}))
-        {f"{a}= {b}" if w else ""}
+            {row}{state}= {a}{ys()}
+            for s in (1, 2, 3, 4):
+{rates}                if s == 1:
+                    {_names('k1_{i}', m)}= {rate}
+                    {row}{state}= {_names('0.5 * (a{i} + b{i})', w)}{ys(' + 0.5 * h * k1_{i}')}
+                elif s == 2:
+                    {_names('k2_{i}', m)}= {rate}
+                    {state}= {ys(' + 0.5 * h * k2_{i}')}
+                elif s == 3:
+                    {_names('k3_{i}', m)}= {rate}
+                    {row}{state}= {b}{ys(' + h * k3_{i}')}
+                else:
+                    {_names('k4_{i}', m)}= {rate}
+            {ys()}= {ys(' + (h / 6.0) * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})')}
+            put(({ys()}))
+            {f"{a}= {b}" if w else ""}
+    except FLOAT_ERRORS:
+        tape([{_names('x{i}', w + m)}])
+        raise
 """
-    env = {**env, "islice": islice}
+    env = {"FLOAT_ERRORS": (), **env, "islice": islice}
     exec(compile(source, "<rk4 loop>", "exec"), env)  # noqa: S102
     return env["loop"]
 
 
-def _rate_loop(rate: _Rate, m: int, w: int = 0) -> Callable[..., None]:
+def _rate_loop(rate: _Rate, m: int) -> Callable[..., None]:
     """The RK4 loop whose body calls ``rate`` on the list of stage inputs."""
-    call = f"{_names('r{i}', m)}= rate([{_names('x{i}', w + m)}])"
-    return _rk4_loop([call], [f"r{i}" for i in range(m)], {"rate": rate}, m, w)
-
-
-def _compiled_loop(exprs: Sequence[Expr], n: int, params: ParamSet | None, m: int,
-                   w: int = 0) -> Callable[..., None]:
-    """The RK4 loop around the rendered rate ``exprs`` of the 2n + 1 stage
-    inputs.  A float error ends it at step j; the loop around the tape of the
-    same lowering replays step j and raises the DomainError."""
-    body, results, env = render(exprs, n, params, [f"x{i}" for i in range(2 * n + 1)])
-    loop = _rk4_loop(body, results, env, m, w)
-
-    def run(y, hs, rows, out) -> None:
-        try:
-            return loop(y, hs, rows, out)
-        except env["FLOAT_ERRORS"]:
-            pass   # replayed outside the handler: the DomainError chains no loop error
-        _rate_loop(env["tape"], m, w)(out[-m:], hs, rows, out, len(out) // m - 1)
-
-    return run
+    call = f"{_names('r{i}', m)}= rate([{_names('x{i}', m)}])"
+    return _rk4_loop([call], [f"r{i}" for i in range(m)], {"rate": rate}, m)
 
 
 def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
@@ -205,8 +192,10 @@ def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
     if dt <= 0 or t_end <= 0:
         raise ValueError("t_end and dt must be positive")
     n, d = p0.n, 2 * p0.n + 1
-    run = _compiled_loop(field.components, n, params, d) if isinstance(field, CoordVectorField) \
-        else _rate_loop(lambda y: np.asarray(field(StatePoint.from_coords(y, n))).tolist(), d)
+    if isinstance(field, CoordVectorField):
+        run = _rk4_loop(*render(field.components, n, params), d)
+    else:
+        run = _rate_loop(lambda y: np.asarray(field(StatePoint.from_coords(y, n))).tolist(), d)
     steps = max(1, math.ceil(t_end / dt - STEP_SLACK))
     times = np.append(np.arange(steps) * dt, t_end)   # t_k = k * dt, then t_end
     states = array("d", p0._flat)
@@ -233,7 +222,7 @@ def z_operator(L: Expr, curve: SampledCurve, z0: float,
     at the half steps.  Passing a zeta-chart Lagrangian makes the returned
     sequence the action coordinate along the lifted curve instead of z.
     """
-    return _z_steps(_compiled_loop([L], curve.n, params, 1, 2 * curve.n), curve, z0)
+    return _z_steps(_rk4_loop(*render([L], curve.n, params), 1, 2 * curve.n), curve, z0)
 
 
 def _z_steps(run, curve: SampledCurve, z0: float) -> np.ndarray:
@@ -260,13 +249,13 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
     sin(j pi t), j = 1..n_perturbations, applied per configuration
     coordinate with analytic velocity perturbations.  The verdict is a pass
     when max |D_j| <= stat_tol (1 + |action|), a fail above ten times that
-    bound, and inconclusive in between.  A non-finite action or D_j makes
-    an error report naming it, never a pass.  At least one perturbation is
-    required: a verdict needs a probed direction.
+    bound, and inconclusive in between.  A non-finite action, bound or D_j
+    makes an error report naming it, never a pass.  At least one
+    perturbation is required: a verdict needs a probed direction.
     """
     if n_perturbations < 1:
         raise ValueError(f"n_perturbations must be at least 1, got {n_perturbations!r}")
-    run = _compiled_loop([L], curve.n, params, 1, 2 * curve.n)
+    run = _rk4_loop(*render([L], curve.n, params), 1, 2 * curve.n)
 
     def action_of(c: SampledCurve) -> float:   # action() with L rendered once
         return float(_z_steps(run, c, z0)[-1] - z0)
@@ -277,6 +266,11 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
     if not math.isfinite(a0):
         return error_report(f"non-finite action = {a0!r}", Tolerances())
     bound = stat_tol * (1.0 + abs(a0))
+    diagnostics = [f"action = {a0!r}", f"stationarity bound = {bound!r}"]
+    if not math.isfinite(bound):
+        report = error_report(f"non-finite stationarity bound = {bound!r}", Tolerances())
+        report.diagnostics += diagnostics
+        return report
     t = curve.times
     derivatives: dict[str, float] = {}
     for j in range(1, n_perturbations + 1):
@@ -292,7 +286,6 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
             d = (action_of(plus) - action_of(minus)) / (2.0 * amplitude)
             derivatives[f"D[j={j},q{c + 1}]"] = d
     tol = Tolerances(pass_tol=bound, fail_tol=10.0 * bound)
-    diagnostics = [f"action = {a0!r}", f"stationarity bound = {bound!r}"]
     diagnostics += [f"{name} = {value!r}" for name, value in derivatives.items()]
     max_d = max_abs(derivatives.values())
     if not math.isfinite(max_d):

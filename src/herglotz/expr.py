@@ -8,10 +8,11 @@ differentiation, substitution, evaluation and first/second derivative jets.
 Evaluation lowers an expression tuple once to one instruction per distinct
 node; a :func:`tape` runs that list at each point (checks hold the tapes of
 their residuals, systems hold theirs) and :func:`render` writes it as Python
-statements for runs of thousands of steps (RK4 loops and
-:func:`compile_components`).  Only light simplification is performed on
-construction (constant folding, 0/1 elimination with -0.0 as 0); there is
-no attempt at canonical forms, and constants are finite.
+statements for the RK4 loops, whose runs take thousands of steps; a float
+error there is explained by the tape of the same lowering.  Only light
+simplification is performed on construction (constant folding, 0/1
+elimination with -0.0 as 0); there is no attempt at canonical forms, and
+constants are finite.
 
 Nodes are immutable, slotted and hash-consed (Filliatre & Conchon, 2006): a
 weak table keyed by class, payload and children makes equal trees one object,
@@ -870,9 +871,9 @@ def _run(code: list[tuple], regs: list, results: list[int], d: int
 def tape(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
          ) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """Lower expressions once to a callable from the flat coordinates
-    (q1..qn, v1..vn, z) to their values, like a :func:`compile_components`
-    program.  Parameters are frozen in when lowering; every call runs the
-    instructions on a fresh copy of the register file."""
+    (q1..qn, v1..vn, z) to their values.  Parameters are frozen in when
+    lowering; every call runs the instructions on a fresh copy of the
+    register file, and a float error raises the DomainError of its node."""
     return _run(*_lower(exprs, n, params), 2 * n + 1)
 
 
@@ -893,24 +894,22 @@ def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> floa
     return evaluate_all((e,), point, params)[0]
 
 
-def render(exprs: Sequence[Expr], n: int, params: ParamSet | None,
-           coords: Sequence[str]) -> tuple[list[str], list[str], dict]:
-    """A lowering as straight-line Python statements, one per instruction and
-    used leaf; the names holding the values of ``exprs``; and the namespace
-    to run them in, which binds ``FLOAT_ERRORS``, what a statement may raise,
-    and ``tape``, the same lowering's runner.  ``coords`` are the texts of the
-    2n + 1 coordinates; a plain name is used as is."""
+def render(exprs: Sequence[Expr], n: int, params: ParamSet | None
+           ) -> tuple[list[str], list[str], dict]:
+    """A lowering as straight-line Python statements over the coordinates
+    named x0..x2n, one per instruction and constant leaf used; the names
+    holding the values of ``exprs``; and the namespace to run them in, which
+    binds ``FLOAT_ERRORS``, what a statement may raise, and ``tape``, the same
+    lowering's runner, which raises the DomainError of the failing statement."""
     code, regs, results = _lower(exprs, n, params)
     d = 2 * n + 1
     lines: list[str] = []
-    names: dict[int, str] = {reg: text for reg, text in enumerate(coords)
-                             if text.isidentifier()}
+    names = {reg: f"x{reg}" for reg in range(d)}
 
     def name(reg: int, text: str | None = None) -> str:
         if reg not in names:   # an instruction names its output; a leaf, its first use
-            text = text or (coords[reg] if reg < d else repr(regs[reg - d]))
             names[reg] = f"t{len(lines)}"
-            lines.append(f"{names[reg]} = {text}")
+            lines.append(f"{names[reg]} = {text or repr(regs[reg - d])}")
         return names[reg]
 
     for _, a, b, out in code:
@@ -929,21 +928,9 @@ def render(exprs: Sequence[Expr], n: int, params: ParamSet | None,
 
 def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = None
                        ) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """A :func:`tape` :func:`render`ed as one function.  A run is 3-4.5 times
-    faster than a tape's, but a build costs 15-22 times a lowering and pays
-    back only after 110-140 runs: it is for callers that run it thousands of
-    times, not for sampled checks (RK4 renders the statements into its loop).
-
-    A float exception makes the program rerun the point on the tape of the
-    same lowering, parameters as frozen at compile time, which fails at the
-    same instruction and raises its DomainError."""
-    lines, names, env = render(exprs, n, params, [f"float(y[{i}])" for i in range(2 * n + 1)])
-    body = "".join(f"        {line}\n" for line in lines)
-    returned = "".join(f"{name}, " for name in names)
-    source = (f"def program(y):\n    try:\n{body}        return ({returned})\n"
-              "    except FLOAT_ERRORS:\n        return tape(y)\n")
-    exec(compile(source, "<compiled expressions>", "exec"), env)  # noqa: S102
-    return env["program"]
+    """The :func:`tape` of ``exprs``: a function of its own, not an alias,
+    so that a profiler wrapping either name counts only its own calls."""
+    return tape(exprs, n, params)
 
 
 def evaluate_many(e: Expr, Q: np.ndarray, V: np.ndarray, Z: np.ndarray,

@@ -319,8 +319,11 @@ def test_nonpositive_dt_is_config_error(tmp_path, capsys):
     (None, ["simulate", "--system", "parachute", "--initial", "0,2,0", "--t", "abc"],
      "t"),
     (None, ["stationarity", "--lagrangian", "linear_drag", "--grid", "1.5"], "grid"),
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--stat-tol=0"], "stat_tol"),
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--stat-tol=-1"], "stat_tol"),
 ], ids=["grid", "perturbations", "amplitude", "amplitude-inf", "config-task-t",
-        "config-task-fractional-perturbations", "flag-t", "flag-fractional-grid"])
+        "config-task-fractional-perturbations", "flag-t", "flag-fractional-grid",
+        "stat-tol-zero", "stat-tol-negative"])
 def test_bad_run_argument_is_config_error(config, argv, key, tmp_path, capsys):
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
@@ -330,6 +333,27 @@ def test_bad_run_argument_is_config_error(config, argv, key, tmp_path, capsys):
     assert code == 3
     assert data is None
     assert f"config path: args.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["herglotz", "legendre"])
+def test_action_function_on_a_wider_chart_is_config_error(command, tmp_path, capsys):
+    """zeta_charged_gauge reads q3, past parachute's n = 1 chart: refused at
+    args.zeta before any field is built, as check-eq refuses it."""
+    code, data = run_cli([command, "--lagrangian", "parachute",
+                          "--zeta", "zeta_charged_gauge"], tmp_path)
+    assert code == 3 and data is None
+    err = capsys.readouterr().err
+    assert "config path: args.zeta" in err and "coordinate index 3" in err
+
+
+def test_overflowing_stationarity_bound_is_an_error_report(tmp_path):
+    code, data = run_cli(["stationarity", "--lagrangian", "parachute",
+                          "--stat-tol=1e308"], tmp_path)
+    assert code == 2
+    assert data["verdict"] == "error"
+    assert data["diagnostics"][0] == "non-finite stationarity bound = inf"
+    assert data["diagnostics"][1].startswith("action = ")
+    assert data["diagnostics"][2] == "stationarity bound = inf"
 
 
 def test_nonpositive_t_is_config_error(tmp_path, capsys):

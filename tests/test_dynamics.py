@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from herglotz import dynamics
+from herglotz.checks import Tolerances
 from herglotz.contact import CoordVectorField
 from herglotz.dynamics import (
     IntegrationError, SampledCurve, Trajectory, action, integrate,
@@ -326,10 +327,10 @@ def test_integrate_matches_numpy_rk4_on_a_large_body():
     assert np.array_equal(np.column_stack([traj.q, traj.v, traj.z]), states)
 
 
-def reference_failure(field, p0, t_end, dt):
+def reference_failure(field, p0, t_end, dt, params=None):
     """reference_integrate up to its first DomainError: the times and states
     before it, the time its step would end at, the failing stage and the error."""
-    fn = compile_components(field.components, p0.n)
+    fn = compile_components(field.components, p0.n, params)
     steps = max(1, math.ceil(t_end / dt - 1e-9))
     times, states, y = [0.0], [p0.coords()], p0.coords()
     for k in range(1, steps + 1):
@@ -366,10 +367,10 @@ def test_integrate_failure_at_a_late_stage_matches_the_reference(q0, stage):
     assert np.array_equal(np.column_stack([partial.q, partial.v, partial.z]), states)
 
 
-def reference_z_failure(L, curve, z0):
+def reference_z_failure(L, curve, z0, params=None):
     """reference_z_operator up to its first DomainError: the failing step
     (1-based), its stage and the error."""
-    fn = compile_components([L], curve.n)
+    fn = compile_components([L], curve.n, params)
     rows = np.hstack([curve.q, curve.velocities()])
     t, zc = curve.times, float(z0)
     for k in range(len(t) - 1):
@@ -399,6 +400,41 @@ def test_z_operator_failure_at_a_late_stage_matches_the_reference(z0, stage):
     assert err.value.__cause__ is None and err.value.__suppress_context__
     with pytest.raises(DomainError, match=rf"^{re.escape(str(cause))}$"):
         stationarity_test(L, curve, z0)
+
+
+@pytest.mark.parametrize("q0, stage", [(0.75, 2), (0.801, 3), (0.81, 4)])
+def test_integrate_failure_inside_a_component_names_the_node(q0, stage):
+    """The failing node is a subtree of a larger rate component and reads a
+    parameter frozen when the loop was rendered: the tape that explains the
+    failing stage names that node and was lowered with that value."""
+    field = CoordVectorField(1, (parse("v1", 1), Const(-1.0), parse("0.5*z + log(q1 - c)", 1)))
+    p0, params = pt(q0, 1.0, 0.0), {"c": 0.25}
+    times, states, t, failing, cause = reference_failure(field, p0, 5.0, 0.1, params)
+    assert (len(times), failing) == (25, stage)
+    with pytest.raises(IntegrationError) as err:
+        integrate(field, p0, 5.0, 0.1, params)
+    assert str(err.value.__cause__) == str(cause) == "log of non-positive value in log(q1 - c)"
+    assert err.value.__cause__.__cause__ is None and err.value.__cause__.__suppress_context__
+    assert str(err.value) == (f"field evaluation failed at t = {t}: {cause} "
+                              f"(last good t = {float(times[-1])!r})")
+    partial = err.value.partial
+    assert np.array_equal(np.column_stack([partial.q, partial.v, partial.z]), states)
+
+
+@pytest.mark.parametrize("q_next, stage", [(-0.3, 2), (-0.05, 4)])
+def test_z_operator_failure_on_the_curve_row_reaches_the_tape(q_next, stage):
+    """log(q1 - c) fails on the curve row of step 3, not on z: at its
+    midpoint (stage 2) or at its end (stage 4).  The row inputs of the
+    failing stage reach the tape, which raises the node's DomainError."""
+    t = np.linspace(0.0, 1.0, 6)
+    curve = SampledCurve(t, np.array([[1.0], [0.5], [0.1], [q_next], [-1.0], [-2.0]]))
+    L, params = parse("log(q1 - c) + z", 1), {"c": 0.0}
+    step, failing, cause = reference_z_failure(L, curve, 0.0, params)
+    assert (step, failing) == (3, stage)
+    assert str(cause) == "log of non-positive value in log(q1 - c)"
+    with pytest.raises(DomainError, match=rf"^{re.escape(str(cause))}$") as err:
+        z_operator(L, curve, 0.0, params)
+    assert err.value.__cause__ is None and err.value.__suppress_context__
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +587,20 @@ def test_stationarity_with_nan_derivatives_is_an_error():
     assert report.verdict == "error" and math.isnan(report.max_residual)
     assert report.diagnostics[0] == "non-finite directional derivative D[j=1,q1] = nan"
     assert "D[j=1,q1] = nan" in report.diagnostics and "D[j=3,q1] = nan" in report.diagnostics
+
+
+def test_stationarity_with_an_overflowing_bound_is_an_error():
+    """The action is finite but stat_tol * (1 + |action|) is not: no
+    tolerances can be made from it, so the report is an error naming it."""
+    L = parse("1e306 + 0.5*v1^2", 1)
+    t = np.linspace(0.0, 1.0, 101)
+    curve = SampledCurve(t, np.sin(np.pi * t)[:, None])
+    report = stationarity_test(L, curve, 0.0, stat_tol=1e3)
+    assert report.verdict == "error" and math.isnan(report.max_residual)
+    assert report.diagnostics == ["non-finite stationarity bound = inf",
+                                  f"action = {action(L, curve, 0.0)!r}",
+                                  "stationarity bound = inf"]
+    assert report.tolerances == Tolerances()
 
 
 def test_stationarity_with_a_nan_action_is_an_error():
