@@ -12,8 +12,8 @@ Every sampled check runs through :func:`run_check`, which alone decides:
   unit box ``[-1, 1]^(2n+1)`` for ``plan`` and for a plan without bounds;
 - sampling, with an optional predicate (the action-function frame check);
   a ``SamplingError`` becomes an error report;
-- the per-point loop, in plan order.  ``point_values(p)`` returns the record
-  values of a point, or ``None`` to leave the point out of the report;
+- the walk, in plan order: ``point_values(points)`` yields the record values
+  of each point, or ``None`` to leave the point out of the report;
 - aborting: ``CheckAbort`` raised at point k (or by the ``precheck`` run on
   the whole sample first) ends the check with an error report that keeps
   the records of points 0..k-1;
@@ -23,8 +23,8 @@ Every sampled check runs through :func:`run_check`, which alone decides:
   check that ends with no records at all.
 
 A check whose records are residual magnitudes states them as a table for
-:func:`residual_table`.  Its reduction, :func:`max_abs`, propagates NaN, so
-a NaN in any component reaches the engine as an error naming the key.
+:func:`residual_table`, which reduces one tape's rows over the sample, with
+NaN propagated as by :func:`max_abs`: a NaN component gives an error report.
 
 All error reports are built by :func:`error_report`.  The module is also the
 single home of the numerical thresholds shared by the other modules.
@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr, ParamSet, StatePoint, tape
+from .expr import ROWS_MIN, Expr, ParamSet, StatePoint, tape
 
 __all__ = [
     "Tolerances", "SamplePlan", "CheckReport", "PointRecord", "SamplingError",
@@ -296,7 +296,7 @@ class CheckAbort(Exception):
     error report; the message becomes its diagnostic."""
 
 
-def run_check(n: int, point_values: Callable[[StatePoint], dict | None],
+def run_check(n: int, point_values: Callable[[list[StatePoint]], Iterable[dict | None]],
               plan: SamplePlan | None = None, tol: Tolerances | None = None, *,
               points: Sequence[StatePoint] | None = None,
               predicate: Callable[[StatePoint], bool] | None = None,
@@ -320,8 +320,7 @@ def run_check(n: int, point_values: Callable[[StatePoint], dict | None],
     try:
         if precheck is not None:
             precheck(points)
-        for p in points:
-            values = point_values(p)
+        for p, values in zip(points, point_values(points)):
             if values is not None:
                 records.append(PointRecord(p, values))
     except CheckAbort as exc:
@@ -340,17 +339,25 @@ def max_abs(values: Iterable[float]) -> float:
 
 def residual_table(table: Mapping[str, Sequence[Expr]], n: int,
                    params: ParamSet | None = None
-                   ) -> Callable[[StatePoint], dict[str, float]]:
+                   ) -> Callable[[list[StatePoint]], Iterator[dict[str, float]]]:
     """``point_values`` for :func:`run_check` from a table of residuals.
 
     ``table`` maps each record key to the expressions whose largest
-    ``|value|`` (:func:`max_abs`) at a point is that key's value; all of
-    them are lowered into one tape, in table order.
+    ``|value|`` at a point, NaN when any is NaN, is that key's value; all of
+    them are lowered into one tape, whose error is raised at its point.
     """
-    sizes = {key: len(exprs) for key, exprs in table.items()}
+    ends = list(itertools.accumulate(map(len, table.values()), initial=0))
+    spans = list(zip(table, ends, ends[1:]))
     run = tape([e for exprs in table.values() for e in exprs], n, params)
 
-    def values(p: StatePoint) -> dict[str, float]:
-        vals = iter(run(p._flat))
-        return {key: max_abs(itertools.islice(vals, k)) for key, k in sizes.items()}
+    def values(points: list[StatePoint]) -> Iterator[dict[str, float]]:
+        flats = [p._flat for p in points]
+        if len(flats) < ROWS_MIN:   # point by point: numpy calls would cost more
+            yield from ({key: max_abs(v[lo:hi]) for key, lo, hi in spans} for v in map(run, flats))
+            return
+        rows, error = run.rows(flats)
+        columns = [abs(rows[:, lo:hi]).max(axis=1, initial=0.0).tolist() for _, lo, hi in spans]
+        yield from (dict(zip(table, row)) for row in zip(*columns))
+        if error is not None:
+            raise error
     return values

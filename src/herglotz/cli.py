@@ -46,8 +46,7 @@ from .expr import (
     parse, sub, substitute, unparse, z,
 )
 from .extended import (
-    ActionFunction, ExtendedLagrangianSystem, legendre_pullback_residual,
-    zeta_herglotz_field, zeta_legendre,
+    ActionFunction, ExtendedLagrangianSystem, zeta_herglotz_field, zeta_legendre,
 )
 from .fixtures import builtin_plans, builtin_systems, default_tasks
 from .inverse import (
@@ -545,8 +544,7 @@ def _task_legendre(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     _require_consistent_n(sys_l.n_dim, zeta=zeta.zeta)
     ext = ExtendedLagrangianSystem(sys_l.n_dim, sys_l.L, zeta, sys_l.params)
     report = run_check(
-        sys_l.n_dim,
-        lambda p: {"pullback_defect": legendre_pullback_residual(ext, p)},
+        sys_l.n_dim, ext._pullback_residual,
         _resolve_plan(cfg, args.get("plan")), cfg.tolerances,
         predicate=zeta.frame_test(sys_l.n_dim, sys_l.params))
     if report.records:

@@ -13,10 +13,10 @@ one LU solve gives R = flat^-1 eta and X = flat^-1 dH - (RH + H) R, both
 checked against the stacked system.  ``hamiltonian_fields`` solves a sample
 in stacks of at most STACK_DOUBLES doubles, one SVD gate and one LU solve
 each, with the bits of a one-point solve, up to the first point that fails
-a test; a tape's error or a singular flat map, which a stack cannot place,
-sends the sample on one point at a time.  Non-finite data never reaches LAPACK.
-A ``ContactHamiltonianSystem`` lowers its contact data to tapes once and
-reads its params then.  In Darboux coordinates X = dH/dp_i d/dq_i -
+a test, a tape's error included; only a singular flat map sends the sample on
+one point at a time.  Non-finite data never reaches LAPACK.  The contact data
+is lowered once to two tapes, run over a stack's rows; params are read then.
+In Darboux coordinates X = dH/dp_i d/dq_i -
 (dH/dq_i + p_i dH/dz) d/dp_i + (p_i dH/dp_i - H) d/dz.
 """
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .checks import CONTACT_TOL, SOLVE_TOL
 from .expr import (
-    Const, Expr, ParamSet, StatePoint, add, coords, differentiate,
+    Const, DomainError, Expr, ParamSet, StatePoint, add, coords, differentiate,
     evaluate_all, gradient, mul, neg, tape, unparse, v,
 )
 
@@ -171,9 +171,11 @@ class _Prefix:
             self.points = self.points[:k]
             self.error = ContactConditionError(text.format(values[k]))
 
-    def rows(self, run, width: int, what: str) -> np.ndarray:
-        """A tape's values, a row a point, cut at the first that is not finite."""
-        rows = np.array([run(p._flat) for p in self.points], dtype=float).reshape(-1, width)
+    def rows(self, run, what: str) -> np.ndarray:
+        """A tape's rows, cut at the first point that raises or is not finite."""
+        rows, error = run.rows([p._flat for p in self.points])
+        if error is not None:
+            self.points, self.error = self.points[:len(rows)], error
         self.require(np.isfinite(rows).all(axis=-1), self.points, what + " is not finite at {}")
         return rows[:len(self.points)]
 
@@ -183,7 +185,7 @@ def _stacked_systems(sys: ContactHamiltonianSystem, prefix: _Prefix
     """The stacked systems [M^T; eta] at the prefix, and their smallest/largest
     singular value ratios from one LAPACK call."""
     d = 2 * sys.n_dim + 1
-    stack = prefix.rows(sys._form_tape, (d + 1) * d, "d(eta) or eta").reshape(-1, d + 1, d)
+    stack = prefix.rows(sys._form_tape, "d(eta) or eta").reshape(-1, d + 1, d)
     # rows J[a] = d(eta)/dx^a, then eta; as (i_X d eta)(d/dx^b) = sum_a X^a M[a][b],
     # the coefficient matrix is M^T = J^T - J, written over J
     np.subtract(stack[:, :-1].transpose(0, 2, 1), stack[:, :-1], out=stack[:, :-1])
@@ -198,15 +200,15 @@ def _solve(sys: ContactHamiltonianSystem, points: list[StatePoint],
     fails a test, one row each, and that point's ContactConditionError, or
     None.  At a point, in order: the d(eta) and eta tape, the singular value
     gate, the H and dH tape, the flat map, the residual checks of R and X, and
-    the pairing |eta(X) + H| <= SOLVE_TOL (1 + |H|).  An error that the stack
-    cannot place, a tape's or a singular flat map's, is raised."""
+    the pairing |eta(X) + H| <= SOLVE_TOL (1 + |H|).  A singular flat map in
+    a stack of several points raises the LinAlgError the stack cannot place."""
     prefix = _Prefix(points)
     stack, ratios = _stacked_systems(sys, prefix)
     prefix.require(ratios > CONTACT_TOL, ratios, "contact condition fails: singular "
                    f"value ratio {{:.3e}} <= CONTACT_TOL {CONTACT_TOL:g}")
     d = stack.shape[2]
     if hamiltonian:
-        energy = prefix.rows(sys._energy_tape, d + 1, "H or dH")
+        energy = prefix.rows(sys._energy_tape, "H or dH")
         grad_h, h_val = energy[:, :-1], energy[:, -1]
     stack = stack[:len(prefix.points)]
     eta = stack[:, -1]
@@ -214,7 +216,9 @@ def _solve(sys: ContactHamiltonianSystem, points: list[StatePoint],
         solution = np.linalg.solve(stack[:, :-1] + eta[:, :, None] * eta[:, None, :],
                                    np.stack([eta, grad_h] if hamiltonian else [eta], axis=2))
     except np.linalg.LinAlgError as exc:
-        raise ContactConditionError(f"flat map is singular: {exc}") from None
+        if len(stack) > 1:
+            raise
+        return np.empty((0, d)), ContactConditionError(f"flat map is singular: {exc}")
     result = reeb = solution[:, :, 0]
     checks = [(reeb, np.eye(d + 1)[-1], "reeb_field")]
     if hamiltonian:     # X = Y - (RH + H) R
@@ -236,14 +240,14 @@ def _solve(sys: ContactHamiltonianSystem, points: list[StatePoint],
 def hamiltonian_fields(sys: ContactHamiltonianSystem, points: list[StatePoint]) -> list:
     """X_H at the points up to the first where :func:`hamiltonian_field`
     raises, then that exception; no later point is solved.  Each chunk of at
-    most STACK_DOUBLES doubles is one stacked solve until an error that the
-    stack cannot place, after which the points are solved one at a time."""
+    most STACK_DOUBLES doubles is one stacked solve until a LinAlgError that
+    the stack cannot place, after which the points are solved one at a time."""
     size = max(1, STACK_DOUBLES // ((2 * sys.n_dim + 2) * (2 * sys.n_dim + 1)))
     fields: list = []
     while len(fields) < len(points):
         try:
             solved, error = _solve(sys, points[len(fields):len(fields) + size], True)
-        except Exception as exc:    # a tape's error or a singular flat map
+        except np.linalg.LinAlgError as exc:    # a singular flat map in a stack
             if size == 1:
                 return fields + [exc]
             size = 1
@@ -258,8 +262,11 @@ def contact_condition(sys: ContactHamiltonianSystem, p: StatePoint
                       ) -> tuple[bool, float]:
     """Numeric contact check at p: smallest/largest singular value ratio,
     which must exceed CONTACT_TOL; NaN, failing, where d(eta) or eta is not
-    finite."""
-    ratios = _stacked_systems(sys, _Prefix([p]))[1]
+    finite; a tape's DomainError there is raised."""
+    prefix = _Prefix([p])
+    ratios = _stacked_systems(sys, prefix)[1]
+    if isinstance(prefix.error, DomainError):
+        raise prefix.error
     return (ratios[0] > CONTACT_TOL, ratios[0]) if len(ratios) else (False, math.nan)
 
 

@@ -249,8 +249,8 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
     sin(j pi t), j = 1..n_perturbations, applied per configuration
     coordinate with analytic velocity perturbations.  The verdict is a pass
     when max |D_j| <= stat_tol (1 + |action|), a fail above ten times that
-    bound, and inconclusive in between.  A non-finite action, bound or D_j
-    makes an error report naming it, never a pass.  At least one
+    bound, and inconclusive in between.  A non-finite action, bound, fail
+    bound or D_j makes an error report naming it, never a pass.  At least one
     perturbation is required: a verdict needs a probed direction.
     """
     if n_perturbations < 1:
@@ -267,10 +267,11 @@ def stationarity_test(L: Expr, curve: SampledCurve, z0: float,
         return error_report(f"non-finite action = {a0!r}", Tolerances())
     bound = stat_tol * (1.0 + abs(a0))
     diagnostics = [f"action = {a0!r}", f"stationarity bound = {bound!r}"]
-    if not math.isfinite(bound):
-        report = error_report(f"non-finite stationarity bound = {bound!r}", Tolerances())
-        report.diagnostics += diagnostics
-        return report
+    for name, value in (("stationarity bound", bound), ("fail bound", 10.0 * bound)):
+        if not math.isfinite(value):
+            report = error_report(f"non-finite {name} = {value!r}", Tolerances())
+            report.diagnostics += diagnostics
+            return report
     t = curve.times
     derivatives: dict[str, float] = {}
     for j in range(1, n_perturbations + 1):

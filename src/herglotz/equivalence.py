@@ -10,6 +10,8 @@ slot written ``z``); composition with the horizontal map happens here.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from .checks import (
@@ -20,9 +22,11 @@ from .contact import (
     ContactConditionError, ContactHamiltonianSystem, CoordVectorField,
     hamiltonian_fields,
 )
-from .expr import Expr, StatePoint, differentiate, merge_params, mul, q, sub, tape, v, z
+from .expr import (
+    ROWS_MIN, Expr, StatePoint, differentiate, merge_params, mul, q, sub, tape, v, z,
+)
 from .extended import (
-    ActionFunction, ExtendedLagrangianSystem, _hessian_det, compose_with_zeta,
+    ActionFunction, ExtendedLagrangianSystem, compose_with_zeta,
     extended_lagrangian_form, herglotz_defects, zeta_herglotz_field,
 )
 from .lagrangian import ContactLagrangianSystem, herglotz_field, lagrangian_form
@@ -104,7 +108,7 @@ def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
         }
 
     report = run_check(
-        n, values, plan, tol,
+        n, lambda ps: map(values, ps), plan, tol,
         residual_keys=("form_defect", "hamiltonian_defect", "factor_vanishes"))
     if not report.records:
         return error_report(
@@ -127,20 +131,16 @@ def dynamical_equivalence_check(sys_a: ContactHamiltonianSystem,
     error, a's first, is raised when the walk reaches its point: a
     ContactConditionError aborts the check there, any other error propagates."""
     n = _chart_dimension(sys_a, sys_b)
-    fields: list = []      # the zipped fields of the sample, from the precheck
 
-    def precheck(points):
+    def values(points):
         field_a = hamiltonian_fields(sys_a, points)
-        fields.append(zip(field_a, hamiltonian_fields(sys_b, points[:len(field_a)])))
-
-    def values(p):
-        for x in (pair := next(fields[0])):
-            if isinstance(x, Exception):
-                raise CheckAbort(f"solver failure at {p}: {x}") \
-                    if isinstance(x, ContactConditionError) else x
-        return {"field_mismatch": float(np.max(np.abs(pair[0] - pair[1])))}
-    return run_check(n, values, plan, tol, residual_keys=("field_mismatch",),
-                     precheck=precheck)
+        for p, *pair in zip(points, field_a, hamiltonian_fields(sys_b, points[:len(field_a)])):
+            for x in pair:
+                if isinstance(x, Exception):
+                    raise CheckAbort(f"solver failure at {p}: {x}") \
+                        if isinstance(x, ContactConditionError) else x
+            yield {"field_mismatch": float(np.max(np.abs(pair[0] - pair[1])))}
+    return run_check(n, values, plan, tol, residual_keys=("field_mismatch",))
 
 
 def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,
@@ -165,7 +165,8 @@ def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,
         return {"zero_set_mismatch": 1.0 if mismatch else 0.0,
                 "H": h_a, "H_bar": h_b}
 
-    report = run_check(n, values, plan, tol, residual_keys=("zero_set_mismatch",))
+    report = run_check(n, lambda ps: map(values, ps), plan, tol,
+                       residual_keys=("zero_set_mismatch",))
     mismatches = sum(1 for rec in report.records if rec.values["zero_set_mismatch"])
     report.diagnostics.append(f"zero-set mismatches at {mismatches} of "
                               f"{len(report.records)} points")
@@ -212,15 +213,25 @@ def projectability_check(xi: CoordVectorField,
 def _require_regular(sys: ContactLagrangianSystem, ext: ExtendedLagrangianSystem,
                      tol: Tolerances | None, what: str, point_values):
     """``point_values`` after a gate that aborts the check where |det W| or
-    |det W^zeta| is not above ``det_tol``, NaN included."""
+    |det W^zeta| is not above ``det_tol``, NaN included.  At a point, a W
+    tape's error comes before the gate's abort and the values' own error."""
     det_tol = (tol or Tolerances()).det_tol
 
-    def gated(p: StatePoint):
-        det_l, det_bar = _hessian_det(sys._extended, p), _hessian_det(ext, p)
-        if not (abs(det_l) > det_tol and abs(det_bar) > det_tol):
-            raise CheckAbort(f"{what} at {p}: det W = {det_l:.3e}, "
-                             f"det W^zeta = {det_bar:.3e}")
-        return point_values(p)
+    def gated(points: list[StatePoint]):
+        flats, tapes = [p._flat for p in points], (sys._extended._hessian_tape, ext._hessian_tape)
+        if len(points) < ROWS_MIN:   # point by point, as residual_table does
+            dets = [map(itemgetter(-1), map(t, flats)) for t in tapes]
+        else:   # a column ends at its error
+            dets = [w[:, -1].tolist() + [error] for w, error in (t.rows(flats) for t in tapes)]
+        values = iter(point_values(points))
+        for p, det_l, det_bar in zip(points, *dets):
+            for det in (det_l, det_bar):
+                if isinstance(det, Exception):
+                    raise det
+            if not (abs(det_l) > det_tol and abs(det_bar) > det_tol):
+                raise CheckAbort(f"{what} at {p}: det W = {det_l:.3e}, "
+                                 f"det W^zeta = {det_bar:.3e}")
+            yield next(values)
     return gated
 
 

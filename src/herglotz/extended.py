@@ -195,11 +195,6 @@ def zeta_hessian(sys: ExtendedLagrangianSystem, p: StatePoint) -> np.ndarray:
     return np.array(sys._hessian_tape(p._flat)[:-1]).reshape(sys.n_dim, sys.n_dim)
 
 
-def _hessian_det(sys: ExtendedLagrangianSystem, p: StatePoint) -> float:
-    """det W^zeta at p, from its cofactor expansion on the W^zeta tape."""
-    return sys._hessian_tape(p._flat)[-1]
-
-
 def zeta_regularity(sys: ExtendedLagrangianSystem, p: StatePoint
                     ) -> tuple[float, bool]:
     """det W^zeta at p (W^zeta built by applying the frame derivative twice);
@@ -209,7 +204,7 @@ def zeta_regularity(sys: ExtendedLagrangianSystem, p: StatePoint
     w = zeta_hessian(sys, p)
     if w.size and np.max(np.abs(w - w.T)) > SYMMETRY_TOL * (1.0 + np.max(np.abs(w))):
         raise SingularZetaError(f"W^zeta not symmetric at {p}: {w}")
-    det = _hessian_det(sys, p)
+    det = sys._hessian_tape(p._flat)[-1]
     return det, abs(det) > DET_TOL
 
 
@@ -310,7 +305,7 @@ def legendre_pullback_residual(sys: ExtendedLagrangianSystem, p: StatePoint) -> 
     is evaluated against eta^zeta_L componentwise, through a table the
     system lowers once.
     """
-    return sys._pullback_residual(p)["pullback_defect"]
+    return next(sys._pullback_residual([p]))["pullback_defect"]
 
 
 def compose_with_zeta(expr_in_zeta_chart: Expr, zeta: Union[ActionFunction, Expr]

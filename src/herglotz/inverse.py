@@ -94,7 +94,7 @@ def naive_inverse_check(sode: SODESystem, plan: SamplePlan | None = None,
         return out
 
     keys = tuple(f"herglotz_defect_{i + 1}" for i in range(n)) + ("regularity_defect",)
-    report = run_check(n, values, plan, tol, residual_keys=keys)
+    report = run_check(n, lambda ps: map(values, ps), plan, tol, residual_keys=keys)
     irregular = sum(1 for rec in report.records if rec.values["regularity_defect"])
     if irregular:
         report.diagnostics.append(
@@ -214,7 +214,7 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
 
     keys = tuple(f"zero_set_mismatch_{i + 1}" for i in range(n)) + \
         ("ratio_spread", "ratio_velocity_gradient")
-    report = run_check(n, values, plan, tol, residual_keys=keys)
+    report = run_check(n, lambda ps: map(values, ps), plan, tol, residual_keys=keys)
     report.diagnostics.append(f"{excluded} index-point pairs excluded from ratio "
                               f"tests (|E_i| <= {RATIO_EXCLUDE})")
     return report

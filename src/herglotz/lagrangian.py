@@ -24,7 +24,7 @@ from .checks import DET_TOL
 from .contact import ContactHamiltonianSystem, CoordOneForm, CoordVectorField
 from .expr import Expr, StatePoint, evaluate_all, z
 from .extended import (
-    ActionFunction, ExtendedLagrangianSystem, _hessian_det, _zeta_acceleration_system,
+    ActionFunction, ExtendedLagrangianSystem, _zeta_acceleration_system,
     extended_lagrangian_form, zeta_energy, zeta_herglotz_field, zeta_hessian,
 )
 
@@ -67,7 +67,7 @@ def energy(sys: ContactLagrangianSystem) -> Expr:
 
 def regularity(sys: ContactLagrangianSystem, p: StatePoint) -> tuple[float, bool]:
     """Determinant of the velocity Hessian at p and |det| > 1e-10."""
-    det = _hessian_det(sys._extended, p)
+    det = sys._extended._hessian_tape(p._flat)[-1]
     return det, abs(det) > DET_TOL
 
 

@@ -55,3 +55,8 @@ def dense_lagrangian(n) -> ContactLagrangianSystem:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def per_point(values):
+    """``point_values`` for ``run_check`` from a function of one point."""
+    return lambda points: map(values, points)

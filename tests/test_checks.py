@@ -14,7 +14,7 @@ from herglotz.cli import main
 from herglotz.expr import StatePoint, parse
 from herglotz.fixtures import builtin_plans, builtin_systems
 
-from conftest import pt
+from conftest import per_point, pt
 
 PLAN = SamplePlan("random", tuple((-1.0, 1.0) for _ in range(3)), 5, 11)
 
@@ -28,7 +28,7 @@ def test_abort_keeps_records_of_earlier_points():
         seen.append(p)
         return {"defect": 0.0}
 
-    report = run_check(1, values, PLAN)
+    report = run_check(1, per_point(values), PLAN)
     assert report.verdict == "error"
     assert math.isnan(report.max_residual)
     assert report.diagnostics == ["singular at point 2"]
@@ -38,7 +38,7 @@ def test_abort_keeps_records_of_earlier_points():
 
 
 def test_points_left_out_are_not_recorded():
-    report = run_check(1, lambda p: None if p.z < 0 else {"defect": 1e-6}, PLAN)
+    report = run_check(1, per_point(lambda p: None if p.z < 0 else {"defect": 1e-6}), PLAN)
     assert 0 < len(report.records) < PLAN.count
     assert all(rec.point.z >= 0 for rec in report.records)
     assert report.verdict == "inconclusive"
@@ -67,7 +67,7 @@ def test_non_finite_value_outside_residual_keys_is_ignored():
     (None, lambda p: None),
 ], ids=["no-points", "every-point-left-out"])
 def test_check_without_records_is_error(points, values):
-    report = run_check(1, values, PLAN, points=points)
+    report = run_check(1, per_point(values), PLAN, points=points)
     assert report.verdict == "error"
     assert math.isnan(report.max_residual)
     assert report.records == []
@@ -111,8 +111,8 @@ def checker_runs(plan):
 
 @pytest.fixture
 def lowerings_in_points(monkeypatch):
-    """Counts of ``expr._lower`` calls made inside run_check point functions,
-    and of point function calls."""
+    """Counts of ``expr._lower`` calls made while run_check walks the values
+    of its points, and of the points walked."""
     counts = {"lowered": 0, "points": 0}
     depth = [0]
     lower = ex._lower
@@ -122,11 +122,12 @@ def lowerings_in_points(monkeypatch):
         return lower(*args)
 
     def counted_run_check(n, point_values, *args, **kwargs):
-        def values(p):
-            counts["points"] += 1
+        def values(points):
             depth[0] += 1
             try:
-                return point_values(p)
+                for record in point_values(points):
+                    counts["points"] += 1
+                    yield record
             finally:
                 depth[0] -= 1
         return run_check(n, values, *args, **kwargs)
@@ -155,7 +156,7 @@ def test_the_lowering_count_sees_a_per_point_tape(lowerings_in_points):
     counts, counted_run_check = lowerings_in_points
     for count in (5, 20):
         counts.update(lowered=0)
-        counted_run_check(1, lambda p: {"q1": ex.evaluate(parse("2*q1", 1), p)},
+        counted_run_check(1, per_point(lambda p: {"q1": ex.evaluate(parse("2*q1", 1), p)}),
                           SamplePlan("random", (), count, 3))
         assert counts["lowered"] == count
 
@@ -251,7 +252,7 @@ def test_grid_count_that_is_not_a_power_is_rejected(count, tmp_path, capsys):
     box = ((-1.0, 1.0),) * 3
     with pytest.raises(ValueError, match=f"grid count {count} is not k\\^3"):
         SamplePlan("grid", box, count, 0)
-    report = run_check(1, lambda p: {"defect": 0.0}, SamplePlan("grid", (), count, 0))
+    report = run_check(1, per_point(lambda p: {"defect": 0.0}), SamplePlan("grid", (), count, 0))
     assert report.verdict == "error"
     assert report.diagnostics == [f"grid count {count} is not k^3 for any whole k"]
     cfg_path = tmp_path / "grid.json"

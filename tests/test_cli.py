@@ -356,6 +356,20 @@ def test_overflowing_stationarity_bound_is_an_error_report(tmp_path):
     assert data["diagnostics"][2] == "stationarity bound = inf"
 
 
+def test_overflowing_stationarity_fail_bound_is_an_error_report(tmp_path):
+    # the bound stays finite, ten times it does not
+    code, _ = run_cli(["stationarity", "--lagrangian", "parachute",
+                       "--stat-tol=5e307"], tmp_path)
+    text = (tmp_path / "r.json").read_text()
+    assert "Infinity" not in text
+    data = json.loads(text)
+    assert code == 2
+    assert data["verdict"] == "error"
+    assert data["diagnostics"][0] == "non-finite fail bound = inf"
+    assert data["diagnostics"][1].startswith("action = ")
+    assert data["diagnostics"][2].startswith("stationarity bound = 1.")
+
+
 def test_nonpositive_t_is_config_error(tmp_path, capsys):
     code, _ = run_cli(["simulate", "--system", "parachute",
                        "--initial", "0,2,0", "--t", "-1"], tmp_path)

@@ -603,6 +603,22 @@ def test_stationarity_with_an_overflowing_bound_is_an_error():
     assert report.tolerances == Tolerances()
 
 
+def test_stationarity_with_an_overflowing_fail_bound_is_an_error():
+    """The bound is finite but ten times it, the fail tolerance, is not:
+    the report is an error naming it, not a pass with fail_tol = inf."""
+    L = parse("0.5*v1^2", 1)
+    t = np.linspace(0.0, 1.0, 101)
+    curve = SampledCurve(t, np.sin(np.pi * t)[:, None])
+    a0 = action(L, curve, 0.0)
+    bound = 5e307 * (1.0 + abs(a0))
+    assert math.isfinite(bound) and not math.isfinite(10.0 * bound)
+    report = stationarity_test(L, curve, 0.0, stat_tol=5e307)
+    assert report.verdict == "error" and math.isnan(report.max_residual)
+    assert report.diagnostics == ["non-finite fail bound = inf", f"action = {a0!r}",
+                                  f"stationarity bound = {bound!r}"]
+    assert report.tolerances == Tolerances()
+
+
 def test_stationarity_with_a_nan_action_is_an_error():
     L = parse("0.5*v1^2 + k*(M*q1)", 1)
     t = np.linspace(0.0, 1.0, 101)

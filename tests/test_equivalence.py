@@ -1,7 +1,11 @@
+import json
+from sys import modules
+
 import numpy as np
 import pytest
 
-from herglotz.checks import SamplePlan
+from herglotz import expr as ex
+from herglotz.checks import SamplePlan, sample_states
 from herglotz.contact import (
     ContactHamiltonianSystem, CoordOneForm, darboux_form,
 )
@@ -10,10 +14,10 @@ from herglotz.equivalence import (
     general_equivalence_check, horizontal_similarity_check,
     projectability_check, strong_equivalence_check, zero_set_diagnostic,
 )
-from herglotz.expr import Const, neg, parse
+from herglotz.expr import Const, DomainError, ExprError, neg, parse
 from herglotz.extended import ActionFunction
 from herglotz.fixtures import builtin_plans, builtin_systems
-from herglotz.lagrangian import herglotz_field
+from herglotz.lagrangian import ContactLagrangianSystem, herglotz_field
 
 REG = builtin_systems()
 PLANS = builtin_plans()
@@ -323,3 +327,72 @@ def test_contact_pair_checks_reject_different_charts(check):
     for sys_a, sys_b in ((wide, narrow), (narrow, wide)):
         with pytest.raises(ValueError, match="different dimension"):
             check(sys_a, sys_b)
+
+
+# ---------------------------------------------------------------------------
+# Large samples run over rows, and walk like the per-point loop
+
+
+def _walk_outcome(check):
+    """The report body of ``check()``, or the type and text of its error."""
+    try:
+        return json.dumps(check().to_dict())
+    except ExprError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("check", [strong_equivalence_check, general_equivalence_check])
+@pytest.mark.parametrize("gate_at, pole_at", [(5, 27), (27, 5), (0, 39), (39, 0), (12, 12)])
+@pytest.mark.parametrize("w_fails", ["singular", "raising"])
+def test_rows_end_at_the_first_failure_like_the_point_walk(monkeypatch, check, gate_at,
+                                                           pole_at, w_fails):
+    """In a 40-point sample, W is singular at point ``gate_at`` (or its tape
+    divides by zero there) and the bar-Lagrangian divides by zero exactly at
+    point ``pole_at``: the earlier one, W's at a tie, ends the check with the
+    records before it, as it does when every sample is walked point by point."""
+    plan = SamplePlan("random", (), 40, 17)
+    assert plan.count >= ex.ROWS_MIN
+    points = sample_states(plan, 1)
+    params = {"c_gate": points[gate_at].q[0], "c_pole": points[pole_at].q[0]}
+    kinetic = "0.5*v1^2*(q1 - c_gate)" if w_fails == "singular" else "0.5*v1^2/(q1 - c_gate)"
+    sys = ContactLagrangianSystem(1, parse(f"{kinetic} - 0.1*z", 1), params)
+    lbar = parse(f"{kinetic} - 0.1*z + 1/(q1 - c_pole)", 1)
+    zeta = ActionFunction(parse("z", 1))
+    rows = _walk_outcome(lambda: check(sys, lbar, zeta, plan))
+    if gate_at <= pole_at and w_fails == "singular":
+        report = json.loads(rows)
+        assert report["verdict"] == "error" and len(report["residuals"]) == gate_at
+        assert "det W = 0.000e+00" in report["diagnostics"][0]
+    else:
+        assert rows[0] is DomainError and rows[1].startswith("division by zero in ")
+        assert ("c_gate" if gate_at <= pole_at else "c_pole") in rows[1]
+    for module in [m for name, m in modules.items() if name.startswith("herglotz")]:
+        if hasattr(module, "ROWS_MIN"):
+            monkeypatch.setattr(module, "ROWS_MIN", plan.count + 1)
+    assert _walk_outcome(lambda: check(sys, lbar, zeta, plan)) == rows
+
+
+def test_large_samples_make_no_per_point_tape_call(monkeypatch):
+    """200-point strong, general and dynamical checks run every tape over
+    rows.  The frame predicate, which stays per point, is replaced by its
+    value: dzeta/dz = 1 for both gauges."""
+    calls = []
+    call = ex._Tape.__call__
+    monkeypatch.setattr(ex._Tape, "__call__", lambda self, y: calls.append(y) or call(self, y))
+    monkeypatch.setattr(ActionFunction, "frame_test", lambda self, n, extra=None: lambda p: True)
+    plan = SamplePlan(count=200, seed=3)
+    checks = [
+        lambda: strong_equivalence_check(REG["linear_drag"](), REG["drag_gauge_bar"](),
+                                         REG["zeta_sin_q"](), plan),
+        lambda: general_equivalence_check(REG["power_gauge_base"](),
+                                          REG["power_gauge_bar1"](), REG["zeta_v1"](), plan),
+        lambda: dynamical_equivalence_check(*saddle_pair(), plan),
+    ]
+    for check in checks:
+        report = check()
+        assert report.passed and len(report.records) == 200, report.diagnostics
+    assert calls == []
+    # the count sees the calls of a sample below ROWS_MIN
+    small = SamplePlan(count=ex.ROWS_MIN - 1, seed=3)
+    assert dynamical_equivalence_check(*saddle_pair(), small).passed
+    assert len(calls) == 4 * small.count

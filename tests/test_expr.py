@@ -6,6 +6,7 @@ import operator
 import pickle
 import random
 import re
+import struct
 import sys
 import weakref
 from pathlib import Path
@@ -1034,13 +1035,31 @@ BIG = Const(2.7167594696637367e+271)
 OTHER_FLAT = (0.3, -0.7, 2.0, -1.0, 1e200)
 
 
+def _bits(values):
+    """The IEEE bit patterns of floats, NaN signs and payloads included."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+ODD = [0.0, -0.0, 1.0, 800.0, 1e200, math.nan, -math.nan, math.inf, -math.inf]
+
+
 @settings(max_examples=300, deadline=None)
-@example(e=ex.neg(ex.mul(BIG, BIG)), other=Const(1.0), shape="tree", flat=[0.0] * 5)
+@example(e=ex.neg(ex.mul(BIG, BIG)), other=Const(1.0), shape="tree", flat=[0.0] * 5,
+         position=0, odd=[0.0] * 5, odd_at=0)
+# zero divisors of both signs; exp and ^ overflow; NaN and infinite inputs
+@example(e=ex.div(Const(1.0), Coord("q", 1)), other=ex.exp(Coord("v", 1)), shape="tree",
+         flat=[1.0, 800.0, 0.0, 0.5, 1.0], position=150, odd=[-0.0, 1.0, 0.0, 1.0, 1.0],
+         odd_at=40)
+@example(e=ex.intpow(Coord("z"), 2), other=ex.sqrt(Coord("q", 2)), shape="doubled",
+         flat=[1.0, 1.0, 1.0, 1.0, 1e200], position=19, odd=[math.nan, math.inf, -math.inf,
+                                                                -math.nan, 0.5], odd_at=7)
 @given(e=expr_strategy(), other=expr_strategy(),
        shape=st.sampled_from(sorted(DAG_SHAPES)),
        flat=st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5, 800.0, 1e200]),
-                     min_size=5, max_size=5))
-def test_executors_agree_on_values_and_errors(e, other, shape, flat):
+                     min_size=5, max_size=5),
+       position=st.integers(0, 199), odd=st.lists(st.sampled_from(ODD), min_size=5, max_size=5),
+       odd_at=st.integers(0, 199))
+def test_executors_agree_on_values_and_errors(e, other, shape, flat, position, odd, odd_at):
     e = DAG_SHAPES[shape](e)
     assert parse(unparse(e), n=2) == e
     params = {"gam": 0.7, "m_0": -1.5}
@@ -1068,6 +1087,26 @@ def test_executors_agree_on_values_and_errors(e, other, shape, flat):
     held = ex.tape(exprs, 2, params)
     _outcomes(lambda: held(OTHER_FLAT))
     assert _outcomes(lambda: held(point._flat)) == expected
+    # the rows of a held tape, with a coordinate and a constant among its
+    # results: the point at a drawn place in samples on both sides of
+    # ROWS_MIN, beside OTHER_FLAT and a drawn row of signed zeros, NaNs or
+    # infinities, give the values and the first error of a walk of the calls
+    held = ex.tape([*exprs, Coord("v", 2), Const(2.5)], 2, params)
+    for size in (1, ex.ROWS_MIN - 1, ex.ROWS_MIN, 200):
+        ys = [OTHER_FLAT] * size
+        ys[odd_at % size] = tuple(odd)
+        ys[position % size] = tuple(flat)
+        values, error = held.rows(ys)
+        walked, failure = [], None
+        for y in ys:
+            try:
+                walked.append(held(y))
+            except ExprError as exc:
+                failure = (type(exc), str(exc))
+                break
+        assert (error and (type(error), str(error))) == failure
+        assert values.shape == (len(walked), len(exprs) + 2)
+        assert list(map(_bits, values.tolist())) == list(map(_bits, walked))
 
 
 def test_unparse_examples():

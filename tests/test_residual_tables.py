@@ -30,7 +30,7 @@ from herglotz.lagrangian import (
 )
 from perfbench.workloads import DENSE_PARAMS, dense_text, gauge_texts
 
-from conftest import pt
+from conftest import per_point, pt
 
 # inf - inf: NaN at every point, built from finite constants
 NAN_TEXT = "(1e200*1e200 - 1e200*1e200)"
@@ -139,7 +139,7 @@ def reference_strong(sys, lbar_zeta_chart, zeta, plan):
                 np.max(np.abs(eta_bar_vals - factor * eta_l_vals))),
         }
 
-    return run_check(n, values, plan, predicate=zeta.frame_test(n, merged))
+    return run_check(n, per_point(values), plan, predicate=zeta.frame_test(n, merged))
 
 
 def reference_general(sys, lbar_zeta_chart, zeta, plan):
@@ -165,7 +165,7 @@ def reference_general(sys, lbar_zeta_chart, zeta, plan):
         out["field_mismatch"] = max(abs(a - b) for a, b in zip(pairs[::2], pairs[1::2]))
         return out
 
-    return run_check(n, values, plan, predicate=zeta.frame_test(n, merged))
+    return run_check(n, per_point(values), plan, predicate=zeta.frame_test(n, merged))
 
 
 def record_bits(report):
