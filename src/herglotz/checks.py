@@ -13,10 +13,13 @@ Every sampled check runs through :func:`run_check`, which alone decides:
 - sampling, with an optional predicate (the action-function frame check);
   a ``SamplingError`` becomes an error report;
 - the walk, in plan order: ``point_values(points)`` yields the record values
-  of each point, or ``None`` to leave the point out of the report;
+  of each point, or ``None`` to leave the point out of the report.  Every
+  checker reads its tapes over the whole sample by ``_Tape.rows``, and
+  :func:`walk_rows` raises a tape's error where the walk reaches its point;
 - aborting: ``CheckAbort`` raised at point k (or by the ``precheck`` run on
-  the whole sample first) ends the check with an error report that keeps
-  the records of points 0..k-1;
+  the whole sample first; :func:`finite` raises one for a non-finite value)
+  ends the check with an error report that keeps the records of points
+  0..k-1;
 - the reduction: the maximum of ``|value|`` over the residual keys (every
   key when none are named).  A non-finite value under a residual key gives
   an error report with ``max_residual`` NaN, never a pass, and so does a
@@ -40,12 +43,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .expr import ROWS_MIN, Expr, ParamSet, StatePoint, tape
+from .expr import Expr, ParamSet, StatePoint, tape
 
 __all__ = [
     "Tolerances", "SamplePlan", "CheckReport", "PointRecord", "SamplingError",
     "CheckAbort", "sample_states", "verdict_for", "report_from_records",
-    "error_report", "run_check", "residual_table", "max_abs",
+    "error_report", "run_check", "residual_table", "max_abs", "finite", "walk_rows",
 ]
 
 # Points where |dzeta/dz| falls at or below this threshold are rejected when
@@ -337,6 +340,21 @@ def max_abs(values: Iterable[float]) -> float:
     return math.nan if any(m != m for m in mags) else max(mags, default=0.0)
 
 
+def finite(k: int, key: str, value: float) -> float:
+    """``value``; a CheckAbort naming point ``k`` and ``key`` when it is not finite."""
+    if not math.isfinite(value):
+        raise CheckAbort(f"non-finite value at point {k}: {key} = {value!r}")
+    return value
+
+
+def walk_rows(rows: tuple[np.ndarray, Exception | None]) -> Iterator[tuple[float, ...]]:
+    """A tape's ``rows`` over a sample as float tuples, then its error, if any."""
+    values, error = rows
+    yield from map(tuple, values.tolist())
+    if error is not None:
+        raise error
+
+
 def residual_table(table: Mapping[str, Sequence[Expr]], n: int,
                    params: ParamSet | None = None
                    ) -> Callable[[list[StatePoint]], Iterator[dict[str, float]]]:
@@ -351,11 +369,7 @@ def residual_table(table: Mapping[str, Sequence[Expr]], n: int,
     run = tape([e for exprs in table.values() for e in exprs], n, params)
 
     def values(points: list[StatePoint]) -> Iterator[dict[str, float]]:
-        flats = [p._flat for p in points]
-        if len(flats) < ROWS_MIN:   # point by point: numpy calls would cost more
-            yield from ({key: max_abs(v[lo:hi]) for key, lo, hi in spans} for v in map(run, flats))
-            return
-        rows, error = run.rows(flats)
+        rows, error = run.rows([p._flat for p in points])
         columns = [abs(rows[:, lo:hi]).max(axis=1, initial=0.0).tolist() for _, lo, hi in spans]
         yield from (dict(zip(table, row)) for row in zip(*columns))
         if error is not None:

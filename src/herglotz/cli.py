@@ -212,8 +212,25 @@ def load_config(path: str | None) -> RunConfig:
     for k, task in enumerate(tasks):
         if not isinstance(task, dict) or "command" not in task:
             raise ConfigError("task entries need a 'command'", f"tasks[{k}]")
+        _check_task_args(task, f"tasks[{k}]")
     cfg.tasks = tasks
     return cfg
+
+
+def _check_task_args(task: dict, path: str) -> None:
+    """A ConfigError unless the task's args are an object that holds every
+    argument its command requires and none that it does not take.  An
+    unknown command is refused when the task runs."""
+    command, args = task["command"], task.get("args", {})
+    if not isinstance(args, dict):
+        raise ConfigError("args must be an object", f"{path}.args")
+    flags = _TASKS[command][1] if isinstance(command, str) and command in _TASKS else {}
+    for name, kwargs in flags.items():
+        if kwargs.get("required") and name not in args:
+            raise ConfigError(f"{command} needs the argument {name!r}", f"args.{name}")
+    for name in args:
+        if flags and name not in flags:
+            raise ConfigError(f"{command} takes no argument {name!r}", f"args.{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +680,7 @@ def run_task(cfg: RunConfig, command: str, args: dict, out_dir: Path,
     Library-level runtime failures (singular systems, evaluation domain
     errors, sampling exhaustion) become error reports, not tracebacks.
     """
-    if command not in _TASKS:
+    if not isinstance(command, str) or command not in _TASKS:
         raise ConfigError(f"unknown command {command!r}", "tasks")
     runner, _ = _TASKS[command]
     try:

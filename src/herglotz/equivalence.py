@@ -10,20 +10,20 @@ slot written ``z``); composition with the horizontal map happens here.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import repeat
 
 import numpy as np
 
 from .checks import (
     ESTIMATE_TOL, ZERO_TOL, CheckAbort, CheckReport, SamplePlan, Tolerances,
-    error_report, max_abs, residual_table, run_check,
+    error_report, finite, max_abs, residual_table, run_check, walk_rows,
 )
 from .contact import (
     ContactConditionError, ContactHamiltonianSystem, CoordVectorField,
     hamiltonian_fields,
 )
 from .expr import (
-    ROWS_MIN, Expr, StatePoint, differentiate, merge_params, mul, q, sub, tape, v, z,
+    Expr, StatePoint, differentiate, merge_params, mul, q, sub, tape, v, z,
 )
 from .extended import (
     ActionFunction, ExtendedLagrangianSystem, compose_with_zeta,
@@ -79,7 +79,8 @@ def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
 
     With ``factor`` omitted, f is estimated pointwise as H_b/H_a wherever
     |H_a| > 1e-8; if no sampled point admits the estimate the verdict is an
-    error.  A vanishing factor at any sampled point forces a fail.
+    error.  A vanishing factor at any sampled point forces a fail, and a
+    non-finite H, Hbar or given factor ends the check with an error.
     """
     skipped = 0
     n = _chart_dimension(sys_a, sys_b)
@@ -89,28 +90,37 @@ def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
     if factor is not None:
         factor_at = tape((factor,), n, merge_params(sys_a.params, sys_b.params))
 
-    def values(p):
+    def values(points):
         nonlocal skipped
-        (h_a,), (h_b,) = h_a_at(p._flat), h_b_at(p._flat)
-        if factor is not None:
-            (f_val,) = factor_at(p._flat)
-        elif abs(h_a) > ESTIMATE_TOL:
-            f_val = h_b / h_a
-        else:
-            skipped += 1
-            return None
-        eta_pairs = zip(eta_a_at(p._flat), eta_b_at(p._flat))
-        return {
-            "form_defect": max_abs(b - f_val * a for a, b in eta_pairs),
-            "hamiltonian_defect": abs(h_b - f_val * h_a),
-            "factor_vanishes": 1.0 if abs(f_val) <= ZERO_TOL else 0.0,
-            "factor": f_val,
-        }
+        flats = [p._flat for p in points]
+        h_a_rows = h_a_at.rows(flats)
+        known = flats if factor is not None else \
+            [y for y, (h,) in zip(flats, h_a_rows[0].tolist()) if abs(h) > ESTIMATE_TOL]
+        forms = zip(walk_rows(eta_a_at.rows(known)), walk_rows(eta_b_at.rows(known)))
+        factors = walk_rows(factor_at.rows(flats)) if factor is not None else repeat((None,))
+        heads = zip(walk_rows(h_a_rows), walk_rows(h_b_at.rows(flats)), factors)
+        for k, ((h_a,), (h_b,), (f_val,)) in enumerate(heads):
+            finite(k, "H", h_a), finite(k, "H_bar", h_b)
+            if factor is not None:
+                finite(k, "factor", f_val)
+            elif abs(h_a) > ESTIMATE_TOL:
+                f_val = h_b / h_a
+            else:
+                skipped += 1
+                yield None
+                continue
+            eta_a, eta_b = next(forms)
+            yield {
+                "form_defect": max_abs(b - f_val * a for a, b in zip(eta_a, eta_b)),
+                "hamiltonian_defect": abs(h_b - f_val * h_a),
+                "factor_vanishes": 1.0 if abs(f_val) <= ZERO_TOL else 0.0,
+                "factor": f_val,
+            }
 
     report = run_check(
-        n, lambda ps: map(values, ps), plan, tol,
+        n, values, plan, tol,
         residual_keys=("form_defect", "hamiltonian_defect", "factor_vanishes"))
-    if not report.records:
+    if skipped == report.plan.count:
         return error_report(
             "conformal factor inestimable: H vanishes at every sampled point",
             report.tolerances, report.plan)
@@ -152,21 +162,24 @@ def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,
     Informational companion to the similarity checks: a conformal similarity
     preserves the zero set, so any mismatch rules one out.  A point
     mismatches when exactly one Hamiltonian is (numerically) zero or when
-    both are nonzero with opposite signs.
+    both are nonzero with opposite signs.  A non-finite H or Hbar ends the
+    check with an error.
     """
     n = _chart_dimension(sys_a, sys_b)
     h_a_at, h_b_at = (tape((s.H,), n, s.params) for s in (sys_a, sys_b))
 
-    def values(p):
-        (h_a,), (h_b,) = h_a_at(p._flat), h_b_at(p._flat)
-        zero_a, zero_b = abs(h_a) <= ZERO_TOL, abs(h_b) <= ZERO_TOL
-        mismatch = (zero_a != zero_b) or \
-            (not zero_a and not zero_b and (h_a > 0) != (h_b > 0))
-        return {"zero_set_mismatch": 1.0 if mismatch else 0.0,
-                "H": h_a, "H_bar": h_b}
+    def values(points):
+        flats = [p._flat for p in points]
+        heads = zip(walk_rows(h_a_at.rows(flats)), walk_rows(h_b_at.rows(flats)))
+        for k, ((h_a,), (h_b,)) in enumerate(heads):
+            finite(k, "H", h_a), finite(k, "H_bar", h_b)
+            zero_a, zero_b = abs(h_a) <= ZERO_TOL, abs(h_b) <= ZERO_TOL
+            mismatch = (zero_a != zero_b) or \
+                (not zero_a and not zero_b and (h_a > 0) != (h_b > 0))
+            yield {"zero_set_mismatch": 1.0 if mismatch else 0.0,
+                   "H": h_a, "H_bar": h_b}
 
-    report = run_check(n, lambda ps: map(values, ps), plan, tol,
-                       residual_keys=("zero_set_mismatch",))
+    report = run_check(n, values, plan, tol, residual_keys=("zero_set_mismatch",))
     mismatches = sum(1 for rec in report.records if rec.values["zero_set_mismatch"])
     report.diagnostics.append(f"zero-set mismatches at {mismatches} of "
                               f"{len(report.records)} points")
@@ -219,15 +232,9 @@ def _require_regular(sys: ContactLagrangianSystem, ext: ExtendedLagrangianSystem
 
     def gated(points: list[StatePoint]):
         flats, tapes = [p._flat for p in points], (sys._extended._hessian_tape, ext._hessian_tape)
-        if len(points) < ROWS_MIN:   # point by point, as residual_table does
-            dets = [map(itemgetter(-1), map(t, flats)) for t in tapes]
-        else:   # a column ends at its error
-            dets = [w[:, -1].tolist() + [error] for w, error in (t.rows(flats) for t in tapes)]
+        dets = [walk_rows((w[:, -1:], error)) for w, error in (t.rows(flats) for t in tapes)]
         values = iter(point_values(points))
-        for p, det_l, det_bar in zip(points, *dets):
-            for det in (det_l, det_bar):
-                if isinstance(det, Exception):
-                    raise det
+        for p, (det_l,), (det_bar,) in zip(points, *dets):
             if not (abs(det_l) > det_tol and abs(det_bar) > det_tol):
                 raise CheckAbort(f"{what} at {p}: det W = {det_l:.3e}, "
                                  f"det W^zeta = {det_bar:.3e}")

@@ -769,6 +769,7 @@ def merge_params(*param_sets: ParamSet) -> dict[str, float]:
 
 # Samples of fewer points run point by point: on dense tapes (n = 1, 3, 5) rows
 # took 1.1-3.7x the time of calls at 3 and 10 points, 0.7-1.1x at 15, 0.2x at 200.
+# Only _Tape.rows reads it: checks call rows at every sample size.
 ROWS_MIN = 16
 
 # (exception type, node kind) -> what went wrong.  The kind of a Call is its

@@ -17,12 +17,11 @@ pointwise obstruction diagnostics D_i / E_i provide necessary conditions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .checks import (
     RATIO_EXCLUDE, ZERO_TOL, CheckAbort, CheckReport, SamplePlan, Tolerances,
-    residual_table, run_check,
+    finite, residual_table, run_check, walk_rows,
 )
 from .contact import CoordVectorField
 from .expr import (
@@ -86,15 +85,15 @@ def naive_inverse_check(sode: SODESystem, plan: SamplePlan | None = None,
     hessian_det = det_expr(_zeta_hessian_exprs(b, z(), n))
     residuals_at = tape((*defects, hessian_det), n, sode.params)
 
-    def values(p):
-        *defect_vals, det = residuals_at(p._flat)
-        out = {f"herglotz_defect_{i + 1}": abs(x) for i, x in enumerate(defect_vals)}
-        out["regularity_defect"] = 0.0 if abs(det) > det_tol else 1.0
-        out["hessian_det"] = det
-        return out
+    def values(points):
+        for *defect_vals, det in walk_rows(residuals_at.rows([p._flat for p in points])):
+            out = {f"herglotz_defect_{i + 1}": abs(x) for i, x in enumerate(defect_vals)}
+            out["regularity_defect"] = 0.0 if abs(det) > det_tol else 1.0
+            out["hessian_det"] = det
+            yield out
 
     keys = tuple(f"herglotz_defect_{i + 1}" for i in range(n)) + ("regularity_defect",)
-    report = run_check(n, lambda ps: map(values, ps), plan, tol, residual_keys=keys)
+    report = run_check(n, values, plan, tol, residual_keys=keys)
     irregular = sum(1 for rec in report.records if rec.values["regularity_defect"])
     if irregular:
         report.diagnostics.append(
@@ -181,40 +180,38 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
     ratio_grads_at = [tape([differentiate(div(d_exprs[i], e_exprs[i]), v(k + 1))
                             for k in range(n)], n, sode.params) for i in range(n)]
     excluded = 0
-    index = -1
 
-    def finite(key: str, value: float) -> float:
-        if not math.isfinite(value):
-            raise CheckAbort(f"non-finite value at point {index}: {key} = {value!r}")
-        return value
-
-    def values(p):
-        nonlocal excluded, index
-        index += 1
-        vals = d_e_at(p._flat)
-        d_vals = [finite(f"D_{i + 1}", x) for i, x in enumerate(vals[:n])]
-        e_vals = [finite(f"E_{i + 1}", x) for i, x in enumerate(vals[n:])]
-        out: dict[str, float] = {}
-        usable = []
-        for i in range(n):
-            zero_d, zero_e = abs(d_vals[i]) <= ZERO_TOL, abs(e_vals[i]) <= ZERO_TOL
-            out[f"zero_set_mismatch_{i + 1}"] = 1.0 if zero_d != zero_e else 0.0
-            out[f"D_{i + 1}"] = d_vals[i]
-            out[f"E_{i + 1}"] = e_vals[i]
-            if abs(e_vals[i]) > RATIO_EXCLUDE:
-                usable.append(i)
-            else:
-                excluded += 1
-        ratios = [finite(f"D_{i + 1}/E_{i + 1}", d_vals[i] / e_vals[i]) for i in usable]
-        out["ratio_spread"] = max(ratios) - min(ratios) if ratios else 0.0
-        grads = [g for i in usable for g in ratio_grads_at[i](p._flat)]
-        out["ratio_velocity_gradient"] = max(
-            (abs(finite("ratio_velocity_gradient", g)) for g in grads), default=0.0)
-        return out
+    def values(points):
+        nonlocal excluded
+        flats = [p._flat for p in points]
+        d_e_rows = d_e_at.rows(flats)
+        grad_rows = [walk_rows(run.rows([y for y, e in zip(flats, d_e_rows[0][:, n + i].tolist())
+                                         if abs(e) > RATIO_EXCLUDE]))
+                     for i, run in enumerate(ratio_grads_at)]
+        for k, vals in enumerate(walk_rows(d_e_rows)):
+            d_vals = [finite(k, f"D_{i + 1}", x) for i, x in enumerate(vals[:n])]
+            e_vals = [finite(k, f"E_{i + 1}", x) for i, x in enumerate(vals[n:])]
+            out: dict[str, float] = {}
+            usable = []
+            for i in range(n):
+                zero_d, zero_e = abs(d_vals[i]) <= ZERO_TOL, abs(e_vals[i]) <= ZERO_TOL
+                out[f"zero_set_mismatch_{i + 1}"] = 1.0 if zero_d != zero_e else 0.0
+                out[f"D_{i + 1}"] = d_vals[i]
+                out[f"E_{i + 1}"] = e_vals[i]
+                if abs(e_vals[i]) > RATIO_EXCLUDE:
+                    usable.append(i)
+                else:
+                    excluded += 1
+            ratios = [finite(k, f"D_{i + 1}/E_{i + 1}", d_vals[i] / e_vals[i]) for i in usable]
+            out["ratio_spread"] = max(ratios) - min(ratios) if ratios else 0.0
+            grads = [g for i in usable for g in next(grad_rows[i])]
+            out["ratio_velocity_gradient"] = max(
+                (abs(finite(k, "ratio_velocity_gradient", g)) for g in grads), default=0.0)
+            yield out
 
     keys = tuple(f"zero_set_mismatch_{i + 1}" for i in range(n)) + \
         ("ratio_spread", "ratio_velocity_gradient")
-    report = run_check(n, lambda ps: map(values, ps), plan, tol, residual_keys=keys)
+    report = run_check(n, values, plan, tol, residual_keys=keys)
     report.diagnostics.append(f"{excluded} index-point pairs excluded from ratio "
                               f"tests (|E_i| <= {RATIO_EXCLUDE})")
     return report

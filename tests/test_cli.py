@@ -268,6 +268,37 @@ def test_config_schema_violation_paths(tmp_path, capsys):
         assert needle in capsys.readouterr().err, raw
 
 
+@pytest.mark.parametrize("task, path, message", [
+    ({"command": "check-dynamical",
+      "args": {"hamiltonian": "saddle", "hamiltonian_bar": "saddle_flipped"}},
+     "args.system", "check-dynamical needs the argument 'system'"),
+    ({"command": "check-dynamical", "args": {"system": "saddle", "plan": "box1"}},
+     "args.system_b", "check-dynamical needs the argument 'system_b'"),
+    ({"command": "herglotz"}, "args.lagrangian", "herglotz needs the argument 'lagrangian'"),
+    ({"command": "check-inverse", "args": {"sode": "sode_parachute", "plann": "box1"}},
+     "args.plann", "check-inverse takes no argument 'plann'"),
+    ({"command": "simulate", "args": ["system", "parachute"]}, "tasks[1].args",
+     "args must be an object"),
+    ({"command": "bogus", "args": {"x": 1}}, "tasks", "unknown command 'bogus'"),
+    ({"command": ["check-inverse"]}, "tasks", "unknown command ['check-inverse']"),
+], ids=["wrong-names", "missing-system-b", "no-args", "unknown-name", "args-not-object",
+        "unknown-command", "unhashable-command"])
+def test_task_arguments_outside_the_command_table_are_config_errors(task, path, message,
+                                                                     tmp_path, capsys):
+    """A batch task's args are checked against its command's argument table
+    when the config loads, before any task runs; an unknown command is
+    refused when its task is reached, after the tasks before it."""
+    ran = {"command": "check-inverse", "tag": "first",
+           "args": {"sode": "sode_parachute", "plan": "box1"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"tasks": [ran, task]}))
+    code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "batch"])
+    assert code == 3
+    assert f"config error: {message} (config path: {path})" in capsys.readouterr().err
+    written = [p.name for p in (tmp_path / "out").glob("*.json")]
+    assert written == (["check-inverse_first.json"] if path == "tasks" else [])
+
+
 # ---------------------------------------------------------------------------
 # Run arguments: values with a leading minus, and malformed runs
 
@@ -596,12 +627,20 @@ FUZZ_PLAN = st.fixed_dictionaries({}, optional={
     | st.sampled_from([100_000_000, float(cli.MAX_COUNT + 1)]),
     "seed": FUZZ_NUMBER,
 }) | FUZZ_ODD
+# Task arguments: names from the command table, misspelt ones, and values
+# of any kind; the table itself checks only the names.
+FUZZ_ARG_NAMES = sorted({name for _, flags in cli._TASKS.values() for name in flags}
+                        | {"plann", "hamiltonian", "system-b", ""})
+FUZZ_TASK = st.fixed_dictionaries(
+    {"command": st.sampled_from(sorted(cli._TASKS)) | FUZZ_NUMBER},
+    optional={"args": st.dictionaries(st.sampled_from(FUZZ_ARG_NAMES), FUZZ_EXPR_TEXT,
+                                      max_size=4) | FUZZ_ODD})
 FUZZ_CONFIG = st.fixed_dictionaries({}, optional={
     "systems": st.dictionaries(st.text(max_size=3), FUZZ_SYSTEM, max_size=2) | FUZZ_ODD,
     "plans": st.dictionaries(st.text(max_size=3), FUZZ_PLAN, max_size=2) | FUZZ_ODD,
     "tolerances": st.fixed_dictionaries({}, optional={
         key: FUZZ_NUMBER for key in ("pass_tol", "fail_tol", "det_tol")}) | FUZZ_ODD,
-    "tasks": st.lists(st.fixed_dictionaries({"command": FUZZ_NUMBER}) | FUZZ_ODD, max_size=2) | FUZZ_ODD,
+    "tasks": st.lists(FUZZ_TASK | FUZZ_ODD, max_size=2) | FUZZ_ODD,
     "output_dir": st.text(max_size=3) | FUZZ_ODD,
 }) | FUZZ_ODD
 
@@ -619,6 +658,11 @@ def test_load_config_returns_a_config_or_raises_config_error(raw, tmp_path):
         return
     assert isinstance(cfg, cli.RunConfig)
     assert all(plan.count <= cli.MAX_COUNT for plan in cfg.plans.values())
+    for task in cfg.tasks:
+        if isinstance(task["command"], str) and task["command"] in cli._TASKS:
+            flags, args = cli._TASKS[task["command"]][1], task.get("args", {})
+            assert set(args) <= set(flags)
+            assert all(name in args for name, kwargs in flags.items() if kwargs.get("required"))
 
 
 def test_legendre_task_lowers_once_per_check(tmp_path, monkeypatch):

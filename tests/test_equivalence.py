@@ -1,4 +1,5 @@
 import json
+import math
 from sys import modules
 
 import numpy as np
@@ -17,6 +18,7 @@ from herglotz.equivalence import (
 from herglotz.expr import Const, DomainError, ExprError, neg, parse
 from herglotz.extended import ActionFunction
 from herglotz.fixtures import builtin_plans, builtin_systems
+from herglotz.inverse import di_ei_diagnostics, naive_inverse_check
 from herglotz.lagrangian import ContactLagrangianSystem, herglotz_field
 
 REG = builtin_systems()
@@ -61,7 +63,14 @@ def test_conformal_inestimable_factor_is_error():
     a = ContactHamiltonianSystem(1, darboux_form(1), Const(0.0))
     b = ContactHamiltonianSystem(1, darboux_form(1), Const(0.0))
     report = conformal_similarity_check(a, b, plan=BOX1)
+    assert report.verdict == "error" and report.records == []
+    assert report.diagnostics == ["conformal factor inestimable: H vanishes at every sampled point"]
+
+
+def test_conformal_sampling_error_keeps_its_text():
+    report = conformal_similarity_check(*saddle_pair(), plan=SamplePlan("grid", (), 10, 0))
     assert report.verdict == "error"
+    assert report.diagnostics == ["grid count 10 is not k^3 for any whole k"]
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +381,32 @@ def test_rows_end_at_the_first_failure_like_the_point_walk(monkeypatch, check, g
     assert _walk_outcome(lambda: check(sys, lbar, zeta, plan)) == rows
 
 
+@pytest.mark.parametrize("check", [strong_equivalence_check, general_equivalence_check])
+def test_w_tape_raises_before_the_w_zeta_tape_at_a_shared_point(check):
+    """W and W^zeta both divide by zero at point 7 of a 20-point sample; the
+    gate raises W's error, as the walk evaluated W first."""
+    plan = SamplePlan("random", (), 20, 17)
+    c = sample_states(plan, 1)[7].q[0]
+    sys = ContactLagrangianSystem(1, parse("0.5*v1^2/(q1 - c_l) - 0.1*z", 1),
+                                  {"c_l": c, "c_bar": c})
+    lbar = parse("0.5*v1^2/(q1 - c_bar) - 0.1*z", 1)
+    with pytest.raises(DomainError, match=r"^division by zero in .*c_l"):
+        check(sys, lbar, ActionFunction(parse("z", 1)), plan)
+
+
+def _conformal_rescale(H="0.5*v1^2 + q1^2 + z", factor="2 + sin(q1)"):
+    """A system and its rescale by ``factor``, which is conformal to it."""
+    base = ContactHamiltonianSystem(1, darboux_form(1), parse(H, 1))
+    f = parse(factor, 1)
+    return base, ContactHamiltonianSystem(
+        1, CoordOneForm(1, tuple(f * c for c in base.eta.components)), f * base.H)
+
+
 def test_large_samples_make_no_per_point_tape_call(monkeypatch):
-    """200-point strong, general and dynamical checks run every tape over
-    rows.  The frame predicate, which stays per point, is replaced by its
-    value: dzeta/dz = 1 for both gauges."""
+    """200-point strong, general, dynamical, conformal (factor estimated and
+    given), zero-set, naive-inverse and D/E checks run every tape over rows.
+    The frame predicate, which stays per point, is replaced by its value:
+    dzeta/dz = 1 for both gauges."""
     calls = []
     call = ex._Tape.__call__
     monkeypatch.setattr(ex._Tape, "__call__", lambda self, y: calls.append(y) or call(self, y))
@@ -387,6 +418,11 @@ def test_large_samples_make_no_per_point_tape_call(monkeypatch):
         lambda: general_equivalence_check(REG["power_gauge_base"](),
                                           REG["power_gauge_bar1"](), REG["zeta_v1"](), plan),
         lambda: dynamical_equivalence_check(*saddle_pair(), plan),
+        lambda: conformal_similarity_check(*_conformal_rescale(), plan=plan),
+        lambda: conformal_similarity_check(*_conformal_rescale(), parse("2 + sin(q1)", 1), plan),
+        lambda: zero_set_diagnostic(*_conformal_rescale("q1^2 + v1^2 + 2"), plan),
+        lambda: naive_inverse_check(REG["sode_parachute"](), plan).report,
+        lambda: di_ei_diagnostics(REG["sode_parachute"](), plan),
     ]
     for check in checks:
         report = check()
@@ -396,3 +432,37 @@ def test_large_samples_make_no_per_point_tape_call(monkeypatch):
     small = SamplePlan(count=ex.ROWS_MIN - 1, seed=3)
     assert dynamical_equivalence_check(*saddle_pair(), small).passed
     assert len(calls) == 4 * small.count
+
+
+# ---------------------------------------------------------------------------
+# A non-finite Hamiltonian or given factor ends the check
+
+
+NAN_TEXT = "(1e200*1e200 - 1e200*1e200)"
+NAN_PLAN = SamplePlan(count=20, seed=5)
+# NaN where q1 is that of point 3 of NAN_PLAN (tanh of inf * 0), +-1 elsewhere
+NAN_AT_3 = "tanh(1e200*1e200*(q1 - c))"
+
+
+def _ham(H):
+    c = sample_states(NAN_PLAN, 1)[3].q[0]
+    return ContactHamiltonianSystem(1, darboux_form(1), parse(H, 1), {"c": c})
+
+
+@pytest.mark.parametrize("check, systems, at, key", [
+    (zero_set_diagnostic, (NAN_TEXT, NAN_TEXT), 0, "H"),
+    (zero_set_diagnostic, ("q1*v1 + z", f"3 + {NAN_AT_3}"), 3, "H_bar"),
+    (conformal_similarity_check, (NAN_TEXT, "1"), 0, "H"),
+    (conformal_similarity_check, (f"3 + {NAN_AT_3}", f"3 + {NAN_AT_3}"), 3, "H"),
+    (conformal_similarity_check, ("2", f"4 + {NAN_AT_3}"), 3, "H_bar"),
+    (lambda a, b, plan: conformal_similarity_check(a, b, parse(f"2 + {NAN_AT_3}", 1), plan),
+     ("2", "4"), 3, "factor"),
+], ids=["zero-set-nan", "zero-set-nan-at-3", "conformal-nan", "conformal-nan-at-3",
+        "conformal-bar-nan-at-3", "conformal-factor-nan-at-3"])
+def test_non_finite_hamiltonian_or_factor_is_an_error(check, systems, at, key):
+    """Where a NaN H passed the zero-set test, or was skipped as |H| <= 1e-8
+    by the factor estimate, the check ends at its point with an error."""
+    report = check(*map(_ham, systems), plan=NAN_PLAN)
+    assert report.verdict == "error" and math.isnan(report.max_residual)
+    assert len(report.records) == at
+    assert report.diagnostics[0] == f"non-finite value at point {at}: {key} = nan"

@@ -5,12 +5,14 @@ The reference closures below are the per-point functions the strong and
 general checkers used before they declared tables; the tables must give the
 same record values bit for bit."""
 
+import collections
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from herglotz import equivalence
+from herglotz import cli, equivalence, expr, extended
 from herglotz.checks import SamplePlan, Tolerances, max_abs, run_check
 from herglotz.cli import main
 from herglotz.contact import CoordVectorField
@@ -210,6 +212,31 @@ def test_default_batch_makes_no_lapack_determinant(tmp_path, monkeypatch):
     main(["batch", "--out", str(tmp_path)])
     assert len(list(tmp_path.glob("*.json"))) == 16
     assert calls[0] == 0
+
+
+def test_default_batch_walks_points_only_for_the_frame_test_and_the_legendre_transform(
+        tmp_path, monkeypatch):
+    """Every sampled check reads its tapes as rows.  What still calls a tape
+    at one point is sampling's frame predicate, once per candidate (1,600)
+    and once in frame_ok, and the legendre task's transform of its first
+    sample point (4 calls)."""
+    calls, task = collections.Counter(), [None]
+    call, run_task = expr._Tape.__call__, cli.run_task
+
+    def counted(self, y):
+        caller = sys._getframe(1).f_code
+        frame_test = caller.co_name == "<lambda>" and caller.co_filename == extended.__file__
+        calls["frame_test" if frame_test else task[0]] += 1
+        return call(self, y)
+
+    def tracked(cfg, command, *args):
+        task[0] = command
+        return run_task(cfg, command, *args)
+
+    monkeypatch.setattr(expr._Tape, "__call__", counted)
+    monkeypatch.setattr(cli, "run_task", tracked)
+    main(["batch", "--out", str(tmp_path)])
+    assert calls == {"frame_test": 1601, "legendre": 4}
 
 
 def test_regularity_gate_aborts_on_a_nan_determinant():
