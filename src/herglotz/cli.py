@@ -18,7 +18,9 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -209,28 +211,46 @@ def load_config(path: str | None) -> RunConfig:
     tasks = raw.get("tasks") or []
     if not isinstance(tasks, list):
         raise ConfigError("'tasks' must be a list", "tasks")
+    stems: dict[str, int] = {}
     for k, task in enumerate(tasks):
         if not isinstance(task, dict) or "command" not in task:
             raise ConfigError("task entries need a 'command'", f"tasks[{k}]")
-        _check_task_args(task, f"tasks[{k}]")
+        _check_task(task, f"tasks[{k}]")
+        stem = _task_stem(task, k)
+        if stem in stems:
+            raise ConfigError(f"report {stem}.json is also written by tasks[{stems[stem]}]",
+                              f"tasks[{k}].tag")
+        stems[stem] = k
     cfg.tasks = tasks
     return cfg
 
 
-def _check_task_args(task: dict, path: str) -> None:
-    """A ConfigError unless the task's args are an object that holds every
-    argument its command requires and none that it does not take.  An
-    unknown command is refused when the task runs."""
+def _check_task(task: dict, path: str) -> None:
+    """A ConfigError unless the task's command is in the command table, its
+    tag, when given, is a non-empty run of letters, digits, '_', '-' and
+    '.', and its args are an object that holds every argument the command
+    requires and none that it does not take."""
     command, args = task["command"], task.get("args", {})
+    if not isinstance(command, str) or command not in _TASKS:
+        raise ConfigError(f"unknown command {command!r}", f"{path}.command")
+    if "tag" in task and not (isinstance(task["tag"], str)
+                              and re.fullmatch(r"[A-Za-z0-9_.-]+", task["tag"])):
+        raise ConfigError("tag must be a non-empty string of letters, digits, '_', '-' "
+                          f"and '.', got {task['tag']!r}", f"{path}.tag")
     if not isinstance(args, dict):
         raise ConfigError("args must be an object", f"{path}.args")
-    flags = _TASKS[command][1] if isinstance(command, str) and command in _TASKS else {}
+    flags = _TASKS[command][1]
     for name, kwargs in flags.items():
         if kwargs.get("required") and name not in args:
             raise ConfigError(f"{command} needs the argument {name!r}", f"args.{name}")
     for name in args:
-        if flags and name not in flags:
+        if name not in flags:
             raise ConfigError(f"{command} takes no argument {name!r}", f"args.{name}")
+
+
+def _task_stem(task: dict, k: int) -> str:
+    """The file stem of batch task k's report: <command>_<tag or task{k}>."""
+    return f"{task['command']}_{task.get('tag', f'task{k}')}"
 
 
 # ---------------------------------------------------------------------------
@@ -344,45 +364,31 @@ def write_report(report: CheckReport, path: Path) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json_text(data) + "\n")
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii
+@contextmanager
+def _writing(path: str):
+    """An OSError in the block, creating or writing an output, as a
+    ConfigError at ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}", path) from None
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii   # a TypeError for a non-str
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, and the same TypeError
-    for what it rejects and ValueError for a container that holds itself.
-    The standard encoder writes indented output in pure Python; here each
+    """``json.dumps(obj, indent=2)``, byte for byte, for what a report holds:
+    dicts with str keys, lists, tuples, str, int, float, bool and None.
+    Anything else, a key that is not a str included, is a TypeError.  The
+    standard encoder writes indented output in pure Python; here each
     all-float list is one ``join`` over ``float.__repr__`` and every other
     leaf goes to a C-level formatter too."""
-    try:
-        return _json_text(obj, "\n")
-    except RecursionError:
-        # a cycle recurses without end; look for one only then, so that
-        # writing an acyclic report tracks no container ids
-        if _holds_itself(obj):
-            raise ValueError("Circular reference detected") from None
-        raise
-
-
-def _holds_itself(obj) -> bool:
-    """Whether a dict, list or tuple in ``obj`` contains itself: a walk with
-    an explicit stack that keeps the ids of the containers on its path."""
-    path, stack = set(), [(obj, False)]
-    while stack:
-        o, leaving = stack.pop()
-        if leaving:
-            path.remove(id(o))
-        elif isinstance(o, (dict, list, tuple)):
-            if id(o) in path:
-                return True
-            path.add(id(o))
-            stack.append((o, True))
-            stack.extend((x, False) for x in (o.values() if isinstance(o, dict) else o))
-    return False
+    return _json_text(obj, "\n")
 
 
 def _json_text(o, pad: str) -> str:
@@ -393,7 +399,7 @@ def _json_text(o, pad: str) -> str:
         if not o:
             return "{}"
         return "{" + inner + ("," + inner).join([
-            (_ESCAPE(k) if k.__class__ is str else _key_text(k)) + ": "
+            _ESCAPE(k) + ": "
             + (_float_text(v) if v.__class__ is float else _json_text(v, inner))
             for k, v in o.items()]) + pad + "}"
     if isinstance(o, (list, tuple)):
@@ -423,21 +429,6 @@ def _json_text(o, pad: str) -> str:
 def _float_text(x: float) -> str:
     text = float.__repr__(x)
     return _NONFINITE.get(text, text)
-
-
-def _key_text(key) -> str:
-    """A dict key as json writes it: str, float, bool, None and int keys
-    become strings."""
-    if isinstance(key, str):
-        return _ESCAPE(key)
-    if isinstance(key, float):
-        return _ESCAPE(_float_text(key))
-    if key is None or key is True or key is False:
-        return _ESCAPE(_json_text(key, ""))
-    if isinstance(key, int):
-        return _ESCAPE(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
 
 
 def _subsample(records: list[PointRecord], cap: int = 200) -> list[PointRecord]:
@@ -754,18 +745,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(ns: argparse.Namespace) -> int:
-    """Run the parsed command line; a ConfigError ends the run."""
+    """Run the parsed command line; a ConfigError ends the run.  The output
+    directories are made before any task runs."""
     cfg = load_config(ns.config)
     out_dir = Path(ns.out) if ns.out else cfg.output_dir
+    with _writing("output_dir"):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     if ns.command == "batch":
-        tasks = cfg.tasks or default_tasks()
         worst = EXIT_PASS
-        for idx, task in enumerate(tasks):
-            tag = task.get("tag") or f"task{idx}"
-            stem = f"{task['command']}_{tag}"
+        for idx, task in enumerate(cfg.tasks or default_tasks()):
+            stem = _task_stem(task, idx)
             report, _ = run_task(cfg, task["command"], task.get("args", {}), out_dir, stem)
-            write_report(report, out_dir / f"{stem}.json")
+            with _writing("output_dir"):
+                write_report(report, out_dir / f"{stem}.json")
             print(f"{stem}: {report.verdict} (max residual "
                   f"{report.max_residual!r})")
             worst = max(worst, _EXIT_CODE[report.verdict])
@@ -775,9 +768,13 @@ def _run(ns: argparse.Namespace) -> int:
             if key not in ("command", "config", "out", "report", "tag")
             and value is not None and value is not False}
     tag = ns.tag or ns.command
-    report, _ = run_task(cfg, ns.command, args, out_dir, tag)
     report_path = Path(ns.report) if ns.report else out_dir / f"{tag}.json"
-    write_report(report, report_path)
+    where = "report" if ns.report else "output_dir"
+    with _writing(where):
+        report_path.parent.mkdir(parents=True, exist_ok=True)
+    report, _ = run_task(cfg, ns.command, args, out_dir, tag)
+    with _writing(where):
+        write_report(report, report_path)
     print(f"{ns.command}: {report.verdict} (max residual {report.max_residual!r}; "
           f"report {report_path})")
     return _EXIT_CODE[report.verdict]

@@ -228,6 +228,12 @@ def test_grid_plan_samples_its_full_lattice(n, per_axis):
         assert {p._flat[k] for p in states} == axis
 
 
+def test_a_plan_whose_bounds_miss_the_action_axis_is_refused():
+    plan = SamplePlan("random", ((-1.0, 1.0),) * 2, 10, 0)
+    with pytest.raises(ValueError, match="plan has 2 bounds, chart needs 3"):
+        sample_states(plan, 1)
+
+
 def test_builtin_grid_plan_covers_the_box():
     states = sample_states(builtin_plans()["box1_grid"], 1)
     assert len(states) == 125

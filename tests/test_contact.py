@@ -281,6 +281,13 @@ def test_compiled_contact_data_fails_like_the_walk(eta, h_text, pole):
     assert _domain_error_text(lambda: hamiltonian_field(sys, pole)) == expected
 
 
+def test_contact_condition_raises_the_form_tapes_domain_error_at_a_pole():
+    eta = CoordOneForm(1, (parse("-v1/q1", 1), Const(0.0), parse("1/q1", 1)))
+    sys = ContactHamiltonianSystem(1, eta, parse("v1^2", 1), {})
+    with pytest.raises(DomainError, match="division by zero"):
+        contact_condition(sys, pt(0.0, 0.5, 0.2))
+
+
 def test_contact_data_compiles_once_per_system(monkeypatch, rng):
     # the contact data is lowered to two tapes per system, and nothing on the
     # dynamical check renders a compiled program

@@ -69,6 +69,13 @@ def test_integrate_counts_steps_and_ends_at_t_end():
     assert traj.times[-1] == 0.9
 
 
+@pytest.mark.parametrize("t_end, dt", [(1.0, 0.0), (1.0, -0.1), (0.0, 0.1), (-1.0, 0.1)])
+def test_integrate_refuses_a_nonpositive_time_or_step(t_end, dt):
+    field = CoordVectorField(1, (Const(0.0), Const(0.0), Const(1.0)))
+    with pytest.raises(ValueError, match="t_end and dt must be positive"):
+        integrate(field, pt(0.0, 0.0, 0.0), t_end, dt)
+
+
 def test_integrate_reports_last_good_state_on_failure():
     # q decreases from 1 at unit speed; log(q1) blows up at the origin
     field = CoordVectorField(1, (Const(-1.0), Const(0.0), log(q(1))))

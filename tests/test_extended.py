@@ -163,6 +163,11 @@ def test_extended_form_strong_case_is_conformal(rng):
 # zeta-regularity
 
 
+def test_zeta_regularity_raises_where_dzeta_dz_vanishes():
+    with pytest.raises(FrameError, match="dzeta/dz vanishes"):
+        zeta_regularity(ext(DAMPED, ActionFunction(parse("q1", 1))), pt(0.1, 0.2, 0.3))
+
+
 def test_zeta_regularity_identity_chart():
     det, ok = zeta_regularity(ext(DAMPED, ZETA_ID), pt(0.1, 0.2, 0.3))
     assert det == pytest.approx(1.0) and ok
