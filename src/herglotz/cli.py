@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -90,6 +91,8 @@ MAX_COUNT = 10_000
 # The largest RK4 step count of a simulate or stationarity task, far above the
 # 10,000 of any fixture: a run appends every state to a growing buffer.
 MAX_STEPS = 1_000_000
+# A batch task's or a single command's report tag: a plain file name part.
+_TAG = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def _parse_expr(text, n: int, path: str) -> Expr:
@@ -233,19 +236,25 @@ def _check_task(task: dict, path: str) -> None:
     command, args = task["command"], task.get("args", {})
     if not isinstance(command, str) or command not in _TASKS:
         raise ConfigError(f"unknown command {command!r}", f"{path}.command")
-    if "tag" in task and not (isinstance(task["tag"], str)
-                              and re.fullmatch(r"[A-Za-z0-9_.-]+", task["tag"])):
-        raise ConfigError("tag must be a non-empty string of letters, digits, '_', '-' "
-                          f"and '.', got {task['tag']!r}", f"{path}.tag")
+    if "tag" in task:
+        _check_tag(task["tag"], f"{path}.tag")
     if not isinstance(args, dict):
         raise ConfigError("args must be an object", f"{path}.args")
     flags = _TASKS[command][1]
     for name, kwargs in flags.items():
         if kwargs.get("required") and name not in args:
-            raise ConfigError(f"{command} needs the argument {name!r}", f"args.{name}")
+            raise ConfigError(f"{command} needs the argument {name!r}", f"{path}.args.{name}")
     for name in args:
         if name not in flags:
-            raise ConfigError(f"{command} takes no argument {name!r}", f"args.{name}")
+            raise ConfigError(f"{command} takes no argument {name!r}", f"{path}.args.{name}")
+
+
+def _check_tag(tag, path: str) -> str:
+    """The tag, which keeps its report in its directory; else a ConfigError."""
+    if not (isinstance(tag, str) and _TAG.fullmatch(tag)):
+        raise ConfigError("tag must be a non-empty string of letters, digits, '_', '-' "
+                          f"and '.', got {tag!r}", path)
+    return tag
 
 
 def _task_stem(task: dict, k: int) -> str:
@@ -258,14 +267,11 @@ def _task_stem(task: dict, k: int) -> str:
 
 
 def _resolve(cfg: RunConfig, name: str, kinds: tuple[type, ...], what: str):
-    obj = None
     if name in cfg.systems:
         obj = cfg.systems[name]
+    elif name in (reg := builtin_systems()):
+        obj = reg[name]()
     else:
-        reg = builtin_systems()
-        if name in reg:
-            obj = reg[name]()
-    if obj is None:
         raise ConfigError(f"unknown {what} {name!r}", f"systems.{name}")
     if not isinstance(obj, kinds):
         raise ConfigError(
@@ -359,11 +365,10 @@ def _resolve_plan(cfg: RunConfig, name: str | None) -> SamplePlan:
 
 
 def write_report(report: CheckReport, path: Path) -> None:
-    data = report.to_dict()
-    data["metadata"] = {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "version": __version__,
-    }
+    data = replace(report, records=[]).to_dict()
+    data["residuals"] = _records_text(report.records)
+    data["metadata"] = {"timestamp": datetime.now(timezone.utc).isoformat(),
+                        "version": __version__}
     path.write_text(json_text(data) + "\n")
 
 
@@ -416,7 +421,7 @@ def _json_text(o, pad: str) -> str:
                 body = sep.join(map(_float_text, o))
         return "[" + inner + body + pad + "]"
     if isinstance(o, str):
-        return _ESCAPE(o)
+        return o if o.__class__ is _Text else _ESCAPE(o)
     if o is None or o is True or o is False:
         return {None: "null", True: "true", False: "false"}[o]
     if isinstance(o, int):
@@ -429,6 +434,31 @@ def _json_text(o, pad: str) -> str:
 def _float_text(x: float) -> str:
     text = float.__repr__(x)
     return _NONFINITE.get(text, text)
+
+
+class _Text(str):
+    """JSON text that _json_text writes as it is."""
+
+
+def _records_text(records: list[PointRecord]) -> _Text:
+    """The "residuals" list of a report as JSON text.  A record whose values
+    are exact finite floats fills its shape's template, the text of a record
+    of slots, where %r writes each float as JSON does; others go to _json_text.
+    A record's lines are two levels deep; a slot is a NUL, which escaped JSON
+    text never holds."""
+    pad, slot, templates, texts = "\n    ", _Text("\0"), {}, []
+    for rec in records:
+        values = rec.values.values()
+        if {*map(type, values)} <= {float} and all(map(math.isfinite, values)):
+            n, keys = shape = rec.point.n, tuple(rec.values)
+            if shape not in templates:
+                point = SimpleNamespace(n=n, _flat=(slot,) * (2 * n + 1))
+                text = _json_text(PointRecord(point, dict.fromkeys(keys, slot)).to_dict(), pad)
+                templates[shape] = text.replace("%", "%%").replace(slot, "%r")
+            texts.append(templates[shape] % (*rec.point._flat, *values))
+        else:
+            texts.append(_json_text(rec.to_dict(), pad))
+    return _Text(f"[{pad}{(',' + pad).join(texts)}\n  ]" if texts else "[]")
 
 
 def _subsample(records: list[PointRecord], cap: int = 200) -> list[PointRecord]:
@@ -767,7 +797,7 @@ def _run(ns: argparse.Namespace) -> int:
     args = {key: value for key, value in vars(ns).items()
             if key not in ("command", "config", "out", "report", "tag")
             and value is not None and value is not False}
-    tag = ns.tag or ns.command
+    tag = ns.command if ns.tag is None else _check_tag(ns.tag, "tag")
     report_path = Path(ns.report) if ns.report else out_dir / f"{tag}.json"
     where = "report" if ns.report else "output_dir"
     with _writing(where):

@@ -1,8 +1,10 @@
+import collections
 import enum
 import json
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from herglotz import cli, expr
-from herglotz.checks import PointRecord, SamplePlan, Tolerances, error_report
+from herglotz.checks import CheckReport, PointRecord, SamplePlan, Tolerances, error_report
 from herglotz.cli import json_text, main
 from herglotz.expr import StatePoint
 
@@ -271,12 +273,13 @@ def test_config_schema_violation_paths(tmp_path, capsys):
 @pytest.mark.parametrize("task, path, message", [
     ({"command": "check-dynamical",
       "args": {"hamiltonian": "saddle", "hamiltonian_bar": "saddle_flipped"}},
-     "args.system", "check-dynamical needs the argument 'system'"),
+     "tasks[1].args.system", "check-dynamical needs the argument 'system'"),
     ({"command": "check-dynamical", "args": {"system": "saddle", "plan": "box1"}},
-     "args.system_b", "check-dynamical needs the argument 'system_b'"),
-    ({"command": "herglotz"}, "args.lagrangian", "herglotz needs the argument 'lagrangian'"),
+     "tasks[1].args.system_b", "check-dynamical needs the argument 'system_b'"),
+    ({"command": "herglotz"}, "tasks[1].args.lagrangian",
+     "herglotz needs the argument 'lagrangian'"),
     ({"command": "check-inverse", "args": {"sode": "sode_parachute", "plann": "box1"}},
-     "args.plann", "check-inverse takes no argument 'plann'"),
+     "tasks[1].args.plann", "check-inverse takes no argument 'plann'"),
     ({"command": "simulate", "args": ["system", "parachute"]}, "tasks[1].args",
      "args must be an object"),
     ({"command": "bogus", "args": {"x": 1}}, "tasks[1].command", "unknown command 'bogus'"),
@@ -286,7 +289,7 @@ def test_config_schema_violation_paths(tmp_path, capsys):
 def test_task_arguments_outside_the_command_table_are_config_errors(task, path, message,
                                                                      tmp_path, capsys):
     """A batch task's command and args are checked against the command table
-    when the config loads, before any task runs."""
+    when the config loads, before any task runs; an error names its task."""
     assert_batch_refused([FIRST_TASK, task], path, message, tmp_path, capsys)
 
 
@@ -340,6 +343,16 @@ def test_tags_of_letters_digits_dots_and_dashes_name_their_reports(tmp_path):
 
 
 _SINGLE = ["herglotz", "--lagrangian", "parachute"]
+
+
+@pytest.mark.parametrize("tag", ["../escaped", "", "a/b"], ids=["parent", "empty", "subdir"])
+def test_a_single_commands_tag_is_checked_like_a_batch_tag(tag, tmp_path, capsys):
+    """The tag names the report, so it may not leave the output directory,
+    and an empty one does not fall back to the command name."""
+    code = main(["--out", str(tmp_path / "o"), "--tag", tag, *_SINGLE])
+    assert code == 3
+    assert capsys.readouterr().err == f"config error: {_BAD_TAG}{tag!r} (config path: tag)\n"
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 # argv, the config path of the error, and the number of tasks run before it:
@@ -834,6 +847,100 @@ def _assert_written_as_json_dumps(report, path):
     data = report.to_dict()
     data["metadata"] = json.loads(text)["metadata"]
     assert text == json.dumps(data, indent=2) + "\n", path.name
+
+
+_KEY_TEXT = "%r%%\"\\\x00\x1fé\u2028\U0001f600 az"
+_NOT_STR_KEYS = [1, 2 ** 70, 1.5, math.nan, True, None, _Level.LOW]
+# every kind of value a record may hold; all but the first fall back to _json_text
+_record_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(), st.integers(),
+    st.booleans(), st.sampled_from(_SPECIAL_FLOATS), st.floats().map(np.float64),
+    st.floats().map(_Float))
+_coordinates = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 2.2e-308, 1.7976931348623157e308, 1e16, 0.1])
+
+
+@st.composite
+def _reports(draw):
+    """A CheckReport of 0 to 6 records in up to 3 shapes: point dimensions 0
+    to 3 and key lists, one in eight with a key that is not a str."""
+    shapes = draw(st.lists(st.tuples(
+        st.integers(0, 3), st.lists(st.text(_KEY_TEXT, max_size=4), max_size=3, unique=True)),
+        min_size=1, max_size=3))
+    if draw(st.integers(0, 7)) == 0:
+        n, keys = shapes[0]
+        shapes[0] = (n, [*keys, draw(st.sampled_from(_NOT_STR_KEYS))])
+    records = []
+    for n, keys in draw(st.lists(st.sampled_from(shapes), max_size=6)):
+        flat = draw(st.lists(_coordinates, min_size=2 * n + 1, max_size=2 * n + 1))
+        records.append(PointRecord(StatePoint.from_coords(flat, n),
+                                   {key: draw(_record_values) for key in keys}))
+    return CheckReport(
+        draw(st.sampled_from(["pass", "fail", "error", "inconclusive"])), draw(st.floats()),
+        records, draw(st.lists(st.text(_KEY_TEXT, max_size=4), max_size=2)),
+        plan=draw(st.none() | st.just(SamplePlan("random", ((-1.0, 1.0),) * 3, 8, 1))),
+        task=draw(st.text(_KEY_TEXT, max_size=4)))
+
+
+_point = StatePoint.from_coords([0.5, -0.0, 1e-310], 1)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(report=_reports())
+@example(report=CheckReport("pass", records=[]))
+@example(report=CheckReport("fail", 1.5, [
+    PointRecord(_point, {"a%r": 0.5, "%%b": -0.0, "\"c\x00é": 1e300}),
+    PointRecord(_point, {"a%r": 1, "%%b": True, "\"c\x00é": np.float64(0.1)}),
+    PointRecord(_point, {"a%r": _Float(2.5), "%%b": math.nan, "\"c\x00é": -math.inf}),
+    PointRecord(StatePoint.from_coords([2.0], 0), {}),
+    PointRecord(_point, {"a%r": 0.25, "%%b": 5e-324, "\"c\x00é": -1.0})]))
+def test_write_report_is_json_dumps_indent_2_of_every_record(report, tmp_path):
+    """Records of one shape share a template, filled with their floats; a
+    record with any other value is written by _json_text.  Either way the
+    file is json.dumps(indent=2) of the report's dict, and a key that is not
+    a str refuses the report before its file is written."""
+    path = tmp_path / "r.json"
+    path.unlink(missing_ok=True)
+    if any(not isinstance(key, str) for rec in report.records for key in rec.values):
+        with pytest.raises(TypeError):
+            cli.write_report(report, path)
+        assert not path.exists()
+    else:
+        cli.write_report(report, path)
+        _assert_written_as_json_dumps(report, path)
+
+
+def test_json_text_calls_do_not_grow_with_the_record_count(tmp_path, monkeypatch):
+    """Each default-batch report is written in a bounded number of _json_text
+    calls: one walk of the report's body and one per record shape.  Doubling
+    every random plan's count doubles the records and leaves the calls as
+    they were."""
+    calls, stem, records = collections.Counter(), [None], collections.Counter()
+    json_text_at, write_report, plans = cli._json_text, cli.write_report, cli.builtin_plans
+
+    def counted(o, pad):
+        calls[stem[0]] += 1
+        return json_text_at(o, pad)
+
+    def write(report, path):
+        stem[0] = path.stem
+        records[path.stem] += len(report.records)
+        write_report(report, path)
+
+    monkeypatch.setattr(cli, "_json_text", counted)
+    monkeypatch.setattr(cli, "write_report", write)
+    main(["batch", "--out", str(tmp_path / "x1")])
+    once, records_once = dict(calls), sum(records.values())
+    calls.clear()
+    records.clear()
+    monkeypatch.setattr(cli, "builtin_plans", lambda: {
+        name: replace(plan, count=2 * plan.count) if plan.mode == "random" else plan
+        for name, plan in plans().items()})
+    main(["batch", "--out", str(tmp_path / "x2")])
+    assert len(once) == 16 and dict(calls) == once
+    assert max(once.values()) <= 40
+    assert sum(records.values()) > 1.9 * records_once
 
 
 @pytest.mark.parametrize("seed", [None, "7", "123"])
