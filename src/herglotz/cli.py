@@ -66,7 +66,7 @@ _EXIT_CODE = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "error": EXIT_SOFT,
 class ConfigError(ValueError):
     def __init__(self, message: str, path: str):
         super().__init__(f"{message} (config path: {path})")
-        self.path = path
+        self.message, self.path = message, path
 
 
 @dataclass
@@ -777,6 +777,10 @@ def main(argv: list[str] | None = None) -> int:
 def _run(ns: argparse.Namespace) -> int:
     """Run the parsed command line; a ConfigError ends the run.  The output
     directories are made before any task runs."""
+    if ns.command == "batch":
+        for option in ("tag", "report"):
+            if getattr(ns, option) is not None:
+                raise ConfigError(f"batch takes no --{option}", option)
     cfg = load_config(ns.config)
     out_dir = Path(ns.out) if ns.out else cfg.output_dir
     with _writing("output_dir"):
@@ -786,7 +790,12 @@ def _run(ns: argparse.Namespace) -> int:
         worst = EXIT_PASS
         for idx, task in enumerate(cfg.tasks or default_tasks()):
             stem = _task_stem(task, idx)
-            report, _ = run_task(cfg, task["command"], task.get("args", {}), out_dir, stem)
+            try:
+                report, _ = run_task(cfg, task["command"], task.get("args", {}), out_dir, stem)
+            except ConfigError as exc:
+                if exc.path.startswith("args"):   # a run argument: name its task
+                    raise ConfigError(exc.message, f"tasks[{idx}].{exc.path}") from None
+                raise
             with _writing("output_dir"):
                 write_report(report, out_dir / f"{stem}.json")
             print(f"{stem}: {report.verdict} (max residual "

@@ -26,7 +26,7 @@ from .expr import (
     Expr, StatePoint, differentiate, merge_params, mul, q, sub, tape, v, z,
 )
 from .extended import (
-    ActionFunction, ExtendedLagrangianSystem, compose_with_zeta,
+    ActionFunction, ExtendedLagrangianSystem, _hessian_dets, compose_with_zeta,
     extended_lagrangian_form, herglotz_defects, zeta_herglotz_field,
 )
 from .lagrangian import ContactLagrangianSystem, herglotz_field, lagrangian_form
@@ -232,7 +232,7 @@ def _require_regular(sys: ContactLagrangianSystem, ext: ExtendedLagrangianSystem
 
     def gated(points: list[StatePoint]):
         flats, tapes = [p._flat for p in points], (sys._extended._hessian_tape, ext._hessian_tape)
-        dets = [walk_rows((w[:, -1:], error)) for w, error in (t.rows(flats) for t in tapes)]
+        dets = [walk_rows((_hessian_dets(w)[:, None], e)) for w, e in (t.rows(flats) for t in tapes)]
         values = iter(point_values(points))
         for p, (det_l,), (det_bar,) in zip(points, *dets):
             if not (abs(det_l) > det_tol and abs(det_bar) > det_tol):

@@ -66,7 +66,7 @@ __all__ = [
     "coords", "coord", "q", "v", "z", "param", "const",
     "add", "sub", "mul", "div", "neg", "intpow",
     "sin", "cos", "exp", "log", "sqrt", "tanh",
-    "det_expr", "solve_cramer", "merge_params",
+    "solve_cramer", "merge_params",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
@@ -1032,7 +1032,7 @@ def eval_jet2(e: Expr, point: StatePoint, params: ParamSet | None = None
 
 
 # ---------------------------------------------------------------------------
-# Small symbolic linear algebra (Cramer solves for acceleration systems)
+# Symbolic Cramer solves for the Herglotz fields (a numeric det W is an LU)
 
 
 def _minor(rows: Sequence[Sequence[Expr]], cols: tuple[int, ...],
@@ -1065,25 +1065,14 @@ def _minor(rows: Sequence[Sequence[Expr]], cols: tuple[int, ...],
     return result
 
 
-def det_expr(matrix: Sequence[Sequence[Expr]]) -> Expr:
-    """Determinant by cofactor expansion along the top row, each minor built
-    once; intended for small matrices."""
-    m = len(matrix)
-    for row in matrix:
-        if len(row) != m:
-            raise ExprError("determinant of a non-square matrix")
-    return _minor(matrix, tuple(range(m)), {})
-
-
 def solve_cramer(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr]
-                 ) -> tuple[list[Expr], Expr]:
-    """Symbolic solution of M x = rhs by Cramer's rule.
+                 ) -> list[Expr]:
+    """Symbolic solution x of M x = rhs by Cramer's rule.
 
-    Returns (x, det M).  Each solution component is a quotient by det M, so
-    evaluation at a singular point raises a DomainError; callers that need a
-    diagnosable threshold should test the determinant expression first.
-    The right-hand side is column m of one augmented matrix, so det M and
-    the m replaced determinants share every minor that avoids it.
+    Each component is a quotient by the cofactor tree of det M, so its
+    evaluation at a singular point raises a DomainError.  The right-hand
+    side is column m of one augmented matrix, so det M and the m replaced
+    determinants share every minor that avoids it.
     """
     m = len(matrix)
     if len(rhs) != m:
@@ -1098,4 +1087,4 @@ def solve_cramer(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr]
     for j in range(m):
         replaced = tuple(m if k == j else k for k in range(m))
         solution.append(div(_minor(augmented, replaced, built), d))
-    return solution, d
+    return solution

@@ -30,8 +30,8 @@ from .checks import DET_TOL, FRAME_TOL, PULLBACK_TOL, SYMMETRY_TOL, residual_tab
 from .contact import CoordOneForm, CoordVectorField
 from .expr import (
     Const, Coord, Expr, ParamSet, StatePoint, _memo, add, coord, coords, depends_on,
-    det_expr, differentiate, div, evaluate, evaluate_all, merge_params, mul, q, sub,
-    substitute, solve_cramer, tape, v, z,
+    differentiate, div, evaluate, evaluate_all, merge_params, mul, q, sub, substitute,
+    solve_cramer, tape, v, z,
 )
 
 __all__ = [
@@ -94,10 +94,9 @@ class ExtendedLagrangianSystem:
 
     @cached_property
     def _hessian_tape(self):
-        """The W^zeta entries, row-major, then det W^zeta by cofactors."""
+        """The W^zeta entries, row-major; :func:`_hessian_dets` reads its rows."""
         rows = _zeta_hessian_exprs(self.L, self.zeta.zeta, self.n_dim)
-        return tape([*(e for row in rows for e in row), det_expr(rows)],
-                    self.n_dim, self.all_params)
+        return tape([e for row in rows for e in row], self.n_dim, self.all_params)
 
     @cached_property
     def _pullback_residual(self):
@@ -114,6 +113,16 @@ class ExtendedLagrangianSystem:
         table = {"pullback_defect": [sub(a, b) for a, b in zip(
             pulled, extended_lagrangian_form(self).components)]}
         return residual_table(table, n, self.all_params)
+
+
+def _hessian_dets(rows: np.ndarray) -> np.ndarray:
+    """det W^zeta at each row of its n^2 entries by one stacked LU: NaN for a
+    row with a non-finite entry, which LAPACK never sees; +-inf on overflow."""
+    n, finite = round(rows.shape[1] ** 0.5), np.isfinite(rows).all(axis=1)
+    dets = np.full(len(rows), np.nan)
+    with np.errstate(over="ignore"):
+        dets[finite] = np.linalg.det(rows[finite].reshape(-1, n, n))
+    return dets
 
 
 def zeta_partial(f: Expr, zeta: Union[ActionFunction, Expr],
@@ -192,7 +201,7 @@ def extended_lagrangian_form(sys: ExtendedLagrangianSystem) -> CoordOneForm:
 
 
 def zeta_hessian(sys: ExtendedLagrangianSystem, p: StatePoint) -> np.ndarray:
-    return np.array(sys._hessian_tape(p._flat)[:-1]).reshape(sys.n_dim, sys.n_dim)
+    return np.array(sys._hessian_tape(p._flat)).reshape(sys.n_dim, sys.n_dim)
 
 
 def zeta_regularity(sys: ExtendedLagrangianSystem, p: StatePoint
@@ -204,7 +213,7 @@ def zeta_regularity(sys: ExtendedLagrangianSystem, p: StatePoint
     w = zeta_hessian(sys, p)
     if w.size and np.max(np.abs(w - w.T)) > SYMMETRY_TOL * (1.0 + np.max(np.abs(w))):
         raise SingularZetaError(f"W^zeta not symmetric at {p}: {w}")
-    det = sys._hessian_tape(p._flat)[-1]
+    det = _hessian_dets(w.reshape(1, -1)).item()
     return det, abs(det) > DET_TOL
 
 
@@ -247,7 +256,7 @@ def _zeta_herglotz_components(L: Expr, zeta: Expr, n: int) -> tuple[Expr, ...]:
     """(v, a, b): a by Cramer's rule on W^zeta, whose det is its only
     denominator, then b from xi(zeta) = L."""
     rhs, c = _zeta_acceleration_system(L, zeta, n)
-    accels, _ = solve_cramer(_zeta_hessian_exprs(L, zeta, n), rhs)
+    accels = solve_cramer(_zeta_hessian_exprs(L, zeta, n), rhs)
     b = c
     for j in range(n):
         b = sub(b, mul(differentiate(zeta, v(j + 1)), accels[j]))

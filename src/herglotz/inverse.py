@@ -25,9 +25,9 @@ from .checks import (
 )
 from .contact import CoordVectorField
 from .expr import (
-    Const, Expr, det_expr, differentiate, div, merge_params, q, sub, tape, v, z,
+    Const, Expr, differentiate, div, merge_params, q, sub, tape, v, z,
 )
-from .extended import ActionFunction, _zeta_hessian_exprs, herglotz_defects
+from .extended import ActionFunction, _hessian_dets, _zeta_hessian_exprs, herglotz_defects
 
 __all__ = [
     "SODESystem", "naive_inverse_check", "extended_inverse_check",
@@ -82,14 +82,15 @@ def naive_inverse_check(sode: SODESystem, plan: SamplePlan | None = None,
     det_tol = (tol or Tolerances()).det_tol
     b = sode.z_rate
     defects = herglotz_defects(sode.as_field(), b, z(), n)
-    hessian_det = det_expr(_zeta_hessian_exprs(b, z(), n))
-    residuals_at = tape((*defects, hessian_det), n, sode.params)
+    hessian = [e for row in _zeta_hessian_exprs(b, z(), n) for e in row]
+    residuals_at = tape((*defects, *hessian), n, sode.params)
 
     def values(points):
-        for *defect_vals, det in walk_rows(residuals_at.rows([p._flat for p in points])):
+        rows, error = residuals_at.rows([p._flat for p in points])
+        for defect_vals, det in zip(walk_rows((rows[:, :n], error)), _hessian_dets(rows[:, n:])):
             out = {f"herglotz_defect_{i + 1}": abs(x) for i, x in enumerate(defect_vals)}
             out["regularity_defect"] = 0.0 if abs(det) > det_tol else 1.0
-            out["hessian_det"] = det
+            out["hessian_det"] = float(det)
             yield out
 
     keys = tuple(f"herglotz_defect_{i + 1}" for i in range(n)) + ("regularity_defect",)

@@ -24,7 +24,7 @@ from .checks import DET_TOL
 from .contact import ContactHamiltonianSystem, CoordOneForm, CoordVectorField
 from .expr import Expr, StatePoint, evaluate_all, z
 from .extended import (
-    ActionFunction, ExtendedLagrangianSystem, _zeta_acceleration_system,
+    ActionFunction, ExtendedLagrangianSystem, _hessian_dets, _zeta_acceleration_system,
     extended_lagrangian_form, zeta_energy, zeta_herglotz_field, zeta_hessian,
 )
 
@@ -67,7 +67,7 @@ def energy(sys: ContactLagrangianSystem) -> Expr:
 
 def regularity(sys: ContactLagrangianSystem, p: StatePoint) -> tuple[float, bool]:
     """Determinant of the velocity Hessian at p and |det| > 1e-10."""
-    det = sys._extended._hessian_tape(p._flat)[-1]
+    det = _hessian_dets(velocity_hessian(sys, p).reshape(1, -1)).item()
     return det, abs(det) > DET_TOL
 
 
@@ -84,8 +84,8 @@ def _acceleration_rhs_values(sys: ContactLagrangianSystem, p: StatePoint) -> np.
 def herglotz_accelerations(sys: ContactLagrangianSystem, p: StatePoint) -> np.ndarray:
     """Accelerations at p by a dense LU solve; hard error when W is singular."""
     w = velocity_hessian(sys, p)
-    det = float(np.linalg.det(w))
-    if abs(det) <= DET_TOL:
+    det = _hessian_dets(w.reshape(1, -1)).item()
+    if not abs(det) > DET_TOL:
         raise SingularLagrangianError(
             f"velocity Hessian singular at {p} (det {det:.3e})")
     return np.linalg.solve(w, _acceleration_rhs_values(sys, p))

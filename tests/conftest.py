@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from herglotz.expr import Const, Expr, StatePoint, intpow, mul, parse, q, v, z
+from herglotz.expr import Const, Expr, StatePoint, add, intpow, mul, parse, q, sub, v, z
 from herglotz.lagrangian import ContactLagrangianSystem
 
 
@@ -50,6 +50,25 @@ def dense_lagrangian(n) -> ContactLagrangianSystem:
               for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     terms += [f"(-0.5)*q{i}^2" for i in range(1, n + 1)] + ["(-gam)*z"]
     return ContactLagrangianSystem(n, parse(" + ".join(terms), n), {"gam": 0.2})
+
+
+def cofactor_det(matrix):
+    """Reference determinant: top-row cofactor expansion that rebuilds every
+    minor from scratch."""
+    m = len(matrix)
+    if m == 0:
+        return Const(1.0)
+    if m == 1:
+        return matrix[0][0]
+    if m == 2:
+        (a, b), (c, d) = matrix
+        return sub(mul(a, d), mul(b, c))
+    total = Const(0.0)
+    for j in range(m):
+        minor = [[row[k] for k in range(m) if k != j] for row in matrix[1:]]
+        term = mul(matrix[0][j], cofactor_det(minor))
+        total = add(total, term) if j % 2 == 0 else sub(total, term)
+    return total
 
 
 @pytest.fixture

@@ -355,6 +355,22 @@ def test_a_single_commands_tag_is_checked_like_a_batch_tag(tag, tmp_path, capsys
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--tag", "../x", "--report", "{tmp}/r.json", "batch"], "tag"),
+    (["batch", "--tag", "t"], "tag"),
+    (["--report", "{tmp}/r.json", "batch"], "report"),
+    (["batch", "--report", "{tmp}/r.json"], "report"),
+], ids=["tag-and-report", "tag-after", "report", "report-after"])
+def test_batch_refuses_a_tag_or_a_report_path(argv, option, tmp_path, capsys):
+    """Each batch task names its own report, so --tag and --report have
+    nothing to name: refused before any task runs or anything is made."""
+    code = main(["--out", str(tmp_path / "o"), *(a.format(tmp=tmp_path) for a in argv)])
+    assert code == 3
+    assert capsys.readouterr() == ("", f"config error: batch takes no --{option} "
+                                       f"(config path: {option})\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # argv, the config path of the error, and the number of tasks run before it:
 # none when a directory cannot be made, one when its report cannot be written
 @pytest.mark.parametrize("argv, path, ran_tasks", [
@@ -425,37 +441,69 @@ def test_nonpositive_dt_is_config_error(tmp_path, capsys):
     assert "config path: args.dt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config, argv, key", [
-    (None, ["stationarity", "--lagrangian", "linear_drag", "--grid", "1"], "grid"),
+def batch_reports(out):
+    """The reports a batch wrote into ``out``, which also holds its config."""
+    return sorted(p.name for p in out.glob("*.json") if p.name != "cfg.json")
+
+
+def _second_task(command, **args):
+    """A batch config whose tasks[1], after a passing FIRST_TASK, is ``command``."""
+    return {"tasks": [FIRST_TASK, {"command": command, "args": args}]}
+
+
+_SIMULATE = {"system": "parachute", "initial": [0, 2, 0]}
+
+
+@pytest.mark.parametrize("config, argv, path", [
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--grid", "1"], "args.grid"),
     (None, ["stationarity", "--lagrangian", "linear_drag", "--perturbations", "0"],
-     "perturbations"),
+     "args.perturbations"),
     (None, ["stationarity", "--lagrangian", "linear_drag", "--amplitude", "0"],
-     "amplitude"),
+     "args.amplitude"),
     (None, ["stationarity", "--lagrangian", "linear_drag", "--amplitude", "inf"],
-     "amplitude"),
-    ({"tasks": [{"command": "simulate", "args": {
-        "system": "parachute", "initial": [0, 2, 0], "t": "abc"}}]}, ["batch"], "t"),
+     "args.amplitude"),
+    # a batch task's run argument is named under its task
+    ({"tasks": [{"command": "simulate", "args": {**_SIMULATE, "t": "abc"}}]}, ["batch"],
+     "tasks[0].args.t"),
     ({"tasks": [{"command": "stationarity", "args": {
         "lagrangian": "linear_drag", "perturbations": 1.7}}]}, ["batch"],
-     "perturbations"),
+     "tasks[0].args.perturbations"),
+    (_second_task("simulate", **_SIMULATE, t=-1), ["batch"], "tasks[1].args.t"),
+    (_second_task("simulate", system="parachute", initial=[0, 2]), ["batch"],
+     "tasks[1].args.initial"),
+    (_second_task("simulate", **_SIMULATE, t=1e300, dt=1e-300), ["batch"], "tasks[1].args.dt"),
+    (_second_task("check-eq", lagrangian="power_gauge_base", lagrangian_bar="power_gauge_bar1",
+                  zeta="zeta_charged_gauge"), ["batch"], "tasks[1].args.zeta"),
+    (_second_task("check-conformal", system="saddle", system_b="saddle_flipped", factor="1 +"),
+     ["batch"], "tasks[1].args.factor"),
+    (_second_task("simulate", **_SIMULATE, accel_residual=["gam*v1^2 -"]), ["batch"],
+     "tasks[1].args.accel_residual"),
+    ({**_second_task("check-dynamical", system="saddle", system_b="wide"),
+      "systems": {"wide": {"kind": "hamiltonian", "n": 2, "H": "q1*v1 + z"}}}, ["batch"],
+     "tasks[1].args"),
     # a flag value is converted like a config value, not by argparse (exit 2)
     (None, ["simulate", "--system", "parachute", "--initial", "0,2,0", "--t", "abc"],
-     "t"),
-    (None, ["stationarity", "--lagrangian", "linear_drag", "--grid", "1.5"], "grid"),
-    (None, ["stationarity", "--lagrangian", "linear_drag", "--stat-tol=0"], "stat_tol"),
-    (None, ["stationarity", "--lagrangian", "linear_drag", "--stat-tol=-1"], "stat_tol"),
+     "args.t"),
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--grid", "1.5"], "args.grid"),
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--stat-tol=0"], "args.stat_tol"),
+    (None, ["stationarity", "--lagrangian", "linear_drag", "--stat-tol=-1"], "args.stat_tol"),
 ], ids=["grid", "perturbations", "amplitude", "amplitude-inf", "config-task-t",
-        "config-task-fractional-perturbations", "flag-t", "flag-fractional-grid",
-        "stat-tol-zero", "stat-tol-negative"])
-def test_bad_run_argument_is_config_error(config, argv, key, tmp_path, capsys):
-    if config is not None:
+        "config-task-fractional-perturbations", "second-task-negative-t",
+        "second-task-initial", "second-task-steps", "second-task-zeta-chart",
+        "second-task-factor", "second-task-accel-residual", "second-task-charts", "flag-t",
+        "flag-fractional-grid", "stat-tol-zero", "stat-tol-negative"])
+def test_bad_run_argument_is_config_error(config, argv, path, tmp_path, capsys):
+    if config is None:
+        code, data = run_cli(argv, tmp_path)
+        assert data is None
+    else:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        argv = ["--config", str(cfg_path), *argv]
-    code, data = run_cli(argv, tmp_path)
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path), *argv])
+        assert batch_reports(tmp_path) == (["check-inverse_first.json"]
+                                           if path.startswith("tasks[1]") else [])
     assert code == 3
-    assert data is None
-    assert f"config path: args.{key}" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"(config path: {path})\n")
 
 
 @pytest.mark.parametrize("command", ["herglotz", "legendre"])
@@ -574,13 +622,16 @@ def test_malformed_curve_seed_is_config_error(config, argv, tmp_path, capsys):
     if config is None:
         argv = ["stationarity", "--lagrangian", "linear_drag", "--grid", "20",
                 "--perturbations", "1", "--random-curve", *argv]
+        code, data = run_cli(argv, tmp_path)
+        assert data is None
     else:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        argv = ["--config", str(cfg_path), "batch"]
-    code, data = run_cli(argv, tmp_path)
-    assert code == 3 and data is None
-    assert "config path: args.curve_seed" in capsys.readouterr().err
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path), "batch"])
+        assert batch_reports(tmp_path) == []
+    assert code == 3
+    path = "args.curve_seed" if config is None else "tasks[0].args.curve_seed"
+    assert capsys.readouterr().err.endswith(f"(config path: {path})\n")
 
 
 DEEP_INPUTS = {

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from herglotz.expr import (
     BinOp, Call, Const, Coord, DomainError, ExprError, IntPow, Param, ParseError,
-    StatePoint, UnboundParameterError, compile_components, coords, det_expr,
+    StatePoint, UnboundParameterError, compile_components, coords,
     differentiate, depends_on, eval_jet2, evaluate, evaluate_all, evaluate_many,
     merge_params, parse, solve_cramer, substitute, unparse,
 )
@@ -29,7 +29,7 @@ from herglotz.expr import Expr, add, div, intpow, mul, neg, sub
 from herglotz.lagrangian import herglotz_field
 from perfbench import workloads
 
-from conftest import dense_lagrangian, random_regular_lagrangian
+from conftest import cofactor_det, dense_lagrangian, random_regular_lagrangian
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -1194,27 +1194,17 @@ def test_from_coords_rejects_a_wrong_length(coords):
 # Symbolic linear algebra helpers
 
 
-def test_det_expr_against_numpy():
-    rng = np.random.default_rng(3)
-    for m in (1, 2, 3, 4):
-        mat = rng.uniform(-2, 2, size=(m, m))
-        sym = [[Const(float(x)) for x in row] for row in mat]
-        d = evaluate(det_expr(sym), pt(0.0, 0.0, 0.0))
-        assert d == pytest.approx(np.linalg.det(mat), rel=1e-10)
-
-
 def test_solve_cramer_against_numpy():
     rng = np.random.default_rng(4)
     mat = rng.uniform(-2, 2, size=(3, 3)) + 3 * np.eye(3)
     rhs = rng.uniform(-2, 2, size=3)
     sym = [[Const(float(x)) for x in row] for row in mat]
     srhs = [Const(float(x)) for x in rhs]
-    sol, det = solve_cramer(sym, srhs)
+    sol = solve_cramer(sym, srhs)
     expected = np.linalg.solve(mat, rhs)
     point = pt(0.0, 0.0, 0.0)
     for k in range(3):
         assert evaluate(sol[k], point) == pytest.approx(expected[k], rel=1e-10)
-    assert evaluate(det, point) == pytest.approx(np.linalg.det(mat), rel=1e-10)
 
 
 def test_coords_order():
@@ -1222,31 +1212,12 @@ def test_coords_order():
     assert [unparse(c) for c in cs] == ["q1", "q2", "v1", "v2", "z"]
 
 
-def cofactor_det(matrix):
-    """Reference determinant: top-row cofactor expansion that rebuilds every
-    minor from scratch."""
-    m = len(matrix)
-    if m == 0:
-        return Const(1.0)
-    if m == 1:
-        return matrix[0][0]
-    if m == 2:
-        (a, b), (c, d) = matrix
-        return ex.sub(ex.mul(a, d), ex.mul(b, c))
-    total = Const(0.0)
-    for j in range(m):
-        minor = [[row[k] for k in range(m) if k != j] for row in matrix[1:]]
-        term = ex.mul(matrix[0][j], cofactor_det(minor))
-        total = ex.add(total, term) if j % 2 == 0 else ex.sub(total, term)
-    return total
-
-
 def cofactor_solve(matrix, rhs):
     m = len(matrix)
     d = cofactor_det(matrix)
     return [ex.div(cofactor_det([[rhs[i] if k == j else matrix[i][k] for k in range(m)]
                                  for i in range(m)]), d)
-            for j in range(m)], d
+            for j in range(m)]
 
 
 def random_entry(rng):
@@ -1263,8 +1234,11 @@ def test_shared_minors_build_the_cofactor_trees(m):
     for _ in range(5):
         mat = [[random_entry(rng) for _ in range(m)] for _ in range(m)]
         rhs = [random_entry(rng) for _ in range(m)]
-        assert det_expr(mat) == cofactor_det(mat)
-        assert solve_cramer(mat, rhs) == cofactor_solve(mat, rhs)
+        solution = solve_cramer(mat, rhs)
+        assert solution == cofactor_solve(mat, rhs)
+        # det M is each unfolded component's denominator, the cofactor tree
+        quotients = [x for x in solution if type(x) is ex.BinOp and x.op == "/"]
+        assert all(x.rhs is cofactor_det(mat) for x in quotients)
 
 
 def node_objects(e):

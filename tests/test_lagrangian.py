@@ -173,6 +173,14 @@ def test_herglotz_accelerations_singular_error():
         herglotz_accelerations(quartic, pt(0.0, 0.0, 0.0))
 
 
+def test_herglotz_accelerations_refuse_a_nan_determinant():
+    """A non-finite W has det NaN, which fails the singular check like 0."""
+    nan_w = ContactLagrangianSystem(
+        1, parse("0.5*v1^2*(1 + (1e200*1e200 - 1e200*1e200))", 1), {})
+    with pytest.raises(SingularLagrangianError, match=r"\(det nan\)$"):
+        herglotz_accelerations(nan_w, pt(0.1, 0.2, 0.3))
+
+
 # ---------------------------------------------------------------------------
 # Herglotz residual
 

@@ -12,8 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from herglotz import cli, equivalence, expr, extended
-from herglotz.checks import SamplePlan, Tolerances, max_abs, run_check
+from herglotz import cli, equivalence, expr, extended, inverse
+from herglotz.checks import DET_TOL, SamplePlan, Tolerances, max_abs, run_check, sample_states
 from herglotz.cli import main
 from herglotz.contact import CoordVectorField
 from herglotz.equivalence import (
@@ -32,7 +32,7 @@ from herglotz.lagrangian import (
 )
 from perfbench.workloads import DENSE_PARAMS, dense_text, gauge_texts
 
-from conftest import per_point, pt
+from conftest import cofactor_det, dense_lagrangian, per_point, pt
 
 # inf - inf: NaN at every point, built from finite constants
 NAN_TEXT = "(1e200*1e200 - 1e200*1e200)"
@@ -197,21 +197,76 @@ def test_tables_match_the_reference_closures_on_the_dense_family(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# Determinants on the check path come from the W tapes, not LAPACK
+# Determinants on the check path: one stacked LU per W tape
 
 
-def test_default_batch_makes_no_lapack_determinant(tmp_path, monkeypatch):
-    calls = [0]
+def test_default_batch_takes_each_determinant_from_a_stacked_lapack_call(tmp_path, monkeypatch):
+    """17 calls: two per gated check-eq or check-strong-eq task (W and
+    W^zeta over its sample), one per check-inverse task and one for the
+    legendre task's transform; each gets a stack of matrices."""
+    stacks = []
     det = np.linalg.det
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return det(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        stacks.append(a.shape)
+        return det(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "det", counted)
     main(["batch", "--out", str(tmp_path)])
     assert len(list(tmp_path.glob("*.json"))) == 16
-    assert calls[0] == 0
+    assert stacks == [(200, 1, 1)] * 12 + [(100, 3, 3)] * 2 + [(100, 1, 1)] * 2 + [(1, 1, 1)]
+
+
+def test_the_lu_determinant_decides_every_gate_as_the_cofactor_expansion(tmp_path, monkeypatch):
+    """The W rows every gated default task reads (W and W^zeta of check-eq
+    and check-strong-eq, W of the z-rate in check-inverse), the dense family
+    n = 1..6 and an exactly singular W: at each point the stacked LU is
+    regular where the cofactor expansion is, and the two agree to 1e-12
+    times Hadamard's bound, the product of W's row 2-norms."""
+    gated = []
+    for module in (equivalence, inverse):
+        monkeypatch.setattr(module, "_hessian_dets", lambda rows: gated.append(rows.copy())
+                            or extended._hessian_dets(rows))
+    main(["batch", "--out", str(tmp_path)])
+    assert [len(rows) for rows in gated] == [200] * 12 + [100] * 4
+    dense = [dense_lagrangian(n)._extended._hessian_tape.rows(
+        [p._flat for p in sample_states(SamplePlan(count=20, seed=n), n)])[0] for n in range(1, 7)]
+    singular = ContactLagrangianSystem(1, parse("0.5*(1 - 2*gam)*v1^2", 1), {"gam": 0.5})
+    zero = singular._extended._hessian_tape.rows([p._flat for p in sample_states(SamplePlan(), 1)])[0]
+    assert not zero.any()
+    for rows in [*gated, *dense, zero]:
+        # the expansion over a matrix of coordinates of a wide enough chart,
+        # lowered once and run over the rows, as the W tapes ran it
+        n = round(rows.shape[1] ** 0.5)
+        chart = (n * n) // 2
+        entries = expr.coords(chart)[:n * n]
+        reference = tape([cofactor_det([entries[i * n:(i + 1) * n] for i in range(n)])], chart)
+        padded = np.hstack((rows, np.zeros((len(rows), 2 * chart + 1 - n * n))))
+        refs = reference.rows(padded.tolist())[0][:, 0].tolist()
+        bounds = np.prod(np.linalg.norm(rows.reshape(-1, n, n), axis=2), axis=1).tolist()
+        for det, ref, bound in zip(extended._hessian_dets(rows).tolist(), refs, bounds, strict=True):
+            assert (abs(det) > DET_TOL) == (abs(ref) > DET_TOL), (n, det, ref)
+            assert abs(det - ref) <= 1e-12 * bound, (n, det, ref)
+    assert not extended._hessian_dets(zero).any()
+
+
+def test_a_non_finite_w_row_is_a_nan_determinant_that_lapack_never_sees(monkeypatch):
+    stacks = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: stacks.append(a.tolist()) or det(a))
+    rows = np.array([[2.0, 1.0, 1.0, 3.0], [math.inf, 0.0, 0.0, 1.0], [1.0, math.nan, 0.0, 1.0],
+                     [1e200, 0.0, 0.0, -1e200]])
+    dets = extended._hessian_dets(rows)
+    assert dets[0] == pytest.approx(5.0) and np.isnan(dets[1:3]).all()
+    # a finite W whose determinant overflows reads -inf, with no overflow warning
+    assert dets[3] == -math.inf
+    assert stacks == [[[[2.0, 1.0], [1.0, 3.0]], [[1e200, 0.0], [0.0, -1e200]]]]
+    # so an infinite W fails the gate, where the n = 1 cofactor tree read inf
+    sys = ContactLagrangianSystem(1, parse("0.5*v1^2*(1e200*1e200)", 1))
+    report = strong_equivalence_check(sys, sys.L, ActionFunction(parse("z", 1)),
+                                      SamplePlan("random", (), 3, 5))
+    assert report.verdict == "error"
+    assert "det W = nan, det W^zeta = nan" in report.diagnostics[0]
 
 
 def test_default_batch_walks_points_only_for_the_frame_test_and_the_legendre_transform(
@@ -219,7 +274,7 @@ def test_default_batch_walks_points_only_for_the_frame_test_and_the_legendre_tra
     """Every sampled check reads its tapes as rows.  What still calls a tape
     at one point is sampling's frame predicate, once per candidate (1,600)
     and once in frame_ok, and the legendre task's transform of its first
-    sample point (4 calls)."""
+    sample point (3 calls: W^zeta, the momenta, the pullback residual)."""
     calls, task = collections.Counter(), [None]
     call, run_task = expr._Tape.__call__, cli.run_task
 
@@ -236,7 +291,7 @@ def test_default_batch_walks_points_only_for_the_frame_test_and_the_legendre_tra
     monkeypatch.setattr(expr._Tape, "__call__", counted)
     monkeypatch.setattr(cli, "run_task", tracked)
     main(["batch", "--out", str(tmp_path)])
-    assert calls == {"frame_test": 1601, "legendre": 4}
+    assert calls == {"frame_test": 1601, "legendre": 3}
 
 
 def test_regularity_gate_aborts_on_a_nan_determinant():

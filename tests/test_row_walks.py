@@ -18,7 +18,7 @@ from herglotz.checks import (
 )
 from herglotz.contact import ContactHamiltonianSystem, CoordOneForm, darboux_form
 from herglotz.equivalence import conformal_similarity_check, zero_set_diagnostic
-from herglotz.expr import Const, ExprError, det_expr, differentiate, div, merge_params, parse
+from herglotz.expr import Const, ExprError, differentiate, div, merge_params, parse
 from herglotz.expr import q, sub, tape, v, z
 from herglotz.extended import _zeta_hessian_exprs, herglotz_defects
 from herglotz.inverse import SODESystem, di_ei_diagnostics, naive_inverse_check
@@ -89,10 +89,13 @@ def naive_reference(sode, plan=None, tol=None):
     det_tol = (tol or Tolerances()).det_tol
     b = sode.z_rate
     defects = herglotz_defects(sode.as_field(), b, z(), n)
-    residuals_at = tape((*defects, det_expr(_zeta_hessian_exprs(b, z(), n))), n, sode.params)
+    hessian = [e for row in _zeta_hessian_exprs(b, z(), n) for e in row]
+    residuals_at = tape((*defects, *hessian), n, sode.params)
 
     def values(p):
-        *defect_vals, det = residuals_at(p._flat)
+        vals = residuals_at(p._flat)
+        defect_vals, w = vals[:n], np.array(vals[n:]).reshape(n, n)
+        det = float(np.linalg.det(w)) if np.isfinite(w).all() else math.nan
         out = {f"herglotz_defect_{i + 1}": abs(x) for i, x in enumerate(defect_vals)}
         out["regularity_defect"] = 0.0 if abs(det) > det_tol else 1.0
         out["hessian_det"] = det
