@@ -14,8 +14,8 @@ Every sampled check runs through :func:`run_check`, which alone decides:
   a ``SamplingError`` becomes an error report;
 - the walk, in plan order: ``point_values(points)`` yields the record values
   of each point, or ``None`` to leave the point out of the report.  Every
-  checker reads its tapes over the whole sample by ``_Tape.rows``, and
-  :func:`walk_rows` raises a tape's error where the walk reaches its point;
+  checker hands its points, tuples of their coordinates, to ``_Tape.rows``,
+  and :func:`walk_rows` raises a tape's error where the walk reaches it;
 - aborting: ``CheckAbort`` raised at point k (or by the ``precheck`` run on
   the whole sample first; :func:`finite` raises one for a non-finite value)
   ends the check with an error report that keeps the records of points
@@ -229,9 +229,9 @@ class PointRecord:
     values: dict[str, float]
 
     def to_dict(self) -> dict:
-        flat, n = self.point._flat, self.point.n
+        point, n = self.point, len(self.point) // 2
         return {
-            "point": {"q": list(flat[:n]), "v": list(flat[n:2 * n]), "z": flat[2 * n]},
+            "point": {"q": list(point[:n]), "v": list(point[n:2 * n]), "z": point[2 * n]},
             "values": self.values,
         }
 
@@ -369,7 +369,7 @@ def residual_table(table: Mapping[str, Sequence[Expr]], n: int,
     run = tape([e for exprs in table.values() for e in exprs], n, params)
 
     def values(points: list[StatePoint]) -> Iterator[dict[str, float]]:
-        rows, error = run.rows([p._flat for p in points])
+        rows, error = run.rows(points)
         columns = [abs(rows[:, lo:hi]).max(axis=1, initial=0.0).tolist() for _, lo, hi in spans]
         yield from (dict(zip(table, row)) for row in zip(*columns))
         if error is not None:

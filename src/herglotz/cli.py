@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -452,10 +451,10 @@ def _records_text(records: list[PointRecord]) -> _Text:
         if {*map(type, values)} <= {float} and all(map(math.isfinite, values)):
             n, keys = shape = rec.point.n, tuple(rec.values)
             if shape not in templates:
-                point = SimpleNamespace(n=n, _flat=(slot,) * (2 * n + 1))
+                point = (slot,) * (2 * n + 1)
                 text = _json_text(PointRecord(point, dict.fromkeys(keys, slot)).to_dict(), pad)
                 templates[shape] = text.replace("%", "%%").replace(slot, "%r")
-            texts.append(templates[shape] % (*rec.point._flat, *values))
+            texts.append(templates[shape] % (*rec.point, *values))
         else:
             texts.append(_json_text(rec.to_dict(), pad))
     return _Text(f"[{pad}{(',' + pad).join(texts)}\n  ]" if texts else "[]")

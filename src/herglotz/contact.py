@@ -173,7 +173,7 @@ class _Prefix:
 
     def rows(self, run, what: str) -> np.ndarray:
         """A tape's rows, cut at the first point that raises or is not finite."""
-        rows, error = run.rows([p._flat for p in self.points])
+        rows, error = run.rows(self.points)
         if error is not None:
             self.points, self.error = self.points[:len(rows)], error
         self.require(np.isfinite(rows).all(axis=-1), self.points, what + " is not finite at {}")

@@ -198,9 +198,9 @@ def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
         run = _rate_loop(lambda y: np.asarray(field(StatePoint.from_coords(y, n))).tolist(), d)
     steps = max(1, math.ceil(t_end / dt - STEP_SLACK))
     times = np.append(np.arange(steps) * dt, t_end)   # t_k = k * dt, then t_end
-    states = array("d", p0._flat)
+    states = array("d", p0)
     try:
-        run(p0._flat, [dt] * (steps - 1) + [t_end - (steps - 1) * dt], None, states)
+        run(p0, [dt] * (steps - 1) + [t_end - (steps - 1) * dt], None, states)
     except Exception as exc:
         k = len(states) // d
         partial = _make_trajectory(times[:k], states, n)

@@ -92,13 +92,12 @@ def conformal_similarity_check(sys_a: ContactHamiltonianSystem,
 
     def values(points):
         nonlocal skipped
-        flats = [p._flat for p in points]
-        h_a_rows = h_a_at.rows(flats)
-        known = flats if factor is not None else \
-            [y for y, (h,) in zip(flats, h_a_rows[0].tolist()) if abs(h) > ESTIMATE_TOL]
+        h_a_rows = h_a_at.rows(points)
+        known = points if factor is not None else \
+            [p for p, (h,) in zip(points, h_a_rows[0].tolist()) if abs(h) > ESTIMATE_TOL]
         forms = zip(walk_rows(eta_a_at.rows(known)), walk_rows(eta_b_at.rows(known)))
-        factors = walk_rows(factor_at.rows(flats)) if factor is not None else repeat((None,))
-        heads = zip(walk_rows(h_a_rows), walk_rows(h_b_at.rows(flats)), factors)
+        factors = walk_rows(factor_at.rows(points)) if factor is not None else repeat((None,))
+        heads = zip(walk_rows(h_a_rows), walk_rows(h_b_at.rows(points)), factors)
         for k, ((h_a,), (h_b,), (f_val,)) in enumerate(heads):
             finite(k, "H", h_a), finite(k, "H_bar", h_b)
             if factor is not None:
@@ -169,8 +168,7 @@ def zero_set_diagnostic(sys_a: ContactHamiltonianSystem,
     h_a_at, h_b_at = (tape((s.H,), n, s.params) for s in (sys_a, sys_b))
 
     def values(points):
-        flats = [p._flat for p in points]
-        heads = zip(walk_rows(h_a_at.rows(flats)), walk_rows(h_b_at.rows(flats)))
+        heads = zip(walk_rows(h_a_at.rows(points)), walk_rows(h_b_at.rows(points)))
         for k, ((h_a,), (h_b,)) in enumerate(heads):
             finite(k, "H", h_a), finite(k, "H_bar", h_b)
             zero_a, zero_b = abs(h_a) <= ZERO_TOL, abs(h_b) <= ZERO_TOL
@@ -231,8 +229,8 @@ def _require_regular(sys: ContactLagrangianSystem, ext: ExtendedLagrangianSystem
     det_tol = (tol or Tolerances()).det_tol
 
     def gated(points: list[StatePoint]):
-        flats, tapes = [p._flat for p in points], (sys._extended._hessian_tape, ext._hessian_tape)
-        dets = [walk_rows((_hessian_dets(w)[:, None], e)) for w, e in (t.rows(flats) for t in tapes)]
+        tapes = (sys._extended._hessian_tape, ext._hessian_tape)
+        dets = [walk_rows((_hessian_dets(w)[:, None], e)) for w, e in (t.rows(points) for t in tapes)]
         values = iter(point_values(points))
         for p, (det_l,), (det_bar,) in zip(points, *dets):
             if not (abs(det_l) > det_tol and abs(det_bar) > det_tol):

@@ -52,6 +52,7 @@ import struct
 import threading
 import weakref
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -689,57 +690,53 @@ def max_coord_index(e: Expr) -> int:
 # State points and evaluation
 
 
-class StatePoint:
-    """A chart point (q, v, z).
-
-    ``v`` carries the velocities on the Lagrangian side and the momenta on
-    the Hamiltonian side.  A point is immutable and holds only its flat
-    floats (q1..qn, v1..vn, z); ``q`` and ``v`` are arrays built when read.
+class StatePoint(tuple):
+    """A chart point (q, v, z): the immutable tuple of its Python floats
+    (q1..qn, v1..vn, z), equal and hashed by value, which a tape reads as it
+    is.  ``v`` carries the velocities on the Lagrangian side and the momenta
+    on the Hamiltonian side; ``q`` and ``v`` are arrays built when read.
     """
 
-    def __init__(self, q, v, z: float):
+    __slots__ = ()
+
+    def __new__(cls, q, v, z: float):
         q = np.asarray(q, dtype=float).reshape(-1).tolist()
         v = np.asarray(v, dtype=float).reshape(-1).tolist()
         if len(q) != len(v):
             raise ValueError("q and v must have the same length")
-        self._set([*q, *v, float(z)], len(q))
+        return cls.from_coords([*q, *v, float(z)], len(q))
 
-    def _set(self, flat: list[float], n: int) -> None:
-        """Store the Python floats (q1..qn, v1..vn, z)."""
-        if not all(map(math.isfinite, flat)):
-            raise ValueError("state point entries must be finite")
-        object.__setattr__(self, "z", flat[2 * n])
-        object.__setattr__(self, "_flat", tuple(flat))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to StatePoint.{name}")
+    def __reduce__(self):
+        return type(self).from_coords, (tuple(self), self.n)
 
     @property
     def n(self) -> int:
-        return len(self._flat) // 2
+        return len(self) // 2
 
     @property
     def q(self) -> np.ndarray:
-        return np.array(self._flat[:self.n])
+        return np.array(self[:self.n])
 
     @property
     def v(self) -> np.ndarray:
-        return np.array(self._flat[self.n:-1])
+        return np.array(self[self.n:-1])
+
+    z = property(operator.itemgetter(-1))
 
     def coords(self) -> np.ndarray:
         """Flat coordinates in canonical order (q1..qn, v1..vn, z)."""
-        return np.array(self._flat)
+        return np.array(self)
 
     @classmethod
     def from_coords(cls, flat: Sequence[float], n: int) -> "StatePoint":
         """The point with flat coordinates (q1..qn, v1..vn, z): a sequence of
         numbers or an array of any shape holding 2n+1 of them."""
-        flat = np.asarray(flat, dtype=float).reshape(-1).tolist() \
-            if isinstance(flat, np.ndarray) else [float(x) for x in flat]
-        if len(flat) != 2 * n + 1:
-            raise ValueError(f"expected {2 * n + 1} coordinates, got {len(flat)}")
-        point = cls.__new__(cls)
-        point._set(flat, n)
+        point = tuple.__new__(cls, np.asarray(flat, dtype=float).reshape(-1).tolist()
+                              if isinstance(flat, np.ndarray) else map(float, flat))
+        if len(point) != 2 * n + 1:
+            raise ValueError(f"expected {2 * n + 1} coordinates, got {len(point)}")
+        if not all(map(math.isfinite, point)):
+            raise ValueError("state point entries must be finite")
         return point
 
     def __repr__(self) -> str:
@@ -764,8 +761,9 @@ def merge_params(*param_sets: ParamSet) -> dict[str, float]:
 # Evaluation: one lowering, three backends.  ``_lower`` turns an expression
 # tuple into one instruction per distinct compound node object, in post-order.
 # ``tape`` runs it over a copied register file, at a point or, by ``rows``, over
-# a sample's columns; ``render`` writes it as Python.  All give the same doubles,
-# and a float exception becomes, on the tape, a DomainError naming the node.
+# a sample's columns, reading a point (a StatePoint too) as its 2n+1 floats;
+# ``render`` writes it as Python.  All give the same doubles, and a float
+# exception becomes, on the tape, a DomainError naming the node.
 
 # Samples of fewer points run point by point: on dense tapes (n = 1, 3, 5) rows
 # took 1.1-3.7x the time of calls at 3 and 10 points, 0.7-1.1x at 15, 0.2x at 200.
@@ -880,7 +878,7 @@ class _Tape(tuple):
         code, regs, results, d = self
         m = len(ys)
         if m >= ROWS_MIN:
-            r = [*np.array(ys, dtype=float).reshape(m, d).T.copy(), *regs]
+            r = [*np.fromiter(chain.from_iterable(ys), float).reshape(m, d).T.copy(), *regs]
             try:    # + - * / and neg by numpy, a zero divisor (-0.0 too) raising
                 # as in Python; a call or ^ maps its function over the floats
                 with np.errstate(all="ignore"):
@@ -931,7 +929,7 @@ def evaluate_all(exprs: Sequence[Expr], point: StatePoint,
     expression that fails raises a DomainError naming the failing subtree.
     Code that evaluates the same expressions at many points holds a tape.
     """
-    return tape(exprs, point.n, params)(point._flat)
+    return tape(exprs, point.n, params)(point)
 
 
 def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> float:

@@ -71,7 +71,7 @@ class ActionFunction:
         """:meth:`frame_ok` on n-dimensional points for one parameter map,
         with dzeta/dz lowered once: a sampling predicate."""
         dz_at = tape((self.dz,), n, merge_params(self.params, extra_params or {}))
-        return lambda p: abs(dz_at(p._flat)[0]) > FRAME_TOL
+        return lambda p: abs(dz_at(p)[0]) > FRAME_TOL
 
     def is_strong(self, n: int) -> bool:
         """True when zeta does not reference any velocity coordinate."""
@@ -201,7 +201,7 @@ def extended_lagrangian_form(sys: ExtendedLagrangianSystem) -> CoordOneForm:
 
 
 def zeta_hessian(sys: ExtendedLagrangianSystem, p: StatePoint) -> np.ndarray:
-    return np.array(sys._hessian_tape(p._flat)).reshape(sys.n_dim, sys.n_dim)
+    return np.array(sys._hessian_tape(p)).reshape(sys.n_dim, sys.n_dim)
 
 
 def zeta_regularity(sys: ExtendedLagrangianSystem, p: StatePoint

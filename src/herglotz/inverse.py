@@ -86,7 +86,7 @@ def naive_inverse_check(sode: SODESystem, plan: SamplePlan | None = None,
     residuals_at = tape((*defects, *hessian), n, sode.params)
 
     def values(points):
-        rows, error = residuals_at.rows([p._flat for p in points])
+        rows, error = residuals_at.rows(points)
         for defect_vals, det in zip(walk_rows((rows[:, :n], error)), _hessian_dets(rows[:, n:])):
             out = {f"herglotz_defect_{i + 1}": abs(x) for i, x in enumerate(defect_vals)}
             out["regularity_defect"] = 0.0 if abs(det) > det_tol else 1.0
@@ -184,9 +184,8 @@ def di_ei_diagnostics(sode: SODESystem, plan: SamplePlan | None = None,
 
     def values(points):
         nonlocal excluded
-        flats = [p._flat for p in points]
-        d_e_rows = d_e_at.rows(flats)
-        grad_rows = [walk_rows(run.rows([y for y, e in zip(flats, d_e_rows[0][:, n + i].tolist())
+        d_e_rows = d_e_at.rows(points)
+        grad_rows = [walk_rows(run.rows([p for p, e in zip(points, d_e_rows[0][:, n + i].tolist())
                                          if abs(e) > RATIO_EXCLUDE]))
                      for i, run in enumerate(ratio_grads_at)]
         for k, vals in enumerate(walk_rows(d_e_rows)):

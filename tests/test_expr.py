@@ -1075,7 +1075,7 @@ def test_executors_agree_on_values_and_errors(e, other, shape, flat, position, o
     # register state from that run
     held = ex.tape([e], 2, params)
     _outcome(lambda: held(OTHER_FLAT)[0])
-    assert _outcome(lambda: held(point._flat)[0]) == scalar
+    assert _outcome(lambda: held(point)[0]) == scalar
     # several expressions sharing subtrees: the values of one walk each, or
     # the error of the first expression that fails
     exprs = [e, other, differentiate(e, "q1"), ex.sub(e, other), ex.mul(other, e)]
@@ -1086,7 +1086,7 @@ def test_executors_agree_on_values_and_errors(e, other, shape, flat, position, o
     assert _outcomes(lambda: program(point.coords())) == expected
     held = ex.tape(exprs, 2, params)
     _outcomes(lambda: held(OTHER_FLAT))
-    assert _outcomes(lambda: held(point._flat)) == expected
+    assert _outcomes(lambda: held(point)) == expected
     # the rows of a held tape, with a coordinate and a constant among its
     # results: the point at a drawn place in samples on both sides of
     # ROWS_MIN, beside OTHER_FLAT and a drawn row of signed zeros, NaNs or
@@ -1164,8 +1164,8 @@ def test_from_coords_matches_the_constructor(coords):
     p = StatePoint.from_coords(coords, 2)
     flat = np.asarray(coords, dtype=float).reshape(-1)
     ref = StatePoint(flat[:2], flat[2:4], flat[4])
-    assert all(type(x) is float for x in p._flat)
-    assert np.array(p._flat).tobytes() == np.array(ref._flat).tobytes() == flat.tobytes()
+    assert all(type(x) is float for x in p)
+    assert np.array(p).tobytes() == np.array(ref).tobytes() == flat.tobytes()
     for got, want in ((p.q, ref.q), (p.v, ref.v)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert type(p.z) is float and repr(p.z) == repr(ref.z)
@@ -1277,8 +1277,8 @@ def test_evaluate_computes_a_shared_node_once(monkeypatch):
     # a held tape computes it once per run
     calls.clear()
     run = ex.tape((e,), 1)
-    assert run(pt(0.3, 0.0, 0.0)._flat) == (2.0**20 * math.sin(0.3),)
-    assert run(pt(-0.4, 0.0, 0.0)._flat) == (2.0**20 * math.sin(-0.4),)
+    assert run(pt(0.3, 0.0, 0.0)) == (2.0**20 * math.sin(0.3),)
+    assert run(pt(-0.4, 0.0, 0.0)) == (2.0**20 * math.sin(-0.4),)
     assert calls == [0.3, -0.4]
 
 

@@ -6,7 +6,11 @@ general checkers used before they declared tables; the tables must give the
 same record values bit for bit."""
 
 import collections
+import copy
+import json
 import math
+import pickle
+import struct
 import sys
 
 import numpy as np
@@ -20,7 +24,7 @@ from herglotz.equivalence import (
     extended_sode_check, general_equivalence_check, strong_equivalence_check,
 )
 from herglotz.expr import (
-    StatePoint, add, differentiate, merge_params, parse, q, sub, tape, v,
+    ExprError, StatePoint, add, differentiate, merge_params, parse, q, sub, tape, v,
 )
 from herglotz.extended import (
     ActionFunction, ExtendedLagrangianSystem, SingularZetaError, compose_with_zeta,
@@ -130,7 +134,7 @@ def reference_strong(sys, lbar_zeta_chart, zeta, plan):
 
     def values(p):
         gate(p)
-        vals = residuals_at(p._flat)
+        vals = residuals_at(p)
         transported_val, lbar_val, factor = vals[n:n + 3]
         eta_l_vals = np.array(vals[n + 3:n + 3 + d])
         eta_bar_vals = np.array(vals[n + 3 + d:])
@@ -159,7 +163,7 @@ def reference_general(sys, lbar_zeta_chart, zeta, plan):
 
     def values(p):
         gate(p)
-        vals = residuals_at(p._flat)
+        vals = residuals_at(p)
         out = {"L_condition": abs(vals[0])}
         for i in range(n):
             out[f"p_condition_{i + 1}"] = abs(vals[1 + i])
@@ -171,7 +175,7 @@ def reference_general(sys, lbar_zeta_chart, zeta, plan):
 
 
 def record_bits(report):
-    return [(rec.point._flat, [(k, float(x).hex()) for k, x in rec.values.items()])
+    return [(rec.point, [(k, float(x).hex()) for k, x in rec.values.items()])
             for rec in report.records]
 
 
@@ -230,9 +234,9 @@ def test_the_lu_determinant_decides_every_gate_as_the_cofactor_expansion(tmp_pat
     main(["batch", "--out", str(tmp_path)])
     assert [len(rows) for rows in gated] == [200] * 12 + [100] * 4
     dense = [dense_lagrangian(n)._extended._hessian_tape.rows(
-        [p._flat for p in sample_states(SamplePlan(count=20, seed=n), n)])[0] for n in range(1, 7)]
+        sample_states(SamplePlan(count=20, seed=n), n))[0] for n in range(1, 7)]
     singular = ContactLagrangianSystem(1, parse("0.5*(1 - 2*gam)*v1^2", 1), {"gam": 0.5})
-    zero = singular._extended._hessian_tape.rows([p._flat for p in sample_states(SamplePlan(), 1)])[0]
+    zero = singular._extended._hessian_tape.rows(sample_states(SamplePlan(), 1))[0]
     assert not zero.any()
     for rows in [*gated, *dense, zero]:
         # the expansion over a matrix of coordinates of a wide enough chart,
@@ -305,19 +309,100 @@ def test_regularity_gate_aborts_on_a_nan_determinant():
 
 
 # ---------------------------------------------------------------------------
-# StatePoint holds its flat floats only
+# StatePoint is the tuple of its flat floats
 
 
 def test_statepoint_holds_only_its_flat_coordinates():
     p = StatePoint(np.array([1.0, 2.0]), [3.0, 4.0], np.float64(5.0))
-    assert vars(p) == {"z": 5.0, "_flat": (1.0, 2.0, 3.0, 4.0, 5.0)}
+    assert StatePoint.__bases__ == (tuple,) and StatePoint.__slots__ == ()
+    assert not hasattr(p, "__dict__")
+    assert tuple(p) == (1.0, 2.0, 3.0, 4.0, 5.0) and all(type(x) is float for x in p)
+    assert all(type(x) is float for x in StatePoint.from_coords(np.zeros((5, 1), np.float32), 2))
     assert p.n == 2 and type(p.z) is float
     assert p.q.tolist() == [1.0, 2.0] and p.v.tolist() == [3.0, 4.0]
     assert p.q is not p.q
     assert repr(p) == "StatePoint(q=[1.0, 2.0], v=[3.0, 4.0], z=5.0)"
-    with pytest.raises(AttributeError):
-        p.z = 0.0
+    for name in ("z", "q", "n", "w"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0.0)
     with pytest.raises(ValueError, match="^q and v must have the same length$"):
         StatePoint([1.0], [1.0, 2.0], 0.0)
     with pytest.raises(ValueError, match="^state point entries must be finite$"):
         StatePoint.from_coords([0.0, math.inf, 0.0], 1)
+
+
+def test_statepoints_are_equal_and_hash_by_value():
+    p = StatePoint([0.5], [-1.0], 2.0)
+    assert isinstance(p, tuple)
+    assert p == StatePoint.from_coords((0.5, -1.0, 2.0), 1) == (0.5, -1.0, 2.0)
+    assert hash(p) == hash((0.5, -1.0, 2.0))
+    assert p != StatePoint([0.5], [-1.0], 2.5) and p != StatePoint([0.5, -1.0], [2.0, 0.0], 0.0)
+    # -0.0 == 0.0, so the two points are one key, though each keeps its sign bit
+    neg, pos = StatePoint([-0.0], [1.0], 0.0), StatePoint([0.0], [1.0], 0.0)
+    assert neg == pos and hash(neg) == hash(pos) and len({neg, pos}) == 1
+    assert math.copysign(1.0, neg[0]) == -1.0 and math.copysign(1.0, pos[0]) == 1.0
+
+
+def test_statepoint_is_a_sequence_of_its_floats():
+    p = StatePoint([1.0, 2.0], [3.0, 4.0], 5.0)
+    assert len(p) == 5 and list(p) == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert p[0] == 1.0 and p[-1] == p.z == 5.0 and p[1:4] == (2.0, 3.0, 4.0)
+    assert all(type(x) is float for x in (*p, p[2], *p[1:4]))
+    assert p.coords().tolist() == list(p)
+
+
+def test_statepoint_pickles_and_copies_to_an_equal_point():
+    p = StatePoint([-0.0, 1e-300], [math.pi, -2.5], 7.0)
+    copies = [pickle.loads(pickle.dumps(p, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for c in (*copies, copy.copy(p), copy.deepcopy(p), copy.deepcopy([p])[0]):
+        assert type(c) is StatePoint and c == p and c.n == 2
+        assert struct.pack("5d", *c) == struct.pack("5d", *p)
+
+
+def test_json_text_writes_a_point_as_json_does():
+    for p in (StatePoint([-0.0, 1e-300], [math.pi, -2.5], 7.0), StatePoint([], [], 1.0)):
+        assert cli.json_text(p) == json.dumps(p, indent=2)
+        assert cli.json_text({"p": [p]}) == json.dumps({"p": [p]}, indent=2)
+
+
+def _call_bits(run, y):
+    """A call's values as their bits, or its error's type and text."""
+    try:
+        values = run(y)
+    except ExprError as exc:
+        return type(exc), str(exc)
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _rows_bits(run, ys):
+    """The rows' bits and shape, and the error's type and text."""
+    values, error = run.rows(ys)
+    return (struct.pack(f"{values.size}d", *values.ravel().tolist()), values.shape,
+            error and (type(error), str(error)))
+
+
+@pytest.mark.parametrize("text", [
+    "exp(q1)*v2 - z/(q2 + 2) + sin(v1)*q1^3",
+    "log(q1 + 0.8)*v2 + sqrt(z + 0.9)",       # a DomainError part way
+    f"{NAN_TEXT}*q1 + v1",                    # NaN at every point
+    "z/(q1 - q1)",                            # a zero divisor at the first point
+])
+@pytest.mark.parametrize("count", [3, expr.ROWS_MIN - 1, expr.ROWS_MIN, 40])
+def test_a_tape_reads_statepoints_as_their_flat_tuples(text, count):
+    """A tape called at a StatePoint, or run over a list of them, gives the
+    bits (and errors) it gives on the plain tuples of the same floats, and on
+    the sample's array."""
+    points = sample_states(SamplePlan(count=count, seed=count), 2)
+    run = tape([parse(text, 2), parse("q1*v1 - z", 2)], 2)
+    flats = [tuple(p) for p in points]
+    assert [_call_bits(run, p) for p in points] == [_call_bits(run, y) for y in flats]
+    assert _rows_bits(run, points) == _rows_bits(run, np.array(flats)) == _rows_bits(run, flats)
+
+
+@pytest.mark.parametrize("count", [3, 40])
+def test_rows_refuse_points_of_another_chart(count):
+    run = tape([parse("q1*v1 - z", 1)], 1)
+    for n in (0, 2):
+        with pytest.raises(ValueError):
+            run.rows(sample_states(SamplePlan(count=count, seed=1), n))

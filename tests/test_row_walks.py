@@ -39,15 +39,15 @@ def conformal_reference(sys_a, sys_b, factor=None, plan=None, tol=None):
 
     def values(p):
         nonlocal skipped
-        (h_a,), (h_b,) = h_a_at(p._flat), h_b_at(p._flat)
+        (h_a,), (h_b,) = h_a_at(p), h_b_at(p)
         if factor is not None:
-            (f_val,) = factor_at(p._flat)
+            (f_val,) = factor_at(p)
         elif abs(h_a) > ESTIMATE_TOL:
             f_val = h_b / h_a
         else:
             skipped += 1
             return None
-        eta_pairs = zip(eta_a_at(p._flat), eta_b_at(p._flat))
+        eta_pairs = zip(eta_a_at(p), eta_b_at(p))
         return {
             "form_defect": max_abs(b - f_val * a for a, b in eta_pairs),
             "hamiltonian_defect": abs(h_b - f_val * h_a),
@@ -71,7 +71,7 @@ def zero_set_reference(sys_a, sys_b, plan=None, tol=None):
     h_a_at, h_b_at = (tape((s.H,), n, s.params) for s in (sys_a, sys_b))
 
     def values(p):
-        (h_a,), (h_b,) = h_a_at(p._flat), h_b_at(p._flat)
+        (h_a,), (h_b,) = h_a_at(p), h_b_at(p)
         zero_a, zero_b = abs(h_a) <= ZERO_TOL, abs(h_b) <= ZERO_TOL
         mismatch = (zero_a != zero_b) or \
             (not zero_a and not zero_b and (h_a > 0) != (h_b > 0))
@@ -93,7 +93,7 @@ def naive_reference(sode, plan=None, tol=None):
     residuals_at = tape((*defects, *hessian), n, sode.params)
 
     def values(p):
-        vals = residuals_at(p._flat)
+        vals = residuals_at(p)
         defect_vals, w = vals[:n], np.array(vals[n:]).reshape(n, n)
         det = float(np.linalg.det(w)) if np.isfinite(w).all() else math.nan
         out = {f"herglotz_defect_{i + 1}": abs(x) for i, x in enumerate(defect_vals)}
@@ -139,7 +139,7 @@ def di_ei_reference(sode, plan=None, tol=None):
     def values(p):
         nonlocal excluded, index
         index += 1
-        vals = d_e_at(p._flat)
+        vals = d_e_at(p)
         d_vals = [finite(f"D_{i + 1}", x) for i, x in enumerate(vals[:n])]
         e_vals = [finite(f"E_{i + 1}", x) for i, x in enumerate(vals[n:])]
         out, usable = {}, []
@@ -154,7 +154,7 @@ def di_ei_reference(sode, plan=None, tol=None):
                 excluded += 1
         ratios = [finite(f"D_{i + 1}/E_{i + 1}", d_vals[i] / e_vals[i]) for i in usable]
         out["ratio_spread"] = max(ratios) - min(ratios) if ratios else 0.0
-        grads = [g for i in usable for g in ratio_grads_at[i](p._flat)]
+        grads = [g for i in usable for g in ratio_grads_at[i](p)]
         out["ratio_velocity_gradient"] = max(
             (abs(finite("ratio_velocity_gradient", g)) for g in grads), default=0.0)
         return out
