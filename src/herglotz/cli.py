@@ -44,8 +44,8 @@ from .equivalence import (
     strong_equivalence_check, zero_set_diagnostic,
 )
 from .expr import (
-    Expr, Param, ParseError, StatePoint, coords, max_coord_index, merge_params,
-    parse, sub, substitute, unparse, z,
+    Expr, Param, ParseError, StatePoint, UnboundParameterError, coords, max_coord_index,
+    merge_params, parse, sub, substitute, tape, unparse, z,
 )
 from .extended import (
     ActionFunction, ExtendedLagrangianSystem, zeta_herglotz_field, zeta_legendre,
@@ -121,8 +121,8 @@ def _load_system(name: str, raw: dict, path: str):
         raise ConfigError(f"'n' must be at most {MAX_N}, got {n}", f"{path}.n")
     params = _load_params(raw.get("params"), f"{path}.params")
     if kind == "lagrangian":
-        return ContactLagrangianSystem(n, _parse_expr(raw.get("L"), n, f"{path}.L"),
-                                       params)
+        L = _parse_expr(raw.get("L"), n, f"{path}.L")
+        return _bound(ContactLagrangianSystem(n, L, params), [L], path)
     if kind == "bar_lagrangian":
         expr = _parse_expr(raw.get("L"), n, f"{path}.L")
         # allow the ident "zeta" for the action slot; normalize to z
@@ -137,22 +137,30 @@ def _load_system(name: str, raw: dict, path: str):
                 _parse_expr(c, n, f"{path}.eta[{k}]") for k, c in enumerate(comps)))
         else:
             eta = darboux_form(n)
-        return ContactHamiltonianSystem(n, eta, _parse_expr(raw.get("H"), n,
-                                                            f"{path}.H"), params)
+        H = _parse_expr(raw.get("H"), n, f"{path}.H")
+        return _bound(ContactHamiltonianSystem(n, eta, H, params), [H, *eta.components], path)
     if kind == "sode":
         accels = raw.get("accelerations")
         if not isinstance(accels, list) or len(accels) != n:
             raise ConfigError(f"'accelerations' must list {n} expressions",
                               f"{path}.accelerations")
-        return SODESystem(
-            n,
-            tuple(_parse_expr(a, n, f"{path}.accelerations[{k}]")
-                  for k, a in enumerate(accels)),
-            _parse_expr(raw.get("z_rate"), n, f"{path}.z_rate"), params)
+        accels = tuple(_parse_expr(a, n, f"{path}.accelerations[{k}]")
+                       for k, a in enumerate(accels))
+        rate = _parse_expr(raw.get("z_rate"), n, f"{path}.z_rate")
+        return _bound(SODESystem(n, accels, rate, params), [*accels, rate], path)
     if kind == "action":
         return ActionFunction(_parse_expr(raw.get("zeta"), n, f"{path}.zeta"),
                               params)
     raise ConfigError(f"unknown system kind {kind!r}", f"{path}.kind")
+
+
+def _bound(system, exprs: list[Expr], path: str):
+    """The system, if its params bind every parameter ``exprs`` read."""
+    try:
+        tape(exprs, system.n_dim, system.params)
+    except UnboundParameterError as exc:
+        raise ConfigError(str(exc), f"{path}.params") from None
+    return system
 
 
 @dataclass

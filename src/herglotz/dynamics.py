@@ -9,9 +9,10 @@ each state appended to a flat buffer that numpy views without a copy.  A
 float error ends the loop, and its stage inputs, run through the tape of
 the same lowering, raise the DomainError of the failing node.  The action
 of a curve is obtained by integrating the state equation zdot = L(q, v, z)
-along the curve with linear interpolation of (q, v) inside each step;
-stationarity of the action functional is probed with central differences
-along a fixed sine-bump basis that vanishes at the endpoints.
+along the curve with linear interpolation of (q, v) inside each step; the
+statements of L that read no z run only where (q, v) moves.  Stationarity
+of the action functional is probed with central differences along a fixed
+sine-bump basis that vanishes at the endpoints.
 """
 
 from __future__ import annotations
@@ -126,33 +127,42 @@ def _names(fmt: str, count: int, start: int = 0) -> str:
     return "".join(fmt.format(i=i) + ", " for i in range(start, start + count))
 
 
-def _rk4_loop(body: list[str], results: list[str], env: dict, m: int, w: int = 0
-              ) -> Callable[..., None]:
+def _rk4_loop(body: list[str], results: list[str], env: dict, row_only: int, m: int,
+              w: int = 0) -> Callable[..., None]:
     """Render a whole classical RK4 run as ``loop(y, hs, rows, out)``: from
     the state y of m floats, one step of size h for each h in hs, each new
     state appended to ``out``.  The state lives in locals, and the statements
     ``body`` set the rate ``results`` from the stage inputs x0.. in a
     four-pass stage loop.  With w > 0 the inputs start with a curve row of w
     floats: rows[j] at step j's start, the midpoint 0.5 * (a + b) with the
-    next row at the middle stages, and the next row at the end.  An error in
-    ``env``'s FLOAT_ERRORS (none by default) ends the run: its ``tape`` raises."""
+    next row at the middle stages, and the next row at the end; the state is
+    then z alone, and the first ``row_only`` statements, which read no z,
+    run once for rows[0] and then at stages 2 and 4, where the row moves:
+    stage 3 and the next step's stage 1 reuse their values.  An error in
+    ``env``'s FLOAT_ERRORS (none by default) ends the run at its stage: its
+    ``tape`` raises."""
     def ys(tail: str = "") -> str:   # y_i and a tail for each i
         return _names("y{i}" + tail, m)
 
+    def indent(lines: list[str], depth: int) -> str:
+        return "".join(f"{' ' * depth}{line}\n" for line in lines)
+
     rate, row, state = "".join(f"{r}, " for r in results), _names("x{i}", w), _names("x{i}", m, w)
     a, b = _names("a{i}", w), _names("b{i}", w)
-    steps = (f"        {a}= rows[0]\n        for h, ({b}) in zip(hs, islice(rows, 1, None)):"
+    free = body[:row_only] if w else []
+    steps = (f"        {a}= rows[0]\n        {row}{state}= {a}{ys()}\n{indent(free, 8)}"
+             f"        for h, ({b}) in zip(hs, islice(rows, 1, None)):"
              if w else "        for h in hs:")
-    rates = "".join(f"                {line}\n" for line in body)
+    moved = f"                if s == 2 or s == 4:\n{indent(free, 20)}" if free else ""
     # after stage s: k_s, then the inputs of stage s + 1
     source = f"""def loop(y, hs, rows, out):
     {ys()}= y
     put = out.extend
     try:
 {steps}
-            {row}{state}= {a}{ys()}
+            {state}= {ys()}
             for s in (1, 2, 3, 4):
-{rates}                if s == 1:
+{moved}{indent(body[len(free):], 16)}                if s == 1:
                     {_names('k1_{i}', m)}= {rate}
                     {row}{state}= {_names('0.5 * (a{i} + b{i})', w)}{ys(' + 0.5 * h * k1_{i}')}
                 elif s == 2:
@@ -178,7 +188,7 @@ def _rk4_loop(body: list[str], results: list[str], env: dict, m: int, w: int = 0
 def _rate_loop(rate: _Rate, m: int) -> Callable[..., None]:
     """The RK4 loop whose body calls ``rate`` on the list of stage inputs."""
     call = f"{_names('r{i}', m)}= rate([{_names('x{i}', m)}])"
-    return _rk4_loop([call], [f"r{i}" for i in range(m)], {"rate": rate}, m)
+    return _rk4_loop([call], [f"r{i}" for i in range(m)], {"rate": rate}, 0, m)
 
 
 def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,

@@ -6,10 +6,10 @@ over the coordinates ``q1..qn``, ``v1..vn``, ``z`` and named parameters.
 The module provides parsing, canonical printing, exact symbolic
 differentiation, substitution, evaluation and first/second derivative jets.
 Evaluation lowers an expression tuple once to one instruction per distinct
-node; a :func:`tape` runs that list at each point (checks hold the tapes of
-their residuals, systems hold theirs) and :func:`render` writes it as Python
-statements for the RK4 loops, whose runs take thousands of steps; a float
-error there is explained by the tape of the same lowering.  Only light
+node that reads a coordinate; a :func:`tape` runs it at each point (checks
+hold the tapes of their residuals, systems hold theirs) and :func:`render`
+writes it as Python for the RK4 loops, whose runs take thousands of steps;
+a float error there is explained by the tape of the same lowering.  Only light
 simplification is performed on construction (constant folding, 0/1
 elimination with -0.0 as 0); there is no attempt at canonical forms, and
 constants are finite.
@@ -759,7 +759,10 @@ def merge_params(*param_sets: ParamSet) -> dict[str, float]:
 
 # ---------------------------------------------------------------------------
 # Evaluation: one lowering, three backends.  ``_lower`` turns an expression
-# tuple into one instruction per distinct compound node object, in post-order.
+# tuple into one instruction per distinct compound node object, in post-order;
+# a node that reads no coordinate and whose inputs are constant registers is
+# computed there, by the same float operation, into a constant register, unless
+# it raises: then it stays an instruction and raises at each point.
 # ``tape`` runs it over a copied register file, at a point or, by ``rows``, over
 # a sample's columns, reading a point (a StatePoint too) as its 2n+1 floats;
 # ``render`` writes it as Python.  All give the same doubles, and a float
@@ -816,35 +819,52 @@ def _lower(exprs: Sequence[Expr], n: int, params: ParamSet | None):
     code: list[tuple] = []
     regs: list = []
     memo: dict[Expr, int] = {}
-    results = [_emit(e, n, params or {}, memo, code, regs) for e in exprs]
+    results = [_emit(e, 2 * n + 1, params or {}, memo, code, regs) for e in exprs]
     return code, regs, results
 
 
-def _emit(node: Expr, n: int, params: ParamSet, memo: dict[Expr, int],
+def _folded(fn, a: int, b: int | None, regs: list, d: int) -> float | None:
+    """fn of constant registers a and b, or None if either is an instruction's
+    output or fn raises: the node then stays an instruction, raising at each point."""
+    args = (regs[a - d],) if b is None else (regs[a - d], regs[b - d])
+    if not any(isinstance(x, Expr) for x in args):
+        try:
+            return fn(*args)
+        except _FLOAT_ERRORS:
+            pass
+    return None
+
+
+def _emit(node: Expr, d: int, params: ParamSet, memo: dict[Expr, int],
           code: list[tuple], regs: list) -> int:
-    """Register of ``node``, emitting its instructions on first visit."""
+    """Register of ``node`` (d = 2n + 1), emitting its instructions on first visit."""
     reg = memo.get(node)
     if reg is not None:
         return reg
     kind = type(node)
-    if kind is Coord:
-        reg = _slot(node, n)
-    elif kind is Const or kind is Param:
-        reg = 2 * n + 1 + len(regs)
-        regs.append(node.value if kind is Const else _param_value(node, params))
+    if kind is BinOp:
+        fn, a = _BINARY[node.op], _emit(node.lhs, d, params, memo, code, regs)
+        b = _emit(node.rhs, d, params, memo, code, regs)
+    elif kind is Call:
+        fn, a, b = _APPLY[node.fn], _emit(node.arg, d, params, memo, code, regs), None
+    elif kind is IntPow:
+        fn, a = operator.pow, _emit(node.base, d, params, memo, code, regs)
+        b = d + len(regs)
+        regs.append(node.exponent)
     else:
-        if kind is BinOp:
-            fn, a = _BINARY[node.op], _emit(node.lhs, n, params, memo, code, regs)
-            b = _emit(node.rhs, n, params, memo, code, regs)
-        elif kind is Call:
-            fn, a, b = _APPLY[node.fn], _emit(node.arg, n, params, memo, code, regs), None
-        elif kind is IntPow:
-            fn, a = operator.pow, _emit(node.base, n, params, memo, code, regs)
-            b = 2 * n + 1 + len(regs)
-            regs.append(node.exponent)
+        if kind is Coord:
+            reg = _slot(node, d // 2)
+        elif kind is Const or kind is Param:
+            reg = d + len(regs)
+            regs.append(node.value if kind is Const else _param_value(node, params))
         else:
             raise TypeError(f"not an Expr node: {node!r}")
-        reg = 2 * n + 1 + len(regs)
+        memo[node] = reg
+        return reg
+    reg = d + len(regs)
+    if not node._m and (value := _folded(fn, a, b, regs, d)) is not None:
+        regs.append(value)
+    else:
         regs.append(node)
         code.append((fn, a, b, reg))
     memo[node] = reg
@@ -938,22 +958,23 @@ def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> floa
 
 
 def render(exprs: Sequence[Expr], n: int, params: ParamSet | None
-           ) -> tuple[list[str], list[str], dict]:
+           ) -> tuple[list[str], list[str], dict, int]:
     """A lowering as straight-line Python statements over the coordinates
-    named x0..x2n, one per instruction and constant leaf used; the names
-    holding the values of ``exprs``; and the namespace to run them in, which
-    binds ``FLOAT_ERRORS``, what a statement may raise, and ``tape``, the same
-    lowering's runner, which raises the DomainError of the failing statement."""
+    named x0..x2n, one per instruction, those that read no z first; the
+    names or literals holding the values of ``exprs``; the namespace to run
+    them in, which binds ``FLOAT_ERRORS``, what a statement may raise, and
+    ``tape``, the same lowering's runner, which raises the DomainError of the
+    failing statement; and the number of statements that read no z."""
     code, regs, results = _lower(exprs, n, params)
     d = 2 * n + 1
-    lines: list[str] = []
+    lines: tuple[list[str], list[str]] = ([], [])   # reading no z, reading z
     names = {reg: f"x{reg}" for reg in range(d)}
 
-    def name(reg: int, text: str | None = None) -> str:
-        if reg not in names:   # an instruction names its output; a leaf, its first use
-            names[reg] = f"t{len(lines)}"
-            lines.append(f"{names[reg]} = {text or repr(regs[reg - d])}")
-        return names[reg]
+    def name(reg: int) -> str:   # a constant register is its literal, its sign
+        if reg in names:         # written apart, as repr drops a NaN's
+            return names[reg]
+        value = regs[reg - d]
+        return f"(-{abs(value)!r})" if _signed(value) else repr(value)
 
     for _, a, b, out in code:
         node = regs[out - d]
@@ -963,10 +984,11 @@ def render(exprs: Sequence[Expr], n: int, params: ParamSet | None
             text = f"-{name(a)}" if node.fn == "neg" else f"{node.fn}({name(a)})"
         else:
             text = f"{name(a)} ** {node.exponent}"
-        name(out, text)
+        names[out] = f"t{len(names) - d}"
+        lines[node._m & 1].append(f"{names[out]} = {text}")
     env = {"inf": math.inf, "nan": math.nan, "FLOAT_ERRORS": _FLOAT_ERRORS,
            "tape": _Tape((code, regs, results, d)), **{fn: _APPLY[fn] for fn in FUNCTIONS}}
-    return lines, [name(reg) for reg in results], env
+    return [*lines[0], *lines[1]], [name(reg) for reg in results], env, len(lines[0])
 
 
 def compile_components(exprs: Sequence[Expr], n: int, params: ParamSet | None = None

@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 from herglotz import cli, expr
 from herglotz.checks import CheckReport, PointRecord, SamplePlan, Tolerances, error_report
 from herglotz.cli import json_text, main
+from herglotz.contact import ContactHamiltonianSystem
 from herglotz.expr import StatePoint
+from herglotz.fixtures import builtin_systems
+from herglotz.inverse import SODESystem
+from herglotz.lagrangian import ContactLagrangianSystem
 
 
 def run_cli(args, tmp_path, name="r"):
@@ -268,6 +272,45 @@ def test_config_schema_violation_paths(tmp_path, capsys):
                      "herglotz", "--lagrangian", "linear_drag"])
         assert code == 3, raw
         assert needle in capsys.readouterr().err, raw
+
+
+@pytest.mark.parametrize("system, argv, name", [
+    ({"kind": "lagrangian", "L": "0.5*v1^2 + k*q1"}, ["simulate", "--system", "s"], "k"),
+    ({"kind": "lagrangian", "L": "0.5*v1^2 + k*q1"}, ["herglotz", "--lagrangian", "s"], "k"),
+    ({"kind": "lagrangian", "L": "0.5*v1^2 + nan", "params": {"k": 1}},
+     ["herglotz", "--lagrangian", "s"], "nan"),
+    ({"kind": "hamiltonian", "H": "v1^2 + c*z"},
+     ["check-dynamical", "--system", "s", "--system-b", "saddle"], "c"),
+    ({"kind": "hamiltonian", "H": "v1^2 + z", "eta": ["-v1", "0", "a"], "params": {"c": 1}},
+     ["check-dynamical", "--system", "s", "--system-b", "saddle"], "a"),
+    ({"kind": "sode", "accelerations": ["-w*q1"], "z_rate": "0.5*v1^2"},
+     ["check-inverse", "--sode", "s"], "w"),
+    ({"kind": "sode", "accelerations": ["-q1"], "z_rate": "b*v1^2", "params": {"w": 2}},
+     ["simulate", "--system", "s"], "b"),
+], ids=["simulate", "herglotz", "nan", "hamiltonian", "eta", "sode", "sode-z-rate"])
+def test_an_unbound_parameter_is_a_config_error_at_the_systems_params(system, argv, name,
+                                                                      tmp_path, capsys):
+    """A parameter read by a lagrangian, hamiltonian or sode system and bound
+    by none of its params stops the run before any task, with exit code 3."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"systems": {"s": {"n": 1, **system}}}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), *argv]) == 3
+    assert capsys.readouterr().err == (f"config error: unbound parameter {name!r} "
+                                       "(config path: systems.s.params)\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_every_builtin_system_binds_the_parameters_it_reads():
+    read = {ContactLagrangianSystem: lambda s: [s.L],
+            ContactHamiltonianSystem: lambda s: [s.H, *s.eta.components],
+            SODESystem: lambda s: [*s.accelerations, s.z_rate]}
+    kinds = collections.Counter()
+    for name, make in builtin_systems().items():
+        system = make()
+        if type(system) in read:
+            assert cli._bound(system, read[type(system)](system), name) is system
+            kinds[type(system)] += 1
+    assert kinds == {ContactLagrangianSystem: 9, SODESystem: 6, ContactHamiltonianSystem: 3}
 
 
 @pytest.mark.parametrize("task, path, message", [

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 
@@ -376,7 +377,7 @@ def test_integrate_failure_at_a_late_stage_matches_the_reference(q0, stage):
 
 def reference_z_failure(L, curve, z0, params=None):
     """reference_z_operator up to its first DomainError: the failing step
-    (1-based), its stage and the error."""
+    (1-based), its stage, the error and the stage's inputs (row, then z)."""
     fn = compile_components([L], curve.n, params)
     rows = np.hstack([curve.q, curve.velocities()])
     t, zc = curve.times, float(z0)
@@ -385,9 +386,10 @@ def reference_z_failure(L, curve, z0, params=None):
         ks = []
         try:
             for c, row in zip((0.0, 0.5, 0.5, 1.0), (rows[k], mid, mid, rows[k + 1])):
-                ks.append(fn((*row, zc + c * h * ks[-1] if ks else zc))[0])
+                y = [*row.tolist(), zc + c * h * ks[-1] if ks else zc]
+                ks.append(fn(y)[0])
         except DomainError as exc:
-            return k + 1, len(ks) + 1, exc
+            return k + 1, len(ks) + 1, exc, y
         zc += (h / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
     raise AssertionError("the reference integrates without failing")
 
@@ -399,7 +401,7 @@ def test_z_operator_failure_at_a_late_stage_matches_the_reference(z0, stage):
     t = np.linspace(0.0, 1.0, 41)
     curve = SampledCurve(t, np.column_stack([t * t]))
     L = parse("log(z) - v1^2", 1)
-    step, failing, cause = reference_z_failure(L, curve, z0)
+    step, failing, cause, _ = reference_z_failure(L, curve, z0)
     assert (step, failing) == (8, stage)
     assert str(cause) == "log of non-positive value in log(z)"
     with pytest.raises(DomainError, match=rf"^{re.escape(str(cause))}$") as err:
@@ -407,6 +409,40 @@ def test_z_operator_failure_at_a_late_stage_matches_the_reference(z0, stage):
     assert err.value.__cause__ is None and err.value.__suppress_context__
     with pytest.raises(DomainError, match=rf"^{re.escape(str(cause))}$"):
         stationarity_test(L, curve, z0)
+
+
+@pytest.mark.parametrize("qs, step, stage", [
+    ([0.2, 0.5, 0.8, 1.0, 1.2, 1.5], 1, 1),
+    ([1.0, 0.8, 0.6, -0.2, -1.0, -2.0], 3, 2),
+    ([1.0, 0.8, 0.6, 0.0, -1.0, -2.0], 3, 4),
+], ids=["rows[0]", "midpoint", "next row"])
+def test_z_operator_failure_on_a_row_only_node_matches_the_reference(qs, step, stage,
+                                                                     monkeypatch):
+    """log(q1 - c) reads no z: the action loop computes it for rows[0] before
+    the first step and then only at stages 2 and 4, where the row moves.  Its
+    failure still ends the loop at the reference's step and stage, and the
+    tape replays that stage's inputs."""
+    t = np.linspace(0.0, 1.0, len(qs))
+    curve = SampledCurve(t, np.array(qs)[:, None])
+    L, params = parse("log(q1 - c) - v1^2 + z", 1), {"c": 0.25}
+    body, _, _, row_only = dynamics.render([L], 1, params)
+    assert (len(body), row_only) == (5, 4)   # only the last, the sum with z, reads z
+    failing_step, failing, cause, inputs = reference_z_failure(L, curve, 0.5, params)
+    assert (failing_step, failing) == (step, stage)
+    assert str(cause) == "log of non-positive value in log(q1 - c)"
+    replayed, render = [], dynamics.render
+
+    def recording_render(*args):
+        body, results, env, row_only = render(*args)
+        env["tape"] = lambda y, tape=env["tape"]: replayed.append(y) or tape(y)
+        return body, results, env, row_only
+
+    monkeypatch.setattr(dynamics, "render", recording_render)
+    with pytest.raises(DomainError, match=rf"^{re.escape(str(cause))}$"):
+        z_operator(L, curve, 0.5, params)
+    with pytest.raises(DomainError, match=rf"^{re.escape(str(cause))}$"):
+        stationarity_test(L, curve, 0.5, params=params)
+    assert replayed == [inputs, inputs]
 
 
 @pytest.mark.parametrize("q0, stage", [(0.75, 2), (0.801, 3), (0.81, 4)])
@@ -436,7 +472,7 @@ def test_z_operator_failure_on_the_curve_row_reaches_the_tape(q_next, stage):
     t = np.linspace(0.0, 1.0, 6)
     curve = SampledCurve(t, np.array([[1.0], [0.5], [0.1], [q_next], [-1.0], [-2.0]]))
     L, params = parse("log(q1 - c) + z", 1), {"c": 0.0}
-    step, failing, cause = reference_z_failure(L, curve, 0.0, params)
+    step, failing, cause, _ = reference_z_failure(L, curve, 0.0, params)
     assert (step, failing) == (3, stage)
     assert str(cause) == "log of non-positive value in log(q1 - c)"
     with pytest.raises(DomainError, match=rf"^{re.escape(str(cause))}$") as err:
@@ -570,6 +606,72 @@ def test_stationarity_compiles_the_lagrangian_once(monkeypatch):
         d = (action(para.L, plus, z0, para.params)
              - action(para.L, minus, z0, para.params)) / (2.0 * amp)
         assert report.diagnostics[1 + j] == f"D[j={j},q1] = {d!r}"
+
+
+def rendered_loop(monkeypatch, run):
+    """The function definition of the one RK4 loop ``run`` renders."""
+    sources = []
+    monkeypatch.setattr(dynamics, "compile", lambda source, *args: sources.append(
+        source) or compile(source, *args), raising=False)
+    run()
+    monkeypatch.undo()
+    [source] = sources
+    return ast.parse(source).body[0]
+
+
+def rate_statements(block):
+    """The rate statements ``t<k> = ...`` of a block, nested blocks left out."""
+    return [node for node in block if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name) and node.targets[0].id[0] == "t"]
+
+
+def names_read(statement):
+    return {node.id for node in ast.walk(statement.value) if isinstance(node, ast.Name)}
+
+
+def stage_loop(loop):
+    """The rate statements before a loop's first step, and its stage loop."""
+    [body] = [node for node in loop.body if isinstance(node, ast.Try)]
+    [step] = [node for node in body.body if isinstance(node, ast.For)]
+    [stage] = [node for node in step.body if isinstance(node, ast.For)]
+    return rate_statements(body.body), stage
+
+
+def test_rendered_stage_loops_run_what_changes_there(monkeypatch):
+    """Parachute's rate statements, pinned: 21 in its field loop (30 before
+    parameter-only instructions folded at lowering), and in its action loop
+    the 10 of L (19 before), 8 of which read no z and run only before the
+    first step and under the stage-2/stage-4 branch.  No statement in a
+    stage loop is a constant leaf or reads no coordinate."""
+    para = REG["parachute"]()
+    t = np.linspace(0.0, 1.0, 11)
+    curve = SampledCurve(t, np.column_stack([t * t]))
+    field_loop = rendered_loop(monkeypatch, lambda: integrate(
+        herglotz_field(para), pt(0.0, 2.0, 0.0), 0.1, 0.01, para.params))
+    action_loop = rendered_loop(monkeypatch, lambda: z_operator(para.L, curve, 0.0,
+                                                                para.params))
+    for loop in (field_loop, action_loop):
+        _, stage = stage_loop(loop)
+        for block in [node for node in ast.walk(stage) if hasattr(node, "body")]:
+            for statement in rate_statements(block.body):
+                assert not isinstance(statement.value, ast.Constant), ast.unparse(statement)
+                assert any(name[0] in "xt" for name in names_read(statement)), \
+                    ast.unparse(statement)
+    prelude, stage = stage_loop(field_loop)
+    assert (len(prelude), len(rate_statements(stage.body))) == (0, 21)
+    assert isinstance(stage.body[0], ast.Assign)   # no branch: every statement reads y
+    prelude, stage = stage_loop(action_loop)
+    branch = stage.body[0]
+    assert ast.unparse(branch.test) == "s == 2 or s == 4"
+    moved, every_stage = rate_statements(branch.body), rate_statements(stage.body)
+    assert list(map(ast.unparse, moved)) == list(map(ast.unparse, prelude))
+    assert (len(prelude), len(every_stage)) == (8, 2)
+    reads_z = {"x2"}
+    for statement in prelude:
+        assert not names_read(statement) & reads_z, ast.unparse(statement)
+    for statement in every_stage:
+        assert names_read(statement) & reads_z, ast.unparse(statement)
+        reads_z.add(statement.targets[0].id)
 
 
 def test_damped_solution_is_stationary():

@@ -26,6 +26,8 @@ from herglotz.expr import (
 from herglotz import cli, fixtures
 from herglotz import expr as ex
 from herglotz.expr import Expr, add, div, intpow, mul, neg, sub
+from herglotz.contact import CoordVectorField
+from herglotz.dynamics import IntegrationError, SampledCurve, integrate, z_operator
 from herglotz.lagrangian import herglotz_field
 from perfbench import workloads
 
@@ -1015,7 +1017,7 @@ def rendered_program(exprs, n, params):
     """The statements of ``render`` as one function of the coordinate
     vector.  As in the RK4 loops, a float error reruns the point on the tape
     of the same lowering, which must raise: else the float error goes on."""
-    lines, names, env = ex.render(exprs, n, params)
+    lines, names, env, _ = ex.render(exprs, n, params)
     source = (f"def program({', '.join(f'x{i}' for i in range(2 * n + 1))}):\n"
               + "".join(f"    {line}\n" for line in lines)
               + f"    return ({''.join(f'{name}, ' for name in names)})\n")
@@ -1107,6 +1109,97 @@ def test_executors_agree_on_values_and_errors(e, other, shape, flat, position, o
         assert (error and (type(error), str(error))) == failure
         assert values.shape == (len(walked), len(exprs) + 2)
         assert list(map(_bits, values.tolist())) == list(map(_bits, walked))
+
+
+PARAM_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 800.0, 1e200, -1e200]
+
+
+def param_expr_strategy():
+    """Trees that read the parameters a, b, c at most leaves, so that most of
+    their subtrees read no coordinate."""
+    leaves = st.one_of(
+        st.sampled_from([Param("a"), Param("b"), Param("c")]),
+        st.sampled_from([Const(2.0), Const(0.5), Coord("q", 1), Coord("v", 2), Coord("z")]),
+    )
+
+    def extend(children):
+        unary = children.flatmap(lambda e: st.sampled_from([
+            ex.neg(e), ex.sin(e), ex.exp(e), ex.log(e), ex.sqrt(e), ex.intpow(e, 2),
+            ex.intpow(e, -1)]))
+        binary = st.tuples(children, children).flatmap(lambda ab: st.sampled_from([
+            ex.add(*ab), ex.sub(*ab), ex.mul(*ab), ex.div(*ab)]))
+        return st.one_of(unary, binary)
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@example(e=ex.sub(ex.mul(Param("a"), Param("a")), ex.mul(Param("b"), Param("b"))),
+         values=[1e200, 1e200, 0.0], flat=[0.5, 0.5, 0.5, 0.5, 0.5])
+@example(e=ex.add(Coord("z"), ex.div(Const(2.0), ex.sub(Param("a"), Param("b")))),
+         values=[-0.0, 0.0, 1.0], flat=[0.5, 0.5, 0.5, 0.5, 0.5])
+@given(e=param_expr_strategy(),
+       values=st.lists(st.sampled_from(PARAM_VALUES), min_size=3, max_size=3),
+       flat=st.lists(st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.5, 1e200]), min_size=5,
+                     max_size=5))
+def test_parameter_only_instructions_fold_to_the_reference_bits(e, values, flat):
+    """A node over parameters and constants is computed at lowering: the
+    call, the rows at 3 and at ROWS_MIN points and the rendered statements
+    give the reference's bits or its error.  A node over parameters that is
+    still an instruction raises, and no rendered statement reads no
+    coordinate unless it raises."""
+    params = dict(zip("abc", values))
+    point = StatePoint.from_coords(flat, 2)
+
+    def bits(run):   # a value's bit pattern, NaN sign included, or the error
+        try:
+            return _bits([float(run())])
+        except ExprError as exc:
+            return type(exc), str(exc)
+
+    expected = bits(lambda: reference_evaluate(e, point, params))
+    held = ex.tape([e], 2, params)
+    assert bits(lambda: held(point)[0]) == expected
+    for size in (3, ex.ROWS_MIN):
+        rows, error = held.rows([point] * size)
+        if error is None:
+            assert [_bits(row) for row in rows.tolist()] == [expected] * size
+        else:
+            assert (type(error), str(error)) == expected and len(rows) == 0
+    assert bits(lambda: rendered_program([e], 2, params)(point)[0]) == expected
+    code, regs, _ = ex._lower([e], 2, params)
+    for _, _, _, out in code:
+        if not regs[out - 5]._m:
+            with pytest.raises(DomainError):
+                reference_evaluate(regs[out - 5], point, params)
+
+
+@pytest.mark.parametrize("text, params, message", [
+    ("v1 + log(k)", {"k": -1.0}, "log of non-positive value in log(k)"),
+    ("z*(1/(k - k))", {"k": 2.0}, "division by zero in 1/(k - k)"),
+])
+def test_a_parameter_only_instruction_that_raises_at_lowering_raises_at_every_point(
+        text, params, message):
+    e = parse(text, 1)
+    held = ex.tape([e], 1, params)
+    code, regs, _, d = held
+    assert [unparse(regs[out - d]) for *_, out in code if not regs[out - d]._m] == \
+        [message.split(" in ")[1]]
+    for y in ([0.5, 1.0, 0.0], [-2.0, 3.0, 1.5], [1e200, -0.0, math.nan]):
+        with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            held(y)
+        with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            rendered_program([e], 1, params)(y)
+        for size in (3, ex.ROWS_MIN):
+            values, error = held.rows([y] * size)
+            assert values.shape == (0, 1) and str(error) == message
+    field = CoordVectorField(1, (parse("v1", 1), Const(0.0), e))
+    with pytest.raises(IntegrationError, match=rf"^field evaluation failed at t = 0.1: "
+                                               rf"{re.escape(message)} \(last good t = 0.0\)$"):
+        integrate(field, StatePoint.from_coords([0.5, 1.0, 0.0], 1), 1.0, 0.1, params)
+    curve = SampledCurve(np.linspace(0.0, 1.0, 5), np.zeros((5, 1)))
+    with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+        z_operator(e, curve, 0.0, params)
 
 
 def test_unparse_examples():
