@@ -5,11 +5,18 @@ check-inverse, check-inverse-ext, check-conformal, check-dynamical, legendre,
 stationarity, batch.  Each run writes a JSON report and exits with 0 (pass),
 1 (fail), 2 (error or inconclusive) or 3 (configuration problem).  Identical
 configuration and seed produce byte-identical reports; the timestamp lives
-in a separate ``metadata`` field that comparisons may strip.
+in a separate ``metadata`` field that comparisons may strip.  A report is
+``json.dumps(indent=2)`` text, its records filled into one template per
+record shape.
 
-The environment variable HERGLOTZ_SEED overrides the seed of every sample
-plan.  In zeta-chart expressions (bar-Lagrangians) the action coordinate may
-be written ``z`` or ``zeta``; both denote the reparametrized coordinate.
+A task without a plan samples box1_200's count and seed over the unit box
+of its own chart; a named plan must have the chart's 2n + 1 bounds.  The
+bar-Lagrangians and action functions of a task are lowered with the task's
+merged parameters, so an unbound or doubly bound one is a configuration
+problem.  The environment variable HERGLOTZ_SEED overrides the seed of every
+sample plan.  In zeta-chart expressions (bar-Lagrangians) the action
+coordinate may be written ``z`` or ``zeta``; both denote the reparametrized
+coordinate.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .equivalence import (
     strong_equivalence_check, zero_set_diagnostic,
 )
 from .expr import (
-    Expr, Param, ParseError, StatePoint, UnboundParameterError, coords, max_coord_index,
+    Expr, ExprError, Param, ParseError, StatePoint, coords, max_coord_index,
     merge_params, parse, sub, substitute, tape, unparse, z,
 )
 from .extended import (
@@ -154,13 +161,16 @@ def _load_system(name: str, raw: dict, path: str):
     raise ConfigError(f"unknown system kind {kind!r}", f"{path}.kind")
 
 
-def _bound(system, exprs: list[Expr], path: str):
-    """The system, if its params bind every parameter ``exprs`` read."""
+def _bound(system, exprs: list[Expr], path: str, *more_params: dict):
+    """The system with its params merged with ``more_params``, if no two of
+    them bind a name to different values and together they bind every
+    parameter ``exprs`` read; else a ConfigError at <path>.params."""
     try:
-        tape(exprs, system.n_dim, system.params)
-    except UnboundParameterError as exc:
+        params = merge_params(system.params, *more_params)
+        tape(exprs, system.n_dim, params)
+    except ExprError as exc:   # a conflicting or an unbound parameter
         raise ConfigError(str(exc), f"{path}.params") from None
-    return system
+    return system if params == system.params else replace(system, params=params)
 
 
 @dataclass
@@ -296,6 +306,15 @@ def _resolve_bar(cfg: RunConfig, name: str) -> tuple[Expr, dict]:
     return obj.L, dict(obj.params)
 
 
+def _resolve_zeta(cfg: RunConfig, name: str, system) -> ActionFunction:
+    """The action function, if it lives on the system's chart and its params
+    and the system's bind every parameter it reads."""
+    zeta = _resolve(cfg, name, (ActionFunction,), "action function")
+    _require_consistent_n(system.n_dim, zeta=zeta.zeta)
+    _bound(system, [zeta.zeta], f"systems.{name}", zeta.params)
+    return zeta
+
+
 def _initial_state(args: dict, n: int, default=None) -> StatePoint:
     initial = args.get("initial", default)
     if initial is None:
@@ -348,15 +367,21 @@ def _require_consistent_n(n: int, **named_exprs) -> None:
                 f"has n={n}", f"args.{name}")
 
 
-def _resolve_plan(cfg: RunConfig, name: str | None) -> SamplePlan:
+def _resolve_plan(cfg: RunConfig, name: str | None, n: int) -> SamplePlan:
+    """The named plan, or box1_200's count and seed over the unit box of the
+    task's n-dimensional chart; a ConfigError at args.plan when the named
+    plan's bounds are for another chart."""
     if name is None:
-        plan = builtin_plans()["box1_200"]
+        plan = replace(builtin_plans()["box1_200"], bounds=())
     elif name in cfg.plans:
         plan = cfg.plans[name]
     elif name in builtin_plans():
         plan = builtin_plans()[name]
     else:
         raise ConfigError(f"unknown sample plan {name!r}", f"plans.{name}")
+    if plan.bounds and len(plan.bounds) != 2 * n + 1:
+        raise ConfigError(f"plan {name!r} has {len(plan.bounds)} bounds, the task's "
+                          f"chart (n={n}) needs {2 * n + 1}", "args.plan")
     env_seed = os.environ.get("HERGLOTZ_SEED")
     if env_seed is not None:
         try:
@@ -372,11 +397,15 @@ def _resolve_plan(cfg: RunConfig, name: str | None) -> SamplePlan:
 
 
 def write_report(report: CheckReport, path: Path) -> None:
+    """json.dumps(indent=2) of the report and its metadata.  The records'
+    text goes in at the first '"residuals": []', which is the key: the keys
+    before it are fixed, and json.dumps escapes a '"' in a string value."""
     data = replace(report, records=[]).to_dict()
-    data["residuals"] = _records_text(report.records)
     data["metadata"] = {"timestamp": datetime.now(timezone.utc).isoformat(),
                         "version": __version__}
-    path.write_text(json_text(data) + "\n")
+    records = _records_text(report.records)
+    text = json.dumps(data, indent=2).replace('"residuals": []', f'"residuals": {records}', 1)
+    path.write_text(text + "\n")
 
 
 @contextmanager
@@ -389,83 +418,35 @@ def _writing(path: str):
         raise ConfigError(f"cannot write output: {exc}", path) from None
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii   # a TypeError for a non-str
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_PAD, _SLOT = "\n    ", json.dumps("\0")   # a record's lines are two levels deep
 
 
-def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for what a report holds:
-    dicts with str keys, lists, tuples, str, int, float, bool and None.
-    Anything else, a key that is not a str included, is a TypeError.  The
-    standard encoder writes indented output in pure Python; here each
-    all-float list is one ``join`` over ``float.__repr__`` and every other
-    leaf goes to a C-level formatter too."""
-    return _json_text(obj, "\n")
-
-
-def _json_text(o, pad: str) -> str:
-    """JSON text of ``o``, whose closing bracket follows ``pad`` (a newline
-    and the indentation of the line holding ``o``)."""
-    inner = pad + "  "
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        return "{" + inner + ("," + inner).join([
-            _ESCAPE(k) + ": "
-            + (_float_text(v) if v.__class__ is float else _json_text(v, inner))
-            for k, v in o.items()]) + pad + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        sep = "," + inner
-        try:
-            body = sep.join(map(float.__repr__, o))
-        except TypeError:   # not all floats
-            body = sep.join([_float_text(x) if x.__class__ is float
-                             else _json_text(x, inner) for x in o])
-        else:
-            if "n" in body:   # nan or inf; finite reprs hold no letter n
-                body = sep.join(map(_float_text, o))
-        return "[" + inner + body + pad + "]"
-    if isinstance(o, str):
-        return o if o.__class__ is _Text else _ESCAPE(o)
-    if o is None or o is True or o is False:
-        return {None: "null", True: "true", False: "false"}[o]
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-class _Text(str):
-    """JSON text that _json_text writes as it is."""
-
-
-def _records_text(records: list[PointRecord]) -> _Text:
-    """The "residuals" list of a report as JSON text.  A record whose values
-    are exact finite floats fills its shape's template, the text of a record
-    of slots, where %r writes each float as JSON does; others go to _json_text.
-    A record's lines are two levels deep; a slot is a NUL, which escaped JSON
-    text never holds."""
-    pad, slot, templates, texts = "\n    ", _Text("\0"), {}, []
+def _records_text(records: list[PointRecord]) -> str:
+    """The "residuals" list of a report as JSON text.  Records of one shape
+    (point size and keys) share a template, json.dumps of a record of "\\0"
+    slots with each slot made %r, which writes an exact finite float as JSON
+    does.  A record of other values, or of keys that write a slot's text,
+    is dumped whole.  A key that is not a str is a TypeError, where
+    json.dumps would make it one."""
+    templates, texts = {}, []
     for rec in records:
-        values = rec.values.values()
-        if {*map(type, values)} <= {float} and all(map(math.isfinite, values)):
-            n, keys = shape = rec.point.n, tuple(rec.values)
-            if shape not in templates:
-                point = (slot,) * (2 * n + 1)
-                text = _json_text(PointRecord(point, dict.fromkeys(keys, slot)).to_dict(), pad)
-                templates[shape] = text.replace("%", "%%").replace(slot, "%r")
-            texts.append(templates[shape] % (*rec.point, *values))
+        values, shape = rec.values.values(), (len(rec.point), tuple(rec.values))
+        if (template := templates.get(shape)) is None:
+            size, keys = shape
+            if not all(isinstance(key, str) for key in keys):
+                raise TypeError(f"record keys must be str, got {keys!r}")
+            text = _dumps(PointRecord(("\0",) * size, dict.fromkeys(keys, "\0"))).replace("%", "%%")
+            template = templates[shape] = (text.count(_SLOT) == size + len(keys)
+                                           and text.replace(_SLOT, "%r"))
+        if template and {*map(type, values)} <= {float} and all(map(math.isfinite, values)):
+            texts.append(template % (*rec.point, *values))
         else:
-            texts.append(_json_text(rec.to_dict(), pad))
-    return _Text(f"[{pad}{(',' + pad).join(texts)}\n  ]" if texts else "[]")
+            texts.append(_dumps(rec))
+    return f"[{_PAD}{(',' + _PAD).join(texts)}\n  ]" if texts else "[]"
+
+
+def _dumps(rec: PointRecord) -> str:
+    return json.dumps(rec.to_dict(), indent=2).replace("\n", _PAD)
 
 
 def _subsample(records: list[PointRecord], cap: int = 200) -> list[PointRecord]:
@@ -483,31 +464,29 @@ def _task_check_eq(cfg, args, out_stem, check) -> tuple[CheckReport, list[Path]]
     sys_l = _resolve(cfg, args["lagrangian"], (ContactLagrangianSystem,),
                      "Lagrangian system")
     bar_expr, bar_params = _resolve_bar(cfg, args["lagrangian_bar"])
-    zeta = _resolve(cfg, args["zeta"], (ActionFunction,), "action function")
-    _require_consistent_n(sys_l.n_dim, lagrangian_bar=bar_expr, zeta=zeta.zeta)
-    if bar_params:
-        sys_l = ContactLagrangianSystem(
-            sys_l.n_dim, sys_l.L, merge_params(sys_l.params, bar_params))
-    plan = _resolve_plan(cfg, args.get("plan"))
+    zeta = _resolve_zeta(cfg, args["zeta"], sys_l)
+    _require_consistent_n(sys_l.n_dim, lagrangian_bar=bar_expr)
+    sys_l = _bound(sys_l, [bar_expr], f"systems.{args['lagrangian_bar']}",
+                   bar_params, zeta.params)
+    plan = _resolve_plan(cfg, args.get("plan"), sys_l.n_dim)
     return check(sys_l, bar_expr, zeta, plan, cfg.tolerances), []
 
 
 def _task_check_horizontal(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     xi = _resolve(cfg, args["xi"], (SODESystem,), "second order system")
     xi_bar = _resolve(cfg, args["xi_bar"], (SODESystem,), "second order system")
-    zeta = _resolve(cfg, args["zeta"], (ActionFunction,), "action function")
     if xi.n_dim != xi_bar.n_dim:
         raise ConfigError("the two fields live on different charts", "args")
-    _require_consistent_n(xi.n_dim, zeta=zeta.zeta)
-    plan = _resolve_plan(cfg, args.get("plan"))
-    params = merge_params(xi.params, xi_bar.params)
+    xi = _bound(xi, [], f"systems.{args['xi_bar']}", xi_bar.params)
+    zeta = _resolve_zeta(cfg, args["zeta"], xi)
+    plan = _resolve_plan(cfg, args.get("plan"), xi.n_dim)
     return horizontal_similarity_check(xi.as_field(), xi_bar.as_field(), zeta,
-                                       plan, params, cfg.tolerances), []
+                                       plan, xi.params, cfg.tolerances), []
 
 
 def _task_check_inverse(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sode = _resolve(cfg, args["sode"], (SODESystem,), "second order system")
-    plan = _resolve_plan(cfg, args.get("plan"))
+    plan = _resolve_plan(cfg, args.get("plan"), sode.n_dim)
     report = naive_inverse_check(sode, plan, cfg.tolerances).report
     companion = di_ei_diagnostics(sode, plan, cfg.tolerances)
     report.diagnostics.append(
@@ -518,9 +497,8 @@ def _task_check_inverse(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
 
 def _task_check_inverse_ext(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sode = _resolve(cfg, args["sode"], (SODESystem,), "second order system")
-    zeta = _resolve(cfg, args["zeta"], (ActionFunction,), "action function")
-    _require_consistent_n(sode.n_dim, zeta=zeta.zeta)
-    plan = _resolve_plan(cfg, args.get("plan"))
+    zeta = _resolve_zeta(cfg, args["zeta"], sode)
+    plan = _resolve_plan(cfg, args.get("plan"), sode.n_dim)
     result = extended_inverse_check(sode, zeta, plan, cfg.tolerances)
     if result.conformal_rate is not None:
         result.report.diagnostics.append(
@@ -551,14 +529,14 @@ def _task_check_conformal(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]
     factor = None
     if args.get("factor"):
         factor = _parse_expr(args["factor"], sys_a.n_dim, "args.factor")
-    plan = _resolve_plan(cfg, args.get("plan"))
+    plan = _resolve_plan(cfg, args.get("plan"), sys_a.n_dim)
     return conformal_similarity_check(sys_a, sys_b, factor, plan,
                                       cfg.tolerances), []
 
 
 def _task_check_dynamical(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sys_a, sys_b = _resolve_contact_pair(cfg, args)
-    plan = _resolve_plan(cfg, args.get("plan"))
+    plan = _resolve_plan(cfg, args.get("plan"), sys_a.n_dim)
     report = dynamical_equivalence_check(sys_a, sys_b, plan, cfg.tolerances)
     zero = zero_set_diagnostic(sys_a, sys_b, plan, cfg.tolerances)
     report.diagnostics.extend(zero.diagnostics)
@@ -569,8 +547,7 @@ def _task_herglotz(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sys_l = _resolve(cfg, args["lagrangian"], (ContactLagrangianSystem,),
                      "Lagrangian system")
     if args.get("zeta"):
-        zeta = _resolve(cfg, args["zeta"], (ActionFunction,), "action function")
-        _require_consistent_n(sys_l.n_dim, zeta=zeta.zeta)
+        zeta = _resolve_zeta(cfg, args["zeta"], sys_l)
         field_obj = zeta_herglotz_field(
             ExtendedLagrangianSystem(sys_l.n_dim, sys_l.L, zeta, sys_l.params))
     else:
@@ -584,13 +561,11 @@ def _task_herglotz(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
 def _task_legendre(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     sys_l = _resolve(cfg, args["lagrangian"], (ContactLagrangianSystem,),
                      "Lagrangian system")
-    zeta = _resolve(cfg, args.get("zeta", "zeta_identity"), (ActionFunction,),
-                    "action function")
-    _require_consistent_n(sys_l.n_dim, zeta=zeta.zeta)
+    zeta = _resolve_zeta(cfg, args.get("zeta", "zeta_identity"), sys_l)
     ext = ExtendedLagrangianSystem(sys_l.n_dim, sys_l.L, zeta, sys_l.params)
     report = run_check(
         sys_l.n_dim, ext._pullback_residual,
-        _resolve_plan(cfg, args.get("plan")), cfg.tolerances,
+        _resolve_plan(cfg, args.get("plan"), sys_l.n_dim), cfg.tolerances,
         predicate=zeta.frame_test(sys_l.n_dim, sys_l.params))
     if report.records:
         first = report.records[0].point

@@ -1090,9 +1090,10 @@ def solve_cramer(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr]
     """Symbolic solution x of M x = rhs by Cramer's rule.
 
     Each component is a quotient by the cofactor tree of det M, so its
-    evaluation at a singular point raises a DomainError.  The right-hand
-    side is column m of one augmented matrix, so det M and the m replaced
-    determinants share every minor that avoids it.
+    evaluation at a singular point raises a DomainError; a det M that folds
+    to a constant zero is an ExprError here.  The right-hand side is column
+    m of one augmented matrix, so det M and the m replaced determinants
+    share every minor that avoids it.
     """
     m = len(matrix)
     if len(rhs) != m:
@@ -1103,6 +1104,8 @@ def solve_cramer(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr]
     augmented = [[*row, b] for row, b in zip(matrix, rhs)]
     built: dict[tuple[int, ...], Expr] = {}
     d = _minor(augmented, tuple(range(m)), built)
+    if type(d) is Const and d.value == 0:
+        raise ExprError(f"singular matrix: its determinant is identically {unparse(d)}")
     solution = []
     for j in range(m):
         replaced = tuple(m if k == j else k for k in range(m))

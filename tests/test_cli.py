@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from herglotz import cli, expr
 from herglotz.checks import CheckReport, PointRecord, SamplePlan, Tolerances, error_report
-from herglotz.cli import json_text, main
+from herglotz.cli import main
 from herglotz.contact import ContactHamiltonianSystem
 from herglotz.expr import StatePoint
 from herglotz.fixtures import builtin_systems
@@ -311,6 +311,123 @@ def test_every_builtin_system_binds_the_parameters_it_reads():
             assert cli._bound(system, read[type(system)](system), name) is system
             kinds[type(system)] += 1
     assert kinds == {ContactLagrangianSystem: 9, SODESystem: 6, ContactHamiltonianSystem: 3}
+
+
+_TASK_SYSTEMS = {
+    "bar_k": {"kind": "bar_lagrangian", "L": "0.5*v1^2 + k*q1"},
+    "zeta_k": {"kind": "action", "zeta": "z + k*q1"},
+    "bar_gam": {"kind": "bar_lagrangian", "L": "0.5*v1^2 - gam*z", "params": {"gam": 0.5}},
+    "zeta_gam": {"kind": "action", "zeta": "z + q1", "params": {"gam": 0.5}},
+    "sode_gam": {"kind": "sode", "accelerations": ["-gam*v1"], "z_rate": "0",
+                 "params": {"gam": 0.5}},
+}
+
+
+@pytest.mark.parametrize("argv, name, message", [
+    (["check-eq", "--lagrangian", "oscillator", "--lagrangian-bar", "bar_k",
+      "--zeta", "zeta_identity"], "bar_k", "unbound parameter 'k'"),
+    (["check-strong-eq", "--lagrangian", "oscillator", "--lagrangian-bar",
+      "oscillator_scaled_bar", "--zeta", "zeta_k"], "zeta_k", "unbound parameter 'k'"),
+    (["check-eq", "--lagrangian", "free_particle", "--lagrangian-bar", "power_gauge_bar1",
+      "--zeta", "zeta_v1"], "power_gauge_bar1", "unbound parameter 'gam'"),
+    (["check-eq", "--lagrangian", "power_gauge_base", "--lagrangian-bar", "bar_gam",
+      "--zeta", "zeta_v1"], "bar_gam", "parameter 'gam' bound to conflicting values"),
+    (["check-eq", "--lagrangian", "power_gauge_base", "--lagrangian-bar",
+      "power_gauge_bar1", "--zeta", "zeta_gam"], "zeta_gam",
+     "parameter 'gam' bound to conflicting values"),
+    (["check-horizontal", "--xi", "sode_shear", "--xi-bar", "sode_shear_projected",
+      "--zeta", "zeta_k"], "zeta_k", "unbound parameter 'k'"),
+    (["check-horizontal", "--xi", "sode_shear", "--xi-bar", "sode_gam",
+      "--zeta", "zeta_shear"], "sode_gam", "parameter 'gam' bound to conflicting values"),
+    (["check-inverse-ext", "--sode", "sode_linear_drag", "--zeta", "zeta_k"], "zeta_k",
+     "unbound parameter 'k'"),
+    (["herglotz", "--lagrangian", "oscillator", "--zeta", "zeta_k"], "zeta_k",
+     "unbound parameter 'k'"),
+    (["legendre", "--lagrangian", "oscillator", "--zeta", "zeta_k"], "zeta_k",
+     "unbound parameter 'k'"),
+], ids=["bar", "zeta", "builtin-bar", "bar-conflict", "zeta-conflict", "horizontal-zeta",
+        "horizontal-conflict", "inverse-ext", "herglotz", "legendre"])
+def test_bar_and_action_parameters_are_bound_at_task_time(argv, name, message, tmp_path,
+                                                          capsys):
+    """A bar-Lagrangian, an action function or a second field is lowered with
+    the task's merged parameters: one that they leave unbound or bind twice
+    to different values stops the run at its own systems entry, exit 3."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"systems": _TASK_SYSTEMS}))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), *argv]) == 3
+    assert capsys.readouterr().err == (f"config error: {message} "
+                                       f"(config path: systems.{name}.params)\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_parameters_a_task_binds_together_pass(tmp_path):
+    """An action function may read a parameter that only its Lagrangian binds."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"systems": {
+        "zeta_gam": {"kind": "action", "zeta": "z + gam*q1"}}}))
+    code, data = run_cli(["--config", str(cfg_path), "legendre", "--lagrangian",
+                          "linear_drag", "--zeta", "zeta_gam"], tmp_path)
+    assert code == 0 and data["verdict"] == "pass"
+
+
+def test_without_a_plan_a_check_samples_the_unit_box_of_its_chart(tmp_path):
+    code, data = run_cli(["check-strong-eq", "--lagrangian", "charged_drag",
+                          "--lagrangian-bar", "charged_drag_gauge_bar",
+                          "--zeta", "zeta_charged_gauge"], tmp_path)
+    assert code == 0 and data["verdict"] == "pass"
+    assert data["sample_plan"] == {"mode": "random", "seed": 20260810,
+                                   "bounds": [[-1.0, 1.0]] * 7, "count": 200}
+    # on an n = 1 chart the default is box1_200, point for point
+    argv = ["check-inverse", "--sode", "sode_parachute"]
+    _, default = run_cli(argv, tmp_path, "default")
+    _, named = run_cli([*argv, "--plan", "box1_200"], tmp_path, "named")
+    assert strip_metadata(default) == strip_metadata(named)
+
+
+@pytest.mark.parametrize("argv, plan", [
+    (["check-dynamical", "--system", "saddle", "--system-b", "saddle_flipped"], "box3"),
+    (["check-strong-eq", "--lagrangian", "charged_drag", "--lagrangian-bar",
+      "charged_drag_gauge_bar", "--zeta", "zeta_charged_gauge"], "box1"),
+    (["legendre", "--lagrangian", "parachute"], "wide"),
+], ids=["n1-plan-box3", "n3-plan-box1", "config-plan"])
+def test_a_plan_for_another_chart_is_a_config_error_at_args_plan(argv, plan, tmp_path,
+                                                                 capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plans": {"wide": {"bounds": [[0, 1]] * 5}}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), *argv, "--plan", plan]) == 3
+    assert "(config path: args.plan)" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    args = {a[2:].replace("-", "_"): b for a, b in zip(argv[1::2], argv[2::2])}
+    task = {"command": argv[0], "args": {**args, "plan": plan}}
+    cfg_path.write_text(json.dumps({"plans": {"wide": {"bounds": [[0, 1]] * 5}},
+                                    "tasks": [FIRST_TASK, task]}))
+    assert main(["--config", str(cfg_path), "--out", str(out), "batch"]) == 3
+    assert "(config path: tasks[1].args.plan)" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["check-inverse_first.json"]
+
+
+_SINGULAR = {"lv": {"kind": "lagrangian", "L": "v1"},
+             "lq": {"kind": "lagrangian", "L": "q1*v1 + z"},
+             "l0": {"kind": "lagrangian", "L": "0*v1^2 + q1"}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["herglotz", "--lagrangian", "lv"], ["herglotz", "--lagrangian", "lq"],
+    ["herglotz", "--lagrangian", "l0"], ["simulate", "--system", "lv", "--initial", "0,1,0"],
+    ["stationarity", "--lagrangian", "lv"],
+    ["check-eq", "--lagrangian", "lv", "--lagrangian-bar", "oscillator_scaled_bar",
+     "--zeta", "zeta_scaled"],
+], ids=["herglotz-v1", "herglotz-q1v1", "herglotz-0v1", "simulate", "stationarity",
+        "check-eq"])
+def test_an_identically_singular_w_has_no_herglotz_field(argv, tmp_path):
+    """W = 0 for every point: no field is built, and the run is an error."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"systems": _SINGULAR}))
+    code, data = run_cli(["--config", str(cfg_path), *argv], tmp_path)
+    assert code == 2 and data["verdict"] == "error"
+    assert data["diagnostics"] == [
+        "ExprError: singular matrix: its determinant is identically 0"]
 
 
 @pytest.mark.parametrize("task, path, message", [
@@ -879,44 +996,34 @@ class _Float(float):
         return "not a JSON number"
 
 
+_point = StatePoint.from_coords([0.5, -0.0, 1e-310], 1)
 _Level = enum.IntEnum("_Level", "LOW HIGH")   # json writes int.__repr__ of it
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
                    1.7976931348623157e308, 1e16, 0.1]
-_STRANGE_TEXT = "\x00\x01\x1f\x7f\n\t\"\\/é \u2028\U0001f600az"
-_leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(),
-    st.sampled_from([2 ** 63, -2 ** 64, 2 ** 70, 10 ** 100]),
-    st.floats(), st.sampled_from(_SPECIAL_FLOATS), st.text(_STRANGE_TEXT, max_size=6))
-_json_values = st.recursive(_leaves, lambda inner: st.one_of(
-    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
-    st.dictionaries(st.text(_STRANGE_TEXT, max_size=4), inner, max_size=3),
-    st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), max_size=4)), max_leaves=12)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_json_values)
-@example({"residuals": [{"point": {"q": [0.5, -0.0], "v": [5e-324, 1e300], "z": -1.5},
-                         "values": {"a": math.nan, "b": math.inf, "c": -math.inf}}],
-          "empty": [[], {}, ()], "leaves": [None, True, False, 2 ** 70, "é\x00\n"],
-          "subclasses": [_Level.HIGH, _Float(2.5), np.float64(0.1), _Float(math.inf)]})
-def test_json_text_is_json_dumps_indent_2(obj):
-    assert json_text(obj) == json.dumps(obj, indent=2)
+@pytest.mark.parametrize("key", [1, 2 ** 70, 1.5, math.nan, True, None, _Level.LOW],
+                         ids=["int", "big-int", "float", "nan", "bool", "none", "int-enum"])
+def test_json_text_rejects_a_key_that_is_not_a_str(key, tmp_path):
+    # json.dumps would write these keys as strings; a report has none, and
+    # write_report refuses one before its file is opened
+    report = CheckReport("pass", 1.0, [PointRecord(_point, {"a": 0.5, key: 1.0})])
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        cli.write_report(report, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("obj", [
     object(), [1.0, {1j}], {(1, 2): 0.0}, {"a": {b"k": 1}}, [np.float32(1.0)],
     {"n": np.int64(3)}])
-def test_json_text_rejects_what_json_rejects(obj):
+def test_json_text_rejects_what_json_rejects(obj, tmp_path):
+    report = error_report("unwritable", Tolerances())
+    report.diagnostics.append(obj)
+    path = tmp_path / "r.json"
     with pytest.raises(TypeError):
-        json_text(obj)
-
-
-@pytest.mark.parametrize("key", [1, 2 ** 70, 1.5, math.nan, True, None, _Level.LOW],
-                         ids=["int", "big-int", "float", "nan", "bool", "none", "int-enum"])
-def test_json_text_rejects_a_key_that_is_not_a_str(key):
-    # json.dumps would write these keys as strings; a report has none
-    with pytest.raises(TypeError):
-        json_text({"records": [{"values": {"a": 0.5, key: 1.0}}]})
+        cli.write_report(report, path)
+    assert not path.exists()
 
 
 def test_a_report_json_cannot_hold_is_refused_before_its_file_is_written(tmp_path):
@@ -928,10 +1035,13 @@ def test_a_report_json_cannot_hold_is_refused_before_its_file_is_written(tmp_pat
     assert not path.exists()
 
 
-def test_json_text_writes_shared_containers_each_time():
-    shared, floats = {"k": [None, "v"]}, [0.5, 1.5]
-    obj = {"a": shared, "b": [shared, (shared, floats)], "c": floats}
-    assert json_text(obj) == json.dumps(obj, indent=2)
+def test_a_cyclic_report_is_a_value_error_before_its_file_is_written(tmp_path):
+    report = error_report("cyclic", Tolerances())
+    report.diagnostics.append(report.diagnostics)
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="Circular reference"):
+        cli.write_report(report, path)
+    assert not path.exists()
 
 
 def _assert_written_as_json_dumps(report, path):
@@ -945,7 +1055,7 @@ def _assert_written_as_json_dumps(report, path):
 
 _KEY_TEXT = "%r%%\"\\\x00\x1fé\u2028\U0001f600 az"
 _NOT_STR_KEYS = [1, 2 ** 70, 1.5, math.nan, True, None, _Level.LOW]
-# every kind of value a record may hold; all but the first fall back to _json_text
+# every kind of value a record may hold; all but the first are dumped whole
 _record_values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.floats(), st.integers(),
     st.booleans(), st.sampled_from(_SPECIAL_FLOATS), st.floats().map(np.float64),
@@ -976,13 +1086,15 @@ def _reports(draw):
         task=draw(st.text(_KEY_TEXT, max_size=4)))
 
 
-_point = StatePoint.from_coords([0.5, -0.0, 1e-310], 1)
-
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(report=_reports())
 @example(report=CheckReport("pass", records=[]))
+@example(report=CheckReport("fail", 0.5, [
+    PointRecord(_point, {"\0": 0.5, "b": 1.0}), PointRecord(_point, {"\"\0": 0.25}),
+    PointRecord(_point, {"\0": 0.5, "b": math.nan})], ['"residuals": []'],
+    task='"residuals": [] %r \0'))
 @example(report=CheckReport("fail", 1.5, [
     PointRecord(_point, {"a%r": 0.5, "%%b": -0.0, "\"c\x00é": 1e300}),
     PointRecord(_point, {"a%r": 1, "%%b": True, "\"c\x00é": np.float64(0.1)}),
@@ -991,7 +1103,7 @@ _point = StatePoint.from_coords([0.5, -0.0, 1e-310], 1)
     PointRecord(_point, {"a%r": 0.25, "%%b": 5e-324, "\"c\x00é": -1.0})]))
 def test_write_report_is_json_dumps_indent_2_of_every_record(report, tmp_path):
     """Records of one shape share a template, filled with their floats; a
-    record with any other value is written by _json_text.  Either way the
+    record with any other value is dumped whole.  Either way the
     file is json.dumps(indent=2) of the report's dict, and a key that is not
     a str refuses the report before its file is written."""
     path = tmp_path / "r.json"
@@ -1006,23 +1118,23 @@ def test_write_report_is_json_dumps_indent_2_of_every_record(report, tmp_path):
 
 
 def test_json_text_calls_do_not_grow_with_the_record_count(tmp_path, monkeypatch):
-    """Each default-batch report is written in a bounded number of _json_text
-    calls: one walk of the report's body and one per record shape.  Doubling
+    """Each default-batch report is written in a bounded number of json.dumps
+    calls: one for the report's body and one per record shape.  Doubling
     every random plan's count doubles the records and leaves the calls as
     they were."""
     calls, stem, records = collections.Counter(), [None], collections.Counter()
-    json_text_at, write_report, plans = cli._json_text, cli.write_report, cli.builtin_plans
+    dumps, write_report, plans = json.dumps, cli.write_report, cli.builtin_plans
 
-    def counted(o, pad):
+    def counted(*args, **kwargs):
         calls[stem[0]] += 1
-        return json_text_at(o, pad)
+        return dumps(*args, **kwargs)
 
     def write(report, path):
         stem[0] = path.stem
         records[path.stem] += len(report.records)
         write_report(report, path)
 
-    monkeypatch.setattr(cli, "_json_text", counted)
+    monkeypatch.setattr(cli.json, "dumps", counted)
     monkeypatch.setattr(cli, "write_report", write)
     main(["batch", "--out", str(tmp_path / "x1")])
     once, records_once = dict(calls), sum(records.values())

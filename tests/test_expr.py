@@ -1300,6 +1300,15 @@ def test_solve_cramer_against_numpy():
         assert evaluate(sol[k], point) == pytest.approx(expected[k], rel=1e-10)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[Const(0.0)]], [[Const(-0.0)]], [[Const(0.0), Const(0.0)], [Coord("v", 1), Const(1.0)]],
+], ids=["zero", "minus-zero", "zero-row"])
+def test_solve_cramer_refuses_a_determinant_that_folds_to_zero(matrix):
+    # a quotient by a constant zero would print as a field and fail at every point
+    with pytest.raises(ExprError, match=r"^singular matrix: its determinant is identically -?0$"):
+        solve_cramer(matrix, [Coord("q", 1)] * len(matrix))
+
+
 def test_coords_order():
     cs = coords(2)
     assert [unparse(c) for c in cs] == ["q1", "q2", "v1", "v2", "z"]
@@ -1327,6 +1336,11 @@ def test_shared_minors_build_the_cofactor_trees(m):
     for _ in range(5):
         mat = [[random_entry(rng) for _ in range(m)] for _ in range(m)]
         rhs = [random_entry(rng) for _ in range(m)]
+        det = cofactor_det(mat)
+        if type(det) is Const and det.value == 0:   # singular for every point
+            with pytest.raises(ExprError, match="determinant is identically"):
+                solve_cramer(mat, rhs)
+            continue
         solution = solve_cramer(mat, rhs)
         assert solution == cofactor_solve(mat, rhs)
         # det M is each unfolded component's denominator, the cofactor tree

@@ -7,7 +7,6 @@ same record values bit for bit."""
 
 import collections
 import copy
-import json
 import math
 import pickle
 import struct
@@ -358,12 +357,6 @@ def test_statepoint_pickles_and_copies_to_an_equal_point():
     for c in (*copies, copy.copy(p), copy.deepcopy(p), copy.deepcopy([p])[0]):
         assert type(c) is StatePoint and c == p and c.n == 2
         assert struct.pack("5d", *c) == struct.pack("5d", *p)
-
-
-def test_json_text_writes_a_point_as_json_does():
-    for p in (StatePoint([-0.0, 1e-300], [math.pi, -2.5], 7.0), StatePoint([], [], 1.0)):
-        assert cli.json_text(p) == json.dumps(p, indent=2)
-        assert cli.json_text({"p": [p]}) == json.dumps({"p": [p]}, indent=2)
 
 
 def _call_bits(run, y):
