@@ -12,11 +12,15 @@ record shape.
 A task without a plan samples box1_200's count and seed over the unit box
 of its own chart; a named plan must have the chart's 2n + 1 bounds.  The
 bar-Lagrangians and action functions of a task are lowered with the task's
-merged parameters, so an unbound or doubly bound one is a configuration
-problem.  The environment variable HERGLOTZ_SEED overrides the seed of every
-sample plan.  In zeta-chart expressions (bar-Lagrangians) the action
-coordinate may be written ``z`` or ``zeta``; both denote the reparametrized
-coordinate.
+merged parameters, a check-conformal factor with both systems' and
+simulate's acceleration residuals with the system's, before any work, so an
+unbound or doubly bound one is a configuration problem.  herglotz, simulate
+and stationarity gate det W (det W^zeta with a zeta) as the equivalence
+checks do, at the default plan's points or the integrated states: a point
+where it is not above det_tol is an error report.  The environment
+variable HERGLOTZ_SEED overrides the seed of every sample plan.  In
+zeta-chart expressions (bar-Lagrangians) the action coordinate may be
+written ``z`` or ``zeta``; both denote the reparametrized coordinate.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from . import __version__
 from .checks import (
     STAT_AMPLITUDE, STAT_PERTURBATIONS, STAT_TOL, STEP_SLACK, CheckReport, PointRecord,
-    SamplePlan, Tolerances, error_report, residual_table, run_check,
+    SamplePlan, Tolerances, error_report, residual_table, run_check, sample_states,
 )
 from .contact import ContactHamiltonianSystem, CoordOneForm, darboux_form
 from .dynamics import (
@@ -55,13 +59,16 @@ from .expr import (
     merge_params, parse, sub, substitute, tape, unparse, z,
 )
 from .extended import (
-    ActionFunction, ExtendedLagrangianSystem, zeta_herglotz_field, zeta_legendre,
+    ActionFunction, ExtendedLagrangianSystem, _hessian_dets, zeta_herglotz_field,
+    zeta_legendre,
 )
 from .fixtures import builtin_plans, builtin_systems, default_tasks
 from .inverse import (
     SODESystem, di_ei_diagnostics, extended_inverse_check, naive_inverse_check,
 )
-from .lagrangian import ContactLagrangianSystem, as_hamiltonian, herglotz_field
+from .lagrangian import (
+    ContactLagrangianSystem, SingularLagrangianError, as_hamiltonian, herglotz_field,
+)
 
 EXIT_PASS, EXIT_FAIL, EXIT_SOFT, EXIT_CONFIG = 0, 1, 2, 3
 
@@ -161,15 +168,23 @@ def _load_system(name: str, raw: dict, path: str):
     raise ConfigError(f"unknown system kind {kind!r}", f"{path}.kind")
 
 
-def _bound(system, exprs: list[Expr], path: str, *more_params: dict):
-    """The system with its params merged with ``more_params``, if no two of
-    them bind a name to different values and together they bind every
-    parameter ``exprs`` read; else a ConfigError at <path>.params."""
+def _binding(exprs: list[Expr], n: int, path: str, *params: dict) -> dict:
+    """The merged parameter maps, if no two of them bind a name to different
+    values and together they bind every parameter ``exprs`` read; else a
+    ConfigError at ``path``."""
     try:
-        params = merge_params(system.params, *more_params)
-        tape(exprs, system.n_dim, params)
+        merged = merge_params(*params)
+        tape(exprs, n, merged)
     except ExprError as exc:   # a conflicting or an unbound parameter
-        raise ConfigError(str(exc), f"{path}.params") from None
+        raise ConfigError(str(exc), path) from None
+    return merged
+
+
+def _bound(system, exprs: list[Expr], path: str, *more_params: dict):
+    """The system with its params merged with ``more_params``, which must
+    bind what ``exprs`` read (:func:`_binding`); else a ConfigError at
+    <path>.params."""
+    params = _binding(exprs, system.n_dim, f"{path}.params", system.params, *more_params)
     return system if params == system.params else replace(system, params=params)
 
 
@@ -529,6 +544,7 @@ def _task_check_conformal(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]
     factor = None
     if args.get("factor"):
         factor = _parse_expr(args["factor"], sys_a.n_dim, "args.factor")
+        _binding([factor], sys_a.n_dim, "args.factor", sys_a.params, sys_b.params)
     plan = _resolve_plan(cfg, args.get("plan"), sys_a.n_dim)
     return conformal_similarity_check(sys_a, sys_b, factor, plan,
                                       cfg.tolerances), []
@@ -543,15 +559,40 @@ def _task_check_dynamical(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]
     return report, []
 
 
+def _regularity_gate(ext: ExtendedLagrangianSystem, states, det_tol: float, where) -> None:
+    """A SingularLagrangianError at the first state where |det W^zeta| (det W
+    for zeta = z) is not above det_tol, NaN included, named by where(k); a W
+    tape's error where it comes first."""
+    rows, error = ext._hessian_tape.rows(states)
+    dets = _hessian_dets(rows)
+    singular = np.flatnonzero(~(abs(dets) > det_tol))
+    if len(singular):
+        k, name = singular[0], "det W" if ext.zeta.zeta is z() else "det W^zeta"
+        raise SingularLagrangianError(f"velocity Hessian singular at {where(k)}: "
+                                      f"{name} = {dets[k]:.3e}")
+    if error is not None:
+        raise error
+
+
+def _trajectory_gate(sys_l: ContactLagrangianSystem, traj, det_tol: float) -> None:
+    """:func:`_require_regular` at the states of an integrated trajectory."""
+    states = np.column_stack([traj.q, traj.v, traj.z])
+    _regularity_gate(sys_l._extended, states, det_tol, lambda k: f"t = {float(traj.times[k])!r}")
+
+
 def _task_herglotz(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
+    """The Herglotz field, after the regularity gate at the points of the
+    task's default plan (drawn in zeta's frame with a zeta)."""
     sys_l = _resolve(cfg, args["lagrangian"], (ContactLagrangianSystem,),
                      "Lagrangian system")
+    n, frame, ext = sys_l.n_dim, None, sys_l._extended
     if args.get("zeta"):
         zeta = _resolve_zeta(cfg, args["zeta"], sys_l)
-        field_obj = zeta_herglotz_field(
-            ExtendedLagrangianSystem(sys_l.n_dim, sys_l.L, zeta, sys_l.params))
-    else:
-        field_obj = herglotz_field(sys_l)
+        ext = ExtendedLagrangianSystem(n, sys_l.L, zeta, sys_l.params)
+        frame = zeta.frame_test(n, sys_l.params)
+    field_obj = zeta_herglotz_field(ext)
+    points = sample_states(_resolve_plan(cfg, None, n), n, frame)
+    _regularity_gate(ext, points, cfg.tolerances.det_tol, points.__getitem__)
     diagnostics = [f"d{unparse(c)}/dt = {unparse(comp)}"
                    for c, comp in zip(coords(sys_l.n_dim), field_obj.components)]
     return CheckReport(verdict="pass", max_residual=0.0, diagnostics=diagnostics,
@@ -587,18 +628,21 @@ def _task_simulate(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     t_end = _run_arg(args, "t", 1.0, above=0.0)
     dt = _run_arg(args, "dt", 1e-3, above=0.0)
     _require_steps(t_end, dt, "args.dt")
-    traj = integrate(field_obj, p0, t_end, dt, params)
-    csv_path = Path(f"{out_stem}.csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    trajectory_to_csv(traj, csv_path)
-    notes = [f"trajectory written to {csv_path.name}",
-             f"steps = {len(traj.times) - 1}, dt = {dt!r}, t_end = {t_end!r}"]
     resid_texts = args.get("accel_residual") or []
     if isinstance(resid_texts, str):
         resid_texts = [resid_texts]
     exprs = [_parse_expr(t, n, "args.accel_residual") for t in resid_texts]
     if exprs and len(exprs) != n:
         raise ConfigError(f"need {n} acceleration expressions", "args.accel_residual")
+    _binding(exprs, n, "args.accel_residual", params)
+    traj = integrate(field_obj, p0, t_end, dt, params)
+    if isinstance(obj, ContactLagrangianSystem):
+        _trajectory_gate(obj, traj, cfg.tolerances.det_tol)
+    csv_path = Path(f"{out_stem}.csv")
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    trajectory_to_csv(traj, csv_path)
+    notes = [f"trajectory written to {csv_path.name}",
+             f"steps = {len(traj.times) - 1}, dt = {dt!r}, t_end = {t_end!r}"]
     if exprs:
         defects = residual_table(
             {f"acceleration_defect_{i + 1}": [sub(a, e)] for i, (a, e) in
@@ -627,6 +671,7 @@ def _task_stationarity(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     _require_steps(1.0, 1.0 / (grid - 1), "args.grid")
     field_obj = herglotz_field(sys_l)
     traj = integrate(field_obj, p0, 1.0, 1.0 / (grid - 1), sys_l.params)
+    _trajectory_gate(sys_l, traj, cfg.tolerances.det_tol)
     curve = trajectory_to_curve(traj)
     if args.get("random_curve"):
         rng = np.random.default_rng(_run_arg(args, "curve_seed", 0, int, above=-1))

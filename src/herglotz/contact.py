@@ -13,8 +13,9 @@ one LU solve gives R = flat^-1 eta and X = flat^-1 dH - (RH + H) R, both
 checked against the stacked system.  ``hamiltonian_fields`` solves a sample
 in stacks of at most STACK_DOUBLES doubles, one SVD gate and one LU solve
 each, with the bits of a one-point solve, up to the first point that fails
-a test, a tape's error included; only a singular flat map sends the sample on
-one point at a time.  Non-finite data never reaches LAPACK.  The contact data
+a test, a tape's error included, and returns the rows and that failure as a
+tape's ``rows`` does; only a singular flat map sends the sample on one point
+at a time.  Non-finite data never reaches LAPACK.  The contact data
 is lowered once to two tapes, run over a stack's rows; params are read then.
 In Darboux coordinates X = dH/dp_i d/dq_i -
 (dH/dq_i + p_i dH/dz) d/dp_i + (p_i dH/dp_i - H) d/dz.
@@ -237,25 +238,27 @@ def _solve(sys: ContactHamiltonianSystem, points: list[StatePoint],
     return result[:len(prefix.points)], prefix.error
 
 
-def hamiltonian_fields(sys: ContactHamiltonianSystem, points: list[StatePoint]) -> list:
-    """X_H at the points up to the first where :func:`hamiltonian_field`
-    raises, then that exception; no later point is solved.  Each chunk of at
-    most STACK_DOUBLES doubles is one stacked solve until a LinAlgError that
-    the stack cannot place, after which the points are solved one at a time."""
-    size = max(1, STACK_DOUBLES // ((2 * sys.n_dim + 2) * (2 * sys.n_dim + 1)))
-    fields: list = []
-    while len(fields) < len(points):
+def hamiltonian_fields(sys: ContactHamiltonianSystem, points: list[StatePoint]
+                       ) -> tuple[np.ndarray, Exception | None]:
+    """X_H at the points before the first where :func:`hamiltonian_field`
+    raises, one row each, and that exception, or None; no later point is
+    solved.  Each chunk of at most STACK_DOUBLES doubles is one stacked solve
+    until a LinAlgError that the stack cannot place, after which the points
+    are solved one at a time."""
+    d = 2 * sys.n_dim + 1
+    size, done, error = max(1, STACK_DOUBLES // ((d + 1) * d)), 0, None
+    parts = [np.empty((0, d))]
+    while error is None and done < len(points):
         try:
-            solved, error = _solve(sys, points[len(fields):len(fields) + size], True)
+            solved, error = _solve(sys, points[done:done + size], True)
         except np.linalg.LinAlgError as exc:    # a singular flat map in a stack
             if size == 1:
-                return fields + [exc]
+                return np.concatenate(parts), exc
             size = 1
             continue
-        fields.extend(solved)
-        if error is not None:
-            return fields + [error]
-    return fields
+        parts.append(solved)
+        done += len(solved)
+    return np.concatenate(parts), error
 
 
 def contact_condition(sys: ContactHamiltonianSystem, p: StatePoint

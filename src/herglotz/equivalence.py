@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from itertools import repeat
 
-import numpy as np
-
 from .checks import (
     ESTIMATE_TOL, ZERO_TOL, CheckAbort, CheckReport, SamplePlan, Tolerances,
     error_report, finite, max_abs, residual_table, run_check, walk_rows,
@@ -136,19 +134,20 @@ def dynamical_equivalence_check(sys_a: ContactHamiltonianSystem,
     """Check X_H = X_Hbar pointwise (equality of Hamiltonian vector fields).
 
     Both fields come first, from stacked solves up to the first solver error
-    (:func:`contact.hamiltonian_fields`), b's only as far as a's reach.  That
-    error, a's first, is raised when the walk reaches its point: a
-    ContactConditionError aborts the check there, any other error propagates."""
+    (:func:`contact.hamiltonian_fields`), b's only over a's solved points.
+    The records cover the points both reach; then the first error, b's when
+    b stops first, else a's, is raised at its point: a ContactConditionError
+    aborts the check there, any other error propagates."""
     n = _chart_dimension(sys_a, sys_b)
 
     def values(points):
-        field_a = hamiltonian_fields(sys_a, points)
-        for p, *pair in zip(points, field_a, hamiltonian_fields(sys_b, points[:len(field_a)])):
-            for x in pair:
-                if isinstance(x, Exception):
-                    raise CheckAbort(f"solver failure at {p}: {x}") \
-                        if isinstance(x, ContactConditionError) else x
-            yield {"field_mismatch": float(np.max(np.abs(pair[0] - pair[1])))}
+        fields_a, error = hamiltonian_fields(sys_a, points)
+        fields_b, error_b = hamiltonian_fields(sys_b, points[:len(fields_a)])
+        mismatch = abs(fields_a[:len(fields_b)] - fields_b).max(axis=1)
+        yield from ({"field_mismatch": x} for x in mismatch.tolist())
+        if (error := error_b or error) is not None:     # b is solved only where a is
+            raise CheckAbort(f"solver failure at {points[len(fields_b)]}: {error}") \
+                if isinstance(error, ContactConditionError) else error
     return run_check(n, values, plan, tol, residual_keys=("field_mismatch",))
 
 

@@ -894,11 +894,13 @@ class _Tape(tuple):
     def rows(self, ys: Sequence[Sequence[float]]) -> tuple[np.ndarray, DomainError | None]:
         """The values at ``ys`` before the first point where a call raises, a
         row each and bit for bit, and that point's DomainError, or None.  From
-        ROWS_MIN points on, each instruction runs once over its column."""
+        ROWS_MIN points on, each instruction runs once over its column; an
+        (m, 2n+1) array is read as it is, other points through their floats."""
         code, regs, results, d = self
         m = len(ys)
         if m >= ROWS_MIN:
-            r = [*np.fromiter(chain.from_iterable(ys), float).reshape(m, d).T.copy(), *regs]
+            flat = ys if type(ys) is np.ndarray else np.fromiter(chain.from_iterable(ys), float)
+            r = [*np.asarray(flat, float).reshape(m, d).T.copy(), *regs]
             try:    # + - * / and neg by numpy, a zero divisor (-0.0 too) raising
                 # as in Python; a call or ^ maps its function over the floats
                 with np.errstate(all="ignore"):

@@ -12,11 +12,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from herglotz import cli, expr
-from herglotz.checks import CheckReport, PointRecord, SamplePlan, Tolerances, error_report
+from herglotz.checks import (
+    CheckReport, PointRecord, SamplePlan, Tolerances, error_report, sample_states,
+)
 from herglotz.cli import main
 from herglotz.contact import ContactHamiltonianSystem
 from herglotz.expr import StatePoint
-from herglotz.fixtures import builtin_systems
+from herglotz.fixtures import builtin_plans, builtin_systems
 from herglotz.inverse import SODESystem
 from herglotz.lagrangian import ContactLagrangianSystem
 
@@ -428,6 +430,106 @@ def test_an_identically_singular_w_has_no_herglotz_field(argv, tmp_path):
     assert code == 2 and data["verdict"] == "error"
     assert data["diagnostics"] == [
         "ExprError: singular matrix: its determinant is identically 0"]
+
+
+# |det W| = 2e-12 everywhere; W = 1e-9 q1^2 is below det_tol for |q1| < 0.32 only
+_NEAR_SINGULAR = {"tiny": {"kind": "lagrangian", "L": "1e-12*v1^2 + q1"},
+                  "part": {"kind": "lagrangian", "L": "5e-10*q1^2*v1^2 + q1"},
+                  "zeta_q": {"kind": "action", "zeta": "z + q1"}}
+
+
+def _first_singular(name):
+    """The index of the first default plan point of system ``name`` where
+    |det W| <= det_tol, the point and det W there."""
+    sys_l = ContactLagrangianSystem(1, expr.parse(_NEAR_SINGULAR[name]["L"], 1))
+    points = sample_states(replace(builtin_plans()["box1_200"], bounds=()), 1)
+    for k, p in enumerate(points):
+        (det,) = sys_l._extended._hessian_tape(p)
+        if not abs(det) > Tolerances().det_tol:
+            return k, p, det
+
+
+@pytest.mark.parametrize("argv, where, name", [
+    (["herglotz", "--lagrangian", "tiny"], "plan", "det W"),
+    (["herglotz", "--lagrangian", "part"], "plan", "det W"),
+    (["herglotz", "--lagrangian", "part", "--zeta", "zeta_q"], "plan", "det W^zeta"),
+    (["simulate", "--system", "tiny", "--initial", "0,1,0", "--t", "0.01"], "t = 0.0", "det W"),
+    (["stationarity", "--lagrangian", "tiny", "--initial", "0,1,0", "--grid", "50"],
+     "t = 0.0", "det W"),
+], ids=["herglotz", "herglotz-part", "herglotz-zeta", "simulate", "stationarity"])
+def test_a_w_singular_at_sampled_points_is_an_error(argv, where, name, tmp_path,
+                                                     monkeypatch):
+    """The tasks that solve with W gate it where they solve: herglotz at its
+    default plan's points, simulate and stationarity along the trajectory.
+    A point where |det W| is not above det_tol is an error naming it."""
+    monkeypatch.delenv("HERGLOTZ_SEED", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"systems": _NEAR_SINGULAR}))
+    out = tmp_path / "out"
+    code, data = run_cli(["--config", str(cfg_path), "--out", str(out), *argv], tmp_path)
+    if where == "plan":
+        k, p, det = _first_singular(argv[2])
+        assert (k > 0) == (argv[2] == "part")
+        where = str(p)
+    else:
+        det = 2e-12
+    assert code == 2 and data["verdict"] == "error"
+    assert data["diagnostics"] == [
+        f"SingularLagrangianError: velocity Hessian singular at {where}: {name} = {det:.3e}"]
+    assert list(out.iterdir()) == []
+
+
+def test_a_w_singular_away_from_the_trajectory_passes(tmp_path):
+    """W = 1e-9 q1^2 is singular only near q1 = 0: a trajectory that stays
+    away from it passes."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"systems": _NEAR_SINGULAR}))
+    code, data = run_cli(["--config", str(cfg_path), "simulate", "--system", "part",
+                          "--initial", "1,0,0", "--t", "1e-6", "--dt", "1e-7"], tmp_path)
+    assert code == 0 and data["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("systems, factor, message", [
+    ({}, "k*z", "unbound parameter 'k'"),
+    ({"saddle_c1": {"kind": "hamiltonian", "H": "v1*q1 - c*z^2", "params": {"c": 1}},
+      "saddle_c2": {"kind": "hamiltonian", "H": "v1*q1 - c*z^2", "params": {"c": 2}}},
+     "1", "parameter 'c' bound to conflicting values"),
+], ids=["unbound", "conflict"])
+def test_a_conformal_factor_is_bound_at_task_time(systems, factor, message, tmp_path, capsys):
+    """The factor is lowered with the two systems' merged parameters when
+    the task starts: an unbound name, or a name the two bind differently,
+    is a config error at args.factor, before any report is written."""
+    pair = list(systems) or ["saddle", "saddle_flipped"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"systems": systems}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), "check-conformal",
+                 "--system", pair[0], "--system-b", pair[1], "--factor", factor]) == 3
+    assert capsys.readouterr().err == f"config error: {message} (config path: args.factor)\n"
+    assert list(out.iterdir()) == []
+    task = {"command": "check-conformal",
+            "args": {"system": pair[0], "system_b": pair[1], "factor": factor}}
+    cfg_path.write_text(json.dumps({"systems": systems, "tasks": [FIRST_TASK, task]}))
+    assert main(["--config", str(cfg_path), "--out", str(out), "batch"]) == 3
+    assert capsys.readouterr().err.endswith("(config path: tasks[1].args.factor)\n")
+
+
+@pytest.mark.parametrize("residuals, message", [
+    (["gam*v1^2 - kk"], "unbound parameter 'kk'"),
+    (["gam*v1^2 - g", "0"], "need 1 acceleration expressions"),
+], ids=["unbound", "count"])
+def test_acceleration_residuals_are_checked_before_integrating(residuals, message, tmp_path,
+                                                               capsys):
+    """--accel-residual is parsed, counted and bound with the system's
+    parameters before the run: a bad one is a config error and no CSV is
+    written."""
+    argv = ["simulate", "--system", "parachute", "--initial", "0,2,0"]
+    for text in residuals:
+        argv += ["--accel-residual", text]
+    assert main(["--out", str(tmp_path), *argv]) == 3
+    assert capsys.readouterr().err == \
+        f"config error: {message} (config path: args.accel_residual)\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("task, path, message", [

@@ -421,29 +421,32 @@ def test_stacked_fields_equal_the_one_point_path(rng):
     for sys in compiled_cases() + [ham, rescaled(ham)] + list(gate_systems.values()):
         rest = random_points(rng, sys.n_dim, 50)
         while rest:     # the fields end at the first error; go on after it
-            got = hamiltonian_fields(sys, rest)
+            got, error = hamiltonian_fields(sys, rest)
+            assert got.shape == (len(got), 2 * sys.n_dim + 1)
             for p, x in zip(rest, got):
-                if isinstance(x, Exception):
-                    errors += 1
-                    assert x is got[-1]
-                    assert (type(x), str(x)) == _outcome(lambda: hamiltonian_field(sys, p))
-                else:
-                    np.testing.assert_array_equal(x, walk_reference(sys, p)[0])
-            rest = rest[len(got):]
+                np.testing.assert_array_equal(x, walk_reference(sys, p)[0])
+            if error is not None:
+                errors += 1
+                assert (type(error), str(error)) == \
+                    _outcome(lambda: hamiltonian_field(sys, rest[len(got)]))
+            else:
+                assert len(got) == len(rest)
+            rest = rest[len(got) + 1:]
     assert errors > 0
 
 
 def test_a_sample_failing_everywhere_keeps_one_error_per_system(monkeypatch):
     sys = crossing_family(1e-11)
     points = sample_states(SamplePlan(count=200, seed=2), 1)
-    (error,) = hamiltonian_fields(sys, points)
-    assert isinstance(error, ContactConditionError)
+    fields, error = hamiltonian_fields(sys, points)
+    assert fields.shape == (0, 3) and isinstance(error, ContactConditionError)
     solved = []
     fields = contact.hamiltonian_fields
     monkeypatch.setattr(equivalence, "hamiltonian_fields",
                         lambda s, pts: solved.append(len(pts)) or fields(s, pts))
     report = dynamical_equivalence_check(sys, sys, SamplePlan(count=200, seed=2))
-    assert report.verdict == "error" and solved == [200, 1]
+    # b is solved only over a's solved points, none here
+    assert report.verdict == "error" and solved == [200, 0]
 
 
 def _marked_family(gate_at, pole_at):
@@ -501,11 +504,12 @@ def test_a_singular_flat_map_in_a_stack_ends_the_sample_at_its_point(monkeypatch
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(a, b)
     monkeypatch.setattr(np.linalg, "solve", singular_at_mark)
-    got = hamiltonian_fields(sys, points)
-    assert len(got) == 3 and isinstance(got[2], ContactConditionError)
-    assert str(got[2]) == "flat map is singular: Singular matrix"
-    for k, x in [*enumerate(got[:2]), *enumerate(hamiltonian_fields(sys, points[3:]), 3)]:
-        np.testing.assert_array_equal(x, expected[k])
+    got, error = hamiltonian_fields(sys, points)
+    assert len(got) == 2 and isinstance(error, ContactConditionError)
+    assert str(error) == "flat map is singular: Singular matrix"
+    rest, rest_error = hamiltonian_fields(sys, points[3:])
+    assert rest_error is None
+    np.testing.assert_array_equal(np.concatenate([got, rest]), np.delete(expected, 2, axis=0))
 
 
 # d(eta) or H overflows to -inf at (0.1, 0.2, 0.3) through the parameter big
@@ -543,12 +547,13 @@ def test_non_finite_contact_data_never_reaches_lapack(eta, h_text, message, monk
                                    scaled(parse(h_text, 1)), {"big": 1e200})
     sample = [pt(1e-100, v1, z1) for v1, z1 in ((0.5, -0.3), (-0.7, 0.2), (0.1, 0.9), (0.4, 0.4))]
     sample.insert(2, p)
-    fields = hamiltonian_fields(sys, sample)
-    assert len(fields) == 3
+    fields, error = hamiltonian_fields(sys, sample)
+    assert len(fields) == 2
     with pytest.raises(ContactConditionError, match=message):
-        raise fields[2]
-    assert all(isinstance(x, np.ndarray) and np.isfinite(x).all()
-               for x in fields[:2] + hamiltonian_fields(sys, sample[3:]))
+        raise error
+    rest, rest_error = hamiltonian_fields(sys, sample[3:])
+    assert rest_error is None and len(rest) == 2
+    assert np.isfinite(fields).all() and np.isfinite(rest).all()
 
 
 def test_non_finite_contact_data_fails_promptly_without_guards():

@@ -204,9 +204,11 @@ def test_tables_match_the_reference_closures_on_the_dense_family(n, seed):
 
 
 def test_default_batch_takes_each_determinant_from_a_stacked_lapack_call(tmp_path, monkeypatch):
-    """17 calls: two per gated check-eq or check-strong-eq task (W and
-    W^zeta over its sample), one per check-inverse task and one for the
-    legendre task's transform; each gets a stack of matrices."""
+    """19 calls: two per gated check-eq or check-strong-eq task (W and
+    W^zeta over its sample), one per check-inverse task, one for the
+    herglotz task's regularity gate over its plan, one for the legendre
+    task's transform and one for the simulate task's gate over its 1,001
+    states; each gets a stack of matrices."""
     stacks = []
     det = np.linalg.det
 
@@ -217,21 +219,23 @@ def test_default_batch_takes_each_determinant_from_a_stacked_lapack_call(tmp_pat
     monkeypatch.setattr(np.linalg, "det", counted)
     main(["batch", "--out", str(tmp_path)])
     assert len(list(tmp_path.glob("*.json"))) == 16
-    assert stacks == [(200, 1, 1)] * 12 + [(100, 3, 3)] * 2 + [(100, 1, 1)] * 2 + [(1, 1, 1)]
+    assert stacks == [(200, 1, 1)] * 12 + [(100, 3, 3)] * 2 + [(100, 1, 1)] * 2 + \
+        [(200, 1, 1), (1, 1, 1), (1001, 1, 1)]
 
 
 def test_the_lu_determinant_decides_every_gate_as_the_cofactor_expansion(tmp_path, monkeypatch):
     """The W rows every gated default task reads (W and W^zeta of check-eq
-    and check-strong-eq, W of the z-rate in check-inverse), the dense family
+    and check-strong-eq, W of the z-rate in check-inverse, W at herglotz's
+    plan and along simulate's trajectory), the dense family
     n = 1..6 and an exactly singular W: at each point the stacked LU is
     regular where the cofactor expansion is, and the two agree to 1e-12
     times Hadamard's bound, the product of W's row 2-norms."""
     gated = []
-    for module in (equivalence, inverse):
+    for module in (equivalence, inverse, cli):
         monkeypatch.setattr(module, "_hessian_dets", lambda rows: gated.append(rows.copy())
                             or extended._hessian_dets(rows))
     main(["batch", "--out", str(tmp_path)])
-    assert [len(rows) for rows in gated] == [200] * 12 + [100] * 4
+    assert [len(rows) for rows in gated] == [200] * 12 + [100] * 4 + [200, 1001]
     dense = [dense_lagrangian(n)._extended._hessian_tape.rows(
         sample_states(SamplePlan(count=20, seed=n), n))[0] for n in range(1, 7)]
     singular = ContactLagrangianSystem(1, parse("0.5*(1 - 2*gam)*v1^2", 1), {"gam": 0.5})
@@ -397,5 +401,7 @@ def test_a_tape_reads_statepoints_as_their_flat_tuples(text, count):
 def test_rows_refuse_points_of_another_chart(count):
     run = tape([parse("q1*v1 - z", 1)], 1)
     for n in (0, 2):
-        with pytest.raises(ValueError):
-            run.rows(sample_states(SamplePlan(count=count, seed=1), n))
+        points = sample_states(SamplePlan(count=count, seed=1), n)
+        for sample in (points, np.array(points)):
+            with pytest.raises(ValueError):
+                run.rows(sample)
