@@ -46,7 +46,7 @@ from .checks import (
 )
 from .contact import ContactHamiltonianSystem, CoordOneForm, darboux_form
 from .dynamics import (
-    SampledCurve, integrate, stationarity_test, trajectory_to_csv,
+    IntegrationError, SampledCurve, integrate, stationarity_test, trajectory_to_csv,
     trajectory_to_curve,
 )
 from .equivalence import (
@@ -580,6 +580,21 @@ def _trajectory_gate(sys_l: ContactLagrangianSystem, traj, det_tol: float) -> No
     _regularity_gate(sys_l._extended, states, det_tol, lambda k: f"t = {float(traj.times[k])!r}")
 
 
+def _gated_integral(sys_l: ContactLagrangianSystem, field_obj, p0: StatePoint,
+                    t_end: float, dt: float, det_tol: float):
+    """The integral curve of a Lagrangian system's field, through
+    :func:`_trajectory_gate`; an IntegrationError's partial trajectory is
+    gated before it is raised, so a W singular at a reached state is named
+    as such and not as the float error it causes in the field."""
+    try:
+        traj = integrate(field_obj, p0, t_end, dt, sys_l.params)
+    except IntegrationError as exc:
+        _trajectory_gate(sys_l, exc.partial, det_tol)
+        raise
+    _trajectory_gate(sys_l, traj, det_tol)
+    return traj
+
+
 def _task_herglotz(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     """The Herglotz field, after the regularity gate at the points of the
     task's default plan (drawn in zeta's frame with a zeta)."""
@@ -635,9 +650,10 @@ def _task_simulate(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     if exprs and len(exprs) != n:
         raise ConfigError(f"need {n} acceleration expressions", "args.accel_residual")
     _binding(exprs, n, "args.accel_residual", params)
-    traj = integrate(field_obj, p0, t_end, dt, params)
-    if isinstance(obj, ContactLagrangianSystem):
-        _trajectory_gate(obj, traj, cfg.tolerances.det_tol)
+    if isinstance(obj, SODESystem):
+        traj = integrate(field_obj, p0, t_end, dt, params)
+    else:
+        traj = _gated_integral(obj, field_obj, p0, t_end, dt, cfg.tolerances.det_tol)
     csv_path = Path(f"{out_stem}.csv")
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     trajectory_to_csv(traj, csv_path)
@@ -669,9 +685,8 @@ def _task_stationarity(cfg, args, out_stem) -> tuple[CheckReport, list[Path]]:
     amplitude = _run_arg(args, "amplitude", STAT_AMPLITUDE, above=0.0)
     stat_tol = _run_arg(args, "stat_tol", STAT_TOL, above=0.0)
     _require_steps(1.0, 1.0 / (grid - 1), "args.grid")
-    field_obj = herglotz_field(sys_l)
-    traj = integrate(field_obj, p0, 1.0, 1.0 / (grid - 1), sys_l.params)
-    _trajectory_gate(sys_l, traj, cfg.tolerances.det_tol)
+    traj = _gated_integral(sys_l, herglotz_field(sys_l), p0, 1.0, 1.0 / (grid - 1),
+                           cfg.tolerances.det_tol)
     curve = trajectory_to_curve(traj)
     if args.get("random_curve"):
         rng = np.random.default_rng(_run_arg(args, "curve_seed", 0, int, above=-1))

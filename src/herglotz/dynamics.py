@@ -214,7 +214,8 @@ def integrate(field: FieldLike, p0: StatePoint, t_end: float, dt: float,
     except Exception as exc:
         k = len(states) // d
         partial = _make_trajectory(times[:k], states, n)
-        raise IntegrationError(f"field evaluation failed at t = {float(times[k])}: {exc}",
+        raise IntegrationError(f"field evaluation failed in the step from t = "
+                               f"{float(times[k - 1])} to t = {float(times[k])}: {exc}",
                                partial) from exc
     return _make_trajectory(times, states, n)
 

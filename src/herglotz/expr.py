@@ -5,6 +5,9 @@ functions, form and vector-field components) is an immutable ``Expr`` tree
 over the coordinates ``q1..qn``, ``v1..vn``, ``z`` and named parameters.
 The module provides parsing, canonical printing, exact symbolic
 differentiation, substitution, evaluation and first/second derivative jets.
+A linear system W x = b of such trees is a node per component of x
+(``Solve``), which evaluates by one pivoted elimination and differentiates
+to another solve on the same W.
 Evaluation lowers an expression tuple once to one instruction per distinct
 node that reads a coordinate; a :func:`tape` runs it at each point (checks
 hold the tapes of their residuals, systems hold theirs) and :func:`render`
@@ -52,13 +55,13 @@ import struct
 import threading
 import weakref
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
 __all__ = [
-    "Expr", "Const", "Coord", "Param", "Call", "BinOp", "IntPow",
+    "Expr", "Const", "Coord", "Param", "Call", "BinOp", "IntPow", "Solve",
     "StatePoint", "ParamSet",
     "ExprError", "ParseError", "EvalError", "UnboundParameterError", "DomainError",
     "parse", "unparse", "differentiate", "substitute", "depends_on",
@@ -223,7 +226,26 @@ class IntPow(Expr):
         return ref and ref() or _node(key, base, exponent)
 
 
-for _cls in (Const, Coord, Param, Call, BinOp, IntPow):
+class Solve(Expr):
+    """Component ``index`` of the solution x of W x = b, an m x m system
+    (m >= 2) held as the rows of W and b: :func:`solve_cramer` makes one node
+    per component, and the nodes of one system lower to one elimination."""
+
+    __slots__ = ("matrix", "vector", "index")
+
+    def __new__(cls, matrix: tuple[tuple[Expr, ...], ...], vector: tuple[Expr, ...],
+                index: int):
+        entries = (*chain.from_iterable(matrix), *vector)
+        ref = _nodes.get(key := (cls, index, *map(id, entries)))
+        if ref is not None and (node := ref()) is not None:
+            return node
+        mask = 0
+        for e in entries:
+            mask |= e._m
+        return _node(key, matrix, vector, index, mask=mask)
+
+
+for _cls in (Const, Coord, Param, Call, BinOp, IntPow, Solve):
     _cls._setters = tuple(getattr(_cls, name).__set__ for name in _cls.__slots__)
 _bits, _set_d, _set_m = struct.Struct("<d").pack, Expr._d.__set__, Expr._m.__set__
 _ZERO, _ONE, _FREE = Const(0.0), Const(1.0), object()
@@ -522,7 +544,8 @@ def parse(text: str, n: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Printing (canonical serializer; parse(unparse(e)) == e)
+# Printing (canonical serializer; parse(unparse(e)) == e for every tree
+# without a Solve, whose linear-system text the grammar does not read)
 
 
 def _fmt_number(value: float) -> str:
@@ -539,7 +562,7 @@ def _signed(value: float) -> bool:
 def _is_atomic(e: Expr) -> bool:
     # operands that reparse unchanged without parentheses after a unary
     # minus ("-x") and as the base of a power ("x^k")
-    return isinstance(e, (Coord, Param)) or \
+    return isinstance(e, (Coord, Param, Solve)) or \
         (isinstance(e, Const) and not _signed(e.value)) or \
         (isinstance(e, Call) and e.fn != "neg")
 
@@ -568,6 +591,9 @@ def _un(e: Expr, ctx: int) -> str:
         sep = f" {e.op} " if p == 1 else e.op
         s = f"{_un(e.lhs, p)}{sep}{_un(e.rhs, p + 1)}"
         return s if p >= ctx else f"({s})"
+    if isinstance(e, Solve):
+        rows = ", ".join(f"[{', '.join(_un(w, 0) for w in row)}]" for row in e.matrix)
+        return f"solve([{rows}], [{', '.join(_un(b, 0) for b in e.vector)}])[{e.index}]"
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -627,6 +653,21 @@ def _diff_rule(e: Expr, var: Coord) -> Expr:
     if isinstance(e, IntPow):
         db = _diff(e.base, var)
         return mul(mul(float(e.exponent), intpow(e.base, e.exponent - 1)), db)
+    if isinstance(e, Solve):
+        # W x = b gives W dx = db - (dW) x: a solve on the same W, whose
+        # components go to the memos of all of x's, which share e's mask
+        matrix, vector = e.matrix, e.vector
+        xs = [Solve(matrix, vector, j) for j in range(len(vector))]
+        rhs = []
+        for row, b in zip(matrix, vector):
+            total = _diff(b, var)
+            for w, x in zip(row, xs):
+                total = sub(total, mul(_diff(w, var), x))
+            rhs.append(total)
+        key = var if e._m & var._m else _FREE
+        for x, dx in zip(xs, found := _solution(matrix, rhs)):
+            _memo(x)[key] = dx
+        return found[e.index]
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -636,21 +677,29 @@ def differentiate(e: Expr, var: Union[Coord, str]) -> Expr:
 
 
 def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
-    """Replace every occurrence of a Coord/Param leaf by an expression."""
+    """Replace every occurrence of a Coord/Param leaf by an expression.  A
+    subtree whose mask lacks a coordinate target's bit holds no occurrence
+    and is kept as it is; a parameter has no bit, so every node is walked."""
     if not isinstance(target, (Coord, Param)):
         raise ExprError("substitution target must be a coordinate or parameter")
     memo: dict[Expr, Expr] = {target: as_expr(replacement)}   # interned: one entry per node
+    bit = target._m
 
     def walk(node: Expr) -> Expr:
         out = memo.get(node)
         if out is not None:
             return out
+        if bit and not node._m & bit:
+            return node
         if isinstance(node, Call):
             out = _BUILDERS[node.fn](walk(node.arg))
         elif isinstance(node, BinOp):
             out = _BUILDERS[node.op](walk(node.lhs), walk(node.rhs))
         elif isinstance(node, IntPow):
             out = intpow(walk(node.base), node.exponent)
+        elif isinstance(node, Solve):
+            out = _solution([[*map(walk, row)] for row in node.matrix],
+                            [*map(walk, node.vector)])[node.index]
         else:
             out = node
         memo[node] = out
@@ -674,6 +723,8 @@ def _dag_nodes(e: Expr) -> set[Expr]:
             stack += (node.lhs, node.rhs)
         elif isinstance(node, IntPow):
             stack.append(node.base)
+        elif isinstance(node, Solve):
+            stack += (*chain.from_iterable(node.matrix), *node.vector)
     return seen
 
 
@@ -762,11 +813,16 @@ def merge_params(*param_sets: ParamSet) -> dict[str, float]:
 # tuple into one instruction per distinct compound node object, in post-order;
 # a node that reads no coordinate and whose inputs are constant registers is
 # computed there, by the same float operation, into a constant register, unless
-# it raises: then it stays an instruction and raises at each point.
-# ``tape`` runs it over a copied register file, at a point or, by ``rows``, over
-# a sample's columns, reading a point (a StatePoint too) as its 2n+1 floats;
-# ``render`` writes it as Python.  All give the same doubles, and a float
-# exception becomes, on the tape, a DomainError naming the node.
+# it raises: then it stays an instruction and raises at each point.  The Solve
+# nodes of one system lower to its W and b, one solve step that reads them all
+# and one pick per component.  ``tape`` runs it over a copied register file, at
+# a point or, by ``rows``, over a sample's columns, reading a point (a
+# StatePoint too) as its 2n+1 floats; ``render`` writes it as Python.  Each
+# runs a solve step by the one elimination ``_eliminate``: a call on the
+# point's floats (``_solve``), rows by mapping that over the points, and render
+# as its inline statements (``_render_solve``), in the RK4 stage loop too.
+# All give the same doubles, and a float exception (a zero pivot is a division
+# by zero) becomes, on the tape, a DomainError naming the node.
 
 # Samples of fewer points run point by point: on dense tapes (n = 1, 3, 5) rows
 # took 1.1-3.7x the time of calls at 3 and 10 points, 0.7-1.1x at 15, 0.2x at 200.
@@ -782,6 +838,7 @@ _FAILURES = {
     (ValueError, "cos"): "cos of infinite value",
     (ZeroDivisionError, "/"): "division by zero",
     (ZeroDivisionError, "^"): "zero base with negative exponent",
+    (ZeroDivisionError, "solve"): "zero pivot",
     (OverflowError, "exp"): "overflow",
     (OverflowError, "^"): "overflow",
 }
@@ -790,8 +847,8 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 
 def _domain_error(exc: Exception, node: Expr) -> DomainError:
-    kind = node.fn if isinstance(node, Call) else \
-        node.op if isinstance(node, BinOp) else "^"
+    kind = node.fn if isinstance(node, Call) else node.op if isinstance(node, BinOp) \
+        else "solve" if isinstance(node, Solve) else "^"
     return DomainError(f"{_FAILURES[type(exc), kind]} in {unparse(node)}")
 
 
@@ -815,28 +872,34 @@ def _lower(exprs: Sequence[Expr], n: int, params: ParamSet | None):
     """(code, regs, results).  Registers 0..2n are the coordinates; register
     2n+1+k starts as ``regs[k]``: a constant, parameter value or exponent, or
     the node of the instruction ``(fn, a, b, out)`` in ``code`` that sets it
-    to fn(r[a]), or fn(r[a], r[b]) when b is not None."""
+    to fn(r[a]), or fn(r[a], r[b]) when b is not None.  A solve step has a
+    tuple a, the registers of W row by row and of b, and sets its register to
+    the solution list fn([r[k] for k in a]) (fn ``_solve``), whose
+    components picks (fn an itemgetter) read."""
     code: list[tuple] = []
     regs: list = []
-    memo: dict[Expr, int] = {}
+    memo: dict = {}   # node -> register, and (W rows, b) -> solve register
     results = [_emit(e, 2 * n + 1, params or {}, memo, code, regs) for e in exprs]
     return code, regs, results
 
 
-def _folded(fn, a: int, b: int | None, regs: list, d: int) -> float | None:
-    """fn of constant registers a and b, or None if either is an instruction's
-    output or fn raises: the node then stays an instruction, raising at each point."""
-    args = (regs[a - d],) if b is None else (regs[a - d], regs[b - d])
+def _folded(fn, a, b: int | None, regs: list, d: int) -> float | None:
+    """fn of constant registers a and b (of the list of registers a, for a
+    solve step), or None if one is an instruction's output or fn raises: the
+    node then stays an instruction, raising at each point."""
+    solve = type(a) is tuple
+    args = [regs[k - d] for k in a] if solve else \
+        [regs[a - d]] if b is None else [regs[a - d], regs[b - d]]
     if not any(isinstance(x, Expr) for x in args):
         try:
-            return fn(*args)
+            return fn(args) if solve else fn(*args)
         except _FLOAT_ERRORS:
             pass
     return None
 
 
-def _emit(node: Expr, d: int, params: ParamSet, memo: dict[Expr, int],
-          code: list[tuple], regs: list) -> int:
+def _emit(node: Expr, d: int, params: ParamSet, memo: dict, code: list[tuple],
+          regs: list) -> int:
     """Register of ``node`` (d = 2n + 1), emitting its instructions on first visit."""
     reg = memo.get(node)
     if reg is not None:
@@ -851,6 +914,10 @@ def _emit(node: Expr, d: int, params: ParamSet, memo: dict[Expr, int],
         fn, a = operator.pow, _emit(node.base, d, params, memo, code, regs)
         b = d + len(regs)
         regs.append(node.exponent)
+    elif kind is Solve:
+        fn, a, b = operator.itemgetter(node.index), memo.get((node.matrix, node.vector)), None
+        if a is None:
+            a = _emit_system(node, d, params, memo, code, regs)
     else:
         if kind is Coord:
             reg = _slot(node, d // 2)
@@ -871,6 +938,23 @@ def _emit(node: Expr, d: int, params: ParamSet, memo: dict[Expr, int],
     return reg
 
 
+def _emit_system(node: Solve, d: int, params: ParamSet, memo: dict, code: list[tuple],
+                 regs: list) -> int:
+    """Register of the solution list of node's system, after its W and b: one
+    solve step, folded as any instruction.  It is not inlined in ``_emit``:
+    a generator expression there makes _emit's arguments closure cells,
+    which every call of the recursion then pays for."""
+    inputs = tuple(_emit(e, d, params, memo, code, regs)
+                   for e in chain(*node.matrix, node.vector))
+    reg = memo[node.matrix, node.vector] = d + len(regs)
+    if not node._m and (value := _folded(_solve, inputs, None, regs, d)) is not None:
+        regs.append(value)
+    else:
+        regs.append(node)
+        code.append((_solve, inputs, None, reg))
+    return reg
+
+
 _UFUNCS = {operator.add: np.add, operator.sub: np.subtract, operator.mul: np.multiply,
            operator.truediv: np.divide, operator.neg: np.negative}
 
@@ -886,7 +970,8 @@ class _Tape(tuple):
             raise ValueError(f"expected {d} coordinates, got {len(r) - len(regs)}")
         try:
             for fn, a, b, out in code:
-                r[out] = fn(r[a]) if b is None else fn(r[a], r[b])
+                r[out] = fn(r[a], r[b]) if b is not None else fn(r[a]) \
+                    if a.__class__ is int else fn([r[k] for k in a])
         except _FLOAT_ERRORS as exc:
             raise _domain_error(exc, regs[out - d]) from None
         return tuple([r[k] for k in results])
@@ -902,18 +987,26 @@ class _Tape(tuple):
             flat = ys if type(ys) is np.ndarray else np.fromiter(chain.from_iterable(ys), float)
             r = [*np.asarray(flat, float).reshape(m, d).T.copy(), *regs]
             try:    # + - * / and neg by numpy, a zero divisor (-0.0 too) raising
-                # as in Python; a call or ^ maps its function over the floats
+                # as in Python; a call, ^ or solve step maps its function over
+                # the floats
                 with np.errstate(all="ignore"):
                     for fn, a, b, out in code:
-                        ufunc, x = _UFUNCS.get(fn), r[a]
-                        if ufunc is None:
+                        ufunc = _UFUNCS.get(fn)
+                        if ufunc is not None:
+                            if fn is operator.truediv and not np.all(r[b]):
+                                raise ZeroDivisionError
+                            r[out] = ufunc(r[a]) if b is None else ufunc(r[a], r[b])
+                        elif type(a) is tuple:
+                            cols = [x.tolist() if type(x) is np.ndarray else [float(x)] * m
+                                    for x in map(r.__getitem__, a)]
+                            r[out] = [*np.array([*map(fn, zip(*cols))], dtype=float).T]
+                        elif type(fn) is operator.itemgetter:
+                            r[out] = fn(r[a])
+                        else:
+                            x = r[a]
                             xs = x.tolist() if type(x) is np.ndarray else [float(x)] * m
                             r[out] = np.array([*map(fn, xs)] if b is None else
                                               [fn(u, r[b]) for u in xs], dtype=float)
-                        elif fn is operator.truediv and not np.all(r[b]):
-                            raise ZeroDivisionError
-                        else:
-                            r[out] = ufunc(x) if b is None else ufunc(x, r[b])
             except _FLOAT_ERRORS:   # the calls below, up to the first failure
                 pass
             else:
@@ -946,8 +1039,8 @@ def evaluate_all(exprs: Sequence[Expr], point: StatePoint,
                  params: ParamSet | None = None) -> tuple[float, ...]:
     """IEEE-double values of several expressions at one point, in order.
 
-    A node object shared within the sequence (derivatives, Cramer solves,
-    the entries of one residual set) is computed once, and the first
+    A node object shared within the sequence (derivatives, the components
+    of one solve, the entries of one residual set) is computed once, and the first
     expression that fails raises a DomainError naming the failing subtree.
     Code that evaluates the same expressions at many points holds a tape.
     """
@@ -962,7 +1055,8 @@ def evaluate(e: Expr, point: StatePoint, params: ParamSet | None = None) -> floa
 def render(exprs: Sequence[Expr], n: int, params: ParamSet | None
            ) -> tuple[list[str], list[str], dict, int]:
     """A lowering as straight-line Python statements over the coordinates
-    named x0..x2n, one per instruction, those that read no z first; the
+    named x0..x2n, one per instruction (a solve step's are its elimination,
+    a pick has none), those that read no z first; the
     names or literals holding the values of ``exprs``; the namespace to run
     them in, which binds ``FLOAT_ERRORS``, what a statement may raise, and
     ``tape``, the same lowering's runner, which raises the DomainError of the
@@ -978,8 +1072,16 @@ def render(exprs: Sequence[Expr], n: int, params: ParamSet | None
         value = regs[reg - d]
         return f"(-{abs(value)!r})" if _signed(value) else repr(value)
 
-    for _, a, b, out in code:
+    solutions: dict[int, list[str]] = {}
+    for fn, a, b, out in code:
         node = regs[out - d]
+        if type(a) is tuple:
+            names[out] = f"t{len(names) - d}"
+            solutions[out] = _render_solve(names[out], [*map(name, a)], lines[node._m & 1])
+            continue
+        if type(fn) is operator.itemgetter:   # a pick names a solution, no statement
+            names[out] = solutions[a][node.index]
+            continue
         if isinstance(node, BinOp):
             text = f"{name(a)} {node.op} {name(b)}"
         elif isinstance(node, Call):
@@ -1054,48 +1156,101 @@ def eval_jet2(e: Expr, point: StatePoint, params: ParamSet | None = None
 
 
 # ---------------------------------------------------------------------------
-# Symbolic Cramer solves for the Herglotz fields (a numeric det W is an LU)
+# Linear solves for the Herglotz fields: W a = rhs by one pivoted elimination
 
 
-def _minor(rows: Sequence[Sequence[Expr]], cols: tuple[int, ...],
-           built: dict[tuple[int, ...], Expr]) -> Expr:
-    """Determinant of the bottom ``len(cols)`` rows restricted to the
-    ordered columns ``cols``, by cofactor expansion along their top row.
+def _eliminate(w: list[list], pivot: Callable, div: Callable, sub: Callable,
+               mul: Callable) -> list:
+    """The solve of every backend: x of W x = b by partial pivoting (Golub &
+    Van Loan, Matrix Computations, 4th ed., sec. 3.4) over ``w``, the m rows
+    of [W | b], which it overwrites.  For column k, ``pivot(w, k, i)`` for
+    each row i = k+1..m-1, in order, swaps rows k and i where |a_ik| > |a_kk|;
+    each row below then subtracts f = a_ik / a_kk times row k, entry by entry
+    as a - f * b; back substitution ends with one quotient for each
+    component, from the last.  A zero pivot is a division by zero.  The call
+    backend runs this on floats, render on the names of the statements that
+    compute them."""
+    m = len(w)
+    for k in range(m):
+        for i in range(k + 1, m):
+            pivot(w, k, i)
+        top = w[k]
+        for row in w[k + 1:]:
+            f = div(row[k], top[k])
+            for j in range(k + 1, m + 1):
+                row[j] = sub(row[j], mul(f, top[j]))
+    x = [None] * m
+    for k in range(m - 1, -1, -1):
+        row, total = w[k], w[k][m]
+        for j in range(k + 1, m):
+            total = sub(total, mul(row[j], x[j]))
+        x[k] = div(total, row[k])
+    return x
 
-    ``built`` keeps each minor by its column tuple, so determinants that
-    expand into the same minors share one tree object for it.
-    """
-    found = built.get(cols)
-    if found is not None:
-        return found
-    k = len(cols)
-    if k == 0:
-        return _ONE
-    top = rows[len(rows) - k]
-    if k == 1:
-        result = top[cols[0]]
-    elif k == 2:
-        below = rows[-1]
-        result = sub(mul(top[cols[0]], below[cols[1]]),
-                     mul(top[cols[1]], below[cols[0]]))
-    else:
-        result = _ZERO
-        for j, col in enumerate(cols):
-            term = mul(top[col], _minor(rows, cols[:j] + cols[j + 1:], built))
-            result = add(result, term) if j % 2 == 0 else sub(result, term)
-    built[cols] = result
-    return result
+
+def _swap_floats(w: list[list[float]], k: int, i: int) -> None:
+    if abs(w[i][k]) > abs(w[k][k]):
+        w[k], w[i] = w[i], w[k]
+
+
+def _solve(values: Sequence[float]) -> list[float]:
+    """The solve step of a call: x of W x = b from W's m*m entries row by row,
+    then b's m.  Its products and differences are operator.mul and .sub, as
+    the tape's are: CPython's float-specialized ``*`` can return the other
+    operand's NaN once a function is warm, and a call's bits are fixed."""
+    m = math.isqrt(len(values))
+    w = [[*values[i * m:i * m + m], values[m * m + i]] for i in range(m)]
+    return _eliminate(w, _swap_floats, operator.truediv, operator.sub, operator.mul)
+
+
+def _render_solve(base: str, inputs: Sequence[str], lines: list[str]) -> list[str]:
+    """:func:`_eliminate` as statements appended to ``lines``, from ``inputs``,
+    the names or literals of W's entries row by row, then of b: the rows of
+    [W | b] are copied to names made from ``base``, a pivot is an ``if`` that
+    swaps the values of two rows' names from column k on, and each quotient,
+    product and difference is a statement.  Returns x's names."""
+    m, names = math.isqrt(len(inputs)), count()
+
+    def let(op: str):
+        def statement(a: str, b: str) -> str:
+            lines.append(f"{(name := f'{base}_{next(names)}')} = {a} {op} {b}")
+            return name
+        return statement
+
+    def pivot(w: list[list[str]], k: int, i: int) -> None:
+        top, row = w[k][k:], w[i][k:]
+        lines.append(f"if abs({row[0]}) > abs({top[0]}): "
+                     f"{', '.join(top + row)} = {', '.join(row + top)}")
+
+    w = []
+    for i in range(m):
+        w.append([f"{base}_{next(names)}" for _ in range(m + 1)])
+        lines.append(f"{', '.join(w[i])} = "
+                     f"{', '.join([*inputs[i * m:i * m + m], inputs[m * m + i]])}")
+    return _eliminate(w, pivot, let("/"), let("-"), let("*"))
+
+
+def _solution(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr]) -> list[Expr]:
+    """The Solve nodes of W x = rhs, m >= 2; zeros for a constant zero rhs,
+    so that a derivative by a coordinate outside the system's mask is 0."""
+    if all(type(b) is Const and b.value == 0.0 for b in rhs):
+        return [_ZERO] * len(rhs)
+    if type(matrix) is not tuple:   # a Solve's own rows are kept, not copied
+        matrix = tuple(map(tuple, matrix))
+    rhs = tuple(rhs)
+    return [Solve(matrix, rhs, i) for i in range(len(rhs))]
 
 
 def solve_cramer(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr]
                  ) -> list[Expr]:
-    """Symbolic solution x of M x = rhs by Cramer's rule.
+    """Symbolic solution x of M x = rhs: for m >= 2 one Solve node per
+    component, which lowers to one pivoted elimination (``_render_solve``), and
+    for m = 1 the quotient rhs / M, which is what elimination computes there.
 
-    Each component is a quotient by the cofactor tree of det M, so its
-    evaluation at a singular point raises a DomainError; a det M that folds
-    to a constant zero is an ExprError here.  The right-hand side is column
-    m of one augmented matrix, so det M and the m replaced determinants
-    share every minor that avoids it.
+    Evaluation at a point where a pivot is zero raises a DomainError.  An M
+    that is singular for every value is an ExprError here when it shows in
+    its constants: a row or column of constant zeros, or an all-constant M
+    whose elimination meets a zero pivot.
     """
     m = len(matrix)
     if len(rhs) != m:
@@ -1103,13 +1258,18 @@ def solve_cramer(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr]
     for row in matrix:
         if len(row) != m:
             raise ExprError("determinant of a non-square matrix")
-    augmented = [[*row, b] for row, b in zip(matrix, rhs)]
-    built: dict[tuple[int, ...], Expr] = {}
-    d = _minor(augmented, tuple(range(m)), built)
-    if type(d) is Const and d.value == 0:
-        raise ExprError(f"singular matrix: its determinant is identically {unparse(d)}")
-    solution = []
-    for j in range(m):
-        replaced = tuple(m if k == j else k for k in range(m))
-        solution.append(div(_minor(augmented, replaced, built), d))
-    return solution
+
+    def zero(e: Expr) -> bool:
+        return type(e) is Const and e.value == 0.0
+
+    singular = any(all(map(zero, line)) for line in (*matrix, *zip(*matrix)))
+    if not singular and all(type(w) is Const for row in matrix for w in row):
+        try:
+            _solve([w.value for row in matrix for w in row] + [0.0] * m)
+        except ZeroDivisionError:
+            singular = True
+    if singular:
+        raise ExprError("singular matrix: its determinant is identically 0")
+    if m == 1:
+        return [div(rhs[0], matrix[0][0])]
+    return _solution(matrix, rhs)

@@ -14,8 +14,8 @@ zeta-regularity matrix W^zeta, the zeta-Herglotz field and the
 zeta-Legendre transform.  The plain contact Lagrangian system is the case
 zeta = z: there every frame correction folds to zero, each builder returns
 the plain tree (the fibre derivatives, the velocity Hessian W, eta_L, E_L
-and the Herglotz field), and the one n x n Cramer solve on W^zeta is the
-solve on W.
+and the Herglotz field), and the one n x n solve on W^zeta is the solve
+on W.
 """
 
 from __future__ import annotations
@@ -253,8 +253,8 @@ def _zeta_acceleration_system(L: Expr, zeta: Expr, n: int
 
 @_memo_on_lagrangian
 def _zeta_herglotz_components(L: Expr, zeta: Expr, n: int) -> tuple[Expr, ...]:
-    """(v, a, b): a by Cramer's rule on W^zeta, whose det is its only
-    denominator, then b from xi(zeta) = L."""
+    """(v, a, b): a by the solve of W^zeta a = rhs^zeta (``solve_cramer``),
+    then b from xi(zeta) = L."""
     rhs, c = _zeta_acceleration_system(L, zeta, n)
     accels = solve_cramer(_zeta_hessian_exprs(L, zeta, n), rhs)
     b = c

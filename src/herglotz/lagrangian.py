@@ -4,7 +4,7 @@ A contact Lagrangian system is the extended system (L, zeta = z), so every
 symbolic object here is the zeta = z case of a builder in ``extended``: the
 contact form eta_L = dz - (dL/dv_i) dq^i, the energy E_L = v_i dL/dv_i - L
 and the Herglotz field xi_L = (v, a, L), whose accelerations come from the
-one n x n Cramer solve on W^zeta, here the velocity Hessian W:
+one n x n solve on W^zeta, here the velocity Hessian W:
 
     W a = dL/dq_i + (dL/dz)(dL/dv_i) - v_j d2L/dq_j dv_i - L d2L/dz dv_i.
 

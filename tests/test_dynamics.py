@@ -16,7 +16,7 @@ from herglotz.expr import (
     Const, DomainError, StatePoint, compile_components, log, parse, q,
 )
 from herglotz.fixtures import builtin_systems
-from herglotz.lagrangian import herglotz_field
+from herglotz.lagrangian import ContactLagrangianSystem, herglotz_field
 
 from conftest import dense_lagrangian, pt, random_regular_lagrangian
 
@@ -96,12 +96,26 @@ def test_integrate_failure_names_the_subtree():
         integrate(field, pt(0.3, 0.0, 0.0), 1.0, 0.25)
 
 
+def test_integrate_names_the_step_that_failed():
+    """W = 1e-9 q1^2 vanishes at the start, q1 = 0: the field's quotient fails
+    at the first stage of the first step, which the error names by both ends;
+    the partial trajectory is the initial state."""
+    system = ContactLagrangianSystem(1, parse("5e-10*q1^2*v1^2 + q1", 1))
+    with pytest.raises(IntegrationError) as err:
+        integrate(herglotz_field(system), pt(0.0, 1.0, 0.0), 0.01, 0.001)
+    assert str(err.value).startswith(
+        "field evaluation failed in the step from t = 0.0 to t = 0.001: division by zero in ")
+    assert str(err.value).endswith(" (last good t = 0.0)")
+    assert err.value.partial.times.tolist() == [0.0]
+
+
 @pytest.mark.parametrize("n, texts, initial, t_end, dt, message", [
     (1, ("v1", "exp(z)", "z^2 + 1"), [0.0, 0.0, 1.0], 3.0, 0.01,
-     "field evaluation failed at t = 0.79: overflow in exp(z) (last good t = 0.78)"),
+     "field evaluation failed in the step from t = 0.78 to t = 0.79: overflow in exp(z) "
+     "(last good t = 0.78)"),
     (2, ("v1", "v2", "-1", "0", "sqrt(q1 + v2)"), [0.5, 0.1, 0.2, 0.0, 0.0], 2.0, 0.1,
-     "field evaluation failed at t = 1.3: sqrt of negative value in sqrt(q1 + v2) "
-     "(last good t = 1.2000000000000002)"),
+     "field evaluation failed in the step from t = 1.2000000000000002 to t = 1.3: "
+     "sqrt of negative value in sqrt(q1 + v2) (last good t = 1.2000000000000002)"),
 ])
 def test_integrate_failure_texts_name_the_failing_subtree(n, texts, initial, t_end, dt,
                                                           message):
@@ -308,7 +322,8 @@ def test_integrate_callable_failure_keeps_the_last_good_prefix():
 
     with pytest.raises(IntegrationError) as err:
         integrate(field, pt(1.0, 0.5, 0.0), 2.0, 0.1)
-    assert str(err.value) == ("field evaluation failed at t = 0.4: left the chart"
+    assert str(err.value) == ("field evaluation failed in the step from t = "
+                              "0.30000000000000004 to t = 0.4: left the chart"
                               " (last good t = 0.30000000000000004)")
     partial = err.value.partial
     assert partial.times.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
@@ -318,13 +333,14 @@ def test_integrate_callable_failure_keeps_the_last_good_prefix():
 
 
 def test_integrate_callable_with_too_few_components_fails():
-    with pytest.raises(IntegrationError, match=r"^field evaluation failed at t = 0\.1: ") as err:
+    with pytest.raises(IntegrationError, match=r"^field evaluation failed in the step "
+                                               r"from t = 0\.0 to t = 0\.1: ") as err:
         integrate(lambda p: np.array([p.v[0], 1.0]), pt(1.0, 0.5, 0.0), 1.0, 0.1)
     assert err.value.partial.times.tolist() == [0.0]
 
 
 def test_integrate_matches_numpy_rk4_on_a_large_body():
-    # the dense family at n = 5 renders a rate body of about 800 statements
+    # the dense family at n = 5 renders a rate body of about 540 statements
     dense = dense_lagrangian(5)
     field = herglotz_field(dense)
     p0 = pt([0.1, -0.2, 0.3, 0.0, 0.2], [0.5, 0.0, -0.4, 0.1, 0.3], 0.2)
@@ -366,7 +382,8 @@ def test_integrate_failure_at_a_late_stage_matches_the_reference(q0, stage):
     assert (len(times), failing) == (25, stage)
     with pytest.raises(IntegrationError) as err:
         integrate(field, p0, 5.0, 0.1)
-    assert str(err.value) == (f"field evaluation failed at t = {t}: {cause} "
+    assert str(err.value) == (f"field evaluation failed in the step from t = "
+                              f"{float(times[-1])!r} to t = {t}: {cause} "
                               f"(last good t = {float(times[-1])!r})")
     assert type(err.value.__cause__) is DomainError
     assert str(err.value.__cause__) == str(cause) == "log of non-positive value in log(q1)"
@@ -458,7 +475,8 @@ def test_integrate_failure_inside_a_component_names_the_node(q0, stage):
         integrate(field, p0, 5.0, 0.1, params)
     assert str(err.value.__cause__) == str(cause) == "log of non-positive value in log(q1 - c)"
     assert err.value.__cause__.__cause__ is None and err.value.__cause__.__suppress_context__
-    assert str(err.value) == (f"field evaluation failed at t = {t}: {cause} "
+    assert str(err.value) == (f"field evaluation failed in the step from t = "
+                              f"{float(times[-1])!r} to t = {t}: {cause} "
                               f"(last good t = {float(times[-1])!r})")
     partial = err.value.partial
     assert np.array_equal(np.column_stack([partial.q, partial.v, partial.z]), states)

@@ -28,7 +28,8 @@ from herglotz import expr as ex
 from herglotz.expr import Expr, add, div, intpow, mul, neg, sub
 from herglotz.contact import CoordVectorField
 from herglotz.dynamics import IntegrationError, SampledCurve, integrate, z_operator
-from herglotz.lagrangian import herglotz_field
+from herglotz import lagrangian
+from herglotz.lagrangian import ContactLagrangianSystem, herglotz_field
 from perfbench import workloads
 
 from conftest import cofactor_det, dense_lagrangian, random_regular_lagrangian
@@ -1111,6 +1112,78 @@ def test_executors_agree_on_values_and_errors(e, other, shape, flat, position, o
         assert list(map(_bits, values.tolist())) == list(map(_bits, walked))
 
 
+SOLVE_ENTRIES = [Coord("q", 1), Coord("q", 2), Coord("v", 1), Coord("v", 2), Coord("z"),
+                 Const(1.0), Const(-1.0), Const(0.0), Const(2.0), Param("gam"),
+                 ex.neg(Coord("q", 1)), ex.mul(Coord("q", 1), Coord("v", 1)),
+                 ex.sub(Coord("q", 2), Coord("z"))]
+# ties in magnitude (1, -1, 2, -2, 0, -0), NaNs and infinities
+SOLVE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e200, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def solve_systems(draw):
+    m = draw(st.integers(2, 6))
+    entries = st.sampled_from(SOLVE_ENTRIES)
+    return (draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m)),
+            draw(st.lists(entries, min_size=m, max_size=m)))
+
+
+@settings(max_examples=200, deadline=None)
+# W exactly singular at the drawn point, and a pivot tie at it
+@example(system=([[Coord("q", 1), Coord("q", 2)], [Coord("v", 1), Coord("v", 2)]],
+                 [Coord("z"), Const(1.0)]),
+         flat=[1.0, 2.0, 1.0, 2.0, 0.5], position=150, odd=[1.0, -1.0, -1.0, 1.0, 0.0],
+         odd_at=3)
+# a NaN and an infinity in W
+@example(system=([[Coord("q", 1), Const(1.0), Coord("z")], [Const(2.0), Coord("v", 1), Const(0.0)],
+                  [Coord("v", 2), Const(-1.0), Coord("q", 2)]],
+                 [Coord("q", 1), Coord("v", 2), Const(1.0)]),
+         flat=[math.nan, math.inf, -1.0, 2.0, 0.5], position=20, odd=[0.0, -0.0, 1.0, 1.0, -1.0],
+         odd_at=199)
+@given(system=solve_systems(),
+       flat=st.lists(st.sampled_from(SOLVE_VALUES), min_size=5, max_size=5),
+       position=st.integers(0, 199), odd=st.lists(st.sampled_from(SOLVE_VALUES), min_size=5,
+                                                  max_size=5),
+       odd_at=st.integers(0, 199))
+def test_executors_agree_on_solves(system, flat, position, odd, odd_at):
+    """A tape holding solves (a system, the derivative's system on the same W,
+    a sum of components) gives, by call, by rows on both sides of ROWS_MIN and
+    by the rendered statements, the same bits or the same error at the same
+    point, whatever the pivot ties and non-finite entries.  The rendered
+    statements' NaNs are compared as NaNs: CPython's float-specialized ``*``
+    returns the other operand's NaN of two once a function is warm."""
+    matrix, rhs = system
+    try:
+        x = solve_cramer(matrix, rhs)
+    except ExprError:   # singular for every value: no tape
+        return
+    params = {"gam": 0.7}
+    exprs = [*x, differentiate(x[0], "q1"), ex.add(x[0], x[-1]), Coord("v", 2), Const(2.5)]
+    held = ex.tape(exprs, 2, params)
+    program = rendered_program(exprs, 2, params)
+    for y in (flat, odd, OTHER_FLAT):
+        called = _outcomes(lambda: held(y))
+        assert _outcomes(lambda: program(y)) == called
+        if called[0] is not DomainError:
+            assert _bits([abs(v) if v != v else v for v in program(y)]) == \
+                _bits([abs(v) if v != v else v for v in held(y)])
+    for size in (1, ex.ROWS_MIN - 1, ex.ROWS_MIN, 200):
+        ys = [OTHER_FLAT] * size
+        ys[odd_at % size] = tuple(odd)
+        ys[position % size] = tuple(flat)
+        values, error = held.rows(ys)
+        walked, failure = [], None
+        for y in ys:
+            try:
+                walked.append(held(y))
+            except ExprError as exc:
+                failure = (type(exc), str(exc))
+                break
+        assert (error and (type(error), str(error))) == failure
+        assert values.shape == (len(walked), len(exprs))
+        assert list(map(_bits, values.tolist())) == list(map(_bits, walked))
+
+
 PARAM_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 800.0, 1e200, -1e200]
 
 
@@ -1194,7 +1267,8 @@ def test_a_parameter_only_instruction_that_raises_at_lowering_raises_at_every_po
             values, error = held.rows([y] * size)
             assert values.shape == (0, 1) and str(error) == message
     field = CoordVectorField(1, (parse("v1", 1), Const(0.0), e))
-    with pytest.raises(IntegrationError, match=rf"^field evaluation failed at t = 0.1: "
+    with pytest.raises(IntegrationError, match=rf"^field evaluation failed in the step "
+                                               rf"from t = 0\.0 to t = 0\.1: "
                                                rf"{re.escape(message)} \(last good t = 0.0\)$"):
         integrate(field, StatePoint.from_coords([0.5, 1.0, 0.0], 1), 1.0, 0.1, params)
     curve = SampledCurve(np.linspace(0.0, 1.0, 5), np.zeros((5, 1)))
@@ -1219,6 +1293,86 @@ def test_substitute_coordinate():
     p = pt(0.0, 2.0, 1.0)
     assert evaluate(composed, p, {"gam": 0.1}) == pytest.approx(
         0.5 * 4 - 0.1 * (1.0 + 2.0))
+
+
+def reference_substitute(e, target, replacement):
+    """substitute as a full walk: every node rebuilt, none skipped."""
+    memo = {target: replacement}
+
+    def walk(node):
+        out = memo.get(node)
+        if out is not None:
+            return out
+        if isinstance(node, Call):
+            out = ex._BUILDERS[node.fn](walk(node.arg))
+        elif isinstance(node, BinOp):
+            out = ex._BUILDERS[node.op](walk(node.lhs), walk(node.rhs))
+        elif isinstance(node, IntPow):
+            out = ex.intpow(walk(node.base), node.exponent)
+        elif isinstance(node, ex.Solve):
+            out = ex._solution([[*map(walk, row)] for row in node.matrix],
+                               [*map(walk, node.vector)])[node.index]
+        else:
+            out = node
+        memo[node] = out
+        return out
+
+    return walk(e)
+
+
+def substitution_targets(n):
+    return [*coords(n), Param("gam"), Param("k")]
+
+
+def assert_substitutions_match_the_full_walk(exprs, n, replacement):
+    for e in exprs:
+        for target in substitution_targets(n):
+            assert substitute(e, target, replacement) is \
+                reference_substitute(e, target, replacement)
+
+
+def fixture_expressions(obj):
+    """The expressions a fixture holds, with the Herglotz field of a
+    Lagrangian system (its solves, for n >= 2)."""
+    if isinstance(obj, Expr):
+        return [obj]
+    found = [getattr(obj, name) for name in ("L", "H", "zeta", "z_rate") if hasattr(obj, name)]
+    found += [*getattr(getattr(obj, "eta", None), "components", ()),
+              *getattr(obj, "accelerations", ())]
+    if hasattr(obj, "L") and hasattr(obj, "n_dim"):
+        found += herglotz_field(obj).components
+    return found
+
+
+def test_substitute_skips_what_cannot_hold_the_target_on_every_fixture():
+    for name, build in fixtures.builtin_systems().items():
+        obj = build()
+        exprs = fixture_expressions(obj)
+        n = getattr(obj, "n_dim", None) or max(map(ex.max_coord_index, exprs)) or 1
+        assert_substitutions_match_the_full_walk(exprs, n, parse(f"z + 0.3*q1*q{n}", n))
+
+
+def test_substitute_skips_what_cannot_hold_the_target_on_the_stream_texts():
+    """The symbolic stream's Lagrangians, gauge bars and action functions,
+    and a few of their fields, composed with their gauge as
+    compose_with_zeta does."""
+    rng = np.random.default_rng(5)
+    for k in range(300):
+        n = k % 3 + 1
+        text_of = workloads._random_regular_text(rng, n)
+        bar_text, zeta_text = workloads.gauge_texts(text_of, n, float(rng.uniform(0.1, 0.5)))
+        exprs = [parse(text_of("z"), n), parse(bar_text, n), parse(zeta_text, n)]
+        if k < 12:
+            exprs += herglotz_field(ContactLagrangianSystem(n, exprs[0])).components
+        gauge = exprs[2]
+        for e in exprs:
+            assert substitute(e, Coord("z"), gauge) is reference_substitute(e, Coord("z"), gauge)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=expr_strategy(), other=expr_strategy())
+def test_substitute_skips_what_cannot_hold_the_target_on_drawn_trees(e, other):
+    assert_substitutions_match_the_full_walk([e, differentiate(e, "v1")], 2, other)
 
 
 def test_depends_on():
@@ -1302,7 +1456,10 @@ def test_solve_cramer_against_numpy():
 
 @pytest.mark.parametrize("matrix", [
     [[Const(0.0)]], [[Const(-0.0)]], [[Const(0.0), Const(0.0)], [Coord("v", 1), Const(1.0)]],
-], ids=["zero", "minus-zero", "zero-row"])
+    [[Coord("q", 1), Const(-0.0)], [Coord("v", 1), Const(0.0)]],
+    [[Const(1.0), Const(2.0), Const(0.5)], [Const(2.0), Const(4.0), Const(1.0)],
+     [Const(0.0), Const(3.0), Const(7.0)]],
+], ids=["zero", "minus-zero", "zero-row", "zero-column", "constant-zero-pivot"])
 def test_solve_cramer_refuses_a_determinant_that_folds_to_zero(matrix):
     # a quotient by a constant zero would print as a field and fail at every point
     with pytest.raises(ExprError, match=r"^singular matrix: its determinant is identically -?0$"):
@@ -1329,23 +1486,168 @@ def random_entry(rng):
             leaf, ex.mul(Const(0.5), leaf), ex.sin(leaf)][kind]
 
 
+SOLVE_PARAMS = {"gam": 0.7}
+
+
+def system_points(rng, count=4):
+    return [pt(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), rng.uniform(-1, 1))
+            for _ in range(count)]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_shared_minors_build_the_cofactor_trees(m):
-    # sharing minors changes object identity only, so values stay bit-identical
+def test_the_solve_matches_the_cofactor_reference(m):
+    """On the seeded random systems the cofactor expansion was pinned on: where
+    the reference determinant folds to zero, the solve is refused or raises a
+    DomainError at every point; elsewhere it is built and its values match the
+    reference's at a tolerance scaled by cond(W)."""
     rng = np.random.default_rng(100 + m)
     for _ in range(5):
         mat = [[random_entry(rng) for _ in range(m)] for _ in range(m)]
         rhs = [random_entry(rng) for _ in range(m)]
-        det = cofactor_det(mat)
+        det, points = cofactor_det(mat), system_points(np.random.default_rng(200 + m))
         if type(det) is Const and det.value == 0:   # singular for every point
-            with pytest.raises(ExprError, match="determinant is identically"):
-                solve_cramer(mat, rhs)
+            try:
+                solution = solve_cramer(mat, rhs)
+            except ExprError as exc:
+                assert str(exc) == "singular matrix: its determinant is identically 0"
+                continue
+            for p in points:
+                with pytest.raises(DomainError, match=r"^zero pivot in solve\(\["):
+                    evaluate_all(solution, p, SOLVE_PARAMS)
             continue
         solution = solve_cramer(mat, rhs)
-        assert solution == cofactor_solve(mat, rhs)
-        # det M is each unfolded component's denominator, the cofactor tree
-        quotients = [x for x in solution if type(x) is ex.BinOp and x.op == "/"]
-        assert all(x.rhs is cofactor_det(mat) for x in quotients)
+        assert all(type(x) is ex.Solve for x in solution) if m > 1 else \
+            solution == cofactor_solve(mat, rhs)
+        reference = cofactor_solve(mat, rhs)
+        entries = [w for row in mat for w in row]
+        for p in points:
+            w = np.array(evaluate_all(entries, p, SOLVE_PARAMS)).reshape(m, m)
+            want = np.array(evaluate_all(reference, p, SOLVE_PARAMS))
+            got = np.array(evaluate_all(solution, p, SOLVE_PARAMS))
+            tol = 1e-14 * np.linalg.cond(w) * max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= tol
+
+
+def test_a_system_singular_for_every_value_fails_at_every_point():
+    """Rows 1 and 2 of W read only column 3: det W folds to zero in the
+    cofactor expansion, no row or column is constant zeros, and elimination
+    meets a zero pivot wherever the entries are finite."""
+    q1, v1, z_ = Coord("q", 1), Coord("v", 1), Coord("z")
+    mat = [[Const(0.0), Const(0.0), q1], [Const(0.0), Const(0.0), v1], [z_, ex.sin(q1), v1]]
+    assert cofactor_det(mat) is Const(0.0)
+    solution = solve_cramer(mat, [q1, v1, z_])
+    for y in ([0.5, 1.0, 2.0], [0.0, 0.0, 0.0], [-1.0, 3.0, -0.0]):
+        for run in (ex.tape(solution, 1), rendered_program(solution, 1, {})):
+            with pytest.raises(DomainError, match=r"^zero pivot in solve\(\["):
+                run(y)
+
+
+def test_solve_nodes_of_one_system_lower_to_one_solve_step():
+    """W and b are emitted once, then one solve step and a pick per component:
+    a 3 x 3 system over q1 lowers to 5 instructions for its entries, the step
+    and 3 picks."""
+    q1 = Coord("q", 1)
+    mat = [[ex.sin(q1), Const(1.0), Const(0.5)], [Const(1.0), ex.cos(q1), Const(0.0)],
+           [Const(2.0), Const(0.0), ex.exp(q1)]]
+    rhs = [q1, ex.mul(q1, q1), Const(1.0)]
+    solution = solve_cramer(mat, rhs)
+    assert len({(x.matrix, x.vector) for x in solution}) == 1
+    code, regs, results = ex._lower([*solution, *solution], 1, {})
+    assert [type(a) is tuple for _, a, _, _ in code].count(True) == 1
+    assert len(code) == 4 + 1 + 3 and results[:3] == results[3:]
+    np.testing.assert_allclose(evaluate_all(solution, pt(0.3, 0.0, 0.0)),
+                               evaluate_all(cofactor_solve(mat, rhs), pt(0.3, 0.0, 0.0)),
+                               rtol=1e-14)
+
+
+def test_a_solve_prints_its_linear_system():
+    q1, z_ = Coord("q", 1), Coord("z")
+    x = solve_cramer([[q1, Const(2.0)], [Const(-1.0), z_]], [Param("gam"), ex.sin(q1)])
+    assert unparse(x[1]) == "solve([[q1, 2], [-1, z]], [gam, sin(q1)])[1]"
+    assert unparse(ex.neg(x[0])) == "-solve([[q1, 2], [-1, z]], [gam, sin(q1)])[0]"
+    assert unparse(ex.intpow(x[0], 2)) == "solve([[q1, 2], [-1, z]], [gam, sin(q1)])[0]^2"
+
+
+def test_a_zero_pivot_raises_a_domain_error_naming_the_solve():
+    q1 = Coord("q", 1)
+    x = solve_cramer([[q1, Const(1.0)], [q1, Const(1.0)]], [Const(1.0), q1])
+    message = "zero pivot in solve([[q1, 1], [q1, 1]], [1, q1])[0]"
+    for y in ([0.5, 0.0, 0.0], [0.0, 1.0, 2.0]):
+        with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            ex.tape(x, 1)(y)
+        with pytest.raises(DomainError, match=rf"^{re.escape(message)}$"):
+            rendered_program(x, 1, {})(y)
+        values, error = ex.tape(x, 1).rows([y] * ex.ROWS_MIN)
+        assert values.shape == (0, 2) and str(error) == message
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_the_solve_derivative_matches_differences_and_the_cofactor_reference(m):
+    """dx = W^-1 (db - (dW) x), a solve on the same W, against the derivative
+    of the cofactor quotients and a central difference, by every coordinate."""
+    rng = np.random.default_rng(40 + m)
+    leaves = [Coord("q", 1), Coord("q", 2), Coord("v", 1), Coord("v", 2), Coord("z")]
+
+    def entry(diagonal):
+        leaf = leaves[int(rng.integers(len(leaves)))]
+        e = ex.mul(Const(round(float(rng.uniform(-0.5, 0.5)), 3)), ex.sin(leaf))
+        return ex.add(Const(3.0), e) if diagonal else e
+
+    mat = [[entry(i == j) for j in range(m)] for i in range(m)]
+    rhs = [ex.mul(entry(False), leaves[i % 5]) for i in range(m)]
+    solution, reference = solve_cramer(mat, rhs), cofactor_solve(mat, rhs)
+    run = ex.tape(solution, 2)
+    for p in system_points(rng, 3):
+        y = p.coords()
+        for slot, var in enumerate(coords(2)):
+            got = evaluate_all([differentiate(x, var) for x in solution], p)
+            want = evaluate_all([differentiate(x, var) for x in reference], p)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+            h = np.zeros(5)
+            h[slot] = 1e-6
+            central = (np.array(run(y + h)) - np.array(run(y - h))) / 2e-6
+            np.testing.assert_allclose(got, central, rtol=1e-6, atol=1e-8)
+
+
+def test_a_derivative_outside_the_systems_mask_is_zero():
+    q1 = Coord("q", 1)
+    x = solve_cramer([[q1, Const(1.0)], [Const(1.0), q1]], [Const(1.0), q1])
+    assert differentiate(x[0], "z") is differentiate(x[1], "v2") is Const(0.0)
+    # the components of one system share their derivative's system
+    dx = [differentiate(c, "q1") for c in x]
+    assert dx[0].matrix is x[0].matrix and dx[0].vector is dx[1].vector
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_herglotz_accelerations_match_the_lu_oracle_on_the_dense_family(n):
+    system = dense_lagrangian(n)
+    field = herglotz_field(system)
+    rng = np.random.default_rng(70 + n)
+    for _ in range(5):
+        p = StatePoint.from_coords(rng.uniform(-1, 1, 2 * n + 1), n)
+        got = np.array(evaluate_all(field.components[n:2 * n], p, system.params))
+        lu = lagrangian.herglotz_accelerations(system, p)
+        assert np.max(np.abs(got - lu)) <= 1e-10 * max(1.0, np.max(np.abs(lu)))
+
+
+def test_herglotz_accelerations_match_the_lu_oracle_on_random_lagrangians(rng):
+    for k in range(30):
+        n = k % 3 + 1
+        system = random_regular_lagrangian(rng, n)
+        field = herglotz_field(system)
+        for _ in range(3):
+            p = StatePoint.from_coords(rng.uniform(-1, 1, 2 * n + 1), n)
+            got = np.array(evaluate_all(field.components[n:2 * n], p, system.params))
+            lu = lagrangian.herglotz_accelerations(system, p)
+            assert np.max(np.abs(got - lu)) <= 1e-10 * max(1.0, np.max(np.abs(lu)))
+
+
+@pytest.mark.parametrize("n, most", [(5, 500), (6, 700)])
+def test_the_dense_field_lowers_to_few_instructions(n, most):
+    """W, rhs and L, one solve step and n picks."""
+    system = dense_lagrangian(n)
+    code, _, _ = ex._lower(herglotz_field(system).components, n, system.params)
+    assert len(code) <= most
 
 
 def node_objects(e):
@@ -1361,10 +1663,12 @@ def node_objects(e):
 
 
 def test_dense_accelerations_share_their_minors():
-    # the 6 x 6 Cramer solve of the dense family expands into 118987 tree
-    # nodes; shared minors leave 1223 distinct node objects
-    a1 = herglotz_field(dense_lagrangian(6)).components[6]
-    assert node_objects(a1) <= 1500
+    # the accelerations of the dense family share one system: a1 reaches the
+    # entries of its W and rhs and no cofactor minor
+    field = herglotz_field(dense_lagrangian(6))
+    a1, a2 = field.components[6:8]
+    assert (a1.matrix, a1.vector) == (a2.matrix, a2.vector)
+    assert node_objects(a1) == 1 and len(ex._dag_nodes(a1)) <= 600
 
 
 def test_evaluate_computes_a_shared_node_once(monkeypatch):
@@ -1408,8 +1712,10 @@ def test_equal_trees_are_one_node():
 
 def test_nodes_are_immutable_and_slotted():
     x = Coord("q", 1)
+    solve = solve_cramer([[x, Const(1.0)], [Const(2.0), x]], [x, Param("gam")])[1]
     nodes = {Const(1.5): "value", x: "index", Param("gam"): "name",
-             Call("sin", x): "arg", BinOp("+", x, x): "rhs", IntPow(x, 2): "exponent"}
+             Call("sin", x): "arg", BinOp("+", x, x): "rhs", IntPow(x, 2): "exponent",
+             solve: "matrix"}
     for node, name in nodes.items():
         assert not hasattr(node, "__dict__")
         with pytest.raises(AttributeError):
